@@ -1,0 +1,158 @@
+"""The acceptance gate, defined once for `char2kit verify-all` and pytest.
+
+CRITERIA maps "C1".."C12" to generators that take (max_m, max_s), the
+largest field degree and curve-count extension to enumerate, and yield
+(name, observed, expected) rows; a row passes iff observed == expected
+exactly.  C1-C5 check the paper's claims for k = 3; C6-C12 the weights,
+point counts and zeta-function identities.
+"""
+
+from __future__ import annotations
+
+import math
+
+from . import crosscorr, curves, expsums, gf2m, zeta
+
+KNOWN_WEIGHTS = {
+    # Known weight distributions of the two-nonzero cyclic codes (k = 1).
+    7: {0: 1, 56: 4572, 64: 8255, 72: 3556},
+    11: {0: 1, 960: 45034, 992: 900680, 1024: 2368379, 1056: 835176, 1088: 45034},
+}
+
+PINNED_M11 = {"N0": 1155, "N1": 440, "N-1": 408, "N2": 22, "N-2": 22}
+
+M_SET = (4, 5, 7, 8, 10, 11, 13, 14, 16, 17)
+
+
+def c1(max_m, max_s):
+    """K'_m = K_m at k=3"""
+    for m in M_SET:
+        if m <= max_m:
+            v = expsums.conjecture2_check(m, 3)
+            yield f"C1 K'_{m} = K_{m} (k=3)", v.lhs, v.rhs
+
+
+def c2(max_m, max_s):
+    """G^(3) = G and G^(k) = G^(gcd)"""
+    for m in M_SET:
+        if m <= max_m:
+            v = expsums.conjecture1_check(m, 3)
+            yield f"C2 G_{m}^(3) = G_{m}", v.lhs, v.rhs
+    for m in range(1, min(16, max_m) + 1):
+        for k in range(1, 6):
+            v = expsums.conjecture1_check(m, k)
+            yield f"C2 G_{m}^({k}) = G_{m}^(gcd)", v.lhs, v.rhs
+
+
+def c3(max_m, max_s):
+    """C_m closed form by m mod 8"""
+    for m in range(1, min(19, max_m) + 1, 2):
+        for k in range(1, 6):
+            closed = expsums.c_sum_closed_form(m, k)
+            if closed is not None:
+                yield f"C3 C_{m}(k={k}) closed form", expsums.c_sum(m, k).value, closed
+
+
+def c4(max_m, max_s):
+    """A_1 brute force = formula"""
+    for m, k in ((5, 1), (5, 2), (5, 3), (7, 1), (7, 2), (7, 3), (9, 2)):
+        if m <= max_m:
+            rep = crosscorr.a1_formula(m, k, brute=True)
+            yield f"C4 A1 brute = formula (m={m},k={k})", rep.brute_count, rep.formula_value
+
+
+def c5(max_m, max_s):
+    """observed distribution = multiplicity formulas"""
+    for m in (5, 7, 11, 13):
+        if m > max_m:
+            continue
+        base = None
+        for k in (1, 2, 3):
+            if math.gcd(k, m) != 1:
+                continue
+            dist = crosscorr.correlation_distribution(m, gf2m.decimation_exponent(m, k))
+            a1 = crosscorr.a1_formula(m, k, brute=False).formula_value
+            expect = crosscorr.theorem1_multiplicities(m, a1)
+            yield f"C5 multiplicities m={m} k={k}", crosscorr.match_multiplicities(dist), expect
+            if base is None:
+                base = dist.entries
+            else:
+                yield f"C5 distribution m={m} k={k} equals k=1", dist.entries, base
+    if max_m >= 11:
+        a1 = crosscorr.a1_formula(11, 1, brute=False).formula_value
+        yield "C5 m=11 pinned multiplicities", crosscorr.theorem1_multiplicities(11, a1), PINNED_M11
+
+
+def c6(max_m, max_s):
+    """weight distributions m=7, m=11"""
+    for m in (7, 11):
+        if m > max_m:
+            continue
+        w1 = crosscorr.weight_distribution(m, 1)
+        yield f"C6 weights m={m} k=1", w1.entries, KNOWN_WEIGHTS[m]
+        yield f"C6 weights m={m} k=3 = k=1", crosscorr.weight_distribution(m, 3).entries, w1.entries
+    if max_m >= 7:
+        yield ("C6 direct mode m=7", crosscorr.weight_distribution(7, 1, mode="direct").entries,
+               crosscorr.weight_distribution(7, 1).entries)
+
+
+def c7(max_m, max_s):
+    """point counts = corrected zeta predictions"""
+    for name in ("kloosterman", "p3", "p4", "p1tilde"):
+        entry = curves.catalog_curve(name)
+        L = zeta.catalog_lpoly(entry.l_polynomial_name)
+        for s in range(1, min(max_s, 8 if name == "p1tilde" else 10) + 1):
+            yield (f"C7 {name} N_{s}", curves.count_projective_points_fast(entry.polynomial, s),
+                   entry.corrected_prediction(zeta.predicted_count(L, s), s))
+
+
+def c8(max_m, max_s):
+    """exponential sums = zeta power sums, m <= 18"""
+    top = min(18, max_m)
+    P1, P2, P3, P4 = (zeta.power_sums(zeta.catalog_lpoly(f"z{i}"), top) for i in (1, 2, 3, 4))
+    for m in range(1, top + 1):
+        yield f"C8 K_{m} = -P_m(z2)", expsums.kloosterman(m).value, -P2[m - 1]
+        yield f"C8 G_{m} = -P_m(z4)", expsums.g_sum(m, 1).value, -P4[m - 1]
+        yield f"C8 G_{m}^(3) = -P_m(z3)", expsums.g_sum(m, 3).value, -P3[m - 1]
+        yield (f"C8 K'_{m} = 2 - S_m - P_m(z1)", expsums.k_prime(m, 3).value,
+               2 - zeta.singular_correction(m) - P1[m - 1])
+
+
+def c9(max_m, max_s):
+    """quotient power sums vanish off multiples of 3"""
+    # vanishing_residue_check also requires every sigma_j with 3 not | j to be 0.
+    L1p = zeta.catalog_lpoly("l1prime")
+    yield ("C9 P_m(l1prime) = 0 for 3 coprime m <= 200",
+           zeta.vanishing_residue_check(L1p, 3, 200).holds, True)
+    yield "C9 expansion matches published coefficients", zeta.l1prime_expansion_check().holds, True
+
+
+def c10(max_m, max_s):
+    """L-polynomials recovered from point counts"""
+    for name, g in (("z2", 1), ("z4", 2), ("z3", 5)):
+        entry = next(e for e in map(curves.catalog_curve, curves.catalog_curve_names())
+                     if e.l_polynomial_name == name)
+        corr = {"exact": 0, "minus_one": 1}[entry.correction]
+        counts = [curves.count_projective_points_fast(entry.polynomial, s) + corr
+                  for s in range(1, g + 1)]
+        L = zeta.reconstruct_from_counts(counts, 2, g)
+        yield f"C10 reconstruct {name} (g={g})", list(L.coefficients), list(zeta.catalog_lpoly(name).coefficients)
+
+
+def c11(max_m, max_s):
+    """extra-factor power sums = 2^(1+delta)"""
+    ok = all(zeta.singular_correction_sums(s) == 2 ** (1 + (2 if s % 3 == 0 else 0))
+             for s in range(1, 51))
+    yield "C11 P_s(extra factor) = 2^(1+delta) for s <= 50", ok, True
+
+
+def c12(max_m, max_s):
+    """(x+z)^8 * 29-monomial curve = degree-66 curve"""
+    xz = curves.TrivariatePoly([(1, 0, 0), (0, 0, 1)])
+    p1 = curves.catalog_curve("p1tilde").polynomial
+    fb3 = curves.catalog_curve("fbar3").polynomial
+    yield "C12 (x+z)^e * p1tilde = fbar3 for e", [e for e in range(1, 9) if (xz**e) * p1 == fb3], [8]
+
+
+CRITERIA = {"C1": c1, "C2": c2, "C3": c3, "C4": c4, "C5": c5, "C6": c6,
+            "C7": c7, "C8": c8, "C9": c9, "C10": c10, "C11": c11, "C12": c12}

@@ -1,9 +1,9 @@
 """Command-line harness: every verification as a subcommand.
 
-Each subcommand emits a run report: a list of (name, expected, observed,
-verdict) rows plus wall time.  Verdicts are pass/fail when an expectation
-exists and "recorded" otherwise; the process exits 0 iff nothing failed.
-Output is a human table by default, or --json / --csv.
+Each subcommand emits a run report: (name, expected, observed, verdict)
+rows, the per-stage timings it fills in, and wall time.  Verdicts are
+pass/fail when an expectation exists and "recorded" otherwise; the process
+exits 0 iff nothing failed.  Output is a human table, or --json / --csv.
 """
 
 from __future__ import annotations
@@ -17,13 +17,8 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from . import __version__, crosscorr, curves, expsums, gf2m, zeta
-
-KNOWN_WEIGHTS = {
-    # Known weight distributions of the two-nonzero cyclic codes (k = 1).
-    7: {0: 1, 56: 4572, 64: 8255, 72: 3556},
-    11: {0: 1, 960: 45034, 992: 900680, 1024: 2368379, 1056: 835176, 1088: 45034},
-}
+from . import __version__, acceptance, crosscorr, curves, expsums, gf2m, zeta
+from .acceptance import KNOWN_WEIGHTS
 
 
 @dataclass
@@ -53,6 +48,7 @@ class RunReport:
     command: str
     params: dict
     results: list[Row] = field(default_factory=list)
+    timings: dict[str, float] = field(default_factory=dict)
     wall_time_ms: float = 0.0
 
     @property
@@ -73,6 +69,7 @@ class RunReport:
                     }
                     for r in self.results
                 ],
+                "timings": self.timings,
                 "wall_time_ms": self.wall_time_ms,
             },
             default=str,
@@ -92,24 +89,26 @@ class RunReport:
         for r in self.results:
             exp = f" expected={r.expected}" if r.has_expectation else ""
             lines.append(f"{r.name:<{width}}  {r.verdict:<8} observed={r.observed}{exp}")
+        if self.timings:
+            lines.append("# timings: " + ", ".join(f"{k} {v:.2f}s" for k, v in self.timings.items()))
         n_fail = sum(r.verdict == "fail" for r in self.results)
         lines.append(f"# {len(self.results)} results, {n_fail} failed, {self.wall_time_ms:.0f} ms")
         return "\n".join(lines)
 
 
-def _parse_range(text: str) -> range:
-    """'lo:hi' (inclusive) or a single integer."""
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        return range(int(lo), int(hi) + 1)
-    v = int(text)
-    return range(v, v + 1)
+def _parse_range(text: str, lo_min: int, hi_max: float = math.inf) -> range:
+    """'lo:hi' (inclusive) or a single integer; nonempty, within lo_min..hi_max."""
+    lo, hi = text.split(":", 1) if ":" in text else (text, text)
+    r = range(int(lo), int(hi) + 1)
+    if not r or r[0] < lo_min or r[-1] > hi_max:
+        raise ValueError(f"range {text!r} is empty or outside {lo_min}..{hi_max}")
+    return r
 
 
 # -- subcommands -------------------------------------------------------------
 
 
-def cmd_expsum(args) -> list[Row]:
+def cmd_expsum(args, timings) -> list[Row]:
     m, k = args.m, args.k
     if args.sum == "K":
         rep = expsums.kloosterman(m)
@@ -129,10 +128,12 @@ def cmd_expsum(args) -> list[Row]:
     return rows
 
 
-def cmd_conjectures(args) -> list[Row]:
+def cmd_conjectures(args, timings) -> list[Row]:
+    ms = _parse_range(args.m_range, 1, expsums.SUM_CAP)
+    ks = _parse_range(args.k_range, 1)
     rows = []
-    for m in _parse_range(args.m_range):
-        for k in _parse_range(args.k_range):
+    for m in ms:
+        for k in ks:
             # Proved: k = gcd(k, m) trivially, k = 2 in prior work, k = 3 for
             # 3 coprime to m.  The K' = K identity additionally needs
             # gcd(k, m) = 1 (otherwise K' is a genuinely different sum).
@@ -160,7 +161,7 @@ def _resolve_d(m: int, k: int | None, d: int | None) -> int:
     return d if d is not None else gf2m.decimation_exponent(m, k)
 
 
-def cmd_corrdist(args) -> list[Row]:
+def cmd_corrdist(args, timings) -> list[Row]:
     m = args.m
     d = _resolve_d(m, args.k, args.d)
     dist = crosscorr.correlation_distribution(m, d)
@@ -181,7 +182,7 @@ def cmd_corrdist(args) -> list[Row]:
     return rows
 
 
-def cmd_a1(args) -> list[Row]:
+def cmd_a1(args, timings) -> list[Row]:
     rep = crosscorr.a1_formula(args.m, args.k, brute=False if args.no_brute else None)
     rows = [recorded("formula A_1", rep.formula_value)]
     if rep.brute_count is not None:
@@ -189,7 +190,7 @@ def cmd_a1(args) -> list[Row]:
     return rows
 
 
-def cmd_weights(args) -> list[Row]:
+def cmd_weights(args, timings) -> list[Row]:
     dist = crosscorr.weight_distribution(args.m, args.k, mode=args.mode)
     expected = KNOWN_WEIGHTS.get(args.m)
     rows = []
@@ -203,7 +204,10 @@ def cmd_weights(args) -> list[Row]:
     return rows
 
 
-def cmd_curvecount(args) -> list[Row]:
+def cmd_curvecount(args, timings) -> list[Row]:
+    cap = curves.COUNT_CAP if args.generic else curves.FAST_COUNT_CAP
+    if not 1 <= args.s <= cap:
+        raise ValueError(f"--s {args.s} outside 1..{cap}")
     try:
         entry = curves.catalog_curve(args.curve)
         poly = entry.polynomial
@@ -228,7 +232,7 @@ def _load_lpoly_arg(name: str) -> zeta.LPolynomial:
     return zeta.load_lpoly(name)
 
 
-def cmd_zeta(args) -> list[Row]:
+def cmd_zeta(args, timings) -> list[Row]:
     if args.reconstruct:
         counts = [int(c) for c in args.reconstruct]
         L = zeta.reconstruct_from_counts(counts, q=2, g=args.genus)
@@ -244,7 +248,7 @@ def cmd_zeta(args) -> list[Row]:
     return rows
 
 
-def cmd_dm_check(args) -> list[Row]:
+def cmd_dm_check(args, timings) -> list[Row]:
     L1p = zeta.catalog_lpoly("l1prime")
     res = zeta.vanishing_residue_check(L1p, 3, args.bound)
     rows = [checked(f"P_m(l1prime) = 0 for 3 coprime m <= {args.bound}", res.holds, True)]
@@ -258,140 +262,12 @@ def cmd_dm_check(args) -> list[Row]:
 # -- verify-all ---------------------------------------------------------------
 
 
-def _verify_all(args) -> list[Row]:
-    max_m, max_s = args.max_m, args.max_s
-    rows: list[Row] = []
-
-    def timed(label, fn):
+def _verify_all(args, timings) -> list[Row]:
+    rows = []
+    for key, criterion in acceptance.CRITERIA.items():
         t0 = time.perf_counter()
-        fn()
-        rows.append(recorded(f"[{label}] time", f"{time.perf_counter() - t0:.2f}s"))
-
-    m_set = [m for m in (4, 5, 7, 8, 10, 11, 13, 14, 16, 17) if m <= max_m]
-
-    def c1():
-        for m in m_set:
-            v = expsums.conjecture2_check(m, 3)
-            rows.append(checked(f"C1 K'_{m} = K_{m} (k=3)", v.lhs, v.rhs))
-
-    def c2():
-        for m in m_set:
-            v = expsums.conjecture1_check(m, 3)
-            rows.append(checked(f"C2 G_{m}^(3) = G_{m}", v.lhs, v.rhs))
-        for m in range(1, min(16, max_m) + 1):
-            for k in range(1, 6):
-                v = expsums.conjecture1_check(m, k)
-                rows.append(checked(f"C2 G_{m}^({k}) = G_{m}^(gcd)", v.lhs, v.rhs))
-
-    def c3():
-        for m in range(1, min(19, max_m) + 1, 2):
-            for k in range(1, 6):
-                closed = expsums.c_sum_closed_form(m, k)
-                if closed is not None:
-                    rows.append(checked(f"C3 C_{m}(k={k}) closed form", expsums.c_sum(m, k).value, closed))
-
-    def c4():
-        for m, k in ((5, 1), (5, 2), (5, 3), (7, 1), (7, 2), (7, 3), (9, 2)):
-            if m > max_m:
-                continue
-            rep = crosscorr.a1_formula(m, k, brute=True)
-            rows.append(checked(f"C4 A1 brute = formula (m={m},k={k})", rep.brute_count, rep.formula_value))
-
-    def c5():
-        for m in (5, 7, 11, 13):
-            if m > max_m:
-                continue
-            base = None
-            for k in (1, 2, 3):
-                if math.gcd(k, m) != 1:
-                    continue
-                d = gf2m.decimation_exponent(m, k)
-                dist = crosscorr.correlation_distribution(m, d)
-                expect = crosscorr.theorem1_multiplicities(
-                    m, crosscorr.a1_formula(m, k, brute=False).formula_value
-                )
-                rows.append(checked(f"C5 multiplicities m={m} k={k}",
-                                    crosscorr.match_multiplicities(dist), expect))
-                if base is None:
-                    base = dist.entries
-                else:
-                    rows.append(checked(f"C5 distribution m={m} k={k} equals k=1", dist.entries, base))
-        if max_m >= 11:
-            expect11 = {"N0": 1155, "N1": 440, "N-1": 408, "N2": 22, "N-2": 22}
-            a1 = crosscorr.a1_formula(11, 1, brute=False).formula_value
-            rows.append(checked("C5 m=11 pinned multiplicities",
-                                crosscorr.theorem1_multiplicities(11, a1), expect11))
-
-    def c6():
-        for m in (7, 11):
-            if m > max_m:
-                continue
-            w1 = crosscorr.weight_distribution(m, 1)
-            rows.append(checked(f"C6 weights m={m} k=1", w1.entries, KNOWN_WEIGHTS[m]))
-            rows.append(checked(f"C6 weights m={m} k=3 = k=1",
-                                crosscorr.weight_distribution(m, 3).entries, w1.entries))
-        if max_m >= 7:
-            rows.append(checked("C6 direct mode m=7",
-                                crosscorr.weight_distribution(7, 1, mode="direct").entries,
-                                crosscorr.weight_distribution(7, 1).entries))
-
-    def c7():
-        for name in ("kloosterman", "p3", "p4", "p1tilde"):
-            entry = curves.catalog_curve(name)
-            L = zeta.catalog_lpoly(entry.l_polynomial_name)
-            top = min(max_s, 8 if name == "p1tilde" else 10)
-            for s in range(1, top + 1):
-                obs = curves.count_projective_points_fast(entry.polynomial, s)
-                rows.append(checked(f"C7 {name} N_{s}", obs,
-                                    entry.corrected_prediction(zeta.predicted_count(L, s), s)))
-
-    def c8():
-        top = min(18, max_m)
-        PL1 = zeta.power_sums(zeta.catalog_lpoly("z1"), top)
-        PL2 = zeta.power_sums(zeta.catalog_lpoly("z2"), top)
-        PL3 = zeta.power_sums(zeta.catalog_lpoly("z3"), top)
-        PL4 = zeta.power_sums(zeta.catalog_lpoly("z4"), top)
-        for m in range(1, top + 1):
-            rows.append(checked(f"C8 K_{m} = -P_m(z2)", expsums.kloosterman(m).value, -PL2[m - 1]))
-            rows.append(checked(f"C8 G_{m} = -P_m(z4)", expsums.g_sum(m, 1).value, -PL4[m - 1]))
-            rows.append(checked(f"C8 G_{m}^(3) = -P_m(z3)", expsums.g_sum(m, 3).value, -PL3[m - 1]))
-            rows.append(checked(f"C8 K'_{m} = 2 - S_m - P_m(z1)", expsums.k_prime(m, 3).value,
-                                2 - zeta.singular_correction(m) - PL1[m - 1]))
-
-    def c9():
-        L1p = zeta.catalog_lpoly("l1prime")
-        rows.append(checked("C9 P_m(l1prime) = 0 for 3 coprime m <= 200",
-                            zeta.vanishing_residue_check(L1p, 3, 200).holds, True))
-        rows.append(checked("C9 expansion matches published coefficients",
-                            zeta.l1prime_expansion_check().holds, True))
-
-    def c10():
-        for name, g in (("z2", 1), ("z4", 2), ("z3", 5)):
-            entry = next(e for e in map(curves.catalog_curve, curves.catalog_curve_names())
-                         if e.l_polynomial_name == name)
-            corr = {"exact": 0, "minus_one": 1}[entry.correction]
-            counts = [curves.count_projective_points_fast(entry.polynomial, s) + corr
-                      for s in range(1, g + 1)]
-            L = zeta.reconstruct_from_counts(counts, 2, g)
-            rows.append(checked(f"C10 reconstruct {name} (g={g})", list(L.coefficients),
-                                list(zeta.catalog_lpoly(name).coefficients)))
-
-    def c11():
-        ok = all(zeta.singular_correction_sums(s) == zeta.singular_correction(s)
-                 for s in range(1, 51))
-        rows.append(checked("C11 P_s(extra factor) = 2^(1+delta) for s <= 50", ok, True))
-
-    def c12():
-        xz = curves.TrivariatePoly([(1, 0, 0), (0, 0, 1)])
-        p1 = curves.catalog_curve("p1tilde").polynomial
-        fb3 = curves.catalog_curve("fbar3").polynomial
-        es = [e for e in range(1, 9) if (xz**e) * p1 == fb3]
-        rows.append(checked("C12 (x+z)^e * p1tilde = fbar3 for e", es, [8]))
-
-    for label, fn in (("C1", c1), ("C2", c2), ("C3", c3), ("C4", c4), ("C5", c5),
-                      ("C6", c6), ("C7", c7), ("C8", c8), ("C9", c9), ("C10", c10),
-                      ("C11", c11), ("C12", c12)):
-        timed(label, fn)
+        rows += [checked(*row) for row in criterion(args.max_m, args.max_s)]
+        timings[key] = round(time.perf_counter() - t0, 3)
     return rows
 
 
@@ -404,73 +280,58 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"char2kit {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def command(name, fn, summary):
+        sp = sub.add_parser(name, help=summary)
+        sp.set_defaults(fn=fn)
         sp.add_argument("--json", action="store_true", help="machine-readable JSON output")
         sp.add_argument("--csv", action="store_true", help="CSV output")
         sp.add_argument("--field-config", metavar="PATH",
                         help="JSON file overriding reduction polynomials: {\"m\": \"0x..\"}")
+        return sp
 
-    sp = sub.add_parser("expsum", help="evaluate one exponential sum")
+    sp = command("expsum", cmd_expsum, "evaluate one exponential sum")
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--k", type=int, default=1)
     sp.add_argument("--sum", choices=("K", "C", "G", "Kp"), required=True)
-    common(sp)
-    sp.set_defaults(fn=cmd_expsum)
 
-    sp = sub.add_parser("conjectures", help="sweep both conjecture checks")
+    sp = command("conjectures", cmd_conjectures, "sweep both conjecture checks")
     sp.add_argument("--m-range", default="1:16", help="lo:hi inclusive")
     sp.add_argument("--k-range", default="1:5", help="lo:hi inclusive")
-    common(sp)
-    sp.set_defaults(fn=cmd_conjectures)
 
-    sp = sub.add_parser("corrdist", help="cross-correlation distribution sweep")
+    sp = command("corrdist", cmd_corrdist, "cross-correlation distribution sweep")
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--k", type=int)
     sp.add_argument("--d", type=int)
-    common(sp)
-    sp.set_defaults(fn=cmd_corrdist)
 
-    sp = sub.add_parser("a1", help="solution count: brute force vs formula")
+    sp = command("a1", cmd_a1, "solution count: brute force vs formula")
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--no-brute", action="store_true")
-    common(sp)
-    sp.set_defaults(fn=cmd_a1)
 
-    sp = sub.add_parser("weights", help="cyclic-code weight distribution")
+    sp = command("weights", cmd_weights, "cyclic-code weight distribution")
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--mode", choices=("direct", "via_correlation"), default="via_correlation")
-    common(sp)
-    sp.set_defaults(fn=cmd_weights)
 
-    sp = sub.add_parser("curvecount", help="projective point counts vs zeta prediction")
+    sp = command("curvecount", cmd_curvecount, "projective point counts vs zeta prediction")
     sp.add_argument("--curve", required=True,
                     help=f"catalog name {curves.catalog_curve_names()} or a .curve file path")
     sp.add_argument("--s", type=int, required=True, help="count over F_2^1 .. F_2^s")
     sp.add_argument("--generic", action="store_true", help="use the generic (slow) counter")
-    common(sp)
-    sp.set_defaults(fn=cmd_curvecount)
 
-    sp = sub.add_parser("zeta", help="power sums / predicted counts / reconstruction")
+    sp = command("zeta", cmd_zeta, "power sums / predicted counts / reconstruction")
     sp.add_argument("--l-poly", help=f"catalog name {zeta.catalog_lpoly_names()} or file path")
     sp.add_argument("--s-max", type=int, default=10)
     sp.add_argument("--reconstruct", nargs="+", metavar="N",
                     help="point counts N_1..N_g to invert")
     sp.add_argument("--genus", type=int, help="genus for --reconstruct")
-    common(sp)
-    sp.set_defaults(fn=cmd_zeta)
 
-    sp = sub.add_parser("dm-check", help="vanishing power-sum recurrence for l1prime")
+    sp = command("dm-check", cmd_dm_check, "vanishing power-sum recurrence for l1prime")
     sp.add_argument("--bound", type=int, default=200)
-    common(sp)
-    sp.set_defaults(fn=cmd_dm_check)
 
-    sp = sub.add_parser("verify-all", help="run the full acceptance suite")
+    sp = command("verify-all", _verify_all, "run the full acceptance suite")
     sp.add_argument("--max-m", type=int, default=18, help="bound enumeration degree")
     sp.add_argument("--max-s", type=int, default=10, help="bound curve-count extensions")
-    common(sp)
-    sp.set_defaults(fn=_verify_all)
 
     return p
 
@@ -484,13 +345,14 @@ def main(argv: list[str] | None = None) -> int:
         for k, v in vars(args).items()
         if k not in ("fn", "command", "json", "csv", "field_config") and v is not None
     }
+    report = RunReport(args.command, params)
     t0 = time.perf_counter()
     try:
-        rows = args.fn(args)
+        report.results = args.fn(args, report.timings)
     except (gf2m.FieldError, zeta.ZetaError, crosscorr.InconsistencyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = RunReport(args.command, params, rows, (time.perf_counter() - t0) * 1e3)
+    report.wall_time_ms = (time.perf_counter() - t0) * 1e3
     if args.json:
         print(report.to_json())
     elif args.csv:

@@ -14,13 +14,13 @@ weight distribution of the two-nonzero cyclic codes.
 from __future__ import annotations
 
 import math
-import os
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from . import expsums
+from .expsums import InconsistencyError
 from .gf2m import FieldError, decimation_exponent, get_field
 
 __all__ = [
@@ -40,18 +40,6 @@ __all__ = [
 A1_BRUTE_CAP = 9       # (x, y, z) loop is 2^(3m)
 DIRECT_WEIGHT_CAP = 8  # 2^(2m) codewords scanned individually
 SWEEP_CAP = 17         # correlation sweeps cost ~4^m
-
-
-class InconsistencyError(ValueError):
-    pass
-
-
-def worker_count() -> int:
-    """Worker count for partitioned sweeps, from CHAR2KIT_WORKERS (default 1)."""
-    try:
-        return max(1, int(os.environ.get("CHAR2KIT_WORKERS", "1")))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -115,14 +103,6 @@ def cross_correlation(m: int, d: int, tau: int) -> int:
     return int(order - 2 * np.count_nonzero(bits))
 
 
-def _sweep_chunk(A2, B, order, lo, hi) -> Counter:
-    out: Counter = Counter()
-    for tau in range(lo, hi):
-        ones = int(np.count_nonzero(A2[tau : tau + order] ^ B))
-        out[order - 2 * ones] += 1
-    return out
-
-
 def correlation_distribution(m: int, d: int, cap: int = SWEEP_CAP) -> CorrelationDistribution:
     """Multiplicity map of C_d(tau) over all shifts tau in [0, 2^m - 1)."""
     if m > cap:
@@ -133,19 +113,10 @@ def correlation_distribution(m: int, d: int, cap: int = SWEEP_CAP) -> Correlatio
         raise FieldError(f"gcd(d={d}, 2^{m}-1) = {math.gcd(d, order)} != 1")
     B = A[(d * np.arange(order, dtype=np.int64)) % order]
     A2 = np.concatenate([A, A])
-    workers = worker_count()
-    if workers == 1 or order < 4 * workers:
-        counts = _sweep_chunk(A2, B, order, 0, order)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        bounds = np.linspace(0, order, workers + 1, dtype=int)
-        counts = Counter()
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            for part in ex.map(
-                lambda t: _sweep_chunk(A2, B, order, t[0], t[1]), zip(bounds[:-1], bounds[1:])
-            ):
-                counts.update(part)
+    counts: Counter = Counter()
+    for tau in range(order):
+        ones = int(np.count_nonzero(A2[tau : tau + order] ^ B))
+        counts[order - 2 * ones] += 1
     dist = CorrelationDistribution(m, d, dict(sorted(counts.items())))
     dist.check_moments()
     return dist
@@ -304,6 +275,8 @@ def weight_distribution(m: int, k: int, mode: str = "via_correlation",
     (a permutation of positions, so weights are preserved) and multiplies
     the b = 1 row counts by 2^m - 1.
     """
+    if k < 1:
+        raise FieldError("k must be >= 1")
     field = get_field(m)
     order = field.order
     entries: Counter = Counter()

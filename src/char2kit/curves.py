@@ -35,7 +35,8 @@ __all__ = [
     "singular_points",
 ]
 
-COUNT_CAP = 12  # generic enumeration costs ~4^s * |monomials|
+COUNT_CAP = 12       # generic enumeration costs ~4^s * |monomials|
+FAST_COUNT_CAP = 20  # the fast counter costs ~2^s * |monomials|
 
 
 class TrivariatePoly:
@@ -214,7 +215,7 @@ def _eval_xz(field: Field, terms: list[tuple[int, int]], x: int, z: int) -> int:
     return acc
 
 
-def count_projective_points_fast(P: TrivariatePoly, s: int, cap: int = 20) -> int:
+def count_projective_points_fast(P: TrivariatePoly, s: int, cap: int = FAST_COUNT_CAP) -> int:
     """Same count as count_projective_points, for curves quadratic in y.
 
     Solves a y^2 + b y + c = 0 per chart point: for a != 0, b != 0 the

@@ -24,6 +24,7 @@ from .gf2m import Field, FieldError, get_field
 
 __all__ = [
     "ExpSumReport",
+    "InconsistencyError",
     "Verdict",
     "kloosterman",
     "c_sum",
@@ -38,6 +39,10 @@ __all__ = [
 SUM_CAP = 20  # full enumeration wants log/antilog tables
 
 
+class InconsistencyError(ValueError):
+    """A computed quantity contradicts an identity it must satisfy."""
+
+
 @dataclass(frozen=True)
 class ExpSumReport:
     m: int
@@ -47,7 +52,8 @@ class ExpSumReport:
     domain_size: int
 
     def __post_init__(self):
-        assert self.value == 2 * self.trace_zero_count - self.domain_size
+        if self.value != 2 * self.trace_zero_count - self.domain_size:
+            raise InconsistencyError(f"value {self.value} != 2 * {self.trace_zero_count} - {self.domain_size}")
 
 
 @dataclass(frozen=True)

@@ -1,142 +1,71 @@
-"""Acceptance gate: the twelve headline checks, one printed line each.
+"""Acceptance gate: the twelve criteria of char2kit.acceptance, one test each.
 
-Run with `pytest -s tests/test_acceptance.py` to see the per-criterion
-pass/fail lines; every comparison is exact integer equality.
+The criteria are the ones `char2kit verify-all` runs; here they run at
+max_m = 19, max_s = 10, which adds m = 19 to C3.  Run with
+`pytest -s tests/test_acceptance.py` to see the per-criterion pass/FAIL
+lines; every comparison is exact equality.
 """
 
-import math
-
-from char2kit import crosscorr, curves, expsums, zeta
-from char2kit.gf2m import decimation_exponent
-
-M_SET = (4, 5, 7, 8, 10, 11, 13, 14, 16, 17)
+from char2kit.acceptance import CRITERIA
 
 
-def report(label: str, ok: bool) -> None:
-    print(f"{label}: {'pass' if ok else 'FAIL'}")
-    assert ok, label
+def run_criterion(key: str) -> None:
+    criterion = CRITERIA[key]
+    rows = list(criterion(19, 10))
+    failed = [name for name, observed, expected in rows if observed != expected]
+    print(f"criterion {key[1:]:0>2} ({criterion.__doc__}): {'FAIL' if failed else 'pass'}")
+    assert rows, f"{key} checked nothing"
+    assert not failed, failed
 
 
 def test_criterion_01_kp_equals_k_at_k3():
-    ok = all(expsums.conjecture2_check(m, 3).holds for m in M_SET)
-    report("criterion 01 (K'_m = K_m at k=3)", ok)
+    run_criterion("C1")
 
 
 def test_criterion_02_g3_equals_g_and_gcd_reduction():
-    ok = all(expsums.conjecture1_check(m, 3).holds for m in M_SET)
-    ok &= all(expsums.conjecture1_check(m, k).holds
-              for m in range(1, 17) for k in range(1, 6))
-    report("criterion 02 (G^(3) = G and G^(k) = G^(gcd))", ok)
+    run_criterion("C2")
 
 
 def test_criterion_03_c_sum_closed_form():
-    ok = True
-    for m in range(1, 20, 2):
-        for k in range(1, 6):
-            if math.gcd(k, m) != 1:
-                continue
-            ok &= expsums.c_sum(m, k).value == expsums.c_sum_closed_form(m, k)
-    report("criterion 03 (C_m closed form by m mod 8)", ok)
+    run_criterion("C3")
 
 
 def test_criterion_04_a1_brute_equals_formula():
-    ok = True
-    for m, k in ((5, 1), (5, 2), (5, 3), (7, 1), (7, 2), (7, 3), (9, 2)):
-        rep = crosscorr.a1_formula(m, k, brute=True)
-        ok &= rep.brute_count == rep.formula_value
-    report("criterion 04 (A_1 brute force = formula)", ok)
+    run_criterion("C4")
 
 
 def test_criterion_05_five_value_distribution():
-    ok = True
-    for m in (5, 7, 11, 13):
-        base = None
-        for k in (1, 2, 3):
-            if math.gcd(k, m) != 1:
-                continue
-            dist = crosscorr.correlation_distribution(m, decimation_exponent(m, k))
-            a1 = crosscorr.a1_formula(m, k, brute=False).formula_value
-            ok &= crosscorr.match_multiplicities(dist) == crosscorr.theorem1_multiplicities(m, a1)
-            if base is None:
-                base = dist.entries
-            else:
-                ok &= dist.entries == base
-    a1_11 = crosscorr.a1_formula(11, 1, brute=False).formula_value
-    ok &= crosscorr.theorem1_multiplicities(11, a1_11) == {
-        "N0": 1155, "N1": 440, "N-1": 408, "N2": 22, "N-2": 22,
-    }
-    report("criterion 05 (observed distribution = multiplicity formulas)", ok)
+    run_criterion("C5")
 
 
 def test_criterion_06_weight_distributions():
-    w7 = crosscorr.weight_distribution(7, 1).entries
-    w11 = crosscorr.weight_distribution(11, 1).entries
-    ok = w7 == {0: 1, 56: 4572, 64: 8255, 72: 3556}
-    ok &= w11 == {0: 1, 960: 45034, 992: 900680, 1024: 2368379,
-                  1056: 835176, 1088: 45034}
-    ok &= crosscorr.weight_distribution(7, 3).entries == w7
-    ok &= crosscorr.weight_distribution(11, 3).entries == w11
-    ok &= crosscorr.weight_distribution(7, 1, mode="direct").entries == w7
-    report("criterion 06 (weight distributions m=7, m=11)", ok)
+    run_criterion("C6")
 
 
 def test_criterion_07_curve_counts_match_zeta():
-    ok = True
-    for name in ("kloosterman", "p3", "p4", "p1tilde"):
-        entry = curves.catalog_curve(name)
-        L = zeta.catalog_lpoly(entry.l_polynomial_name)
-        top = 8 if name == "p1tilde" else 10
-        for s in range(1, top + 1):
-            obs = curves.count_projective_points_fast(entry.polynomial, s)
-            ok &= obs == entry.corrected_prediction(zeta.predicted_count(L, s), s)
-    report("criterion 07 (point counts = corrected zeta predictions)", ok)
+    run_criterion("C7")
 
 
 def test_criterion_08_trace_vs_zeta_identities():
-    P1 = zeta.power_sums(zeta.catalog_lpoly("z1"), 18)
-    P2 = zeta.power_sums(zeta.catalog_lpoly("z2"), 18)
-    P3 = zeta.power_sums(zeta.catalog_lpoly("z3"), 18)
-    P4 = zeta.power_sums(zeta.catalog_lpoly("z4"), 18)
-    ok = True
-    for m in range(1, 19):
-        ok &= expsums.kloosterman(m).value == -P2[m - 1]
-        ok &= expsums.g_sum(m, 1).value == -P4[m - 1]
-        ok &= expsums.g_sum(m, 3).value == -P3[m - 1]
-        ok &= expsums.k_prime(m, 3).value == 2 - zeta.singular_correction(m) - P1[m - 1]
-    report("criterion 08 (exponential sums = zeta power sums, m <= 18)", ok)
+    run_criterion("C8")
 
 
 def test_criterion_09_vanishing_power_sum_recurrence():
-    L1p = zeta.catalog_lpoly("l1prime")
-    ok = zeta.vanishing_residue_check(L1p, 3, 200).holds
-    ok &= all(L1p[i] == 0 for i in range(L1p.degree + 1) if i % 3)
-    ok &= zeta.l1prime_expansion_check().holds
-    report("criterion 09 (quotient power sums vanish off multiples of 3)", ok)
+    run_criterion("C9")
 
 
 def test_criterion_10_reconstruction_from_counts():
-    ok = True
-    for name, g in (("z2", 1), ("z4", 2), ("z3", 5)):
-        entry = next(e for e in map(curves.catalog_curve, curves.catalog_curve_names())
-                     if e.l_polynomial_name == name)
-        corr = {"exact": 0, "minus_one": 1}[entry.correction]
-        counts = [curves.count_projective_points_fast(entry.polynomial, s) + corr
-                  for s in range(1, g + 1)]
-        L = zeta.reconstruct_from_counts(counts, 2, g)
-        ok &= L.coefficients == zeta.catalog_lpoly(name).coefficients
-    report("criterion 10 (L-polynomials recovered from point counts)", ok)
+    run_criterion("C10")
 
 
 def test_criterion_11_singular_correction_power_sums():
-    ok = all(zeta.singular_correction_sums(s) == 2 ** (1 + (2 if s % 3 == 0 else 0))
-             for s in range(1, 51))
-    report("criterion 11 (extra-factor power sums = 2^(1+delta))", ok)
+    run_criterion("C11")
 
 
 def test_criterion_12_factorization():
-    xz = curves.TrivariatePoly([(1, 0, 0), (0, 0, 1)])
-    p1 = curves.catalog_curve("p1tilde").polynomial
-    fb3 = curves.catalog_curve("fbar3").polynomial
-    matches = [e for e in range(1, 9) if (xz**e) * p1 == fb3]
-    report("criterion 12 ((x+z)^8 * 29-monomial curve = degree-66 curve)",
-           matches == [8])
+    run_criterion("C12")
+
+
+def test_every_criterion_has_a_test():
+    tested = [int(name.split("_")[2]) for name in globals() if name.startswith("test_criterion_")]
+    assert [f"C{n}" for n in sorted(tested)] == list(CRITERIA)

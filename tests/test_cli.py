@@ -164,17 +164,21 @@ def test_dm_check(capsys):
 def test_verify_all_small(capsys):
     code, payload = run_json(capsys, "verify-all", "--max-m", "8", "--max-s", "5")
     assert code == 0
-    assert not any(r["verdict"] == "fail" for r in payload["results"])
+    assert all(r["verdict"] == "pass" for r in payload["results"])
     names = [r["name"] for r in payload["results"]]
     assert any(n.startswith("C12") for n in names)
+    assert list(payload["timings"]) == [f"C{i}" for i in range(1, 13)]
 
 
 def test_json_output_deterministic(capsys):
-    _, first = run_json(capsys, "expsum", "--m", "5", "--sum", "G", "--k", "2")
-    _, second = run_json(capsys, "expsum", "--m", "5", "--sum", "G", "--k", "2")
-    first.pop("wall_time_ms")
-    second.pop("wall_time_ms")
-    assert json.dumps(first) == json.dumps(second)
+    for argv in (("expsum", "--m", "5", "--sum", "G", "--k", "2"),
+                 ("verify-all", "--max-m", "5", "--max-s", "3")):
+        _, first = run_json(capsys, *argv)
+        _, second = run_json(capsys, *argv)
+        for payload in (first, second):
+            payload.pop("wall_time_ms")
+            payload.pop("timings")
+        assert json.dumps(first) == json.dumps(second), argv
 
 
 def test_csv_output(capsys):
@@ -206,8 +210,18 @@ def test_error_exit_code(capsys):
     code, out, err = run(capsys, "a1", "--m", "8", "--k", "1")
     assert code == 2
     assert "error:" in err
-    code, _, err = run(capsys, "curvecount", "--curve", "kloosterman", "--s", "25")
-    assert code == 2
+    for argv in (
+        ("curvecount", "--curve", "kloosterman", "--s", "25"),
+        ("curvecount", "--curve", "kloosterman", "--s", "13", "--generic"),
+        ("curvecount", "--curve", "kloosterman", "--s", "0"),
+        ("conjectures", "--m-range", "5:3"),
+        ("conjectures", "--k-range", "4:1"),
+        ("conjectures", "--m-range", "1:21"),
+        ("weights", "--m", "7", "--k", "0"),
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert "error:" in err, argv
 
 
 def test_field_config_override(tmp_path, capsys):

@@ -1,5 +1,3 @@
-import os
-
 import pytest
 
 from char2kit import crosscorr as cc
@@ -65,16 +63,6 @@ def test_distribution_values_m7():
     d = decimation_exponent(7, 3)
     dist = cc.correlation_distribution(7, d)
     assert dist.entries == {-17: 28, -1: 63, 15: 36}
-
-
-def test_distribution_worker_partition_agrees(monkeypatch):
-    d = decimation_exponent(7, 1)
-    base = cc.correlation_distribution(7, d).entries
-    monkeypatch.setenv("CHAR2KIT_WORKERS", "3")
-    assert cc.worker_count() == 3
-    assert cc.correlation_distribution(7, d).entries == base
-    monkeypatch.setenv("CHAR2KIT_WORKERS", "junk")
-    assert cc.worker_count() == 1
 
 
 def test_distribution_caps():
@@ -208,6 +196,8 @@ def test_weight_caps_and_modes():
         cc.weight_distribution(18, 1)
     with pytest.raises(ValueError):
         cc.weight_distribution(5, 1, mode="nope")
+    with pytest.raises(FieldError):
+        cc.weight_distribution(5, 0)
     with pytest.raises(FieldError):
         cc.weight_distribution(4, 1)  # gcd(2^k+1, 2^m-1) = 3, no class reduction
 
