@@ -157,7 +157,9 @@ def cmd_conjectures(args, timings) -> list[Row]:
 
 def _resolve_d(m: int, k: int | None, d: int | None) -> int:
     if (k is None) == (d is None):
-        raise SystemExit("specify exactly one of --k / --d")
+        raise ValueError("specify exactly one of --k / --d")
+    if k is not None and k < 1:
+        raise ValueError(f"--k {k} must be >= 1")
     return d if d is not None else gf2m.decimation_exponent(m, k)
 
 
@@ -234,9 +236,13 @@ def _load_lpoly_arg(name: str) -> zeta.LPolynomial:
 
 def cmd_zeta(args, timings) -> list[Row]:
     if args.reconstruct:
+        if args.genus is None:
+            raise ValueError("--reconstruct needs --genus")
         counts = [int(c) for c in args.reconstruct]
         L = zeta.reconstruct_from_counts(counts, q=2, g=args.genus)
         return [recorded("reconstructed coefficients", list(L.coefficients))]
+    if args.l_poly is None:
+        raise ValueError("specify --l-poly or --reconstruct")
     L = _load_lpoly_arg(args.l_poly)
     P = zeta.power_sums(L, args.s_max)
     rows = [recorded(f"P_{s}", P[s - 1]) for s in range(1, args.s_max + 1)]
@@ -263,6 +269,9 @@ def cmd_dm_check(args, timings) -> list[Row]:
 
 
 def _verify_all(args, timings) -> list[Row]:
+    for option, value in (("--max-m", args.max_m), ("--max-s", args.max_s)):
+        if value < 1:
+            raise ValueError(f"{option} {value} must be >= 1")
     rows = []
     for key, criterion in acceptance.CRITERIA.items():
         t0 = time.perf_counter()

@@ -5,6 +5,9 @@ d-decimation at shift tau is C_d(tau) = sum over x != 0 of
 (-1)^Tr(alpha^tau x + x^d).  The decimations of interest are
 d = (2^(2k)+1)/(2^k+1) modulo 2^m - 1.
 
+Both the correlation spectrum and the code weights come from one Walsh
+spectrum, computed by a fast Walsh-Hadamard transform.
+
 Also here: the brute-force count of ordered quadruples (x, y, z, u) with
 x+y+z+u = 1 and vanishing (2^k+1)- and (2^(2k)+1)-power sums, its
 exponential-sum formula, the five-value multiplicity formulas, and the
@@ -21,7 +24,7 @@ import numpy as np
 
 from . import expsums
 from .expsums import InconsistencyError
-from .gf2m import FieldError, decimation_exponent, get_field
+from .gf2m import Field, FieldError, decimation_exponent, get_field
 
 __all__ = [
     "A1Report",
@@ -34,12 +37,12 @@ __all__ = [
     "cross_correlation",
     "match_multiplicities",
     "theorem1_multiplicities",
+    "walsh_spectrum",
     "weight_distribution",
 ]
 
 A1_BRUTE_CAP = 9       # (x, y, z) loop is 2^(3m)
 DIRECT_WEIGHT_CAP = 8  # 2^(2m) codewords scanned individually
-SWEEP_CAP = 17         # correlation sweeps cost ~4^m
 
 
 @dataclass(frozen=True)
@@ -84,15 +87,26 @@ class A1Report:
     brute_count: int | None = None
 
 
-def _sequence_bits(m: int):
-    """(field, A) with A[j] = Tr(alpha^j) over one period."""
-    field = get_field(m)
-    return field, field.trace_table[field.exp_table]
+def walsh_spectrum(field: Field, e: int) -> np.ndarray:
+    """W(b) = sum over y in GF(2^m) of (-1)^(Tr(y^e) + b.y), b.y the parity of b & y.
+
+    e acts modulo 2^m - 1 and 0^e = 0.  One fast Walsh-Hadamard transform of
+    (-1)^Tr(y^e): m butterfly passes.  b -> (y -> b.y) and a -> (y -> Tr(a y))
+    both run over all linear forms and send 0 to 0, so the multiset
+    {W(b) : b != 0} equals {sum over y of (-1)^Tr(a y + y^e) : a != 0}.
+    """
+    e = e % field.order + field.order  # positive, so that pow_table gives 0^e = 0
+    w = 1 - 2 * field.trace_table[field.pow_table(e)].astype(np.int64)
+    for i in range(field.m):
+        w = w.reshape(-1, 2, 1 << i)
+        w = np.stack((w[:, 0] + w[:, 1], w[:, 0] - w[:, 1]), axis=1)
+    return w.reshape(-1)
 
 
 def cross_correlation(m: int, d: int, tau: int) -> int:
     """C_d(tau) for a single shift, by enumeration of GF(2^m)^*."""
-    field, A = _sequence_bits(m)
+    field = get_field(m)
+    A = field.trace_table[field.exp_table]
     order = field.order
     if math.gcd(d, order) != 1:
         raise FieldError(f"gcd(d={d}, 2^{m}-1) = {math.gcd(d, order)} != 1")
@@ -103,26 +117,23 @@ def cross_correlation(m: int, d: int, tau: int) -> int:
     return int(order - 2 * np.count_nonzero(bits))
 
 
-def correlation_distribution(m: int, d: int, cap: int = SWEEP_CAP) -> CorrelationDistribution:
-    """Multiplicity map of C_d(tau) over all shifts tau in [0, 2^m - 1)."""
-    if m > cap:
-        raise FieldError(f"m={m} exceeds sweep cap {cap} (cost ~4^m)")
-    field, A = _sequence_bits(m)
+def correlation_distribution(m: int, d: int) -> CorrelationDistribution:
+    """Multiplicity map of C_d(tau) over all shifts tau in [0, 2^m - 1).
+
+    C_d(tau) + 1 is the sum over all y of (-1)^Tr(alpha^tau y + y^d), so the
+    values are W(b) - 1 over the nonzero b of walsh_spectrum(field, d).
+    """
+    field = get_field(m)
     order = field.order
     if math.gcd(d, order) != 1:
         raise FieldError(f"gcd(d={d}, 2^{m}-1) = {math.gcd(d, order)} != 1")
-    B = A[(d * np.arange(order, dtype=np.int64)) % order]
-    A2 = np.concatenate([A, A])
-    counts: Counter = Counter()
-    for tau in range(order):
-        ones = int(np.count_nonzero(A2[tau : tau + order] ^ B))
-        counts[order - 2 * ones] += 1
-    dist = CorrelationDistribution(m, d, dict(sorted(counts.items())))
+    values, counts = np.unique(walsh_spectrum(field, d)[1:] - 1, return_counts=True)
+    dist = CorrelationDistribution(m, d, dict(zip(values.tolist(), counts.tolist())))
     dist.check_moments()
     return dist
 
 
-def a1_bruteforce(m: int, k: int, cap: int = A1_BRUTE_CAP) -> int:
+def a1_bruteforce(m: int, k: int) -> int:
     """Count ordered quadruples (x, y, z, u) in GF(2^m)^4 with
 
         x + y + z + u = 1,
@@ -132,11 +143,9 @@ def a1_bruteforce(m: int, k: int, cap: int = A1_BRUTE_CAP) -> int:
     by enumerating (x, y, z) with u = 1 + x + y + z eliminated.  No symmetry
     quotient: the count is of ordered quadruples.
     """
-    if m > cap:
-        raise FieldError(
-            f"m={m} exceeds brute cap {cap}: the (x, y, z) loop has 2^{3 * m} "
-            f"= {8**m} iterations"
-        )
+    if m > A1_BRUTE_CAP:
+        raise FieldError(f"m={m} exceeds brute cap {A1_BRUTE_CAP}: the (x, y, z) loop "
+                         f"has 2^{3 * m} = {8**m} iterations")
     field = get_field(m)
     size = field.size
     P1 = field.pow_table((1 << k) + 1)
@@ -239,52 +248,28 @@ def match_multiplicities(dist: CorrelationDistribution) -> dict[str, int]:
     return out
 
 
-def _weight_rows_via_correlation(m: int, k: int) -> dict[int, int]:
-    """Weights of the b = 1 rows: one per a in GF(2^m), via the S(a, 1) sweep."""
-    field, A = _sequence_bits(m)
-    order = field.order
-    e1 = ((1 << k) + 1) % order
-    e2 = ((1 << (2 * k)) + 1) % order
-    for e, lbl in ((e1, "2^k+1"), (e2, "2^(2k)+1")):
-        if math.gcd(e, order) != 1:
-            raise FieldError(f"gcd({lbl}, 2^{m}-1) != 1; class reduction unavailable")
-    j = np.arange(order, dtype=np.int64)
-    s1 = A[(e1 * j) % order]
-    B = A[(e2 * j) % order]
-    # S(a=alpha^sigma) = sum_t (-1)^(A[(sigma + e2 t) mod n] xor s1[t]); the
-    # index e2 t is a permutation of t, so reindex to a plain shift.
-    perm = (e2 * j) % order
-    s1p = np.zeros(order, dtype=s1.dtype)
-    s1p[perm] = s1
-    A2 = np.concatenate([A, A])
-    weights: dict[int, int] = Counter()
-    weights[(order + 1) // 2] += 1  # a = 0: S = -1, weight 2^(m-1)
-    for sigma in range(order):
-        ones = int(np.count_nonzero(A2[sigma : sigma + order] ^ s1p))
-        weights[ones] += 1
-    return dict(weights)
-
-
-def weight_distribution(m: int, k: int, mode: str = "via_correlation",
-                        cap: int | None = None) -> WeightDistribution:
+def weight_distribution(m: int, k: int, mode: str = "via_correlation") -> WeightDistribution:
     """Weight distribution of the 2^(2m) words c_{a,b}(t) = Tr(a g2^t + b g1^t)
     with g1 = alpha^(2^k+1), g2 = alpha^(2^(2k)+1), t over one period.
 
     direct mode scans every (a, b) pair (m <= 8); via_correlation reduces
     each b != 0 to b = 1 by substituting x -> cx with c^(2^k+1) = b^(-1)
     (a permutation of positions, so weights are preserved) and multiplies
-    the b = 1 row counts by 2^m - 1.
+    the b = 1 row counts by 2^m - 1.  Substituting y = x^(2^(2k)+1) turns
+    the b = 1 row of a into y -> Tr(a y + y^e), e = (2^k+1) / (2^(2k)+1)
+    mod 2^m - 1, of weight (2^m - W) / 2 for the matching W of
+    walsh_spectrum(field, e); a = 0 has W = 0 and weight 2^(m-1).
     """
     if k < 1:
         raise FieldError("k must be >= 1")
     field = get_field(m)
     order = field.order
+    e1 = ((1 << k) + 1) % order
+    e2 = ((1 << (2 * k)) + 1) % order
     entries: Counter = Counter()
     if mode == "direct":
-        if m > (cap if cap is not None else DIRECT_WEIGHT_CAP):
+        if m > DIRECT_WEIGHT_CAP:
             raise FieldError(f"direct mode scans 2^{2 * m} words; m={m} over cap")
-        e1 = ((1 << k) + 1) % order
-        e2 = ((1 << (2 * k)) + 1) % order
         # mask[t] encodes the linear functional a -> Tr(a * g^t) so that the
         # whole 2^m x order bit matrix comes from one popcount-parity pass.
         exp = field.exp_table
@@ -302,10 +287,12 @@ def weight_distribution(m: int, k: int, mode: str = "via_correlation",
             w = np.count_nonzero(bits_a[a][None, :] ^ bits_b, axis=1)
             entries.update(Counter(w.tolist()))
     elif mode == "via_correlation":
-        if m > (cap if cap is not None else SWEEP_CAP):
-            raise FieldError(f"m={m} exceeds sweep cap")
-        rows = _weight_rows_via_correlation(m, k)
-        for w, n in rows.items():
+        for e, lbl in ((e1, "2^k+1"), (e2, "2^(2k)+1")):
+            if math.gcd(e, order) != 1:
+                raise FieldError(f"gcd({lbl}, 2^{m}-1) != 1; class reduction unavailable")
+        W = walsh_spectrum(field, e1 * pow(e2, -1, order))
+        weights, counts = np.unique((field.size - W) // 2, return_counts=True)
+        for w, n in zip(weights.tolist(), counts.tolist()):
             entries[w] += n * order  # each b != 0 class has 2^m - 1 members
         entries[(order + 1) // 2] += order  # b = 0, a != 0: m-sequence rows
         entries[0] += 1  # zero word

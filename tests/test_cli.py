@@ -78,10 +78,10 @@ def test_corrdist_with_explicit_d(capsys):
 
 
 def test_corrdist_requires_exactly_one_of_k_d(capsys):
-    with pytest.raises(SystemExit):
-        main(["corrdist", "--m", "7"])
-    with pytest.raises(SystemExit):
-        main(["corrdist", "--m", "7", "--k", "1", "--d", "5"])
+    for argv in (("corrdist", "--m", "7"), ("corrdist", "--m", "7", "--k", "1", "--d", "5")):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert "exactly one of --k / --d" in err, argv
 
 
 def test_a1_subcommand(capsys):
@@ -218,6 +218,12 @@ def test_error_exit_code(capsys):
         ("conjectures", "--k-range", "4:1"),
         ("conjectures", "--m-range", "1:21"),
         ("weights", "--m", "7", "--k", "0"),
+        ("corrdist", "--m", "7", "--k", "0"),
+        ("corrdist", "--m", "21", "--k", "1"),
+        ("zeta",),
+        ("zeta", "--reconstruct", "4", "4"),
+        ("verify-all", "--max-m", "0"),
+        ("verify-all", "--max-s", "0"),
     ):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv

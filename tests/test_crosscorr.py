@@ -1,4 +1,8 @@
+import math
+
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from char2kit import crosscorr as cc
 from char2kit.crosscorr import InconsistencyError
@@ -14,6 +18,18 @@ from oracles import (
 
 def naive(m):
     return NaiveField(m, get_field(m).reduction)
+
+
+# Differential tests against the independent routes: fixed, bounded, no deadline.
+differential = settings(derandomize=True, max_examples=25, deadline=None)
+
+
+def shiftwise_scan(m, d):
+    scan = {}
+    for tau in range(2**m - 1):
+        v = cc.cross_correlation(m, d, tau)
+        scan[v] = scan.get(v, 0) + 1
+    return scan
 
 
 # -- single-shift correlation -------------------------------------------------
@@ -50,12 +66,16 @@ def test_cross_correlation_rejects_bad_args():
 def test_distribution_matches_shiftwise_scan(m, k):
     d = decimation_exponent(m, k)
     dist = cc.correlation_distribution(m, d)
-    scan = {}
-    for tau in range(2**m - 1):
-        v = cc.cross_correlation(m, d, tau)
-        scan[v] = scan.get(v, 0) + 1
-    assert dist.entries == scan
+    assert dist.entries == shiftwise_scan(m, d)
     dist.check_moments()  # second call is fine too
+
+
+@differential
+@given(m=st.sampled_from(range(1, 12, 2)), d=st.integers(-4096, 4096))
+def test_distribution_matches_shiftwise_scan_any_d(m, d):
+    if math.gcd(d, 2**m - 1) != 1:
+        reject()
+    assert cc.correlation_distribution(m, d).entries == shiftwise_scan(m, d)
 
 
 def test_distribution_values_m7():
@@ -70,6 +90,8 @@ def test_distribution_caps():
         cc.correlation_distribution(18, 3)
     with pytest.raises(FieldError):
         cc.correlation_distribution(6, 9)  # gcd(9, 63) != 1
+    with pytest.raises(FieldError):
+        cc.correlation_distribution(21, decimation_exponent(21, 1))  # over TABLE_LIMIT
 
 
 def test_moment_checks_fire():
@@ -178,6 +200,16 @@ def test_weights_via_correlation_matches_direct(m, k):
     assert a == b
 
 
+@differential
+@given(m=st.integers(1, 7), k=st.integers(1, 6))
+def test_weights_via_correlation_matches_direct_any_k(m, k):
+    try:
+        via = cc.weight_distribution(m, k, mode="via_correlation").entries
+    except (FieldError, InconsistencyError):
+        reject()
+    assert cc.weight_distribution(m, k, mode="direct").entries == via
+
+
 def test_weights_m7_values():
     w = cc.weight_distribution(7, 1).entries
     assert w == {0: 1, 56: 4572, 64: 8255, 72: 3556}
@@ -194,6 +226,8 @@ def test_weight_caps_and_modes():
         cc.weight_distribution(9, 1, mode="direct")
     with pytest.raises(FieldError):
         cc.weight_distribution(18, 1)
+    with pytest.raises(FieldError):
+        cc.weight_distribution(21, 1)  # over TABLE_LIMIT
     with pytest.raises(ValueError):
         cc.weight_distribution(5, 1, mode="nope")
     with pytest.raises(FieldError):
