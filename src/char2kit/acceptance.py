@@ -54,8 +54,8 @@ def c3(max_m, max_s):
 
 
 def c4(max_m, max_s):
-    """A_1 brute force = formula"""
-    for m, k in ((5, 1), (5, 2), (5, 3), (7, 1), (7, 2), (7, 3), (9, 2)):
+    """A_1 pair-collision count = formula"""
+    for m, k in ((5, 1), (5, 2), (5, 3), (7, 1), (7, 2), (7, 3), (9, 2), (11, 1)):
         if m <= max_m:
             rep = crosscorr.a1_formula(m, k, brute=True)
             yield f"C4 A1 brute = formula (m={m},k={k})", rep.brute_count, rep.formula_value

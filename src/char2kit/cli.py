@@ -15,6 +15,7 @@ import json
 import math
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 from . import __version__, acceptance, crosscorr, curves, expsums, gf2m, zeta
@@ -174,27 +175,39 @@ def cmd_corrdist(args, timings) -> list[Row]:
     rows.append(checked("second moment", sum(v * v * n for v, n in dist.entries.items()),
                         (1 << (2 * m)) - (1 << m) - 1))
     if args.k is not None and m % 2 == 1 and math.gcd(args.k, m) == 1:
-        a1 = crosscorr.a1_formula(m, args.k, brute=False).formula_value
-        expect = crosscorr.theorem1_multiplicities(m, a1)
-        observed = crosscorr.match_multiplicities(dist)
-        for name in ("N0", "N1", "N-1", "N2", "N-2"):
-            rows.append(checked(f"multiplicity {name}", observed[name], expect[name]))
-        if expect["N0"]:
-            rows.append(recorded("ratio N2/N0", f"{expect['N2'] / expect['N0']:.6f}"))
+        rows += _theorem1_rows("", dist, args.k)
+    return rows
+
+
+def _theorem1_rows(prefix: str, dist: crosscorr.CorrelationDistribution, k: int) -> list[Row]:
+    """The observed five-value multiplicities of dist against theorem 1 (odd m, gcd(k, m) = 1)."""
+    a1 = crosscorr.a1_formula(dist.m, k, brute=False).formula_value
+    expect = crosscorr.theorem1_multiplicities(dist.m, a1)
+    observed = crosscorr.match_multiplicities(dist)
+    rows = [checked(f"{prefix}multiplicity {name}", observed[name], expect[name])
+            for name in ("N0", "N1", "N-1", "N2", "N-2")]
+    if expect["N0"]:
+        rows.append(recorded(f"{prefix}ratio N2/N0", f"{expect['N2'] / expect['N0']:.6f}"))
     return rows
 
 
 def cmd_a1(args, timings) -> list[Row]:
-    rep = crosscorr.a1_formula(args.m, args.k, brute=False if args.no_brute else None)
+    m, k = args.m, args.k
+    rep = crosscorr.a1_formula(m, k, brute=False if args.no_brute else None)
     rows = [recorded("formula A_1", rep.formula_value)]
     if rep.brute_count is not None:
         rows.append(checked("brute-force A_1", rep.brute_count, rep.formula_value))
+    else:
+        # Theorem 1: N0 = 2^(m-1) - 1 + A_1/16, N0 the shifts with C_d(tau) = -1.
+        n0 = crosscorr.correlation_distribution(m, gf2m.decimation_exponent(m, k)).entries.get(-1, 0)
+        rows.append(checked("spectrum A_1", 16 * (n0 - (1 << (m - 1)) + 1), rep.formula_value))
     return rows
 
 
 def cmd_weights(args, timings) -> list[Row]:
-    dist = crosscorr.weight_distribution(args.m, args.k, mode=args.mode)
-    expected = KNOWN_WEIGHTS.get(args.m)
+    m, k = args.m, args.k
+    dist = crosscorr.weight_distribution(m, k, mode=args.mode)
+    expected = KNOWN_WEIGHTS.get(m)
     rows = []
     for w, n in dist.entries.items():
         if expected is not None:
@@ -203,6 +216,20 @@ def cmd_weights(args, timings) -> list[Row]:
             rows.append(recorded(f"A_{w}", n))
     if expected is not None:
         rows.append(checked("weight set", sorted(dist.entries), sorted(expected)))
+    rows.append(checked("total words", sum(dist.entries.values()), 1 << (2 * m)))
+    rows.append(checked("zero words", dist.entries.get(0, 0), 1))
+    order = (1 << m) - 1
+    if math.gcd((1 << k) + 1, order) == 1:
+        # b = 0 gives the zero word and 2^m - 1 m-sequences of weight 2^(m-1);
+        # x -> cx maps the b = 1 rows onto each of the 2^m - 1 classes b != 0.
+        rest = {w: n - (w == 0) - order * (w == 1 << (m - 1)) for w, n in dist.entries.items()}
+        rows.append(checked("b != 0 classes of 2^m - 1 words", [w for w, n in rest.items() if n % order], []))
+        if m % 2 and math.gcd(k, m) == 1:
+            # A b = 1 row of weight w has C_d value 2^m - 1 - 2w; its a = 0 row has -1.
+            values = Counter({order - 2 * w: n // order for w, n in rest.items()})
+            values[-1] -= 1
+            spectrum = crosscorr.CorrelationDistribution(m, gf2m.decimation_exponent(m, k), +values)
+            rows += _theorem1_rows("b = 1 ", spectrum, k)
     return rows
 
 
@@ -312,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int)
     sp.add_argument("--d", type=int)
 
-    sp = command("a1", cmd_a1, "solution count: brute force vs formula")
+    sp = command("a1", cmd_a1, "solution count: pair-collision count vs formula")
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--no-brute", action="store_true")

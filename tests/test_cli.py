@@ -94,6 +94,14 @@ def test_a1_subcommand(capsys):
     assert code == 0
     assert results_by_name(payload)["formula A_1"]["observed"] == 2112
     assert "brute-force A_1" not in results_by_name(payload)
+    # without the collision count (--no-brute, or above the cap) the spectrum's N0 checks the formula
+    for argv, a1 in ((("--m", "11", "--k", "1", "--no-brute"), 2112), (("--m", "13", "--k", "1"), 8736)):
+        code, payload = run_json(capsys, "a1", *argv)
+        assert code == 0
+        rows = results_by_name(payload)
+        assert "brute-force A_1" not in rows
+        assert rows["spectrum A_1"]["verdict"] == "pass"
+        assert rows["spectrum A_1"]["observed"] == rows["formula A_1"]["observed"] == a1
 
 
 def test_weights_known_distribution(capsys):
@@ -106,9 +114,36 @@ def test_weights_known_distribution(capsys):
 
 
 def test_weights_unknown_m_recorded(capsys):
-    code, payload = run_json(capsys, "weights", "--m", "5", "--k", "1")
+    # Without KNOWN_WEIGHTS the weights are recorded; the structure is checked.
+    for m, k in ((5, 1), (9, 2)):
+        code, payload = run_json(capsys, "weights", "--m", str(m), "--k", str(k))
+        assert code == 0
+        rows = results_by_name(payload)
+        assert all(r["verdict"] == "recorded" for n, r in rows.items() if n.startswith("A_"))
+        checked = [r["name"] for r in payload["results"] if r["verdict"] == "pass"]
+        assert checked == ["total words", "zero words", "b != 0 classes of 2^m - 1 words"] + [
+            f"b = 1 multiplicity {n}" for n in ("N0", "N1", "N-1", "N2", "N-2")]
+    assert rows["b = 1 multiplicity N0"]["observed"] == 2**8 - 1 + 480 // 16
+    # even m: no theorem-1 rows, and no class rows where 2^k + 1 shares a factor with 2^m - 1
+    code, payload = run_json(capsys, "weights", "--m", "6", "--k", "1", "--mode", "direct")
     assert code == 0
-    assert all(r["verdict"] == "recorded" for r in payload["results"])
+    assert [r["name"] for r in payload["results"] if r["verdict"] != "recorded"] == [
+        "total words", "zero words"]
+
+
+def test_weights_theorem1_rows_fail_on_wrong_a1(capsys, monkeypatch):
+    from char2kit import crosscorr
+
+    real = crosscorr.a1_formula
+
+    def off_by_96(m, k, brute=None):
+        rep = real(m, k, brute=False)
+        return crosscorr.A1Report(m, k, rep.formula_value + 96)
+
+    monkeypatch.setattr(crosscorr, "a1_formula", off_by_96)
+    code, out, _ = run(capsys, "weights", "--m", "9", "--k", "1")
+    assert code == 1
+    assert "b = 1 multiplicity N2" in out and "fail" in out
 
 
 def test_curvecount_catalog(capsys):

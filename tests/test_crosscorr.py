@@ -108,6 +108,17 @@ def test_a1_bruteforce_matches_naive(m, k):
     assert cc.a1_bruteforce(m, k) == naive_a1(naive(m), k)
 
 
+@differential
+@given(m=st.integers(1, 5), k=st.integers(1, 6))
+def test_a1_bruteforce_matches_naive_any_k(m, k):
+    # The count needs neither odd m nor gcd(k, m) = 1 (e.g. A_1 = 48 at (4, 1)).
+    assert cc.a1_bruteforce(m, k) == naive_a1(naive(m), k)
+
+
+def test_a1_bruteforce_at_cap():
+    assert cc.a1_bruteforce(11, 1) == cc.a1_formula(11, 1, brute=False).formula_value == 2112
+
+
 def test_a1_examples():
     assert cc.a1_bruteforce(7, 3) == 0
     assert cc.a1_formula(7, 3).formula_value == 0
@@ -129,7 +140,7 @@ def test_a1_argument_checks():
     with pytest.raises(FieldError):
         cc.a1_formula(9, 3)  # gcd(3, 9) != 1
     with pytest.raises(FieldError):
-        cc.a1_bruteforce(11, 1)  # over the brute cap
+        cc.a1_bruteforce(13, 1)  # over the brute cap
 
 
 # -- five-value multiplicities ------------------------------------------------
