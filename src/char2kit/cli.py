@@ -124,13 +124,20 @@ def cmd_expsum(args, timings) -> list[Row]:
         rows = [recorded(f"G_{m}^({k})", rep.value)]
     else:  # Kp
         rep = expsums.k_prime(m, k)
-        rows = [checked(f"K'_{m}(k={k})", rep.value, expsums.kloosterman(m).value)]
+        K = expsums.kloosterman(m).value
+        # K' = K needs gcd(k, m) = 1; otherwise K' is a different sum.
+        rows = ([checked(f"K'_{m}(k={k})", rep.value, K)] if math.gcd(k, m) == 1
+                else [recorded(f"K'_{m}(k={k})", rep.value), recorded(f"K_{m}", K)])
+        if k == 3:
+            P1 = zeta.power_sums(zeta.catalog_lpoly("z1"), m)[m - 1]
+            rows.append(checked(f"K'_{m}(k=3) = 2 - S_m - P_m(z1)", rep.value,
+                                2 - zeta.singular_correction(m) - P1))
     rows.append(recorded("trace_zero_count", rep.trace_zero_count))
     return rows
 
 
 def cmd_conjectures(args, timings) -> list[Row]:
-    ms = _parse_range(args.m_range, 1, expsums.SUM_CAP)
+    ms = _parse_range(args.m_range, 1, gf2m.MAX_M)
     ks = _parse_range(args.k_range, 1)
     rows = []
     for m in ms:

@@ -225,25 +225,20 @@ def theorem1_multiplicities(m: int, A1: int) -> dict[str, int]:
 def match_multiplicities(dist: CorrelationDistribution) -> dict[str, int]:
     """Bucket an observed distribution into (N0, N+-1, N+-2) by |value + 1|.
 
-    Correlation values are bucketed exactly as observed; the value-to-bucket
-    map is by rank of |value + 1| (0 -> N0, smaller pair -> N+-1, larger
-    pair -> N+-2, sign of value + 1 picking the +- side).  Absent values
-    count 0.  This never assumes a closed form for the extreme values.
+    Value -1 goes to N0, |value + 1| = 2^((m+1)/2) to N+-1 and
+    |value + 1| = 2^((m+3)/2) to N+-2, the sign of value + 1 picking the +-
+    side; any other value raises.  Absent values count 0.
     """
     out = {"N0": 0, "N1": 0, "N-1": 0, "N2": 0, "N-2": 0}
-    mags = sorted({abs(v + 1) for v in dist.entries if v != -1})
-    if len(mags) > 2:
-        raise InconsistencyError(f"more than five correlation values observed: {sorted(dist.entries)}")
+    tiers = {1 << ((dist.m + 1) // 2): 1, 1 << ((dist.m + 3) // 2): 2}
     for v, n in dist.entries.items():
         if v == -1:
             out["N0"] = n
             continue
-        tier = mags.index(abs(v + 1)) + 1
-        sign = "" if v + 1 > 0 else "-"
-        key = f"N{sign}{tier}"
-        if out[key]:
-            raise InconsistencyError(f"two observed values map to bucket {key}")
-        out[key] = n
+        if abs(v + 1) not in tiers:
+            raise InconsistencyError(f"correlation value {v} is not one of the five values "
+                                     f"for m={dist.m}: {sorted(dist.entries)}")
+        out[f"N{'' if v + 1 > 0 else '-'}{tiers[abs(v + 1)]}"] = n
     return out
 
 
@@ -261,14 +256,27 @@ def weight_distribution(m: int, k: int, mode: str = "via_correlation") -> Weight
     """
     if k < 1:
         raise FieldError("k must be >= 1")
+    if mode not in ("direct", "via_correlation"):
+        raise ValueError(f"unknown mode {mode!r} (use 'direct' or 'via_correlation')")
     field = get_field(m)
     order = field.order
     e1 = ((1 << k) + 1) % order
     e2 = ((1 << (2 * k)) + 1) % order
+    if mode == "direct" and m > DIRECT_WEIGHT_CAP:
+        raise FieldError(f"direct mode scans 2^{2 * m} words; m={m} over cap")
+    if mode == "via_correlation":
+        for e, lbl in ((e1, "2^k+1"), (e2, "2^(2k)+1")):
+            if math.gcd(e, order) != 1:
+                raise FieldError(f"gcd({lbl}, 2^{m}-1) != 1; class reduction unavailable")
+    # The code has dimension |C(e1) u C(e2)|, C(e) = {e 2^j mod 2^m - 1}: the
+    # 2^(2m) words are distinct only if the cosets differ and both have m members.
+    cosets = {e * (1 << j) % order for e in (e1, e2) for j in range(m)}
+    if len(cosets) < 2 * m:
+        raise FieldError(f"degenerate code: the cyclotomic cosets of 2^{k}+1 and 2^{2 * k}+1 "
+                         f"modulo 2^{m}-1 hold {len(cosets)} < 2m = {2 * m} exponents, "
+                         f"so the 2^{2 * m} words are not distinct")
     entries: Counter = Counter()
     if mode == "direct":
-        if m > DIRECT_WEIGHT_CAP:
-            raise FieldError(f"direct mode scans 2^{2 * m} words; m={m} over cap")
         # mask[t] encodes the linear functional a -> Tr(a * g^t) so that the
         # whole 2^m x order bit matrix comes from one popcount-parity pass.
         exp = field.exp_table
@@ -285,18 +293,13 @@ def weight_distribution(m: int, k: int, mode: str = "via_correlation") -> Weight
         for a in range(field.size):
             w = np.count_nonzero(bits_a[a][None, :] ^ bits_b, axis=1)
             entries.update(Counter(w.tolist()))
-    elif mode == "via_correlation":
-        for e, lbl in ((e1, "2^k+1"), (e2, "2^(2k)+1")):
-            if math.gcd(e, order) != 1:
-                raise FieldError(f"gcd({lbl}, 2^{m}-1) != 1; class reduction unavailable")
+    else:
         W = walsh_spectrum(field, e1 * pow(e2, -1, order))
         weights, counts = np.unique((field.size - W) // 2, return_counts=True)
         for w, n in zip(weights.tolist(), counts.tolist()):
             entries[w] += n * order  # each b != 0 class has 2^m - 1 members
         entries[(order + 1) // 2] += order  # b = 0, a != 0: m-sequence rows
         entries[0] += 1  # zero word
-    else:
-        raise ValueError(f"unknown mode {mode!r} (use 'direct' or 'via_correlation')")
     dist = WeightDistribution(m, k, dict(sorted(entries.items())))
     dist.check_totals()
     return dist

@@ -9,8 +9,8 @@ Sums:
     kloosterman : sum over x != 0 of (-1)^Tr(x + x^-1)
     c_sum       : sum over all x of (-1)^Tr(x^(2^k+1) + x)
     g_sum       : sum over x != 0 of (-1)^Tr(x^(2^k+1) + x^-1)
-    k_prime     : sum over v != 0 of (-1)^Tr(f(v)) for the rational map f
-                  of f_map below
+    k_prime     : sum over v != 0 of (-1)^Tr(f(v)) for the rational map
+                  f(v) = (v^(2^k)+1) v^(2^k) / (v^(2^k)+v)^(2^k+1), f(1) = 0
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2m import Field, FieldError, get_field
+from .gf2m import FieldError, get_field
 
 __all__ = [
     "ExpSumReport",
@@ -30,14 +30,10 @@ __all__ = [
     "c_sum",
     "c_sum_closed_form",
     "g_sum",
-    "f_map",
     "k_prime",
     "conjecture1_check",
     "conjecture2_check",
 ]
-
-SUM_CAP = 20  # full enumeration wants log/antilog tables
-
 
 class InconsistencyError(ValueError):
     """A computed quantity contradicts an identity it must satisfy."""
@@ -67,15 +63,9 @@ class Verdict:
         return self.lhs - self.rhs
 
 
-def _check_m(m: int) -> Field:
-    if not 1 <= m <= SUM_CAP:
-        raise FieldError(f"m={m} outside enumeration range 1..{SUM_CAP}")
-    return get_field(m)
-
-
 def kloosterman(m: int) -> ExpSumReport:
     """The Kloosterman sum K_m, by full enumeration of GF(2^m)^*."""
-    field = _check_m(m)
+    field = get_field(m)
     exp, order = field.exp_table, field.order
     inv = exp[(order - np.arange(order, dtype=np.int64)) % order]
     n = int(np.count_nonzero(field.trace_table[exp ^ inv] == 0))
@@ -84,7 +74,7 @@ def kloosterman(m: int) -> ExpSumReport:
 
 def c_sum(m: int, k: int) -> ExpSumReport:
     """C_m = sum over the whole field of (-1)^Tr(x^(2^k+1) + x)."""
-    field = _check_m(m)
+    field = get_field(m)
     if k < 1:
         raise FieldError("k must be >= 1")
     x = np.arange(field.size, dtype=np.int64)
@@ -103,7 +93,7 @@ def c_sum_closed_form(m: int, k: int) -> int | None:
 
 def g_sum(m: int, k: int) -> ExpSumReport:
     """G_m^(k) = sum over x != 0 of (-1)^Tr(x^(2^k+1) + x^-1)."""
-    field = _check_m(m)
+    field = get_field(m)
     if k < 1:
         raise FieldError("k must be >= 1")
     exp, order = field.exp_table, field.order
@@ -114,38 +104,19 @@ def g_sum(m: int, k: int) -> ExpSumReport:
     return ExpSumReport(m, k, 2 * n - order, n, order)
 
 
-def f_map(field: Field, v: int, k: int) -> int:
-    """f(v) = (v^(2^k)+1) v^(2^k) / (v^(2^k)+v)^(2^k+1), with f(0)=f(1)=0.
-
-    The denominator vanishes exactly on the subfield GF(2^gcd(k,m)); the
-    points 0 and 1 are defined away by convention, any other vanishing
-    point (possible only when gcd(k,m) > 1) is a genuine pole and raises.
-    """
-    field.check(v)
-    if v in (0, 1):
-        return 0
-    q = field.pow(v, 1 << k)  # v^(2^k)
-    den_base = q ^ v
-    if den_base == 0:
-        raise FieldError(f"f has a pole at v={v:#x} in GF(2^{field.m}) (k={k})")
-    num = field.mul(q ^ 1, q)
-    den = field.pow(den_base, (1 << k) + 1)
-    return field.mul(num, field.inv(den))
-
-
-def k_prime(m: int, k: int, poles_as_nonzero_trace: bool = True) -> ExpSumReport:
+def k_prime(m: int, k: int) -> ExpSumReport:
     """K'_m = sum over v != 0 of (-1)^Tr(f(v)).
 
-    When gcd(k, m) > 1 the map f has poles on GF(2^gcd(k,m)) \\ {0, 1}.  At a
-    pole f(v) is not the image of y^2 + y for any y, so the solvability count
-    behind the curve-side identities treats it as a trace-one term; with
-    poles_as_nonzero_trace (the default) each pole contributes -1 to the sum.
-    Pass False to get the strict behaviour that raises on any pole.
+    The denominator of f vanishes exactly on the subfield GF(2^gcd(k,m)).
+    When gcd(k, m) > 1, f has poles on GF(2^gcd(k,m)) \\ {0, 1}.  At a pole
+    f(v) is not the image of y^2 + y for any y, so the solvability count
+    behind the curve-side identities treats it as a trace-one term: each
+    pole contributes -1 to the sum.
 
     Summation is over v != 0; f(1) = 0 contributes +1.  (Including v = 0
     would add exactly +1 more.)
     """
-    field = _check_m(m)
+    field = get_field(m)
     if k < 1:
         raise FieldError("k must be >= 1")
     exp, order = field.exp_table, field.order
@@ -153,9 +124,6 @@ def k_prime(m: int, k: int, poles_as_nonzero_trace: bool = True) -> ExpSumReport
     q = field.pow_table(1 << k)[v]
     den_base = q ^ v
     poles = (den_base == 0) & (v != 1)
-    if np.any(poles) and not poles_as_nonzero_trace:
-        bad = int(v[poles][0])
-        raise FieldError(f"f has a pole at v={bad:#x} in GF(2^{m}) (k={k})")
     num = field.vec_mul(q ^ 1, q)
     den = np.ones_like(v)
     ok = ~poles & (v != 1)  # f(1) = 0 by convention, handled below

@@ -2,9 +2,9 @@
 
 Field elements are plain Python ints: bit i of the int is the coefficient
 of x^i in the polynomial-basis representative.  A :class:`Field` object
-carries the reduction polynomial and, for m <= TABLE_LIMIT, precomputed
-log/antilog and trace tables (numpy arrays) so that enumeration loops in
-the higher modules can be vectorized.
+carries the reduction polynomial and precomputed log/antilog and trace
+tables (numpy arrays) for every m, so that scalar operations are lookups
+and enumeration loops in the higher modules can be vectorized.
 
 The shipped reduction polynomials are primitive, i.e. the class of x is a
 generator of the multiplicative group; construction re-validates both
@@ -28,10 +28,7 @@ __all__ = [
     "load_reduction_config",
 ]
 
-MAX_M = 24
-# Up to here mul/inv/trace go through log/antilog tables (<= 8 MiB for m=20);
-# above, carryless shift-XOR multiplication with on-the-fly reduction.
-TABLE_LIMIT = 20
+MAX_M = 24  # the int32 exp and log tables take 128 MB at m = 24
 
 # Primitive polynomials over GF(2), one per degree, from the standard
 # published tables (Zierler-Brillhart style trinomials/pentanomials).
@@ -153,20 +150,33 @@ def _validate_reduction(m: int, reduction: int) -> None:
             )
 
 
+def _byte_table(c: int, shift: int, f: int) -> np.ndarray:
+    """t[b] = c * (b << shift) mod f for every byte b, from 8 basis products."""
+    t = np.zeros(256, dtype=np.int32)
+    for i in range(8):
+        t[1 << i:2 << i] = t[:1 << i] ^ _modmul(c, 1 << (shift + i), f)
+    return t
+
+
 class Field:
     """GF(2^m) in polynomial basis with a primitive class of x as generator.
 
-    Immutable after construction (tables included); safe to share across
-    workers.  All operations are pure.
+    Tables (numpy arrays, read-only by convention):
+        exp_table[i] = alpha^i for 0 <= i < 2^m - 1 (int32)
+        log_table[v] = i with alpha^i = v for v != 0, and -1 at v = 0 (int32)
+        trace_table[v] = Tr(v) (uint8)
+
+    Immutable after construction; all operations are pure.
     """
 
-    def __init__(self, m: int, reduction: int | None = None, validate: bool = True):
+    has_tables = True  # every field has its tables; kept for callers that ask
+
+    def __init__(self, m: int, reduction: int | None = None):
         if not 1 <= m <= MAX_M:
             raise FieldError(f"extension degree m={m} outside supported range 1..{MAX_M}")
         if reduction is None:
             reduction = PRIMITIVE_POLY[m]
-        if validate:
-            _validate_reduction(m, reduction)
+        _validate_reduction(m, reduction)
         self.m = m
         self.reduction = reduction
         self.size = 1 << m
@@ -179,12 +189,14 @@ class Field:
             if self._trace_slow(1 << i):
                 mask |= 1 << i
         self._trace_mask = mask
-
-        self._exp: np.ndarray | None = None
-        self._log: np.ndarray | None = None
-        self._trace_arr: np.ndarray | None = None
-        if m <= TABLE_LIMIT:
-            self._build_tables()
+        self.exp_table = self._exp_by_doubling()
+        self.log_table = np.full(self.size, -1, dtype=np.int32)
+        self.log_table[self.exp_table] = np.arange(self.order, dtype=np.int32)
+        if np.any(self.log_table[1:] < 0):
+            raise FieldError("antilog table did not close; x is not primitive")
+        tr = np.arange(self.size, dtype=np.int32)
+        tr &= mask
+        self.trace_table = (np.bitwise_count(tr) & 1).astype(np.uint8)
 
     # -- construction helpers ------------------------------------------------
 
@@ -198,49 +210,28 @@ class Field:
             raise FieldError(f"trace of {a:#x} landed outside GF(2); bad reduction?")
         return acc
 
-    def _build_tables(self) -> None:
-        exp = np.zeros(self.order, dtype=np.int64)
-        log = np.full(self.size, -1, dtype=np.int64)
-        red = self.reduction
-        top = 1 << self.m
-        v = 1
-        for i in range(self.order):
-            exp[i] = v
-            log[v] = i
-            v <<= 1
-            if v & top:
-                v ^= red
-        if v != 1:
-            raise FieldError("antilog table did not close; x is not primitive")
-        self._exp = exp
-        self._log = log
-        tr = np.bitwise_count(np.arange(self.size, dtype=np.int64) & self._trace_mask) & 1
-        self._trace_arr = tr.astype(np.uint8)
+    def _exp_by_doubling(self) -> np.ndarray:
+        """alpha^i for 0 <= i < 2^m - 1, filled as exp[n:2n] = alpha^n * exp[:n].
 
-    # -- table access (numpy) ------------------------------------------------
+        v -> alpha^n v is GF(2)-linear, so each block is the XOR of one
+        256-entry lookup per byte of exp[:n]; the entries are little-endian,
+        so byte j holds bits 8j..8j+7.
+        """
+        exp = np.empty(self.order, dtype="<i4")
+        exp[0] = 1
+        n = 1
+        while n < self.order:
+            c = _modpow(0b10, n, self.reduction)
+            low = exp[:min(n, self.order - n)]
+            byte = low.view(np.uint8).reshape(-1, 4)
+            block = _byte_table(c, 0, self.reduction)[byte[:, 0]]
+            for j in range(1, (self.m + 7) // 8):
+                block ^= _byte_table(c, 8 * j, self.reduction)[byte[:, j]]
+            exp[n:n + len(low)] = block
+            n *= 2
+        return exp
 
-    @property
-    def has_tables(self) -> bool:
-        return self._exp is not None
-
-    @property
-    def exp_table(self) -> np.ndarray:
-        """exp_table[i] = alpha^i for 0 <= i < 2^m - 1."""
-        if self._exp is None:
-            raise FieldError(f"no log/antilog tables for m={self.m} > {TABLE_LIMIT}")
-        return self._exp
-
-    @property
-    def log_table(self) -> np.ndarray:
-        if self._log is None:
-            raise FieldError(f"no log/antilog tables for m={self.m} > {TABLE_LIMIT}")
-        return self._log
-
-    @property
-    def trace_table(self) -> np.ndarray:
-        if self._trace_arr is None:
-            raise FieldError(f"no trace table for m={self.m} > {TABLE_LIMIT}")
-        return self._trace_arr
+    # -- vector operations (numpy) -------------------------------------------
 
     def pow_table(self, e: int) -> np.ndarray:
         """Vector of v^e over all v in the field (index = element).
@@ -254,7 +245,9 @@ class Field:
             out[:] = 1
             return out
         exp, order = self.exp_table, self.order
-        idx = (np.arange(order, dtype=np.int64) * (e % order if self.m > 1 else e)) % order
+        idx = np.arange(order, dtype=np.int64)  # int64: idx * e reaches 2^48
+        idx *= e % order
+        idx %= order
         out[exp] = exp[idx]
         return out
 
@@ -272,7 +265,7 @@ class Field:
         if np.any(a == 0):
             raise FieldError("vec_inv of array containing 0")
         exp, log, order = self.exp_table, self.log_table, self.order
-        return exp[(order - log[a]) % order]
+        return exp[(order - log[a]) % order].astype(np.int64)
 
     # -- scalar operations ---------------------------------------------------
 
@@ -288,9 +281,7 @@ class Field:
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        if self._exp is not None:
-            return int(self._exp[(int(self._log[a]) + int(self._log[b])) % self.order])
-        return _modmul(a, b, self.reduction)
+        return int(self.exp_table[(int(self.log_table[a]) + int(self.log_table[b])) % self.order])
 
     def sqr(self, a: int) -> int:
         return self.mul(a, a)
@@ -301,10 +292,7 @@ class Field:
             raise FieldError("negative exponent; use inv() explicitly")
         if a == 0:
             return 1 if e == 0 else 0
-        if self._exp is not None:
-            return int(self._exp[(int(self._log[a]) * e) % self.order])
-        e %= self.order
-        return _modpow(a, e, self.reduction)
+        return int(self.exp_table[int(self.log_table[a]) * e % self.order])
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -314,18 +302,6 @@ class Field:
     def trace(self, a: int) -> int:
         self.check(a)
         return (a & self._trace_mask).bit_count() & 1
-
-    def generator_power(self, t: int) -> int:
-        """alpha^t for 0 <= t < 2^m - 1 (alpha = the class of x)."""
-        if self.m == 1:
-            if t != 0:
-                raise FieldError("GF(2)^* is trivial; t must be 0")
-            return 1
-        if not 0 <= t < self.order:
-            raise FieldError(f"t={t} outside [0, {self.order})")
-        if self._exp is not None:
-            return int(self._exp[t])
-        return _modpow(0b10, t, self.reduction)
 
     def elements(self) -> range:
         return range(self.size)

@@ -8,6 +8,11 @@ the point: the fast library paths are checked against these.
 
 from __future__ import annotations
 
+from hypothesis import settings
+
+# Differential tests against these oracles: fixed, bounded, no deadline.
+differential = settings(derandomize=True, max_examples=25, deadline=None)
+
 
 def clmul(a: int, b: int) -> int:
     r = 0
@@ -56,6 +61,22 @@ class NaiveField:
             t = self.mul(t, t)
         assert acc in (0, 1)
         return acc
+
+
+def naive_exp_table(m: int, reduction: int) -> tuple[list[int], list[int]]:
+    """exp[i] = x^i for 0 <= i < 2^m - 1 by shift-and-reduce, one element at
+    a time, and log with log[exp[i]] = i (log[0] = -1)."""
+    order = (1 << m) - 1
+    exp, log = [], [-1] * (order + 1)
+    v = 1
+    for i in range(order):
+        exp.append(v)
+        log[v] = i
+        v <<= 1
+        if v >> m:
+            v ^= reduction
+    assert v == 1, "x is not primitive"
+    return exp, log
 
 
 def naive_kloosterman(F: NaiveField) -> int:
@@ -109,10 +130,13 @@ def naive_weight_distribution(F: NaiveField, k: int, alpha: int = 0b10) -> dict[
     e1, e2 = 2**k + 1, 2 ** (2 * k) + 1
     g1 = [F.pow(alpha, (e1 * t) % F.order) for t in range(F.order)]
     g2 = [F.pow(alpha, (e2 * t) % F.order) for t in range(F.order)]
+    # Tr(c g^t) once per (c, t); the word of (a, b) is the XOR of two rows.
+    rows1 = [[F.trace(F.mul(b, g)) for g in g1] for b in range(F.size)]
+    rows2 = [[F.trace(F.mul(a, g)) for g in g2] for a in range(F.size)]
     out: dict[int, int] = {}
-    for a in range(F.size):
-        for b in range(F.size):
-            w = sum(F.trace(F.mul(a, g2[t]) ^ F.mul(b, g1[t])) for t in range(F.order))
+    for r2 in rows2:
+        for r1 in rows1:
+            w = sum(x ^ y for x, y in zip(r2, r1))
             out[w] = out.get(w, 0) + 1
     return out
 

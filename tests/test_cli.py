@@ -45,6 +45,19 @@ def test_expsum_kp_checked_against_k(capsys):
     assert row["verdict"] == "pass"
 
 
+def test_expsum_kp_gcd_above_one_recorded(capsys):
+    # gcd(3, 6) = 3: K'_6 = 3 is not K_6 = -9; the zeta route still checks it
+    code, payload = run_json(capsys, "expsum", "--m", "6", "--k", "3", "--sum", "Kp")
+    assert code == 0
+    rows = results_by_name(payload)
+    assert rows["K'_6(k=3)"]["verdict"] == "recorded"
+    assert rows["K'_6(k=3)"]["observed"] == 3
+    assert rows["K_6"]["observed"] == -9
+    row = rows["K'_6(k=3) = 2 - S_m - P_m(z1)"]
+    assert row["observed"] == row["expected"] == 3
+    assert row["verdict"] == "pass"
+
+
 def test_expsum_c_closed_form(capsys):
     code, payload = run_json(capsys, "expsum", "--m", "7", "--k", "3", "--sum", "C")
     assert code == 0
@@ -75,6 +88,16 @@ def test_corrdist_with_explicit_d(capsys):
     code, payload = run_json(capsys, "corrdist", "--m", "7", "--d", "106")
     assert code == 0
     assert results_by_name(payload)["C_d(tau)=15"]["observed"] == 36
+
+
+def test_corrdist_m3_lone_large_value(capsys):
+    # C = 7 once and -1 six times: |7 + 1| = 2^((m+3)/2), so the lone value is N2, not N1
+    code, payload = run_json(capsys, "corrdist", "--m", "3", "--k", "1")
+    assert code == 0
+    rows = results_by_name(payload)
+    assert rows["multiplicity N2"]["observed"] == rows["multiplicity N2"]["expected"] == 1
+    assert rows["multiplicity N1"]["observed"] == 0
+    assert all(r["verdict"] != "fail" for r in payload["results"])
 
 
 def test_corrdist_requires_exactly_one_of_k_d(capsys):
@@ -251,10 +274,10 @@ def test_error_exit_code(capsys):
         ("curvecount", "--curve", "kloosterman", "--s", "0"),
         ("conjectures", "--m-range", "5:3"),
         ("conjectures", "--k-range", "4:1"),
-        ("conjectures", "--m-range", "1:21"),
+        ("conjectures", "--m-range", "1:25"),
         ("weights", "--m", "7", "--k", "0"),
         ("corrdist", "--m", "7", "--k", "0"),
-        ("corrdist", "--m", "21", "--k", "1"),
+        ("corrdist", "--m", "25", "--k", "1"),
         ("zeta",),
         ("zeta", "--reconstruct", "4", "4"),
         ("verify-all", "--max-m", "0"),
@@ -263,6 +286,10 @@ def test_error_exit_code(capsys):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
         assert "error:" in err, argv
+    for argv in (("weights", "--m", "6", "--k", "2"), ("weights", "--m", "3", "--k", "2")):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert "error: degenerate code" in err, argv
 
 
 def test_field_config_override(tmp_path, capsys):

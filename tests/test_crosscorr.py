@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import given, reject
 from hypothesis import strategies as st
 
 from char2kit import crosscorr as cc
@@ -10,6 +10,7 @@ from char2kit.gf2m import FieldError, decimation_exponent, get_field
 
 from oracles import (
     NaiveField,
+    differential,
     naive_a1,
     naive_cross_correlation,
     naive_weight_distribution,
@@ -18,10 +19,6 @@ from oracles import (
 
 def naive(m):
     return NaiveField(m, get_field(m).reduction)
-
-
-# Differential tests against the independent routes: fixed, bounded, no deadline.
-differential = settings(derandomize=True, max_examples=25, deadline=None)
 
 
 def shiftwise_scan(m, d):
@@ -91,7 +88,7 @@ def test_distribution_caps():
     with pytest.raises(FieldError):
         cc.correlation_distribution(6, 9)  # gcd(9, 63) != 1
     with pytest.raises(FieldError):
-        cc.correlation_distribution(21, decimation_exponent(21, 1))  # over TABLE_LIMIT
+        cc.correlation_distribution(25, decimation_exponent(25, 1))  # over MAX_M
 
 
 def test_moment_checks_fire():
@@ -169,7 +166,7 @@ def test_theorem1_error_paths():
         cc.theorem1_multiplicities(5, 10**6)  # negative bucket
 
 
-@pytest.mark.parametrize("m,k", [(5, 1), (5, 2), (7, 1), (7, 3), (11, 1), (13, 1)])
+@pytest.mark.parametrize("m,k", [(3, 1), (5, 1), (5, 2), (7, 1), (7, 3), (11, 1), (13, 1)])
 def test_observed_matches_theorem1(m, k):
     d = decimation_exponent(m, k)
     dist = cc.correlation_distribution(m, d)
@@ -198,10 +195,13 @@ def test_weights_direct_matches_naive(m, k):
 
 
 def test_degenerate_decimation_pair_is_rejected():
-    # m = 3, k = 1: 3 and 5 lie in one cyclotomic coset mod 7, the code
-    # dimension collapses, and the weight-0 invariant fails.
-    with pytest.raises(InconsistencyError):
-        cc.weight_distribution(3, 1, mode="direct")
+    # (3, 1), (3, 2), (6, 2): 2^k+1 and 2^(2k)+1 lie in one cyclotomic coset
+    # mod 2^m - 1; (6, 3): the coset of 9 mod 63 has 3 members.  Either way
+    # the code dimension collapses, which is an argument error.
+    for m, k, mode in ((3, 1, "direct"), (3, 2, "via_correlation"),
+                       (6, 2, "via_correlation"), (6, 3, "direct")):
+        with pytest.raises(FieldError, match="degenerate code"):
+            cc.weight_distribution(m, k, mode=mode)
 
 
 @pytest.mark.parametrize("m,k", [(5, 1), (5, 2), (5, 3), (7, 1), (7, 2), (7, 3)])
@@ -216,7 +216,7 @@ def test_weights_via_correlation_matches_direct(m, k):
 def test_weights_via_correlation_matches_direct_any_k(m, k):
     try:
         via = cc.weight_distribution(m, k, mode="via_correlation").entries
-    except (FieldError, InconsistencyError):
+    except FieldError:
         reject()
     assert cc.weight_distribution(m, k, mode="direct").entries == via
 
@@ -238,7 +238,7 @@ def test_weight_caps_and_modes():
     with pytest.raises(FieldError):
         cc.weight_distribution(18, 1)
     with pytest.raises(FieldError):
-        cc.weight_distribution(21, 1)  # over TABLE_LIMIT
+        cc.weight_distribution(25, 1)  # over MAX_M
     with pytest.raises(ValueError):
         cc.weight_distribution(5, 1, mode="nope")
     with pytest.raises(FieldError):

@@ -2,9 +2,13 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from char2kit.gf2m import (
+    MAX_M,
     Field,
     FieldError,
     PRIMITIVE_POLY,
@@ -13,7 +17,7 @@ from char2kit.gf2m import (
     load_reduction_config,
 )
 
-from oracles import NaiveField
+from oracles import NaiveField, differential, naive_exp_table
 
 
 def test_add_examples():
@@ -64,13 +68,20 @@ def test_trace_examples(m):
     assert sum(f.trace(a) == 0 for a in f.elements()) == f.size // 2
 
 
-def test_generator_power():
-    f = get_field(3)
-    assert f.generator_power(0) == 1
-    assert f.generator_power(3) == 0b011
-    assert len({f.generator_power(t) for t in range(f.order)}) == f.order
-    with pytest.raises(FieldError):
-        f.generator_power(f.order)
+@pytest.mark.parametrize("m", range(1, 21))
+def test_tables_match_naive_loop(m):
+    f = get_field(m)
+    exp, log = naive_exp_table(m, f.reduction)
+    assert f.exp_table.dtype == f.log_table.dtype == np.int32
+    assert f.exp_table.tolist() == exp
+    assert f.log_table.tolist() == log
+
+
+@pytest.mark.parametrize("m", range(21, MAX_M + 1))
+def test_tables_close_above_20(m):
+    f = get_field(m)
+    assert np.array_equal(np.sort(f.exp_table), np.arange(1, f.size))
+    assert np.array_equal(f.log_table[f.exp_table], np.arange(f.order))
 
 
 @pytest.mark.parametrize("m,k,expected", [(5, 1, 12), (7, 1, 44), (7, 3, 106)])
@@ -134,19 +145,27 @@ def test_agrees_with_naive_field(m):
             assert f.mul(a, b) == nf.mul(a, b)
 
 
-def test_table_and_carryless_paths_agree():
-    # same reduction polynomial, one instance with tables and one without
-    f = get_field(12)
-    g = Field(12, validate=False)
-    g._exp = g._log = None  # force the carryless path
-    rng = random.Random(7)
-    for _ in range(200):
-        a, b = rng.randrange(f.size), rng.randrange(f.size)
-        assert f.mul(a, b) == g.mul(a, b)
-    for _ in range(50):
-        a = rng.randrange(1, f.size)
-        e = rng.randrange(20_000)
-        assert f.pow(a, e) == g.pow(a, e)
+def square_and_multiply(nf, a, e):
+    r = 1
+    while e:
+        if e & 1:
+            r = nf.mul(r, a)
+        a = nf.mul(a, a)
+        e >>= 1
+    return r
+
+
+@pytest.mark.parametrize("m", sorted(PRIMITIVE_POLY))
+@differential
+@given(a=st.integers(0, 2**MAX_M - 1), b=st.integers(0, 2**MAX_M - 1), e=st.integers(0, 2**50))
+def test_ops_match_naive_field(m, a, b, e):
+    f = get_field(m)
+    nf = NaiveField(m, f.reduction)
+    a, b = a % f.size, b % f.size
+    assert f.mul(a, b) == nf.mul(a, b)
+    assert f.pow(a, e) == square_and_multiply(nf, a, e)
+    if a:
+        assert nf.mul(a, f.inv(a)) == 1
 
 
 def test_validation_rejects_bad_polynomials():
@@ -181,8 +200,6 @@ def test_pow_table_matches_scalar():
 
 
 def test_vec_mul_and_inv_match_scalar():
-    import numpy as np
-
     f = get_field(8)
     rng = random.Random(3)
     a = np.array([rng.randrange(f.size) for _ in range(64)])
