@@ -101,7 +101,7 @@ def c7(max_m, max_s):
     for name in ("kloosterman", "p3", "p4", "p1tilde"):
         entry = curves.catalog_curve(name)
         L = zeta.catalog_lpoly(entry.l_polynomial_name)
-        for s in range(1, min(max_s, 8 if name == "p1tilde" else 10) + 1):
+        for s in range(1, max_s + 1):
             yield (f"C7 {name} N_{s}", curves.count_projective_points_fast(entry.polynomial, s),
                    entry.corrected_prediction(zeta.predicted_count(L, s), s))
 
@@ -147,11 +147,12 @@ def c11(max_m, max_s):
 
 
 def c12(max_m, max_s):
-    """(x+z)^8 * 29-monomial curve = degree-66 curve"""
+    """(x+z)^8 * 29-monomial curve = degree-66 curve = homogenized f_3"""
     xz = curves.TrivariatePoly([(1, 0, 0), (0, 0, 1)])
     p1 = curves.catalog_curve("p1tilde").polynomial
     fb3 = curves.catalog_curve("fbar3").polynomial
     yield "C12 (x+z)^e * p1tilde = fbar3 for e", [e for e in range(1, 9) if (xz**e) * p1 == fb3], [8]
+    yield "C12 homogenize(f_3, 66) = fbar3", curves.homogenize(curves.f_k_affine(3), 66), fb3
 
 
 CRITERIA = {"C1": c1, "C2": c2, "C3": c3, "C4": c4, "C5": c5, "C6": c6,

@@ -109,11 +109,17 @@ def _parse_range(text: str, lo_min: int, hi_max: float = math.inf) -> range:
 # -- subcommands -------------------------------------------------------------
 
 
+def _power_sum(lpoly: str, m: int) -> int:
+    """P_m of the catalog L-polynomial lpoly."""
+    return zeta.power_sums(zeta.catalog_lpoly(lpoly), m)[m - 1]
+
+
 def cmd_expsum(args, timings) -> list[Row]:
     m, k = args.m, args.k
     if args.sum == "K":
         rep = expsums.kloosterman(m)
-        rows = [recorded(f"K_{m}", rep.value)]
+        rows = [recorded(f"K_{m}", rep.value),
+                checked(f"K_{m} = -P_m(z2)", rep.value, -_power_sum("z2", m))]
     elif args.sum == "C":
         rep = expsums.c_sum(m, k)
         closed = expsums.c_sum_closed_form(m, k)
@@ -122,6 +128,10 @@ def cmd_expsum(args, timings) -> list[Row]:
     elif args.sum == "G":
         rep = expsums.g_sum(m, k)
         rows = [recorded(f"G_{m}^({k})", rep.value)]
+        if k == 1:
+            rows.append(checked(f"G_{m} = -P_m(z4)", rep.value, -_power_sum("z4", m)))
+        elif k == 3:
+            rows.append(checked(f"G_{m}^(3) = -P_m(z3)", rep.value, -_power_sum("z3", m)))
     else:  # Kp
         rep = expsums.k_prime(m, k)
         K = expsums.kloosterman(m).value
@@ -129,9 +139,8 @@ def cmd_expsum(args, timings) -> list[Row]:
         rows = ([checked(f"K'_{m}(k={k})", rep.value, K)] if math.gcd(k, m) == 1
                 else [recorded(f"K'_{m}(k={k})", rep.value), recorded(f"K_{m}", K)])
         if k == 3:
-            P1 = zeta.power_sums(zeta.catalog_lpoly("z1"), m)[m - 1]
             rows.append(checked(f"K'_{m}(k=3) = 2 - S_m - P_m(z1)", rep.value,
-                                2 - zeta.singular_correction(m) - P1))
+                                2 - zeta.singular_correction(m) - _power_sum("z1", m)))
     rows.append(recorded("trace_zero_count", rep.trace_zero_count))
     return rows
 

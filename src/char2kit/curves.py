@@ -3,22 +3,26 @@
 A polynomial is a set of exponent triples (a, b, c) with implicit
 coefficient 1; adding a duplicate monomial cancels it (characteristic 2).
 Projective points over F_{2^s} are enumerated in the three standard
-representative charts, in the fixed order
+representative charts, defined once in `_charts`, in the fixed order
 
     (x, y, 1) for all x, y;   (x, 1, 0) for all x;   (1, 0, 0)
 
-so each point is counted exactly once.
+so each point is counted exactly once.  Every search evaluates a chart row
+(up to 2^s points) at a time through one evaluator, `_values`.
 
 Two counters are provided: a generic one that walks the full chart, and a
 fast one for curves that are (at most) quadratic in y, which solves the
-quadratic per (x, z) via the trace criterion (y^2 + y = beta is solvable
-iff Tr(beta) = 0, and then has exactly two roots).
+quadratic for all x at once via the trace criterion (y^2 + y = beta is
+solvable iff Tr(beta) = 0, and then has exactly two roots).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from importlib import resources
+
+import numpy as np
 
 from .gf2m import Field, FieldError, get_field
 
@@ -172,110 +176,106 @@ def f_k_affine(k: int) -> TrivariatePoly:
     return TrivariatePoly(mono)
 
 
-def _check_cap(P: TrivariatePoly, s: int, cap: int) -> Field:
+def _field_for(P: TrivariatePoly, s: int, cap: int) -> Field:
+    """F_{2^s} for a search on P, once P is homogeneous and s is within cap."""
+    if not P.is_homogeneous():
+        raise ValueError("projective point search requires a homogeneous polynomial")
     if s > cap:
-        raise FieldError(
-            f"s={s} exceeds cap {cap} (~{4**s * max(1, len(P.monomials))} monomial evaluations)"
-        )
+        raise FieldError(f"s={s} exceeds cap {cap}")
     return get_field(s)
 
 
-def count_projective_points(P: TrivariatePoly, s: int, cap: int = COUNT_CAP) -> int:
+def _charts(field: Field):
+    """The three charts in the module's order, each an iterable of rows (x, y, z)
+    of coordinates: ints, or `every`, the array of all elements.  The z = 1
+    chart is one row per x, so a row holds at most 2^s points."""
+    every = np.arange(field.size, dtype=np.int64)
+    return ((x, every, 1) for x in field.elements()), [(every, 1, 0)], [(1, 0, 0)]
+
+
+def _values(field: Field, terms, x, y, z, tables: dict) -> np.ndarray:
+    """XOR over (a, b, c) in terms of x^a y^b z^c, elementwise over the
+    broadcast coordinates, each an int or an array of elements.
+
+    Int coordinates fold into one scalar coefficient per array-exponent key,
+    so x^0 factors and constant coordinates never reach `vec_mul`; `tables`
+    keeps each `pow_table(e)` for all the calls of one search.
+    """
+    coords = (x, y, z)
+    arrays = [i for i, v in enumerate(coords) if np.ndim(v)]
+    scalars = [(i, v) for i, v in enumerate(coords) if i not in arrays and v != 1]
+    coef: dict[tuple[int, ...], int] = {}
+    for t in terms:
+        k = 1
+        for i, v in scalars:
+            if t[i]:
+                k = field.mul(k, field.pow(v, t[i]))
+        key = tuple(t[i] for i in arrays)
+        coef[key] = coef.get(key, 0) ^ k
+    out = np.zeros(np.broadcast_shapes(*map(np.shape, coords)), dtype=np.int64)
+    for key, k in coef.items():
+        if not k:
+            continue
+        factors = [] if k == 1 else [k]
+        for i, e in zip(arrays, key):
+            if e:
+                if e not in tables:
+                    tables[e] = field.pow_table(e).astype(np.int32)
+                factors.append(tables[e][coords[i]])
+        out ^= reduce(field.vec_mul, factors) if factors else 1
+    return out
+
+
+def count_projective_points(P: TrivariatePoly, s: int) -> int:
     """Projective zeros of a homogeneous P over F_{2^s}, generic chart walk."""
-    if not P.is_homogeneous():
-        raise ValueError("point counting requires a homogeneous polynomial")
-    field = _check_cap(P, s, cap)
-    n = 0
-    for x in field.elements():
-        for y in field.elements():
-            if P.evaluate(field, x, y, 1) == 0:
-                n += 1
-    for x in field.elements():
-        if P.evaluate(field, x, 1, 0) == 0:
-            n += 1
-    if P.evaluate(field, 1, 0, 0) == 0:
-        n += 1
-    return n
+    field = _field_for(P, s, COUNT_CAP)
+    tables: dict = {}
+    return int(sum(np.count_nonzero(_values(field, P.monomials, *row, tables) == 0)
+                   for chart in _charts(field) for row in chart))
 
 
-def _y_decompose(P: TrivariatePoly):
-    """Split P = y^2 A(x,z) + y B(x,z) + C(x,z); requires y-degree <= 2."""
-    if P.y_degree() > 2:
-        raise ValueError("fast counter requires a polynomial quadratic in y")
-    parts = {0: [], 1: [], 2: []}
-    for a, b, c in P.monomials:
-        parts[b].append((a, c))
-    return parts[2], parts[1], parts[0]
-
-
-def _eval_xz(field: Field, terms: list[tuple[int, int]], x: int, z: int) -> int:
-    acc = 0
-    for a, c in terms:
-        acc ^= field.mul(field.pow(x, a), field.pow(z, c))
-    return acc
-
-
-def count_projective_points_fast(P: TrivariatePoly, s: int, cap: int = FAST_COUNT_CAP) -> int:
+def count_projective_points_fast(P: TrivariatePoly, s: int) -> int:
     """Same count as count_projective_points, for curves quadratic in y.
 
-    Solves a y^2 + b y + c = 0 per chart point: for a != 0, b != 0 the
-    substitution y = (b/a) w turns it into w^2 + w = c a / b^2 with 2 or 0
-    roots by Tr(c a / b^2); a != 0, b = 0 gives the unique square root;
-    a = 0 is linear.
+    Solves a y^2 + b y + c = 0 over the x of the z = 1 chart at once: for
+    a != 0, b != 0 the substitution y = (b/a) w turns it into
+    w^2 + w = c a / b^2 with 2 or 0 roots by Tr(c a / b^2); a != 0, b = 0
+    gives the unique square root; a = 0 is linear.
     """
-    if not P.is_homogeneous():
-        raise ValueError("point counting requires a homogeneous polynomial")
-    if s > cap:
-        raise FieldError(f"s={s} exceeds cap {cap}")
-    field = get_field(s)
-    A2, B1, C0 = _y_decompose(P)
-    n = 0
-    for x in field.elements():
-        a = _eval_xz(field, A2, x, 1)
-        b = _eval_xz(field, B1, x, 1)
-        c = _eval_xz(field, C0, x, 1)
-        if a == 0:
-            if b == 0:
-                n += field.size if c == 0 else 0
-            else:
-                n += 1
-        elif b == 0:
-            n += 1  # y^2 = c/a, Frobenius is a bijection
-        else:
-            beta = field.mul(field.mul(c, a), field.inv(field.sqr(b)))
-            n += 2 if field.trace(beta) == 0 else 0
-    for x in field.elements():
-        if P.evaluate(field, x, 1, 0) == 0:
-            n += 1
-    if P.evaluate(field, 1, 0, 0) == 0:
-        n += 1
-    return n
+    field = _field_for(P, s, FAST_COUNT_CAP)
+    if P.y_degree() > 2:
+        raise ValueError("fast counter requires a polynomial quadratic in y")
+    _, line, point = _charts(field)
+    every = line[0][0]  # the line's x: all elements
+    tables: dict = {}
+    a, b, c = (_values(field, [t for t in P.monomials if t[1] == j], every, 1, 1, tables)
+               for j in (2, 1, 0))
+    n = field.size * np.count_nonzero((a == 0) & (b == 0) & (c == 0))
+    n += np.count_nonzero((a == 0) != (b == 0))
+    quad = (a != 0) & (b != 0)
+    a, b, c = a[quad], b[quad], c[quad]
+    beta = field.vec_mul(field.vec_mul(c, a), field.vec_inv(field.vec_mul(b, b)))
+    n += 2 * np.count_nonzero(field.trace_table[beta] == 0)
+    for row in line + point:
+        n += np.count_nonzero(_values(field, P.monomials, *row, tables) == 0)
+    return int(n)
 
 
-def singular_points(P: TrivariatePoly, s: int, cap: int = COUNT_CAP) -> list[tuple[int, int, int]]:
+def singular_points(P: TrivariatePoly, s: int) -> list[tuple[int, int, int]]:
     """Projective points over F_{2^s} where P and all three partials vanish.
 
-    Representatives in the standard charts; the search is exhaustive over
-    F_{2^s} only (no algebraic closure).
+    Representatives in the standard charts, in chart order; the search is
+    exhaustive over F_{2^s} only (no algebraic closure).
     """
-    if not P.is_homogeneous():
-        raise ValueError("singular-point search requires a homogeneous polynomial")
-    field = _check_cap(P, s, cap)
+    field = _field_for(P, s, COUNT_CAP)
     polys = [P, P.derivative("x"), P.derivative("y"), P.derivative("z")]
+    tables: dict = {}
     out = []
-
-    def is_sing(x, y, z):
-        return all(q.evaluate(field, x, y, z) == 0 for q in polys)
-
-    for x in field.elements():
-        for y in field.elements():
-            if is_sing(x, y, 1):
-                out.append((x, y, 1))
-    for x in field.elements():
-        if is_sing(x, 1, 0):
-            out.append((x, 1, 0))
-    if is_sing(1, 0, 0):
-        out.append((1, 0, 0))
+    for chart in _charts(field):
+        for row in chart:
+            hit = np.logical_and.reduce([_values(field, q.monomials, *row, tables) == 0
+                                         for q in polys])
+            out += zip(*(np.broadcast_to(v, hit.shape)[hit].tolist() for v in row))
     return out
 
 

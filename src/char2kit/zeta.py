@@ -16,15 +16,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
-import numpy as np
-
 __all__ = [
     "CheckResult",
     "L1PRIME_EXPANSION",
     "LPolynomial",
     "ZetaError",
     "catalog_lpoly",
-    "catalog_lpoly_factors",
     "catalog_lpoly_names",
     "functional_equation_check",
     "l1prime_expansion_check",
@@ -33,7 +30,6 @@ __all__ = [
     "power_sums",
     "predicted_count",
     "reconstruct_from_counts",
-    "root_modulus_check",
     "singular_correction",
     "singular_correction_sums",
     "vanishing_residue_check",
@@ -190,16 +186,6 @@ def vanishing_residue_check(L: LPolynomial, modulus: int, bound: int) -> CheckRe
     return CheckResult(True)
 
 
-def root_modulus_check(L: LPolynomial, expected_sq: int = 2, tol: float = 1e-9) -> CheckResult:
-    """Numeric check that every reciprocal root has |omega|^2 = expected_sq."""
-    roots = np.roots(list(reversed(L.coefficients)))
-    for t in roots:
-        w = 1.0 / t
-        if abs(abs(w) ** 2 - expected_sq) > tol * (1 + expected_sq):
-            return CheckResult(False, f"reciprocal root {w} has |.|^2 = {abs(w)**2}")
-    return CheckResult(True)
-
-
 def singular_correction(s: int) -> int:
     """S_s = 2^(1 + delta) with delta = 0 when 3 does not divide s, else 2.
 
@@ -275,15 +261,3 @@ def catalog_lpoly(name: str) -> LPolynomial:
     text = resources.files("char2kit.catalog").joinpath(f"{name}.lpoly").read_text()
     return parse_lpoly(text, 2, _CATALOG_GENUS.get(name))
 
-
-def catalog_lpoly_factors(name: str) -> list[LPolynomial]:
-    """The individual factor polynomials of a catalog entry, unexpanded."""
-    if name not in _CATALOG_NAMES:
-        raise ZetaError(f"unknown catalog L-polynomial {name!r}")
-    text = resources.files("char2kit.catalog").joinpath(f"{name}.lpoly").read_text()
-    out = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if line:
-            out.append(LPolynomial(tuple(int(c) for c in line.split()), 2))
-    return out

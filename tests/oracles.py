@@ -8,7 +8,12 @@ the point: the fast library paths are checked against these.
 
 from __future__ import annotations
 
+from importlib import resources
+
+import numpy as np
 from hypothesis import settings
+
+from char2kit.zeta import CheckResult, LPolynomial
 
 # Differential tests against these oracles: fixed, bounded, no deadline.
 differential = settings(derandomize=True, max_examples=25, deadline=None)
@@ -161,8 +166,23 @@ def naive_projective_count(poly_monomials, F: NaiveField) -> int:
 
 def naive_power_sums(coeffs: list[int], s_max: int) -> list[float]:
     """Power sums of the reciprocal roots via numpy root extraction."""
-    import numpy as np
-
     roots = np.roots(list(reversed(coeffs)))
     recip = 1.0 / roots
     return [complex(np.sum(recip**j)).real for j in range(1, s_max + 1)]
+
+
+def root_modulus_check(L: LPolynomial, expected_sq: int = 2, tol: float = 1e-9) -> CheckResult:
+    """Numeric check that every reciprocal root has |omega|^2 = expected_sq."""
+    roots = np.roots(list(reversed(L.coefficients)))
+    for t in roots:
+        w = 1.0 / t
+        if abs(abs(w) ** 2 - expected_sq) > tol * (1 + expected_sq):
+            return CheckResult(False, f"reciprocal root {w} has |.|^2 = {abs(w)**2}")
+    return CheckResult(True)
+
+
+def catalog_lpoly_factors(name: str) -> list[LPolynomial]:
+    """The individual factor polynomials of a catalog entry, unexpanded."""
+    text = resources.files("char2kit.catalog").joinpath(f"{name}.lpoly").read_text()
+    lines = (line.split("#", 1)[0].strip() for line in text.splitlines())
+    return [LPolynomial(tuple(int(c) for c in line.split())) for line in lines if line]

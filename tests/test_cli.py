@@ -58,6 +58,20 @@ def test_expsum_kp_gcd_above_one_recorded(capsys):
     assert row["verdict"] == "pass"
 
 
+@pytest.mark.parametrize("argv, name", [
+    (("--sum", "K"), "K_19 = -P_m(z2)"),
+    (("--sum", "G", "--k", "1"), "G_19 = -P_m(z4)"),
+    (("--sum", "G", "--k", "3"), "G_19^(3) = -P_m(z3)"),
+])
+def test_expsum_k_and_g_checked_against_zeta_above_c8(capsys, argv, name):
+    # m = 19 is past C8's m <= 18: the zeta route still checks the sum
+    code, payload = run_json(capsys, "expsum", "--m", "19", *argv)
+    assert code == 0
+    row = results_by_name(payload)[name]
+    assert row["observed"] == row["expected"]
+    assert row["verdict"] == "pass"
+
+
 def test_expsum_c_closed_form(capsys):
     code, payload = run_json(capsys, "expsum", "--m", "7", "--k", "3", "--sum", "C")
     assert code == 0

@@ -1,13 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from char2kit import curves as cv
 from char2kit import zeta as z
 from char2kit.curves import TrivariatePoly
 from char2kit.gf2m import FieldError, get_field
 
-from oracles import NaiveField, naive_projective_count
+from oracles import NaiveField, differential, naive_projective_count
 
 
 GBAR = cv.catalog_curve("kloosterman").polynomial
@@ -15,6 +17,8 @@ P3 = cv.catalog_curve("p3").polynomial
 P4 = cv.catalog_curve("p4").polynomial
 P1T = cv.catalog_curve("p1tilde").polynomial
 FB3 = cv.catalog_curve("fbar3").polynomial
+F1 = cv.homogenize(cv.f_k_affine(1), 6)
+F2 = cv.homogenize(cv.f_k_affine(2), 18)
 
 
 def test_monomial_set_semantics():
@@ -120,12 +124,26 @@ def test_coordinate_permutation_invariance():
         assert cv.count_projective_points(swapped, s) == cv.count_projective_points(GBAR, s)
 
 
-@pytest.mark.parametrize("name", ["kloosterman", "p3", "p4", "p1tilde"])
-def test_fast_counter_agrees_with_generic(name):
-    poly = cv.catalog_curve(name).polynomial
-    for s in range(1, 6):
-        assert (cv.count_projective_points_fast(poly, s)
-                == cv.count_projective_points(poly, s)), (name, s)
+@pytest.mark.parametrize("poly", [GBAR, P3, P4, P1T, F1, F2],
+                         ids=["kloosterman", "p3", "p4", "p1tilde", "f_1", "f_2"])
+def test_fast_counter_agrees_with_generic(poly):
+    for s in range(1, 9):
+        assert cv.count_projective_points_fast(poly, s) == cv.count_projective_points(poly, s), s
+
+
+@st.composite
+def quadratic_in_y(draw):
+    """A random homogeneous polynomial of y-degree at most 2."""
+    d = draw(st.integers(0, 5))
+    exps = draw(st.lists(st.tuples(st.integers(0, d), st.integers(0, min(d, 2))), max_size=6))
+    return TrivariatePoly([(a, b, d - a - b) for a, b in exps if a + b <= d])
+
+
+@differential
+@given(quadratic_in_y(), st.integers(1, 3))
+def test_fast_and_generic_counters_match_naive_count(poly, s):
+    naive = naive_projective_count(poly.monomials, NaiveField(s, get_field(s).reduction))
+    assert cv.count_projective_points_fast(poly, s) == cv.count_projective_points(poly, s) == naive
 
 
 def test_fast_counter_rejects_cubic_in_y():

@@ -17,3 +17,15 @@ def test_no_assert_in_library():
              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_no_cap_parameter_on_public_functions():
+    # Caps are module constants, checked in one place per entry point; a
+    # per-call override is an option no caller uses.
+    found = [f"{path.name}:{node.name}"
+             for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and not node.name.startswith("_")
+             and "cap" in [a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)]]
+    assert found == []

@@ -5,7 +5,7 @@ import pytest
 from char2kit import zeta as z
 from char2kit.zeta import LPolynomial, ZetaError
 
-from oracles import naive_power_sums
+from oracles import catalog_lpoly_factors, naive_power_sums, root_modulus_check
 
 
 L2 = z.catalog_lpoly("z2")
@@ -53,7 +53,7 @@ def test_power_sum_additivity():
     # power sums of a product are the sums of the factors' power sums
     for name in ("z1", "z3", "l1prime"):
         L = z.catalog_lpoly(name)
-        factors = z.catalog_lpoly_factors(name)
+        factors = catalog_lpoly_factors(name)
         total = z.power_sums(L, 25)
         parts = [z.power_sums(f, 25) for f in factors]
         for s in range(25):
@@ -130,8 +130,8 @@ def test_singular_correction_sums():
 
 def test_root_modulus_per_factor():
     for name in ("z1", "z2", "z3", "z4", "l1prime", "l3prime"):
-        for f in z.catalog_lpoly_factors(name):
-            assert z.root_modulus_check(f).holds, name
+        for f in catalog_lpoly_factors(name):
+            assert root_modulus_check(f).holds, name
 
 
 def test_riemann_bound_on_catalog_power_sums():
