@@ -62,7 +62,7 @@ def c4(max_m, max_s):
 
 
 def c5(max_m, max_s):
-    """observed distribution = multiplicity formulas"""
+    """observed distribution = multiplicity formulas, N0 - 6*N2 exact"""
     for m in (5, 7, 11, 13):
         if m > max_m:
             continue
@@ -73,7 +73,10 @@ def c5(max_m, max_s):
             dist = crosscorr.correlation_distribution(m, gf2m.decimation_exponent(m, k))
             a1 = crosscorr.a1_formula(m, k, brute=False).formula_value
             expect = crosscorr.theorem1_multiplicities(m, a1)
-            yield f"C5 multiplicities m={m} k={k}", crosscorr.match_multiplicities(dist), expect
+            observed = crosscorr.match_multiplicities(dist)
+            yield f"C5 multiplicities m={m} k={k}", observed, expect
+            yield (f"C5 N0 - 6*N2 m={m} k={k}", observed["N0"] - 6 * observed["N2"],
+                   crosscorr.one_sixth_slack(m))
             if base is None:
                 base = dist.entries
             else:

@@ -36,6 +36,7 @@ __all__ = [
     "correlation_distribution",
     "cross_correlation",
     "match_multiplicities",
+    "one_sixth_slack",
     "theorem1_multiplicities",
     "walsh_spectrum",
     "weight_distribution",
@@ -220,6 +221,14 @@ def theorem1_multiplicities(m: int, A1: int) -> dict[str, int]:
         raise InconsistencyError(f"A1 = {A1} is not divisible by 16")
     put("N0", 16 * (2 ** (m - 1) - 1) + A1, 16)
     return vals
+
+
+def one_sixth_slack(m: int) -> int:
+    """N0 - 6*N2 under theorem 1 for odd m; A1 cancels.
+
+    It is >= 0, which is the paper's bound N2 <= N0/6, and 0 only at m = 1, 3.
+    """
+    return 2 ** (m - 1) - 1 - (3 * 2 ** ((m - 3) // 2) if m % 3 == 0 else 0)
 
 
 def match_multiplicities(dist: CorrelationDistribution) -> dict[str, int]:

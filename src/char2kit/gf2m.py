@@ -7,13 +7,15 @@ tables (numpy arrays) for every m, so that scalar operations are lookups
 and enumeration loops in the higher modules can be vectorized.
 
 The shipped reduction polynomials are primitive, i.e. the class of x is a
-generator of the multiplicative group; construction re-validates both
-irreducibility and primitivity rather than trusting the table.
+generator of the multiplicative group.  Construction does not trust the
+table: the antilog table closing is the primitivity check, so a degree-m
+polynomial is accepted exactly when x^0, ..., x^(2^m - 2) cover every
+nonzero residue.  Every quantity computed from the trace and power maps is
+the same for any primitive reduction, so there is one field per m.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from functools import lru_cache
 
@@ -25,7 +27,6 @@ __all__ = [
     "PRIMITIVE_POLY",
     "decimation_exponent",
     "get_field",
-    "load_reduction_config",
 ]
 
 MAX_M = 24  # the int32 exp and log tables take 128 MB at m = 24
@@ -87,18 +88,6 @@ def _modmul(a: int, b: int, f: int) -> int:
     return _clmod(_clmul(a, b), f)
 
 
-def _modsqr(a: int, f: int) -> int:
-    # Squaring in GF(2)[x] just spreads the bits.
-    r = 0
-    i = 0
-    while a:
-        if a & 1:
-            r |= 1 << (2 * i)
-        a >>= 1
-        i += 1
-    return _clmod(r, f)
-
-
 def _modpow(a: int, e: int, f: int) -> int:
     r = 1
     while e:
@@ -107,47 +96,6 @@ def _modpow(a: int, e: int, f: int) -> int:
         a = _modmul(a, a, f)
         e >>= 1
     return r
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _validate_reduction(m: int, reduction: int) -> None:
-    if reduction.bit_length() != m + 1:
-        raise FieldError(f"reduction polynomial 0x{reduction:x} does not have degree {m}")
-    # Irreducible over GF(2): x^(2^m) == x mod f, and x^(2^(m/p)) != x for
-    # every prime p dividing m.
-    x = 0b10 if m > 1 else _clmod(0b10, reduction)
-
-    def frob(v: int, j: int) -> int:
-        for _ in range(j):
-            v = _modsqr(v, reduction)
-        return v
-
-    if frob(x, m) != x:
-        raise FieldError(f"0x{reduction:x} is not irreducible over GF(2)")
-    for p in _prime_factors(m):
-        if frob(x, m // p) == x:
-            raise FieldError(f"0x{reduction:x} is not irreducible over GF(2)")
-    # Primitive: the class of x has multiplicative order exactly 2^m - 1.
-    order = (1 << m) - 1
-    for p in _prime_factors(order):
-        if _modpow(x, order // p, reduction) == 1:
-            raise FieldError(
-                f"0x{reduction:x} is irreducible but x is not a generator "
-                f"(order divides {(order // p)})"
-            )
 
 
 def _byte_table(c: int, shift: int, f: int) -> np.ndarray:
@@ -176,11 +124,23 @@ class Field:
             raise FieldError(f"extension degree m={m} outside supported range 1..{MAX_M}")
         if reduction is None:
             reduction = PRIMITIVE_POLY[m]
-        _validate_reduction(m, reduction)
+        # Degree m keeps every residue below 2^m, inside the log table.
+        if reduction.bit_length() != m + 1:
+            raise FieldError(f"reduction polynomial 0x{reduction:x} does not have degree {m}")
         self.m = m
         self.reduction = reduction
         self.size = 1 << m
         self.order = self.size - 1
+
+        # The primitivity check: if x^0, ..., x^(2^m - 2) cover every nonzero
+        # residue, each of them is a unit, so GF(2)[x]/(f) is a field and x
+        # generates its multiplicative group.
+        self.exp_table = self._exp_by_doubling()
+        self.log_table = np.full(self.size, -1, dtype=np.int32)
+        self.log_table[self.exp_table] = np.arange(self.order, dtype=np.int32)
+        if np.any(self.log_table[1:] < 0):
+            raise FieldError(f"0x{reduction:x} is not primitive: the powers of x "
+                             "miss a nonzero residue")
 
         # Trace mask: trace(v) = parity(popcount(v & mask)), by linearity of
         # Tr over the basis 1, x, ..., x^(m-1).
@@ -189,11 +149,6 @@ class Field:
             if self._trace_slow(1 << i):
                 mask |= 1 << i
         self._trace_mask = mask
-        self.exp_table = self._exp_by_doubling()
-        self.log_table = np.full(self.size, -1, dtype=np.int32)
-        self.log_table[self.exp_table] = np.arange(self.order, dtype=np.int32)
-        if np.any(self.log_table[1:] < 0):
-            raise FieldError("antilog table did not close; x is not primitive")
         tr = np.arange(self.size, dtype=np.int32)
         tr &= mask
         self.trace_table = (np.bitwise_count(tr) & 1).astype(np.uint8)
@@ -204,7 +159,7 @@ class Field:
         acc = a
         t = a
         for _ in range(self.m - 1):
-            t = _modsqr(t, self.reduction)
+            t = _modmul(t, t, self.reduction)
             acc ^= t
         if acc not in (0, 1):
             raise FieldError(f"trace of {a:#x} landed outside GF(2); bad reduction?")
@@ -313,31 +268,10 @@ class Field:
         return f"Field(m={self.m}, reduction=0x{self.reduction:x})"
 
 
-def load_reduction_config(path: str) -> dict[int, int]:
-    """Read a config file mapping m -> hexadecimal reduction bitmask.
-
-    JSON object whose keys are decimal degrees and values hex strings,
-    e.g. {"5": "0x25"}.
-    """
-    with open(path) as fh:
-        raw = json.load(fh)
-    return {int(k): int(v, 16) for k, v in raw.items()}
-
-
-_OVERRIDES: dict[int, int] = {}
-
-
-def set_reduction_overrides(overrides: dict[int, int]) -> None:
-    """Install reduction-polynomial overrides used by subsequent get_field calls."""
-    _OVERRIDES.clear()
-    _OVERRIDES.update(overrides)
-    get_field.cache_clear()
-
-
 @lru_cache(maxsize=None)
 def get_field(m: int) -> Field:
-    """Shared, validated Field instance for degree m (tables built once)."""
-    return Field(m, _OVERRIDES.get(m))
+    """Shared Field instance for degree m with the shipped polynomial (tables built once)."""
+    return Field(m)
 
 
 def decimation_exponent(m: int, k: int) -> int:

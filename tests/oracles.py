@@ -84,6 +84,21 @@ def naive_exp_table(m: int, reduction: int) -> tuple[list[int], list[int]]:
     return exp, log
 
 
+def naive_powers_distinct(m: int, reduction: int) -> bool:
+    """Whether x^0, ..., x^(2^m - 2) mod reduction, by shift-and-reduce, are
+    pairwise distinct and nonzero (zero only matters for x^2 at m = 2)."""
+    seen = set()
+    v = 1
+    for _ in range((1 << m) - 1):
+        if v == 0 or v in seen:
+            return False
+        seen.add(v)
+        v <<= 1
+        if v >> m:
+            v ^= reduction
+    return True
+
+
 def naive_kloosterman(F: NaiveField) -> int:
     return sum((-1) ** F.trace(x ^ F.inv(x)) for x in range(1, F.size))
 

@@ -2,16 +2,9 @@ import json
 
 import pytest
 
-from char2kit import gf2m
 from char2kit.cli import main
 from char2kit.curves import catalog_curve
 from char2kit.zeta import catalog_lpoly
-
-
-@pytest.fixture(autouse=True)
-def _reset_field_overrides():
-    yield
-    gf2m.set_reduction_overrides({})
 
 
 def run(capsys, *argv):
@@ -114,6 +107,17 @@ def test_corrdist_m3_lone_large_value(capsys):
     assert all(r["verdict"] != "fail" for r in payload["results"])
 
 
+@pytest.mark.parametrize("m,k", [(3, 1), (9, 2), (13, 1)])
+def test_corrdist_one_sixth_bound_is_an_exact_row(capsys, m, k):
+    # N2 <= N0/6 with its exact slack: 2^(m-1) - 1, less 3*2^((m-3)/2) when 3 | m
+    code, payload = run_json(capsys, "corrdist", "--m", str(m), "--k", str(k))
+    assert code == 0
+    row = results_by_name(payload)["N0 - 6*N2"]
+    assert row["verdict"] == "pass"
+    assert row["expected"] == 2 ** (m - 1) - 1 - (3 * 2 ** ((m - 3) // 2) if m % 3 == 0 else 0)
+    assert not any("ratio" in r["name"] for r in payload["results"])
+
+
 def test_corrdist_requires_exactly_one_of_k_d(capsys):
     for argv in (("corrdist", "--m", "7"), ("corrdist", "--m", "7", "--k", "1", "--d", "5")):
         code, _, err = run(capsys, *argv)
@@ -159,7 +163,8 @@ def test_weights_unknown_m_recorded(capsys):
         assert all(r["verdict"] == "recorded" for n, r in rows.items() if n.startswith("A_"))
         checked = [r["name"] for r in payload["results"] if r["verdict"] == "pass"]
         assert checked == ["total words", "zero words", "b != 0 classes of 2^m - 1 words"] + [
-            f"b = 1 multiplicity {n}" for n in ("N0", "N1", "N-1", "N2", "N-2")]
+            f"b = 1 multiplicity {n}" for n in ("N0", "N1", "N-1", "N2", "N-2")] + [
+            "b = 1 N0 - 6*N2"]
     assert rows["b = 1 multiplicity N0"]["observed"] == 2**8 - 1 + 480 // 16
     # even m: no theorem-1 rows, and no class rows where 2^k + 1 shares a factor with 2^m - 1
     code, payload = run_json(capsys, "weights", "--m", "6", "--k", "1", "--mode", "direct")
@@ -296,25 +301,21 @@ def test_error_exit_code(capsys):
         ("zeta", "--reconstruct", "4", "4"),
         ("verify-all", "--max-m", "0"),
         ("verify-all", "--max-s", "0"),
+        ("curvecount", "--curve", "/nonexistent", "--s", "2"),
+        ("zeta", "--l-poly", "/nonexistent"),
     ):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
         assert "error:" in err, argv
+    for argv, option in ((("dm-check", "--bound", "0"), "--bound"),
+                         (("zeta", "--reconstruct", "4", "--genus", "0"), "--genus")):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert "error:" in err and option in err, argv
     for argv in (("weights", "--m", "6", "--k", "2"), ("weights", "--m", "3", "--k", "2")):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
         assert "error: degenerate code" in err, argv
-
-
-def test_field_config_override(tmp_path, capsys):
-    cfg = tmp_path / "fields.json"
-    cfg.write_text(json.dumps({"3": "0xD"}))
-    # exponential sums are basis-independent: same value under either reduction
-    code, payload = run_json(capsys, "expsum", "--m", "3", "--sum", "K",
-                             "--field-config", str(cfg))
-    assert code == 0
-    assert results_by_name(payload)["K_3"]["observed"] == -5
-    assert gf2m.get_field(3).reduction == 0b1101
 
 
 def test_version_flag(capsys):

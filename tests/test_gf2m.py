@@ -1,4 +1,3 @@
-import json
 import math
 import random
 
@@ -14,10 +13,10 @@ from char2kit.gf2m import (
     PRIMITIVE_POLY,
     decimation_exponent,
     get_field,
-    load_reduction_config,
 )
+from char2kit.crosscorr import walsh_spectrum
 
-from oracles import NaiveField, differential, naive_exp_table
+from oracles import NaiveField, differential, naive_exp_table, naive_powers_distinct
 
 
 def test_add_examples():
@@ -181,14 +180,35 @@ def test_validation_rejects_bad_polynomials():
         Field(25)
 
 
-def test_reduction_override_config(tmp_path):
+def test_explicit_reduction():
     # x^3 + x^2 + 1 is the other primitive cubic
-    cfg = tmp_path / "fields.json"
-    cfg.write_text(json.dumps({"3": "0xD"}))
-    overrides = load_reduction_config(str(cfg))
-    assert overrides == {3: 0b1101}
-    f = Field(3, overrides[3])
-    assert f.mul(0b010, 0b100) == 0b101  # x^3 = x^2 + 1 under this reduction
+    assert Field(3, 0b1101).mul(0b010, 0b100) == 0b101  # x^3 = x^2 + 1 under this reduction
+
+
+def reciprocal(f: int) -> int:
+    """x^deg(f) * f(1/x): the bit-reversed polynomial, primitive iff f is."""
+    return int(bin(f)[:1:-1], 2)
+
+
+@pytest.mark.parametrize("m", range(2, 17))
+def test_spectrum_is_basis_independent(m):
+    # The Walsh spectrum of Tr(x^e) is the same in any primitive polynomial
+    # basis.  At even m, 3 divides 2^m - 1 and d is undefined; x^3 stands in.
+    e = decimation_exponent(m, 1) if m % 2 else 3
+    other = Field(m, reciprocal(PRIMITIVE_POLY[m]))
+    assert (other.reduction != PRIMITIVE_POLY[m]) == (m > 2)  # x^2 + x + 1 is its own reciprocal
+    assert np.array_equal(np.sort(walsh_spectrum(other, e)), np.sort(walsh_spectrum(get_field(m), e)))
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_field_accepts_exactly_when_powers_of_x_are_distinct(m):
+    for f in range(1 << m, 2 << m):
+        try:
+            Field(m, f)
+            accepted = True
+        except FieldError:
+            accepted = False
+        assert accepted == naive_powers_distinct(m, f), hex(f)
 
 
 def test_pow_table_matches_scalar():

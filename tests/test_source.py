@@ -29,3 +29,48 @@ def test_no_cap_parameter_on_public_functions():
              and not node.name.startswith("_")
              and "cap" in [a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)]]
     assert found == []
+
+
+MUTATORS = {"add", "append", "cache_clear", "clear", "discard", "extend", "insert", "pop",
+            "popitem", "remove", "reverse", "setdefault", "sort", "update"}
+
+
+def _root(node):
+    """The name at the base of an attribute or subscript chain, if any."""
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _global_state_writes(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    module_names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            module_names |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            module_names.add(node.name)
+        else:
+            module_names |= {n.id for n in ast.walk(node)
+                             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    found = [node.lineno for node in ast.walk(tree) if isinstance(node, (ast.Global, ast.Nonlocal))]
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        local = {a.arg for a in ast.walk(fn.args) if isinstance(a, ast.arg)}
+        local |= {n.id for n in ast.walk(fn) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        shared = module_names - local
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in MUTATORS and _root(node.func.value) in shared):
+                found.append(node.lineno)
+            elif (isinstance(node, (ast.Subscript, ast.Attribute))
+                  and isinstance(node.ctx, (ast.Store, ast.Del)) and _root(node) in shared):
+                found.append(node.lineno)
+    return [f"{path.name}:{line}" for line in sorted(set(found))]
+
+
+def test_no_process_global_mutable_state():
+    # Every result is a function of its arguments: no function rebinds a
+    # global or mutates a module-level object (a dict, a cache, a module).
+    assert [hit for path in SOURCES for hit in _global_state_writes(path)] == []
