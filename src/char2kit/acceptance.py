@@ -54,16 +54,21 @@ def c3(max_m, max_s):
 
 
 def c4(max_m, max_s):
-    """A_1 pair-collision count = formula"""
+    """A_1 pair-collision count = formula; above its cap, spectrum A_1 = formula"""
     for m, k in ((5, 1), (5, 2), (5, 3), (7, 1), (7, 2), (7, 3), (9, 2), (11, 1)):
         if m <= max_m:
             rep = crosscorr.a1_formula(m, k, brute=True)
             yield f"C4 A1 brute = formula (m={m},k={k})", rep.brute_count, rep.formula_value
+    for m in range(13, max_m + 1, 2):
+        for k in (1, 2, 3):
+            if math.gcd(k, m) == 1:
+                yield (f"C4 A1 spectrum = formula (m={m},k={k})", crosscorr.a1_from_spectrum(m, k),
+                       crosscorr.a1_formula(m, k, brute=False).formula_value)
 
 
 def c5(max_m, max_s):
     """observed distribution = multiplicity formulas, N0 - 6*N2 exact"""
-    for m in (5, 7, 11, 13):
+    for m in (5, 7, 9, 11, 13, 15):
         if m > max_m:
             continue
         base = None
@@ -100,13 +105,16 @@ def c6(max_m, max_s):
 
 
 def c7(max_m, max_s):
-    """point counts = corrected zeta predictions"""
+    """point counts = corrected zeta predictions; pinned singular points"""
     for name in ("kloosterman", "p3", "p4", "p1tilde"):
         entry = curves.catalog_curve(name)
         L = zeta.catalog_lpoly(entry.l_polynomial_name)
         for s in range(1, max_s + 1):
             yield (f"C7 {name} N_{s}", curves.count_projective_points_fast(entry.polynomial, s),
                    entry.corrected_prediction(zeta.predicted_count(L, s), s))
+        if entry.expected_singular_points is not None:
+            yield (f"C7 {name} singular points s=1", curves.singular_points(entry.polynomial, 1),
+                   list(entry.expected_singular_points))
 
 
 def c8(max_m, max_s):
@@ -122,7 +130,11 @@ def c8(max_m, max_s):
 
 
 def c9(max_m, max_s):
-    """quotient power sums vanish off multiples of 3"""
+    """catalog quotients; quotient power sums vanish off multiples of 3"""
+    for whole, part, quotient in (("z1", "z2", "l1prime"), ("z3", "z4", "l3prime")):
+        product = zeta.catalog_lpoly(part) * zeta.catalog_lpoly(quotient)
+        yield (f"C9 {whole} = {part} * {quotient}", list(product.coefficients),
+               list(zeta.catalog_lpoly(whole).coefficients))
     # vanishing_residue_check also requires every sigma_j with 3 not | j to be 0.
     L1p = zeta.catalog_lpoly("l1prime")
     yield ("C9 P_m(l1prime) = 0 for 3 coprime m <= 200",
@@ -132,9 +144,10 @@ def c9(max_m, max_s):
 
 def c10(max_m, max_s):
     """L-polynomials recovered from point counts"""
-    for name, g in (("z2", 1), ("z4", 2), ("z3", 5)):
+    for name in ("z2", "z4", "z3"):
         entry = next(e for e in map(curves.catalog_curve, curves.catalog_curve_names())
                      if e.l_polynomial_name == name)
+        g = entry.genus
         corr = {"exact": 0, "minus_one": 1}[entry.correction]
         counts = [curves.count_projective_points_fast(entry.polynomial, s) + corr
                   for s in range(1, g + 1)]

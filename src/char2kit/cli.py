@@ -214,9 +214,7 @@ def cmd_a1(args, timings) -> list[Row]:
     if rep.brute_count is not None:
         rows.append(checked("brute-force A_1", rep.brute_count, rep.formula_value))
     else:
-        # Theorem 1: N0 = 2^(m-1) - 1 + A_1/16, N0 the shifts with C_d(tau) = -1.
-        n0 = crosscorr.correlation_distribution(m, gf2m.decimation_exponent(m, k)).entries.get(-1, 0)
-        rows.append(checked("spectrum A_1", 16 * (n0 - (1 << (m - 1)) + 1), rep.formula_value))
+        rows.append(checked("spectrum A_1", crosscorr.a1_from_spectrum(m, k), rep.formula_value))
     return rows
 
 

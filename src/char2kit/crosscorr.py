@@ -33,6 +33,7 @@ __all__ = [
     "WeightDistribution",
     "a1_bruteforce",
     "a1_formula",
+    "a1_from_spectrum",
     "correlation_distribution",
     "cross_correlation",
     "match_multiplicities",
@@ -181,6 +182,13 @@ def a1_formula(m: int, k: int, brute: bool | None = None) -> A1Report:
     if brute is True or (brute is None and m <= A1_BRUTE_CAP):
         bc = a1_bruteforce(m, k)
     return A1Report(m, k, value, bc)
+
+
+def a1_from_spectrum(m: int, k: int) -> int:
+    """A_1 = 16 (N0 - 2^(m-1) + 1) by theorem 1, N0 the number of shifts with
+    C_d(tau) = -1, d = decimation_exponent(m, k)."""
+    n0 = correlation_distribution(m, decimation_exponent(m, k)).entries.get(-1, 0)
+    return 16 * (n0 - (1 << (m - 1)) + 1)
 
 
 def theorem1_multiplicities(m: int, A1: int) -> dict[str, int]:

@@ -294,7 +294,8 @@ class CurveCatalogEntry:
     #   "minus_s1"   -> n - S_s  (S_s = 2^(1+delta), delta = 2 iff 3 | s)
     correction: str | None
     genus: int | None
-    expected_singular_points: tuple[tuple[int, int, int], ...]
+    # Singular points over F_2 in chart order; None where they are not pinned.
+    expected_singular_points: tuple[tuple[int, int, int], ...] | None
 
     def corrected_prediction(self, n: int, s: int) -> int:
         from .zeta import singular_correction
@@ -310,8 +311,8 @@ class CurveCatalogEntry:
 
 _CATALOG_META = {
     # name: (lpoly, correction, genus, singular points over F_2)
-    "fbar3": (None, None, None, ()),
-    "p1tilde": ("z1", "minus_s1", 31, None),  # singular locus not pinned here
+    "fbar3": (None, None, None, None),
+    "p1tilde": ("z1", "minus_s1", 31, None),
     "kloosterman": ("z2", "exact", 1, ()),
     "p3": ("z3", "minus_one", 5, ((0, 1, 0),)),
     "p4": ("z4", "minus_one", 2, ((0, 1, 0),)),
@@ -327,6 +328,4 @@ def catalog_curve(name: str) -> CurveCatalogEntry:
         raise ValueError(f"unknown catalog curve {name!r} (have {tuple(_CATALOG_META)})")
     text = resources.files("char2kit.catalog").joinpath(f"{name}.curve").read_text()
     poly = TrivariatePoly.parse(text)
-    lname, corr, genus, sing = _CATALOG_META[name]
-    return CurveCatalogEntry(name, poly, lname, corr, genus,
-                             tuple(sing) if sing is not None else ())
+    return CurveCatalogEntry(name, poly, *_CATALOG_META[name])

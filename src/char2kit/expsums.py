@@ -1,9 +1,9 @@
 """Exact evaluation of four exponential sums over GF(2^m).
 
-All sums are computed by full enumeration of the field (vectorized over the
-log/antilog tables); this module is the oracle the curve/zeta identities are
-checked against.  Each report carries the trace-zero count n alongside the
-value, so value = 2n - domain_size by construction.
+All sums are computed by full enumeration of the field, as arithmetic on the
+exponents i of x = alpha^i read through the exp, log and trace tables; this
+module is the oracle the curve/zeta identities are checked against.  Each
+report carries the trace-zero count n, so value = 2n - domain_size.
 
 Sums:
     kloosterman : sum over x != 0 of (-1)^Tr(x + x^-1)
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2m import FieldError, get_field
+from .gf2m import Field, FieldError, get_field
 
 __all__ = [
     "ExpSumReport",
@@ -63,23 +63,40 @@ class Verdict:
         return self.lhs - self.rhs
 
 
+def _field(m: int, k: int) -> Field:
+    """GF(2^m) for a sum with parameter k, once k >= 1."""
+    if k < 1:
+        raise FieldError("k must be >= 1")
+    return get_field(m)
+
+
+def _exponents(e: int, order: int) -> np.ndarray:
+    """e * i mod order for every i in [0, order), as int64 (the product reaches 2^48)."""
+    i = np.arange(order, dtype=np.int64)
+    if e % order != 1:  # e = 1 is the identity
+        i *= e % order
+        i %= order
+    return i
+
+
+def _trace_zero_count(field: Field, a: int, b: int) -> int:
+    """The number of i in [0, 2^m - 1) with Tr(alpha^(a i) + alpha^(b i)) = 0."""
+    x = field.exp_table[_exponents(a, field.order)]
+    x ^= field.exp_table[_exponents(b, field.order)]
+    return int(np.count_nonzero(field.trace_table[x] == 0))
+
+
 def kloosterman(m: int) -> ExpSumReport:
     """The Kloosterman sum K_m, by full enumeration of GF(2^m)^*."""
     field = get_field(m)
-    exp, order = field.exp_table, field.order
-    inv = exp[(order - np.arange(order, dtype=np.int64)) % order]
-    n = int(np.count_nonzero(field.trace_table[exp ^ inv] == 0))
-    return ExpSumReport(m, None, 2 * n - order, n, order)
+    n = _trace_zero_count(field, 1, -1)
+    return ExpSumReport(m, None, 2 * n - field.order, n, field.order)
 
 
 def c_sum(m: int, k: int) -> ExpSumReport:
-    """C_m = sum over the whole field of (-1)^Tr(x^(2^k+1) + x)."""
-    field = get_field(m)
-    if k < 1:
-        raise FieldError("k must be >= 1")
-    x = np.arange(field.size, dtype=np.int64)
-    p = field.pow_table((1 << k) + 1)
-    n = int(np.count_nonzero(field.trace_table[p ^ x] == 0))
+    """C_m = sum over the whole field of (-1)^Tr(x^(2^k+1) + x); x = 0 adds 1."""
+    field = _field(m, k)
+    n = _trace_zero_count(field, (1 << k) + 1, 1) + 1
     return ExpSumReport(m, k, 2 * n - field.size, n, field.size)
 
 
@@ -93,47 +110,30 @@ def c_sum_closed_form(m: int, k: int) -> int | None:
 
 def g_sum(m: int, k: int) -> ExpSumReport:
     """G_m^(k) = sum over x != 0 of (-1)^Tr(x^(2^k+1) + x^-1)."""
-    field = get_field(m)
-    if k < 1:
-        raise FieldError("k must be >= 1")
-    exp, order = field.exp_table, field.order
-    i = np.arange(order, dtype=np.int64)
-    p = exp[(i * (((1 << k) + 1) % order)) % order] if m > 1 else exp[i * 0]
-    inv = exp[(order - i) % order]
-    n = int(np.count_nonzero(field.trace_table[p ^ inv] == 0))
-    return ExpSumReport(m, k, 2 * n - order, n, order)
+    field = _field(m, k)
+    n = _trace_zero_count(field, (1 << k) + 1, -1)
+    return ExpSumReport(m, k, 2 * n - field.order, n, field.order)
 
 
 def k_prime(m: int, k: int) -> ExpSumReport:
-    """K'_m = sum over v != 0 of (-1)^Tr(f(v)).
+    """K'_m = sum over v != 0 of (-1)^Tr(f(v)); f(1) = 0 contributes +1.
 
-    The denominator of f vanishes exactly on the subfield GF(2^gcd(k,m)).
-    When gcd(k, m) > 1, f has poles on GF(2^gcd(k,m)) \\ {0, 1}.  At a pole
-    f(v) is not the image of y^2 + y for any y, so the solvability count
-    behind the curve-side identities treats it as a trace-one term: each
-    pole contributes -1 to the sum.
-
-    Summation is over v != 0; f(1) = 0 contributes +1.  (Including v = 0
-    would add exactly +1 more.)
+    The denominator q + v, q = v^(2^k), vanishes exactly on GF(2^gcd(k,m)):
+    at v = 1 and at the poles GF(2^gcd(k,m)) \\ {0, 1}.  At a pole f(v) is not
+    the image of y^2 + y for any y, so the solvability count behind the
+    curve-side identities treats it as a trace-one term (-1).  With
+    v = alpha^i, log q = 2^k i and log f = log(q + 1) + log q - (2^k + 1)
+    log(q + v) mod 2^m - 1.
     """
-    field = get_field(m)
-    if k < 1:
-        raise FieldError("k must be >= 1")
-    exp, order = field.exp_table, field.order
-    v = exp  # all nonzero elements
-    q = field.pow_table(1 << k)[v]
-    den_base = q ^ v
-    poles = (den_base == 0) & (v != 1)
-    num = field.vec_mul(q ^ 1, q)
-    den = np.ones_like(v)
-    ok = ~poles & (v != 1)  # f(1) = 0 by convention, handled below
-    den[ok] = field.pow_table((1 << k) + 1)[den_base[ok]]
-    fval = np.zeros_like(v)
-    fval[ok] = field.vec_mul(num[ok], field.vec_inv(den[ok]))
-    tr = field.trace_table[fval].copy()
-    tr[v == 1] = 0  # f(1) = 0 by convention
-    tr[poles] = 1
-    n = int(np.count_nonzero(tr == 0))
+    field = _field(m, k)
+    exp, log, order = field.exp_table, field.log_table, field.order
+    log_f = _exponents(1 << k, order)  # log q
+    q = exp[log_f]
+    den = q ^ exp
+    log_f += log[q ^ 1]
+    log_f -= ((1 << k) + 1) % order * log[den].astype(np.int64)
+    log_f %= order
+    n = int(np.count_nonzero((field.trace_table[exp[log_f]] == 0) & (den != 0))) + 1
     return ExpSumReport(m, k, 2 * n - order, n, order)
 
 

@@ -73,26 +73,6 @@ class LPolynomial:
                     out[i + j] += ai * bj
         return LPolynomial(tuple(out), self.q)
 
-    def divide_exact(self, other: "LPolynomial") -> "LPolynomial":
-        """Exact integer quotient self / other; raises with the remainder."""
-        num = list(self.coefficients)
-        den = other.coefficients
-        dq = len(num) - len(den)
-        if dq < 0:
-            raise ZetaError("divisor degree exceeds dividend degree")
-        quot = [0] * (dq + 1)
-        lead = den[-1]
-        for i in range(dq, -1, -1):
-            c = num[i + len(den) - 1]
-            if c % lead:
-                raise ZetaError(f"inexact division (leading remainder {c} not divisible by {lead})")
-            quot[i] = c // lead
-            for j, dj in enumerate(den):
-                num[i + j] -= quot[i] * dj
-        if any(num):
-            raise ZetaError(f"inexact division, remainder {tuple(num)}")
-        return LPolynomial(tuple(quot), self.q)
-
     def __repr__(self) -> str:
         return f"LPolynomial({list(self.coefficients)})"
 

@@ -47,16 +47,21 @@ class NaiveField:
         return reduce_mod(clmul(a, b), self.reduction)
 
     def pow(self, a, e):
+        """Square and multiply: O(log e) products, so exponents 2^k + 1 stay cheap."""
         r = 1
-        for _ in range(e):
-            r = self.mul(r, a)
+        while e:
+            if e & 1:
+                r = self.mul(r, a)
+            a = self.mul(a, a)
+            e >>= 1
         return r
 
     def inv(self, a):
-        for b in range(1, self.size):
-            if self.mul(a, b) == 1:
-                return b
-        raise ValueError("no inverse")
+        """a^(2^m - 2), checked against the product."""
+        b = self.pow(a, self.size - 2)
+        if self.mul(a, b) != 1:
+            raise ValueError("no inverse")
+        return b
 
     def trace(self, a):
         acc = 0

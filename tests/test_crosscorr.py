@@ -131,6 +131,12 @@ def test_a1_formula_equals_brute(m, k):
     assert r.formula_value == r.brute_count
 
 
+@pytest.mark.parametrize("m, k", [(3, 1), (5, 1), (5, 2), (7, 3), (9, 2), (11, 1)])
+def test_a1_from_spectrum_equals_collision_count(m, k):
+    # two computed routes to A_1, neither of them the exponential-sum formula
+    assert cc.a1_from_spectrum(m, k) == cc.a1_bruteforce(m, k)
+
+
 def test_a1_argument_checks():
     with pytest.raises(FieldError):
         cc.a1_formula(8, 1)  # even m

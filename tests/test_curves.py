@@ -217,3 +217,13 @@ def test_catalog_entries_are_homogeneous():
     assert len(P1T.monomials) == 29
     assert P1T.degree == 58
     assert FB3.degree == 66
+
+
+def test_catalog_singular_points_are_pinned_or_none():
+    # p1tilde and fbar3 are singular over F_2 but not pinned: None, not ()
+    for name in cv.catalog_curve_names():
+        entry = cv.catalog_curve(name)
+        if entry.expected_singular_points is None:
+            assert cv.singular_points(entry.polynomial, 1), name
+        else:
+            assert cv.singular_points(entry.polynomial, 1) == list(entry.expected_singular_points), name

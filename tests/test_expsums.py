@@ -1,12 +1,15 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from char2kit import expsums as es
 from char2kit.gf2m import FieldError, get_field
 
 from oracles import (
     NaiveField,
+    differential,
     naive_c_sum,
     naive_g_sum,
     naive_k_prime,
@@ -66,6 +69,20 @@ def test_c_g_kp_match_naive(m, k):
     assert es.c_sum(m, k).value == naive_c_sum(nf, k)
     assert es.g_sum(m, k).value == naive_g_sum(nf, k)
     assert es.k_prime(m, k).value == naive_k_prime(nf, k)
+
+
+@differential
+@given(st.integers(1, 9).flatmap(lambda m: st.tuples(st.just(m), st.integers(1, 2 * m))))
+def test_sums_match_naive_any_k(mk):
+    # k >= m and every gcd(k, m) are drawn, so the poles of K' are covered
+    m, k = mk
+    nf = naive(m)
+    reports = {"K": es.kloosterman(m), "C": es.c_sum(m, k), "G": es.g_sum(m, k), "Kp": es.k_prime(m, k)}
+    assert {name: r.value for name, r in reports.items()} == {
+        "K": naive_kloosterman(nf), "C": naive_c_sum(nf, k),
+        "G": naive_g_sum(nf, k), "Kp": naive_k_prime(nf, k)}
+    assert {name: r.domain_size for name, r in reports.items()} == {
+        "K": nf.order, "C": nf.size, "G": nf.order, "Kp": nf.order}
 
 
 # -- invariants ---------------------------------------------------------------
