@@ -128,6 +128,9 @@ def cmd_expsum(args, timings) -> list[Row]:
     elif args.sum == "G":
         rep = expsums.g_sum(m, k)
         rows = [recorded(f"G_{m}^({k})", rep.value)]
+        g = math.gcd(k, m)
+        if g < k and _conjecture1_proved(m, k):
+            rows.append(checked(f"G_{m}^({k}) = G_{m}^({g})", rep.value, expsums.g_sum(m, g).value))
         if k == 1:
             rows.append(checked(f"G_{m} = -P_m(z4)", rep.value, -_power_sum("z4", m)))
         elif k == 3:
@@ -145,19 +148,23 @@ def cmd_expsum(args, timings) -> list[Row]:
     return rows
 
 
+def _conjecture1_proved(m: int, k: int) -> bool:
+    """G_m^(k) = G_m^(gcd(k, m)) is proved: trivially for k = gcd(k, m), for
+    k = 2 in prior work, and for k = 3 when 3 does not divide m."""
+    return k == math.gcd(k, m) or k == 2 or (k == 3 and m % 3 != 0)
+
+
 def cmd_conjectures(args, timings) -> list[Row]:
     ms = _parse_range(args.m_range, 1, gf2m.MAX_M)
     ks = _parse_range(args.k_range, 1)
     rows = []
     for m in ms:
         for k in ks:
-            # Proved: k = gcd(k, m) trivially, k = 2 in prior work, k = 3 for
-            # 3 coprime to m.  The K' = K identity additionally needs
-            # gcd(k, m) = 1 (otherwise K' is a genuinely different sum).
-            # Everything else is recorded, not asserted.
-            g = math.gcd(k, m)
-            proved1 = (k == g) or k == 2 or (k == 3 and m % 3 != 0)
-            proved2 = g == 1 and (k <= 3)
+            # The K' = K identity needs gcd(k, m) = 1 (otherwise K' is a
+            # genuinely different sum) and k <= 3.  Everything else is
+            # recorded, not asserted.
+            proved1 = _conjecture1_proved(m, k)
+            proved2 = math.gcd(k, m) == 1 and k <= 3
             v1 = expsums.conjecture1_check(m, k)
             v2 = expsums.conjecture2_check(m, k)
             mk = f"(m={m},k={k})"
@@ -314,9 +321,10 @@ def cmd_dm_check(args, timings) -> list[Row]:
 
 
 def _verify_all(args, timings) -> list[Row]:
-    for option, value in (("--max-m", args.max_m), ("--max-s", args.max_s)):
-        if value < 1:
-            raise ValueError(f"{option} {value} must be >= 1")
+    for option, value, cap in (("--max-m", args.max_m, gf2m.MAX_M),
+                               ("--max-s", args.max_s, curves.FAST_COUNT_CAP)):
+        if not 1 <= value <= cap:
+            raise ValueError(f"{option} {value} outside 1..{cap}")
     rows = []
     for key, criterion in acceptance.CRITERIA.items():
         t0 = time.perf_counter()

@@ -294,22 +294,15 @@ def weight_distribution(m: int, k: int, mode: str = "via_correlation") -> Weight
                          f"so the 2^{2 * m} words are not distinct")
     entries: Counter = Counter()
     if mode == "direct":
-        # mask[t] encodes the linear functional a -> Tr(a * g^t) so that the
-        # whole 2^m x order bit matrix comes from one popcount-parity pass.
-        exp = field.exp_table
-        m1 = np.zeros(order, dtype=np.int64)
-        m2 = np.zeros(order, dtype=np.int64)
-        for t in range(order):
-            g1t = int(exp[(e1 * t) % order])
-            g2t = int(exp[(e2 * t) % order])
-            m1[t] = sum(field.trace(field.mul(1 << i, g1t)) << i for i in range(m))
-            m2[t] = sum(field.trace(field.mul(1 << i, g2t)) << i for i in range(m))
-        a_col = np.arange(field.size, dtype=np.int64)[:, None]
-        bits_a = (np.bitwise_count(a_col & m2[None, :]) & 1).astype(np.uint8)
-        bits_b = (np.bitwise_count(a_col & m1[None, :]) & 1).astype(np.uint8)
-        for a in range(field.size):
-            w = np.count_nonzero(bits_a[a][None, :] ^ bits_b, axis=1)
-            entries.update(Counter(w.tolist()))
+        # Row 1 + i of a bit matrix is a = alpha^i, read off the m-sequence
+        # s_j = Tr(alpha^j) as Tr(alpha^i g^t) = s[(i + e t) mod 2^m - 1];
+        # row 0 is a = 0.
+        s = field.trace_table[field.exp_table]
+        i = np.arange(order, dtype=np.int64)
+        zero = np.zeros((1, order), dtype=np.uint8)
+        bits_a, bits_b = (np.vstack((zero, s[np.add.outer(i, e * i) % order])) for e in (e2, e1))
+        for row in bits_a:
+            entries.update(np.count_nonzero(row ^ bits_b, axis=1).tolist())
     else:
         W = walsh_spectrum(field, e1 * pow(e2, -1, order))
         weights, counts = np.unique((field.size - W) // 2, return_counts=True)

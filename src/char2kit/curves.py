@@ -69,9 +69,6 @@ class TrivariatePoly:
         degs = {a + b + c for a, b, c in self.monomials}
         return len(degs) <= 1
 
-    def is_zero(self) -> bool:
-        return not self.monomials
-
     def __eq__(self, other) -> bool:
         return isinstance(other, TrivariatePoly) and self.monomials == other.monomials
 
@@ -147,9 +144,6 @@ class TrivariatePoly:
             a, b, c = (int(v) for v in line.split())
             mono.append((a, b, c))
         return cls(mono)
-
-    def to_text(self) -> str:
-        return "\n".join(f"{a} {b} {c}" for a, b, c in sorted(self.monomials, reverse=True)) + "\n"
 
 
 def load_curve(path: str) -> TrivariatePoly:
@@ -253,9 +247,11 @@ def count_projective_points_fast(P: TrivariatePoly, s: int) -> int:
     n = field.size * np.count_nonzero((a == 0) & (b == 0) & (c == 0))
     n += np.count_nonzero((a == 0) != (b == 0))
     quad = (a != 0) & (b != 0)
-    a, b, c = a[quad], b[quad], c[quad]
-    beta = field.vec_mul(field.vec_mul(c, a), field.vec_inv(field.vec_mul(b, b)))
-    n += 2 * np.count_nonzero(field.trace_table[beta] == 0)
+    log = field.log_table
+    log_a, log_b, c = log[a[quad]], log[b[quad]], c[quad]
+    # beta = c a / b^2 in log space; c = 0 gives beta = 0, of trace 0.
+    beta = field.exp_table[(log[c] + log_a - 2 * log_b) % field.order]
+    n += 2 * np.count_nonzero((c == 0) | (field.trace_table[beta] == 0))
     for row in line + point:
         n += np.count_nonzero(_values(field, P.monomials, *row, tables) == 0)
     return int(n)

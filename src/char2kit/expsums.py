@@ -58,10 +58,6 @@ class Verdict:
     lhs: int
     rhs: int
 
-    @property
-    def delta(self) -> int:
-        return self.lhs - self.rhs
-
 
 def _field(m: int, k: int) -> Field:
     """GF(2^m) for a sum with parameter k, once k >= 1."""

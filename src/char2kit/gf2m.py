@@ -65,44 +65,20 @@ class FieldError(ValueError):
     """Bad field parameters or an operation outside its domain."""
 
 
-def _clmul(a: int, b: int) -> int:
-    """Carryless (GF(2)[x]) product of two polynomial bitmasks."""
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        a <<= 1
-        b >>= 1
-    return r
+def _times_x(v: int, f: int) -> int:
+    """x * v mod f, for v of degree below that of f."""
+    v <<= 1
+    return v ^ f if v >> (f.bit_length() - 1) else v
 
 
-def _clmod(a: int, f: int) -> int:
-    """Remainder of the bitmask a modulo the polynomial bitmask f."""
-    df = f.bit_length() - 1
-    while a.bit_length() - 1 >= df and a:
-        a ^= f << (a.bit_length() - 1 - df)
-    return a
-
-
-def _modmul(a: int, b: int, f: int) -> int:
-    return _clmod(_clmul(a, b), f)
-
-
-def _modpow(a: int, e: int, f: int) -> int:
-    r = 1
-    while e:
-        if e & 1:
-            r = _modmul(r, a, f)
-        a = _modmul(a, a, f)
-        e >>= 1
-    return r
-
-
-def _byte_table(c: int, shift: int, f: int) -> np.ndarray:
-    """t[b] = c * (b << shift) mod f for every byte b, from 8 basis products."""
-    t = np.zeros(256, dtype=np.int32)
-    for i in range(8):
-        t[1 << i:2 << i] = t[:1 << i] ^ _modmul(c, 1 << (shift + i), f)
+def _byte_tables(c: int, m: int, f: int) -> np.ndarray:
+    """t[j, b] = c * (b << 8j) mod f for each byte j of an element and every
+    byte b, from the basis products c x^i made by repeated `_times_x`."""
+    t = np.zeros(((m + 7) // 8, 256), dtype=np.int32)
+    for row in t:
+        for i in range(8):
+            row[1 << i:2 << i] = row[:1 << i] ^ c
+            c = _times_x(c, f)
     return t
 
 
@@ -143,45 +119,32 @@ class Field:
                              "miss a nonzero residue")
 
         # Trace mask: trace(v) = parity(popcount(v & mask)), by linearity of
-        # Tr over the basis 1, x, ..., x^(m-1).
-        mask = 0
-        for i in range(m):
-            if self._trace_slow(1 << i):
-                mask |= 1 << i
-        self._trace_mask = mask
+        # Tr over the basis 1, x, ..., x^(m-1).  Tr(x^i) is the sum of the
+        # conjugates x^(i 2^j), j < m, read off the exp table.
+        conj = np.outer(np.arange(m), 1 << np.arange(m, dtype=np.int64)) % self.order
+        tr_basis = np.bitwise_xor.reduce(self.exp_table[conj], axis=1)
+        self._trace_mask = sum(int(t) << i for i, t in enumerate(tr_basis))
         tr = np.arange(self.size, dtype=np.int32)
-        tr &= mask
+        tr &= self._trace_mask
         self.trace_table = (np.bitwise_count(tr) & 1).astype(np.uint8)
-
-    # -- construction helpers ------------------------------------------------
-
-    def _trace_slow(self, a: int) -> int:
-        acc = a
-        t = a
-        for _ in range(self.m - 1):
-            t = _modmul(t, t, self.reduction)
-            acc ^= t
-        if acc not in (0, 1):
-            raise FieldError(f"trace of {a:#x} landed outside GF(2); bad reduction?")
-        return acc
 
     def _exp_by_doubling(self) -> np.ndarray:
         """alpha^i for 0 <= i < 2^m - 1, filled as exp[n:2n] = alpha^n * exp[:n].
 
-        v -> alpha^n v is GF(2)-linear, so each block is the XOR of one
-        256-entry lookup per byte of exp[:n]; the entries are little-endian,
-        so byte j holds bits 8j..8j+7.
+        alpha^n = x * exp[n - 1], and v -> alpha^n v is GF(2)-linear, so each
+        block is the XOR of one 256-entry lookup per byte of exp[:n]; the
+        entries are little-endian, so byte j holds bits 8j..8j+7.
         """
         exp = np.empty(self.order, dtype="<i4")
         exp[0] = 1
         n = 1
         while n < self.order:
-            c = _modpow(0b10, n, self.reduction)
+            tables = _byte_tables(_times_x(int(exp[n - 1]), self.reduction), self.m, self.reduction)
             low = exp[:min(n, self.order - n)]
             byte = low.view(np.uint8).reshape(-1, 4)
-            block = _byte_table(c, 0, self.reduction)[byte[:, 0]]
-            for j in range(1, (self.m + 7) // 8):
-                block ^= _byte_table(c, 8 * j, self.reduction)[byte[:, j]]
+            block = tables[0][byte[:, 0]]
+            for j in range(1, len(tables)):
+                block ^= tables[j][byte[:, j]]
             exp[n:n + len(low)] = block
             n *= 2
         return exp
@@ -215,13 +178,6 @@ class Field:
         out[nz] = exp[prod_idx[nz]]
         return out
 
-    def vec_inv(self, a: np.ndarray) -> np.ndarray:
-        """Elementwise inverse; raises on any zero entry."""
-        if np.any(a == 0):
-            raise FieldError("vec_inv of array containing 0")
-        exp, log, order = self.exp_table, self.log_table, self.order
-        return exp[(order - log[a]) % order].astype(np.int64)
-
     # -- scalar operations ---------------------------------------------------
 
     def check(self, a: int) -> int:
@@ -229,17 +185,10 @@ class Field:
             raise FieldError(f"{a} is not a canonical element of GF(2^{self.m})")
         return a
 
-    @staticmethod
-    def add(a: int, b: int) -> int:
-        return a ^ b
-
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
         return int(self.exp_table[(int(self.log_table[a]) + int(self.log_table[b])) % self.order])
-
-    def sqr(self, a: int) -> int:
-        return self.mul(a, a)
 
     def pow(self, a: int, e: int) -> int:
         """a^e with e >= 0; nonzero bases reduce e modulo 2^m - 1."""

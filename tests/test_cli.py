@@ -65,6 +65,19 @@ def test_expsum_k_and_g_checked_against_zeta_above_c8(capsys, argv, name):
     assert row["verdict"] == "pass"
 
 
+def test_expsum_g_checked_against_gcd_where_proved(capsys):
+    # k = 2 is proved for every m: G_7^(2) = G_7^(1).  At m = 8, gcd(2, 8) = 2
+    # = k, so there is nothing to reduce.
+    code, payload = run_json(capsys, "expsum", "--m", "7", "--k", "2", "--sum", "G")
+    assert code == 0
+    row = results_by_name(payload)["G_7^(2) = G_7^(1)"]
+    assert row["observed"] == row["expected"] == -41
+    assert row["verdict"] == "pass"
+    code, payload = run_json(capsys, "expsum", "--m", "8", "--k", "2", "--sum", "G")
+    assert code == 0
+    assert [r["name"] for r in payload["results"]] == ["G_8^(2)", "trace_zero_count"]
+
+
 def test_expsum_c_closed_form(capsys):
     code, payload = run_json(capsys, "expsum", "--m", "7", "--k", "3", "--sum", "C")
     assert code == 0
@@ -200,7 +213,7 @@ def test_curvecount_catalog(capsys):
 
 def test_curvecount_from_file(tmp_path, capsys):
     path = tmp_path / "c.curve"
-    path.write_text(catalog_curve("kloosterman").polynomial.to_text())
+    path.write_text("".join(f"{a} {b} {c}\n" for a, b, c in catalog_curve("kloosterman").polynomial.monomials))
     code, payload = run_json(capsys, "curvecount", "--curve", str(path), "--s", "3")
     assert code == 0
     rows = results_by_name(payload)
@@ -308,6 +321,8 @@ def test_error_exit_code(capsys):
         assert code == 2, argv
         assert "error:" in err, argv
     for argv, option in ((("dm-check", "--bound", "0"), "--bound"),
+                         (("verify-all", "--max-m", "25"), "--max-m"),
+                         (("verify-all", "--max-s", "21"), "--max-s"),
                          (("zeta", "--reconstruct", "4", "--genus", "0"), "--genus")):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv

@@ -125,7 +125,7 @@ def test_conjecture2_examples():
     assert es.conjecture2_check(7, 3).holds
     assert es.conjecture2_check(5, 1).holds
     v = es.conjecture2_check(9, 3)  # recorded only; no assertion on holds
-    assert v.delta == v.lhs - v.rhs
+    assert v.holds == (v.lhs == v.rhs)
 
 
 def test_conjecture1_examples():

@@ -74,3 +74,21 @@ def test_no_process_global_mutable_state():
     # Every result is a function of its arguments: no function rebinds a
     # global or mutates a module-level object (a dict, a cache, a module).
     assert [hit for path in SOURCES for hit in _global_state_writes(path)] == []
+
+
+def _bodies(path):
+    """(name, dump of the body without its docstring) of every function in path."""
+    out = []
+    for fn in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
+            out.append((f"{path.stem}.{fn.name}", ast.dump(ast.Module(body, []))))
+    return out
+
+
+def test_library_shares_no_function_body_with_the_oracles():
+    # An oracle that runs the library's own code checks nothing: no library
+    # function may repeat the body of a function in tests/oracles.py.
+    oracle = {dump: name for name, dump in _bodies(Path(__file__).parent / "oracles.py")}
+    assert [(name, oracle[dump]) for path in SOURCES for name, dump in _bodies(path)
+            if dump in oracle] == []
