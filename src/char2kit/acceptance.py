@@ -45,12 +45,16 @@ def c2(max_m, max_s):
 
 
 def c3(max_m, max_s):
-    """C_m closed form by m mod 8"""
+    """C_m closed form by m mod 8; C_m^2 in {0, 2^(m+gcd(2k,m))} at every (m, k)"""
     for m in range(1, min(19, max_m) + 1, 2):
         for k in range(1, 6):
             closed = expsums.c_sum_closed_form(m, k)
             if closed is not None:
                 yield f"C3 C_{m}(k={k}) closed form", expsums.c_sum(m, k).value, closed
+    for m in range(1, max_m + 1):
+        for k in range(1, 6):
+            v = expsums.c_sum_square_check(m, k)
+            yield f"C3 C_{m}(k={k})^2 in {{0, 2^{m + math.gcd(2 * k, m)}}}", v.lhs, v.rhs
 
 
 def c4(max_m, max_s):

@@ -123,8 +123,12 @@ def cmd_expsum(args, timings) -> list[Row]:
     elif args.sum == "C":
         rep = expsums.c_sum(m, k)
         closed = expsums.c_sum_closed_form(m, k)
-        rows = [checked(f"C_{m}(k={k})", rep.value, closed) if closed is not None
-                else recorded(f"C_{m}(k={k})", rep.value)]
+        if closed is not None:
+            rows = [checked(f"C_{m}(k={k})", rep.value, closed)]
+        else:
+            sq = expsums.c_sum_square_check(m, k)
+            rows = [recorded(f"C_{m}(k={k})", rep.value),
+                    checked(f"C_{m}(k={k})^2 in {{0, 2^{m + math.gcd(2 * k, m)}}}", sq.lhs, sq.rhs)]
     elif args.sum == "G":
         rep = expsums.g_sum(m, k)
         rows = [recorded(f"G_{m}^({k})", rep.value)]
@@ -149,9 +153,9 @@ def cmd_expsum(args, timings) -> list[Row]:
 
 
 def _conjecture1_proved(m: int, k: int) -> bool:
-    """G_m^(k) = G_m^(gcd(k, m)) is proved: trivially for k = gcd(k, m), for
-    k = 2 in prior work, and for k = 3 when 3 does not divide m."""
-    return k == math.gcd(k, m) or k == 2 or (k == 3 and m % 3 != 0)
+    """G_m^(k) = G_m^(gcd(k, m)) is proved when k = gcd(k, m) (the two sums
+    are one) or k is 2 or 3 (for k = 3 with 3 | m, k = gcd(k, m) again)."""
+    return k == math.gcd(k, m) or k in (2, 3)
 
 
 def cmd_conjectures(args, timings) -> list[Row]:

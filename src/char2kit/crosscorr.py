@@ -35,7 +35,6 @@ __all__ = [
     "a1_formula",
     "a1_from_spectrum",
     "correlation_distribution",
-    "cross_correlation",
     "match_multiplicities",
     "one_sixth_slack",
     "theorem1_multiplicities",
@@ -103,20 +102,6 @@ def walsh_spectrum(field: Field, e: int) -> np.ndarray:
         w = w.reshape(-1, 2, 1 << i)
         w = np.stack((w[:, 0] + w[:, 1], w[:, 0] - w[:, 1]), axis=1)
     return w.reshape(-1)
-
-
-def cross_correlation(m: int, d: int, tau: int) -> int:
-    """C_d(tau) for a single shift, by enumeration of GF(2^m)^*."""
-    field = get_field(m)
-    A = field.trace_table[field.exp_table]
-    order = field.order
-    if math.gcd(d, order) != 1:
-        raise FieldError(f"gcd(d={d}, 2^{m}-1) = {math.gcd(d, order)} != 1")
-    if not 0 <= tau < order:
-        raise FieldError(f"tau={tau} outside [0, 2^{m}-1)")
-    j = np.arange(order, dtype=np.int64)
-    bits = A[(tau + j) % order] ^ A[(d * j) % order]
-    return int(order - 2 * np.count_nonzero(bits))
 
 
 def correlation_distribution(m: int, d: int) -> CorrelationDistribution:

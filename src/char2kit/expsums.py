@@ -1,9 +1,13 @@
 """Exact evaluation of four exponential sums over GF(2^m).
 
-All sums are computed by full enumeration of the field, as arithmetic on the
-exponents i of x = alpha^i read through the exp, log and trace tables; this
-module is the oracle the curve/zeta identities are checked against.  Each
-report carries the trace-zero count n, so value = 2n - domain_size.
+Each sum is Sum (-1)^Tr(f(x)) with f over GF(2), so Tr(f(x^2)) = Tr(f(x)^2)
+= Tr(f(x)) and every summand is constant on the Frobenius orbit of x.  With
+x = alpha^i that orbit is the cyclotomic coset {i 2^j mod 2^m - 1}, so the
+sums are evaluated once per coset, on the least members of Field.orbits,
+as arithmetic on exponents read through the exp, log and trace tables, and
+each term is weighted by its coset's size.  This module is the oracle the
+curve/zeta identities are checked against.  Each report carries the
+trace-zero count n, so value = 2n - domain_size.
 
 Sums:
     kloosterman : sum over x != 0 of (-1)^Tr(x + x^-1)
@@ -29,6 +33,7 @@ __all__ = [
     "kloosterman",
     "c_sum",
     "c_sum_closed_form",
+    "c_sum_square_check",
     "g_sum",
     "k_prime",
     "conjecture1_check",
@@ -66,24 +71,18 @@ def _field(m: int, k: int) -> Field:
     return get_field(m)
 
 
-def _exponents(e: int, order: int) -> np.ndarray:
-    """e * i mod order for every i in [0, order), as int64 (the product reaches 2^48)."""
-    i = np.arange(order, dtype=np.int64)
-    if e % order != 1:  # e = 1 is the identity
-        i *= e % order
-        i %= order
-    return i
-
-
 def _trace_zero_count(field: Field, a: int, b: int) -> int:
-    """The number of i in [0, 2^m - 1) with Tr(alpha^(a i) + alpha^(b i)) = 0."""
-    x = field.exp_table[_exponents(a, field.order)]
-    x ^= field.exp_table[_exponents(b, field.order)]
-    return int(np.count_nonzero(field.trace_table[x] == 0))
+    """The number of i in [0, 2^m - 1) with Tr(alpha^(a i) + alpha^(b i)) = 0,
+    as the total size of the cosets whose least member i has it."""
+    reps, sizes = field.orbits
+    order = field.order
+    x = field.exp_table[reps * (a % order) % order]
+    x ^= field.exp_table[reps * (b % order) % order]
+    return int(sizes[field.trace_table[x] == 0].sum())
 
 
 def kloosterman(m: int) -> ExpSumReport:
-    """The Kloosterman sum K_m, by full enumeration of GF(2^m)^*."""
+    """The Kloosterman sum K_m over GF(2^m)^*."""
     field = get_field(m)
     n = _trace_zero_count(field, 1, -1)
     return ExpSumReport(m, None, 2 * n - field.order, n, field.order)
@@ -102,6 +101,19 @@ def c_sum_closed_form(m: int, k: int) -> int | None:
         return None
     mag = 1 << ((m + 1) // 2)
     return mag if m % 8 in (1, 7) else -mag
+
+
+def c_sum_square_check(m: int, k: int) -> Verdict:
+    """Is C_m^2 in {0, 2^(m+w)}, w = gcd(2k, m)?  rhs is 0 when C_m = 0.
+
+    x -> Tr(x^(2^k+1)) is a quadratic form on GF(2^m) whose radical is
+    {x : x^(2^(2k)) = x} = GF(2^w), so C_m is 0 or +-2^((m+w)/2) at every
+    (m, k); the closed form above is the case w = 1.
+    """
+    c = c_sum(m, k).value
+    lhs = c * c
+    rhs = 0 if c == 0 else 1 << (m + math.gcd(2 * k, m))
+    return Verdict(lhs == rhs, lhs, rhs)
 
 
 def g_sum(m: int, k: int) -> ExpSumReport:
@@ -123,13 +135,14 @@ def k_prime(m: int, k: int) -> ExpSumReport:
     """
     field = _field(m, k)
     exp, log, order = field.exp_table, field.log_table, field.order
-    log_f = _exponents(1 << k, order)  # log q
+    reps, sizes = field.orbits
+    log_f = reps * ((1 << k) % order) % order  # log q
     q = exp[log_f]
-    den = q ^ exp
+    den = q ^ exp[reps]
     log_f += log[q ^ 1]
     log_f -= ((1 << k) + 1) % order * log[den].astype(np.int64)
     log_f %= order
-    n = int(np.count_nonzero((field.trace_table[exp[log_f]] == 0) & (den != 0))) + 1
+    n = int(sizes[(field.trace_table[exp[log_f]] == 0) & (den != 0)].sum()) + 1
     return ExpSumReport(m, k, 2 * n - order, n, order)
 
 

@@ -17,7 +17,7 @@ the same for any primitive reduction, so there is one field per m.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -89,6 +89,8 @@ class Field:
         exp_table[i] = alpha^i for 0 <= i < 2^m - 1 (int32)
         log_table[v] = i with alpha^i = v for v != 0, and -1 at v = 0 (int32)
         trace_table[v] = Tr(v) (uint8)
+        orbits = (reps, sizes), built on first use: the least member and the
+            size of each cyclotomic coset of exponents (int64)
 
     Immutable after construction; all operations are pure.
     """
@@ -127,6 +129,33 @@ class Field:
         tr = np.arange(self.size, dtype=np.int32)
         tr &= self._trace_mask
         self.trace_table = (np.bitwise_count(tr) & 1).astype(np.uint8)
+
+    @cached_property
+    def orbits(self) -> tuple[np.ndarray, np.ndarray]:
+        """(reps, sizes): the least member of each cyclotomic coset
+        {i 2^j mod 2^m - 1} of [0, 2^m - 1), ascending, and the coset's size.
+
+        i 2^j mod 2^m - 1 is the m-bit left rotation rot_j(i), so i is a least
+        member iff i <= rot_j(i) for j = 1..m-1, which forces i < 2^(m-1); the
+        filter runs on the survivors of the previous j.  j runs downwards
+        because j = m-1 alone keeps only 0 and the odd i, where j = 1 keeps
+        every i < 2^(m-1).  The size is the least divisor d of m with
+        rot_d(i) = i.  Built on first use, as int64 so that exponent products
+        such as (2^k + 1) i stay exact.
+        """
+        m, mask = self.m, self.order
+
+        def rot(i, j):
+            return ((i << j) & mask) | (i >> (m - j))
+
+        reps = np.arange(1 << (m - 1), dtype=np.uint32)  # uint32: the shift drops high bits
+        for j in range(m - 1, 0, -1):
+            reps = reps[reps <= rot(reps, j)]
+        sizes = np.full(len(reps), m, dtype=np.int64)
+        for d in range(m - 1, 0, -1):  # descending, so the least period is written last
+            if m % d == 0:
+                sizes[rot(reps, d) == reps] = d
+        return reps.astype(np.int64), sizes
 
     def _exp_by_doubling(self) -> np.ndarray:
         """alpha^i for 0 <= i < 2^m - 1, filled as exp[n:2n] = alpha^n * exp[:n].

@@ -4,15 +4,21 @@ Everything here is deliberately naive: field arithmetic is shift-XOR
 carryless multiplication with direct reduction (no log/antilog tables),
 sums and counts are plain Python loops.  Only usable for small m, which is
 the point: the fast library paths are checked against these.
+
+The exception is the enumeration routes at the end, which read the
+library's tables but visit every element where the library visits one per
+Frobenius orbit or one spectrum: they reach the m where the loops cannot.
 """
 
 from __future__ import annotations
 
+import math
 from importlib import resources
 
 import numpy as np
 from hypothesis import settings
 
+from char2kit.gf2m import Field, FieldError, get_field
 from char2kit.zeta import CheckResult, LPolynomial
 
 # Differential tests against these oracles: fixed, bounded, no deadline.
@@ -102,6 +108,24 @@ def naive_powers_distinct(m: int, reduction: int) -> bool:
         if v >> m:
             v ^= reduction
     return True
+
+
+def naive_cyclotomic_cosets(m: int) -> list[set[int]]:
+    """The cyclotomic cosets {i 2^j mod 2^m - 1} that partition [0, 2^m - 1),
+    each closed under doubling one element at a time."""
+    order = (1 << m) - 1
+    seen: set[int] = set()
+    cosets = []
+    for i in range(order):
+        if i in seen:
+            continue
+        coset = set()
+        while i not in coset:
+            coset.add(i)
+            i = 2 * i % order
+        seen |= coset
+        cosets.append(coset)
+    return cosets
 
 
 def naive_kloosterman(F: NaiveField) -> int:
@@ -206,3 +230,60 @@ def catalog_lpoly_factors(name: str) -> list[LPolynomial]:
     text = resources.files("char2kit.catalog").joinpath(f"{name}.lpoly").read_text()
     lines = (line.split("#", 1)[0].strip() for line in text.splitlines())
     return [LPolynomial(tuple(int(c) for c in line.split())) for line in lines if line]
+
+
+# -- enumeration routes over the library's tables ------------------------------
+
+
+def _exponents(e: int, order: int) -> np.ndarray:
+    """e * i mod order for every i in [0, order), as int64 (the product reaches 2^48)."""
+    i = np.arange(order, dtype=np.int64)
+    if e % order != 1:  # e = 1 is the identity
+        i *= e % order
+        i %= order
+    return i
+
+
+def _enumerated_trace_zero_count(field: Field, a: int, b: int) -> int:
+    """The number of i in [0, 2^m - 1) with Tr(alpha^(a i) + alpha^(b i)) = 0."""
+    x = field.exp_table[_exponents(a, field.order)]
+    x ^= field.exp_table[_exponents(b, field.order)]
+    return int(np.count_nonzero(field.trace_table[x] == 0))
+
+
+def _enumerated_k_prime_count(field: Field, k: int) -> int:
+    """The trace-zero count of K'_m over every v = alpha^i, poles as trace one."""
+    exp, log, order = field.exp_table, field.log_table, field.order
+    log_f = _exponents(1 << k, order)  # log q
+    q = exp[log_f]
+    den = q ^ exp
+    log_f += log[q ^ 1]
+    log_f -= ((1 << k) + 1) % order * log[den].astype(np.int64)
+    log_f %= order
+    return int(np.count_nonzero((field.trace_table[exp[log_f]] == 0) & (den != 0))) + 1
+
+
+def enumerated_sums(m: int, k: int) -> dict[str, tuple[int, int, int]]:
+    """(value, trace-zero count, domain size) of K, C, G^(k) and K' at (m, k),
+    each by enumerating all 2^m - 1 exponents of GF(2^m)^*."""
+    field = get_field(m)
+    order = field.order
+    counts = {"K": (_enumerated_trace_zero_count(field, 1, -1), order),
+              "C": (_enumerated_trace_zero_count(field, (1 << k) + 1, 1) + 1, field.size),
+              "G": (_enumerated_trace_zero_count(field, (1 << k) + 1, -1), order),
+              "Kp": (_enumerated_k_prime_count(field, k), order)}
+    return {name: (2 * n - size, n, size) for name, (n, size) in counts.items()}
+
+
+def cross_correlation(m: int, d: int, tau: int) -> int:
+    """C_d(tau) for a single shift, by enumeration of GF(2^m)^*."""
+    field = get_field(m)
+    A = field.trace_table[field.exp_table]
+    order = field.order
+    if math.gcd(d, order) != 1:
+        raise FieldError(f"gcd(d={d}, 2^{m}-1) = {math.gcd(d, order)} != 1")
+    if not 0 <= tau < order:
+        raise FieldError(f"tau={tau} outside [0, 2^{m}-1)")
+    j = np.arange(order, dtype=np.int64)
+    bits = A[(tau + j) % order] ^ A[(d * j) % order]
+    return int(order - 2 * np.count_nonzero(bits))

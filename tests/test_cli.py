@@ -84,6 +84,17 @@ def test_expsum_c_closed_form(capsys):
     assert results_by_name(payload)["C_7(k=3)"]["expected"] == 16
 
 
+def test_expsum_c_square_checked_off_the_closed_form(capsys):
+    # m = 8 is even, so no closed form: C_8 = -32 and w = gcd(2, 8) = 2
+    code, payload = run_json(capsys, "expsum", "--m", "8", "--k", "1", "--sum", "C")
+    assert code == 0
+    rows = results_by_name(payload)
+    assert rows["C_8(k=1)"]["verdict"] == "recorded"
+    row = rows["C_8(k=1)^2 in {0, 2^10}"]
+    assert row["observed"] == row["expected"] == 1024
+    assert row["verdict"] == "pass"
+
+
 def test_conjectures_sweep(capsys):
     code, payload = run_json(capsys, "conjectures", "--m-range", "1:9", "--k-range", "1:4")
     assert code == 0
@@ -93,6 +104,10 @@ def test_conjectures_sweep(capsys):
     rows = results_by_name(payload)
     assert rows["conj2 K'=K (m=9,k=4)"]["verdict"] == "recorded"
     assert rows["conj2 K'=K (m=7,k=3)"]["verdict"] == "pass"
+    # conjecture 1 is proved for k = gcd(k, m) and for k = 2, 3 at every m
+    assert rows["conj1 G=G(gcd) (m=7,k=3)"]["verdict"] == "pass"
+    assert rows["conj1 G=G(gcd) (m=7,k=2)"]["verdict"] == "pass"
+    assert rows["conj1 G=G(gcd) (m=7,k=4)"]["verdict"] == "recorded"
 
 
 def test_corrdist_with_k(capsys):

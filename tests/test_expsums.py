@@ -10,6 +10,7 @@ from char2kit.gf2m import FieldError, get_field
 from oracles import (
     NaiveField,
     differential,
+    enumerated_sums,
     naive_c_sum,
     naive_g_sum,
     naive_k_prime,
@@ -85,6 +86,17 @@ def test_sums_match_naive_any_k(mk):
         "K": nf.order, "C": nf.size, "G": nf.order, "Kp": nf.order}
 
 
+@differential
+@given(st.integers(1, 16).flatmap(lambda m: st.tuples(st.just(m), st.integers(1, 2 * m))))
+def test_orbit_route_matches_enumeration(mk):
+    # one term per cyclotomic coset, weighted by its size, against every exponent;
+    # k up to 2m draws gcd(k, m) > 1 and so the poles of K'
+    m, k = mk
+    reports = {"K": es.kloosterman(m), "C": es.c_sum(m, k), "G": es.g_sum(m, k), "Kp": es.k_prime(m, k)}
+    assert {name: (r.value, r.trace_zero_count, r.domain_size)
+            for name, r in reports.items()} == enumerated_sums(m, k)
+
+
 # -- invariants ---------------------------------------------------------------
 
 
@@ -116,6 +128,15 @@ def test_c_sum_closed_form_all_odd_m():
                 assert math.gcd(k, m) != 1
                 continue
             assert es.c_sum(m, k).value == expected
+
+
+def test_c_sum_square_at_every_k():
+    # Tr(x^(2^k+1)) is a quadratic form with radical GF(2^gcd(2k, m)); both
+    # the zero and the nonzero value of C_m^2 occur in the sweep
+    verdicts = [es.c_sum_square_check(m, k) for m in range(1, 21) for k in range(1, 2 * m + 1)]
+    assert [v for v in verdicts if not v.holds] == []
+    assert {v.rhs == 0 for v in verdicts} == {True, False}
+    assert es.c_sum_square_check(8, 1).rhs == 2**10  # w = gcd(2, 8) = 2: C_8 = -32
 
 
 # -- conjecture checks ----------------------------------------------------------

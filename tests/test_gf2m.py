@@ -16,7 +16,13 @@ from char2kit.gf2m import (
 )
 from char2kit.crosscorr import walsh_spectrum
 
-from oracles import NaiveField, differential, naive_exp_table, naive_powers_distinct
+from oracles import (
+    NaiveField,
+    differential,
+    naive_cyclotomic_cosets,
+    naive_exp_table,
+    naive_powers_distinct,
+)
 
 
 def test_add_examples():
@@ -82,6 +88,18 @@ def test_tables_close_above_20(m):
     f = get_field(m)
     assert np.array_equal(np.sort(f.exp_table), np.arange(1, f.size))
     assert np.array_equal(f.log_table[f.exp_table], np.arange(f.order))
+
+
+@pytest.mark.parametrize("m", range(1, 15))
+def test_orbits_match_naive_cosets(m):
+    field = Field(m)
+    assert "orbits" not in vars(field)  # built on first use only
+    reps, sizes = field.orbits
+    assert np.all(np.diff(reps) > 0)  # ascending, so unique
+    assert dict(zip(reps.tolist(), sizes.tolist())) == {
+        min(c): len(c) for c in naive_cyclotomic_cosets(m)}
+    assert all(m % s == 0 for s in sizes.tolist())
+    assert int(sizes.sum()) == 2**m - 1
 
 
 @pytest.mark.parametrize("m,k,expected", [(5, 1, 12), (7, 1, 44), (7, 3, 106)])

@@ -102,6 +102,12 @@ def test_reconstruct_rejects_bad_counts():
         z.reconstruct_from_counts([4], 2, 9)
 
 
+def test_reconstruct_genus_cap():
+    with pytest.raises(ZetaError, match="genus <= 8"):
+        z.reconstruct_from_counts([3] * 9, 2, 9)
+    assert z.reconstruct_from_counts([3] * 8, 2, 8).degree == 16  # g = 8 is inside the cap
+
+
 def test_vanishing_residue_check():
     L1p = z.catalog_lpoly("l1prime")
     assert z.vanishing_residue_check(L1p, 3, 200).holds
