@@ -268,15 +268,17 @@ def cmd_curvecount(args, timings) -> list[Row]:
     except ValueError:
         entry = None
         poly = curves.load_curve(args.curve)
+    L = None
+    if entry is not None and entry.l_polynomial_name is not None:
+        L = zeta.catalog_lpoly(entry.l_polynomial_name)
     counter = curves.count_projective_points if args.generic else curves.count_projective_points_fast
     rows = []
     for s in range(1, args.s + 1):
         obs = counter(poly, s)
-        if entry is not None and entry.l_polynomial_name is not None:
-            L = zeta.catalog_lpoly(entry.l_polynomial_name)
-            rows.append(checked(f"N_{s}", obs, entry.corrected_prediction(zeta.predicted_count(L, s), s)))
-        else:
+        if L is None:
             rows.append(recorded(f"N_{s}", obs))
+        else:
+            rows.append(checked(f"N_{s}", obs, entry.corrected_prediction(zeta.predicted_count(L, s), s)))
     return rows
 
 

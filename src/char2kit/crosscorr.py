@@ -95,13 +95,34 @@ def walsh_spectrum(field: Field, e: int) -> np.ndarray:
     (-1)^Tr(y^e): m butterfly passes.  b -> (y -> b.y) and a -> (y -> Tr(a y))
     both run over all linear forms and send 0 to 0, so the multiset
     {W(b) : b != 0} equals {sum over y of (-1)^Tr(a y + y^e) : a != 0}.
+
+    The passes run in place on one int32 array, which holds |W(b)| <= 2^m,
+    with one half-size scratch buffer: each butterfly (a, b) -> (a + b, a - b)
+    saves -b, writes a - b over b, then a - (-b) over a.
     """
-    e = e % field.order + field.order  # positive, so that pow_table gives 0^e = 0
-    w = 1 - 2 * field.trace_table[field.pow_table(e)].astype(np.int64)
+    order = field.order
+    idx = field.log_table[1:].astype(np.int64)  # int64: e log(y) reaches 2^48
+    idx *= e % order
+    idx %= order
+    w = np.empty(field.size, dtype=np.int32)
+    w[0] = 0  # Tr(0^e) = Tr(0)
+    w[1:] = field.trace_table[field.exp_table[idx]]  # Tr(y^e) = Tr(alpha^(e log y))
+    del idx  # 8 bytes an entry: freed before the scratch buffer, to lower the peak
+    w *= -2
+    w += 1
+    scratch = np.empty(field.size // 2, dtype=np.int32)
     for i in range(field.m):
-        w = w.reshape(-1, 2, 1 << i)
-        w = np.stack((w[:, 0] + w[:, 1], w[:, 0] - w[:, 1]), axis=1)
-    return w.reshape(-1)
+        pairs = w.reshape(-1, 2, 1 << i)
+        left, right = pairs[:, 0], pairs[:, 1]
+        if i < 3:
+            # Rows of fewer than 8 entries: run each ufunc down the columns
+            # (order="C" on the transposes), so that its inner loop is long.
+            left, right = left.T, right.T
+        saved = scratch.reshape(right.shape)
+        np.negative(right, out=saved, order="C")
+        np.subtract(left, right, out=right, order="C")
+        np.subtract(left, saved, out=left, order="C")
+    return w
 
 
 def correlation_distribution(m: int, d: int) -> CorrelationDistribution:

@@ -214,7 +214,7 @@ def _values(field: Field, terms, x, y, z, tables: dict) -> np.ndarray:
         for i, e in zip(arrays, key):
             if e:
                 if e not in tables:
-                    tables[e] = field.pow_table(e).astype(np.int32)
+                    tables[e] = field.pow_table(e)
                 factors.append(tables[e][coords[i]])
         out ^= reduce(field.vec_mul, factors) if factors else 1
     return out

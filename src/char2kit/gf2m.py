@@ -137,19 +137,20 @@ class Field:
 
         i 2^j mod 2^m - 1 is the m-bit left rotation rot_j(i), so i is a least
         member iff i <= rot_j(i) for j = 1..m-1, which forces i < 2^(m-1); the
-        filter runs on the survivors of the previous j.  j runs downwards
-        because j = m-1 alone keeps only 0 and the odd i, where j = 1 keeps
-        every i < 2^(m-1).  The size is the least divisor d of m with
-        rot_d(i) = i.  Built on first use, as int64 so that exponent products
-        such as (2^k + 1) i stay exact.
+        filter runs on the survivors of the previous j.  Below 2^(m-1), j = m-1
+        (the right rotation) keeps exactly 0 and the odd i, so the filter starts
+        from those and runs j = m-2 down to 1.  The size is the least divisor d
+        of m with rot_d(i) = i.  Built on first use, as int64 so that exponent
+        products such as (2^k + 1) i stay exact.
         """
         m, mask = self.m, self.order
 
         def rot(i, j):
             return ((i << j) & mask) | (i >> (m - j))
 
-        reps = np.arange(1 << (m - 1), dtype=np.uint32)  # uint32: the shift drops high bits
-        for j in range(m - 1, 0, -1):
+        reps = np.arange(0, (1 << (m - 1)) + 1, 2, dtype=np.uint32)  # uint32: the shift drops high bits
+        reps[1:] -= 1  # 0 and the odd i < 2^(m-1)
+        for j in range(m - 2, 0, -1):
             reps = reps[reps <= rot(reps, j)]
         sizes = np.full(len(reps), m, dtype=np.int64)
         for d in range(m - 1, 0, -1):  # descending, so the least period is written last
@@ -160,13 +161,18 @@ class Field:
     def _exp_by_doubling(self) -> np.ndarray:
         """alpha^i for 0 <= i < 2^m - 1, filled as exp[n:2n] = alpha^n * exp[:n].
 
+        The first min(256, 2^m - 1) entries are scalar `_times_x` steps, which
+        cost less than the byte tables of the doublings they replace.
         alpha^n = x * exp[n - 1], and v -> alpha^n v is GF(2)-linear, so each
         block is the XOR of one 256-entry lookup per byte of exp[:n]; the
         entries are little-endian, so byte j holds bits 8j..8j+7.
         """
         exp = np.empty(self.order, dtype="<i4")
-        exp[0] = 1
-        n = 1
+        n = min(256, self.order)
+        seed = [1]
+        while len(seed) < n:
+            seed.append(_times_x(seed[-1], self.reduction))
+        exp[:n] = seed
         while n < self.order:
             tables = _byte_tables(_times_x(int(exp[n - 1]), self.reduction), self.m, self.reduction)
             low = exp[:min(n, self.order - n)]
@@ -181,13 +187,14 @@ class Field:
     # -- vector operations (numpy) -------------------------------------------
 
     def pow_table(self, e: int) -> np.ndarray:
-        """Vector of v^e over all v in the field (index = element).
+        """Vector of v^e over all v in the field (index = element), int32 like
+        the exp table it reads.
 
         0^e is 0 for e > 0 and 1 for e == 0 (empty product convention).
         """
         if e < 0:
             raise FieldError("pow_table exponent must be >= 0")
-        out = np.zeros(self.size, dtype=np.int64)
+        out = np.zeros(self.size, dtype=np.int32)
         if e == 0:
             out[:] = 1
             return out

@@ -287,3 +287,14 @@ def cross_correlation(m: int, d: int, tau: int) -> int:
     j = np.arange(order, dtype=np.int64)
     bits = A[(tau + j) % order] ^ A[(d * j) % order]
     return int(order - 2 * np.count_nonzero(bits))
+
+
+def stacked_walsh_spectrum(field: Field, e: int) -> np.ndarray:
+    """W(b) = sum over y of (-1)^(Tr(y^e) + b.y), e modulo 2^m - 1 and 0^e = 0,
+    by m butterfly passes that each stack a new int64 array."""
+    e = e % field.order + field.order  # positive, so that pow_table gives 0^e = 0
+    w = 1 - 2 * field.trace_table[field.pow_table(e)].astype(np.int64)
+    for i in range(field.m):
+        w = w.reshape(-1, 2, 1 << i)
+        w = np.stack((w[:, 0] + w[:, 1], w[:, 0] - w[:, 1]), axis=1)
+    return w.reshape(-1)

@@ -226,6 +226,19 @@ def test_curvecount_catalog(capsys):
     assert results_by_name(payload)["N_1"]["observed"] == 3
 
 
+def test_curvecount_rejects_s_before_counting(capsys, monkeypatch):
+    from char2kit import curves
+
+    calls = []
+    for name in ("count_projective_points", "count_projective_points_fast"):
+        monkeypatch.setattr(curves, name, lambda P, s, name=name: calls.append((name, s)) or 0)
+    for argv in (("--s", "21"), ("--s", "13", "--generic")):
+        code, _, err = run(capsys, "curvecount", "--curve", "kloosterman", *argv)
+        assert code == 2, argv
+        assert "error:" in err and "--s" in err, argv
+    assert calls == []
+
+
 def test_curvecount_from_file(tmp_path, capsys):
     path = tmp_path / "c.curve"
     path.write_text("".join(f"{a} {b} {c}\n" for a, b, c in catalog_curve("kloosterman").polynomial.monomials))

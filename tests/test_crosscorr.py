@@ -1,7 +1,8 @@
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, reject
+from hypothesis import example, given, reject
 from hypothesis import strategies as st
 
 from char2kit import crosscorr as cc
@@ -15,6 +16,7 @@ from oracles import (
     naive_a1,
     naive_cross_correlation,
     naive_weight_distribution,
+    stacked_walsh_spectrum,
 )
 
 
@@ -55,6 +57,41 @@ def test_cross_correlation_rejects_bad_args():
         cross_correlation(4, 3, 0)  # gcd(3, 15) != 1
     with pytest.raises(FieldError):
         cross_correlation(5, 3, 31)  # tau out of range
+
+
+# -- Walsh spectrum -----------------------------------------------------------
+
+
+@st.composite
+def degree_and_exponent(draw):
+    """(m, e) with m <= 16 and e in [-2^(m+1), 2^(m+1)]."""
+    m = draw(st.integers(1, 16))
+    return m, draw(st.integers(-(2 ** (m + 1)), 2 ** (m + 1)))
+
+
+@differential
+@given(me=degree_and_exponent())
+@example(me=(1, 0)).via("e = 0 at m = 1, where 2^m - 1 = 1")
+@example(me=(7, 127)).via("e = 2^m - 1")
+@example(me=(13, -2 * 8191)).via("e = -2 (2^m - 1)")
+@example(me=(16, 0)).via("e = 0 at the largest m")
+def test_walsh_spectrum_matches_stacked_route(me):
+    m, e = me
+    field = get_field(m)
+    W = cc.walsh_spectrum(field, e)
+    assert W.dtype == np.int32
+    assert np.array_equal(W, stacked_walsh_spectrum(field, e))
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+@pytest.mark.parametrize("e", [0, 1, 3, 5, -1, 11, 2**6 - 1])
+def test_walsh_spectrum_matches_definition(m, e):
+    # W(b) = sum over y of (-1)^(Tr(y^e) + popcount(b & y)), with 0^e = 0
+    nf = naive(m)
+    tr = [0 if y == 0 else nf.trace(nf.pow(y, e % nf.order)) for y in range(nf.size)]
+    expected = [sum((-1) ** (tr[y] + (b & y).bit_count()) for y in range(nf.size))
+                for b in range(nf.size)]
+    assert cc.walsh_spectrum(get_field(m), e).tolist() == expected
 
 
 # -- distribution sweep -------------------------------------------------------
