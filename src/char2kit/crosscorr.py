@@ -44,6 +44,7 @@ __all__ = [
 
 A1_BRUTE_CAP = 11      # 2^(2m) int64 pair keys: 32 MB at m = 11
 DIRECT_WEIGHT_CAP = 8  # 2^(2m) codewords scanned individually
+FLOAT32_EXACT_M = np.finfo(np.float32).nmant + 1  # float32 holds every integer up to 2^24
 
 
 @dataclass(frozen=True)
@@ -91,38 +92,42 @@ class A1Report:
 def walsh_spectrum(field: Field, e: int) -> np.ndarray:
     """W(b) = sum over y in GF(2^m) of (-1)^(Tr(y^e) + b.y), b.y the parity of b & y.
 
-    e acts modulo 2^m - 1 and 0^e = 0.  One fast Walsh-Hadamard transform of
-    (-1)^Tr(y^e): m butterfly passes.  b -> (y -> b.y) and a -> (y -> Tr(a y))
+    e acts modulo 2^m - 1 and 0^e = 0.  b -> (y -> b.y) and a -> (y -> Tr(a y))
     both run over all linear forms and send 0 to 0, so the multiset
     {W(b) : b != 0} equals {sum over y of (-1)^Tr(a y + y^e) : a != 0}.
 
-    The passes run in place on one int32 array, which holds |W(b)| <= 2^m,
-    with one half-size scratch buffer: each butterfly (a, b) -> (a + b, a - b)
-    saves -b, writes a - b over b, then a - (-b) over a.
+    The fast Walsh-Hadamard transform of (-1)^Tr(y^e) is Good's factorization
+    of the Hadamard matrix into ceil(m/4) stages.  A stage multiplies the vector,
+    viewed as (2^r, 2^(m-r)) and transposed, by the Sylvester block
+    H[i, j] = (-1)^popcount(i & j), i, j < 2^r <= 16: it contracts the leading r
+    index bits and moves them to the end, so after the last stage the bits are
+    in order.  It runs in float32, exactly: every partial sum is an integer of
+    magnitude <= 2^m <= 2^24.  Blocks of at most 2^10 rows (M N K <= 2^18) keep
+    OpenBLAS on the calling thread; its threads gained no time here.
     """
+    if field.m > FLOAT32_EXACT_M:
+        raise FieldError(f"m={field.m}: float32 holds the sums exactly only to 2^{FLOAT32_EXACT_M}")
     order = field.order
     idx = field.log_table[1:].astype(np.int64)  # int64: e log(y) reaches 2^48
     idx *= e % order
     idx %= order
-    w = np.empty(field.size, dtype=np.int32)
+    w = np.empty(field.size, dtype=np.float32)
     w[0] = 0  # Tr(0^e) = Tr(0)
     w[1:] = field.trace_table[field.exp_table[idx]]  # Tr(y^e) = Tr(alpha^(e log y))
-    del idx  # 8 bytes an entry: freed before the scratch buffer, to lower the peak
+    del idx  # 8 bytes an entry: freed before the second buffer, to lower the peak
     w *= -2
     w += 1
-    scratch = np.empty(field.size // 2, dtype=np.int32)
-    for i in range(field.m):
-        pairs = w.reshape(-1, 2, 1 << i)
-        left, right = pairs[:, 0], pairs[:, 1]
-        if i < 3:
-            # Rows of fewer than 8 entries: run each ufunc down the columns
-            # (order="C" on the transposes), so that its inner loop is long.
-            left, right = left.T, right.T
-        saved = scratch.reshape(right.shape)
-        np.negative(right, out=saved, order="C")
-        np.subtract(left, right, out=right, order="C")
-        np.subtract(left, saved, out=left, order="C")
-    return w
+    spare = np.empty_like(w)
+    signs = np.array([1, -1, -1, 1, -1, 1, 1, -1, -1, 1, 1, -1, 1, -1, -1, 1], np.float32)
+    H = signs[np.bitwise_and.outer(np.arange(16), np.arange(16))]  # signs[n] = (-1)^popcount(n)
+    for done in range(0, field.m, 4):
+        r = min(4, field.m - done)
+        blocks = max(1, field.size >> (r + 10))
+        np.matmul(w.reshape(1 << r, blocks, -1).transpose(1, 2, 0), H[:1 << r, :1 << r],
+                  out=spare.reshape(blocks, -1, 1 << r))
+        w, spare = spare, w
+    np.copyto(spare.view(np.int32), w, casting="unsafe")  # the spare buffer takes the result
+    return spare.view(np.int32)
 
 
 def correlation_distribution(m: int, d: int) -> CorrelationDistribution:

@@ -20,10 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from importlib import resources
 
 import numpy as np
 
+from . import zeta
 from .gf2m import Field, FieldError, get_field
 
 __all__ = [
@@ -294,14 +294,12 @@ class CurveCatalogEntry:
     expected_singular_points: tuple[tuple[int, int, int], ...] | None
 
     def corrected_prediction(self, n: int, s: int) -> int:
-        from .zeta import singular_correction
-
         if self.correction == "exact":
             return n
         if self.correction == "minus_one":
             return n - 1
         if self.correction == "minus_s1":
-            return n - singular_correction(s)
+            return n - zeta.singular_correction(s)
         raise ValueError(f"no count prediction for curve {self.name!r}")
 
 
@@ -322,6 +320,5 @@ def catalog_curve_names() -> tuple[str, ...]:
 def catalog_curve(name: str) -> CurveCatalogEntry:
     if name not in _CATALOG_META:
         raise ValueError(f"unknown catalog curve {name!r} (have {tuple(_CATALOG_META)})")
-    text = resources.files("char2kit.catalog").joinpath(f"{name}.curve").read_text()
-    poly = TrivariatePoly.parse(text)
+    poly = TrivariatePoly.parse(zeta.CATALOG.joinpath(f"{name}.curve").read_text())
     return CurveCatalogEntry(name, poly, *_CATALOG_META[name])

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from operator import mul
 
 __all__ = [
     "CheckResult",
@@ -85,14 +86,11 @@ def power_sums(L: LPolynomial, s_max: int) -> list[int]:
     """
     if s_max < 1:
         raise ZetaError("s_max must be >= 1")
-    r = L.degree
+    sigma, r = L.coefficients, L.degree
     P: list[int] = []
     for j in range(1, s_max + 1):
-        acc = j * L[j] if j <= r else 0
-        for i in range(1, min(j, r) + 1):
-            if i < j:
-                acc += L[i] * P[j - i - 1]
-        P.append(-acc)
+        acc = sum(map(mul, sigma[1:j], reversed(P)))  # sigma_i P_(j-i), 1 <= i <= min(j - 1, r)
+        P.append(-acc - j * sigma[j] if j <= r else -acc)
     return P
 
 
@@ -226,6 +224,7 @@ def load_lpoly(path: str, q: int = 2) -> LPolynomial:
         return parse_lpoly(fh.read(), q)
 
 
+CATALOG = resources.files("char2kit.catalog")  # the shipped data files; never rebound
 _CATALOG_GENUS = {"z1": 31, "z2": 1, "z3": 5, "z4": 2}
 _CATALOG_NAMES = ("z1", "z2", "z3", "z4", "l1prime", "l3prime", "singular_extra")
 
@@ -238,6 +237,5 @@ def catalog_lpoly(name: str) -> LPolynomial:
     """Built-in zeta numerators and derived factors, expanded on demand."""
     if name not in _CATALOG_NAMES:
         raise ZetaError(f"unknown catalog L-polynomial {name!r} (have {_CATALOG_NAMES})")
-    text = resources.files("char2kit.catalog").joinpath(f"{name}.lpoly").read_text()
-    return parse_lpoly(text, 2, _CATALOG_GENUS.get(name))
+    return parse_lpoly(CATALOG.joinpath(f"{name}.lpoly").read_text(), 2, _CATALOG_GENUS.get(name))
 

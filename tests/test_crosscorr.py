@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from char2kit import crosscorr as cc
 from char2kit.crosscorr import InconsistencyError
-from char2kit.gf2m import FieldError, decimation_exponent, get_field
+from char2kit.gf2m import MAX_M, FieldError, decimation_exponent, get_field
 
 from oracles import (
     NaiveField,
@@ -92,6 +93,33 @@ def test_walsh_spectrum_matches_definition(m, e):
     expected = [sum((-1) ** (tr[y] + (b & y).bit_count()) for y in range(nf.size))
                 for b in range(nf.size)]
     assert cc.walsh_spectrum(get_field(m), e).tolist() == expected
+
+
+FLOAT32_EXACT = np.finfo(np.float32).nmant + 1  # float32 holds every integer up to 2^24
+
+
+@pytest.mark.parametrize("m,error,match", [(FLOAT32_EXACT + 1, FieldError, "float32"),
+                                           (FLOAT32_EXACT, AttributeError, "no attribute")])
+def test_walsh_spectrum_rejects_m_past_float32_exact_range(m, error, match):
+    # The stub has no tables: m = 25 is refused before any array work, and
+    # m = 24 passes the bound and fails only on the missing tables.
+    with pytest.raises(error, match=match):
+        cc.walsh_spectrum(SimpleNamespace(m=m), 1)
+
+
+def test_max_m_within_float32_exact_range():
+    # The float32 stages are exact while |partial sum| <= 2^m <= 2^24; a larger
+    # MAX_M needs another transform.
+    assert MAX_M <= FLOAT32_EXACT == 24
+
+
+def test_walsh_spectrum_of_the_trace_at_m_20():
+    # e = 1: Tr(y) = b.y for every y exactly when b is the trace mask, so W is
+    # 2^m there and 0 elsewhere, the largest magnitude the transform produces.
+    field = get_field(20)
+    expected = np.zeros(field.size, dtype=np.int32)
+    expected[field._trace_mask] = 1 << 20
+    assert np.array_equal(cc.walsh_spectrum(field, 1), expected)
 
 
 # -- distribution sweep -------------------------------------------------------

@@ -44,15 +44,22 @@ def _root(node):
 
 def _global_state_writes(path):
     tree = ast.parse(path.read_text(), filename=str(path))
-    module_names = set()
+    module_names, imported_modules, assigned = set(), set(), set()
     for node in tree.body:
         if isinstance(node, (ast.Import, ast.ImportFrom)):
-            module_names |= {(a.asname or a.name).split(".")[0] for a in node.names}
+            names = {(a.asname or a.name).split(".")[0] for a in node.names}
+            module_names |= names
+            if isinstance(node, ast.Import):
+                imported_modules |= names
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             module_names.add(node.name)
         else:
-            module_names |= {n.id for n in ast.walk(node)
-                             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+            assigned |= {n.id for n in ast.walk(node)
+                         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    module_names |= assigned
+    # A plain import binds a module object: np.add(x, y, out=x) calls a function
+    # of the module and does not mutate it.  From-imported names stay shared.
+    imported_modules -= assigned
     found = [node.lineno for node in ast.walk(tree) if isinstance(node, (ast.Global, ast.Nonlocal))]
     for fn in ast.walk(tree):
         if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
@@ -62,7 +69,9 @@ def _global_state_writes(path):
         shared = module_names - local
         for node in ast.walk(fn):
             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in MUTATORS and _root(node.func.value) in shared):
+                    and node.func.attr in MUTATORS and _root(node.func.value) in shared
+                    and not (isinstance(node.func.value, ast.Name)
+                             and node.func.value.id in imported_modules)):
                 found.append(node.lineno)
             elif (isinstance(node, (ast.Subscript, ast.Attribute))
                   and isinstance(node.ctx, (ast.Store, ast.Del)) and _root(node) in shared):
@@ -74,6 +83,25 @@ def test_no_process_global_mutable_state():
     # Every result is a function of its arguments: no function rebinds a
     # global or mutates a module-level object (a dict, a cache, a module).
     assert [hit for path in SOURCES for hit in _global_state_writes(path)] == []
+
+
+def test_global_state_rule_skips_module_functions(tmp_path):
+    # np.add and np.insert are functions of an imported module, not mutations
+    # of it; a module-level dict and a from-imported cached function are shared.
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "import numpy as np\n"
+        "from char2kit.gf2m import get_field as get\n"
+        "CACHE = {}\n"
+        "\n"
+        "\n"
+        "def f(x, y):\n"
+        "    np.add(x, y, out=x)\n"
+        "    x = np.insert(x, 0, 0)\n"
+        "    CACHE.update(x=x)\n"
+        "    get.cache_clear()\n"
+        "    return x\n")
+    assert _global_state_writes(path) == ["mod.py:9", "mod.py:10"]
 
 
 def _bodies(path):
