@@ -42,7 +42,7 @@ __all__ = [
     "weight_distribution",
 ]
 
-A1_BRUTE_CAP = 11      # 2^(2m) int64 pair keys: 32 MB at m = 11
+A1_BRUTE_CAP = 11      # 2^(2m) pair keys, int64 above 3m = 32 bits: 32 MB at m = 11
 DIRECT_WEIGHT_CAP = 8  # 2^(2m) codewords scanned individually
 FLOAT32_EXACT_M = np.finfo(np.float32).nmant + 1  # float32 holds every integer up to 2^24
 
@@ -154,25 +154,29 @@ def a1_bruteforce(m: int, k: int) -> int:
         x^(2^2k+1) + y^(2^2k+1) + z^(2^2k+1) + u^(2^2k+1) = 0
 
     by pair collisions.  Each ordered pair (x, y) has the key
-    K = (x + y, x^(2^k+1) + y^(2^k+1), x^(2^2k+1) + y^(2^2k+1)), packed into
-    3m bits; (x, y, z, u) is counted iff K(z, u) = K(x, y) + (1, 0, 0), so
-    A_1 = sum over K of n(K) n(K + (1, 0, 0)).  No symmetry quotient: the
-    count is of ordered quadruples.
+    K = (x^(2^2k+1) + y^(2^2k+1), x^(2^k+1) + y^(2^k+1), x + y), packed into
+    3m bits with x + y lowest; (x, y, z, u) is counted iff K(z, u) = K(x, y) xor 1,
+    so A_1 = sum over K of n(K) n(K xor 1) = 2 sum over even K of n(K) n(K + 1),
+    read off the runs of the sorted keys.  No symmetry quotient: the count is
+    of ordered quadruples.
     """
     if m > A1_BRUTE_CAP:
         raise FieldError(f"m={m} exceeds brute cap {A1_BRUTE_CAP}: the collision count "
                          f"sorts 2^{2 * m} = {4**m} pair keys")
     field = get_field(m)
-    keys = np.bitwise_xor.outer(np.arange(field.size, dtype=np.int64), np.arange(field.size))
-    for e in ((1 << k) + 1, (1 << (2 * k)) + 1):
-        P = field.pow_table(e)
+    dtype = np.uint32 if 3 * m <= 32 else np.int64
+    keys = np.zeros((field.size, field.size), dtype)
+    for P in (field.pow_table((1 << (2 * k)) + 1), field.pow_table((1 << k) + 1), np.arange(field.size)):
+        P = P.astype(dtype)
         keys <<= m
         keys |= np.bitwise_xor.outer(P, P)
-    uniq, counts = np.unique(keys, return_counts=True)
-    partner = uniq ^ (1 << (2 * m))
-    i = np.minimum(np.searchsorted(uniq, partner), len(uniq) - 1)
-    hit = uniq[i] == partner
-    return int(counts[hit] @ counts[i[hit]])
+    keys = keys.ravel()
+    keys.sort()
+    edges = np.flatnonzero(keys[1:] != keys[:-1]) + 1
+    run_keys = keys[np.concatenate(([0], edges))]
+    counts = np.diff(edges, prepend=0, append=len(keys))
+    pair = (run_keys[1:] == run_keys[:-1] + 1) & (run_keys[:-1] % 2 == 0)
+    return 2 * int(counts[:-1][pair] @ counts[1:][pair])
 
 
 def a1_formula(m: int, k: int, brute: bool | None = None) -> A1Report:

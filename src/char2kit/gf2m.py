@@ -4,7 +4,8 @@ Field elements are plain Python ints: bit i of the int is the coefficient
 of x^i in the polynomial-basis representative.  A :class:`Field` object
 carries the reduction polynomial and precomputed log/antilog and trace
 tables (numpy arrays) for every m, so that scalar operations are lookups
-and enumeration loops in the higher modules can be vectorized.
+and enumeration loops in the higher modules can be vectorized.  The antilog
+table is built from the linear recurrence of the powers of x.
 
 The shipped reduction polynomials are primitive, i.e. the class of x is a
 generator of the multiplicative group.  Construction does not trust the
@@ -30,6 +31,7 @@ __all__ = [
 ]
 
 MAX_M = 24  # the int32 exp and log tables take 128 MB at m = 24
+LOG_BLOCK = 1 << 20  # exp entries per log-table scatter
 
 # Primitive polynomials over GF(2), one per degree, from the standard
 # published tables (Zierler-Brillhart style trinomials/pentanomials).
@@ -71,17 +73,6 @@ def _times_x(v: int, f: int) -> int:
     return v ^ f if v >> (f.bit_length() - 1) else v
 
 
-def _byte_tables(c: int, m: int, f: int) -> np.ndarray:
-    """t[j, b] = c * (b << 8j) mod f for each byte j of an element and every
-    byte b, from the basis products c x^i made by repeated `_times_x`."""
-    t = np.zeros(((m + 7) // 8, 256), dtype=np.int32)
-    for row in t:
-        for i in range(8):
-            row[1 << i:2 << i] = row[:1 << i] ^ c
-            c = _times_x(c, f)
-    return t
-
-
 class Field:
     """GF(2^m) in polynomial basis with a primitive class of x as generator.
 
@@ -91,6 +82,9 @@ class Field:
         trace_table[v] = Tr(v) (uint8)
         orbits = (reps, sizes), built on first use: the least member and the
             size of each cyclotomic coset of exponents (int64)
+
+    log is scattered in blocks of LOG_BLOCK entries and trace is an outer XOR
+    of two half-width parity tables, so no build step makes a 2^m int temporary.
 
     Immutable after construction; all operations are pure.
     """
@@ -115,7 +109,9 @@ class Field:
         # generates its multiplicative group.
         self.exp_table = self._exp_by_doubling()
         self.log_table = np.full(self.size, -1, dtype=np.int32)
-        self.log_table[self.exp_table] = np.arange(self.order, dtype=np.int32)
+        for i in range(0, self.order, LOG_BLOCK):
+            block = self.exp_table[i:i + LOG_BLOCK]
+            self.log_table[block] = np.arange(i, i + len(block), dtype=np.int32)
         if np.any(self.log_table[1:] < 0):
             raise FieldError(f"0x{reduction:x} is not primitive: the powers of x "
                              "miss a nonzero residue")
@@ -126,9 +122,11 @@ class Field:
         conj = np.outer(np.arange(m), 1 << np.arange(m, dtype=np.int64)) % self.order
         tr_basis = np.bitwise_xor.reduce(self.exp_table[conj], axis=1)
         self._trace_mask = sum(int(t) << i for i, t in enumerate(tr_basis))
-        tr = np.arange(self.size, dtype=np.int32)
-        tr &= self._trace_mask
-        self.trace_table = (np.bitwise_count(tr) & 1).astype(np.uint8)
+        # Tr(hi 2^h + lo) = Tr(hi 2^h) + Tr(lo): one XOR of two parity tables.
+        h = m // 2
+        hi = np.bitwise_count(np.arange(1 << (m - h)) & (self._trace_mask >> h)) & 1
+        lo = np.bitwise_count(np.arange(1 << h) & self._trace_mask) & 1
+        self.trace_table = np.bitwise_xor.outer(hi, lo).ravel()
 
     @cached_property
     def orbits(self) -> tuple[np.ndarray, np.ndarray]:
@@ -159,29 +157,30 @@ class Field:
         return reps.astype(np.int64), sizes
 
     def _exp_by_doubling(self) -> np.ndarray:
-        """alpha^i for 0 <= i < 2^m - 1, filled as exp[n:2n] = alpha^n * exp[:n].
+        """alpha^i for 0 <= i < 2^m - 1, from the linear recurrence of the powers.
 
-        The first min(256, 2^m - 1) entries are scalar `_times_x` steps, which
-        cost less than the byte tables of the doublings they replace.
-        alpha^n = x * exp[n - 1], and v -> alpha^n v is GF(2)-linear, so each
-        block is the XOR of one 256-entry lookup per byte of exp[:n]; the
-        entries are little-endian, so byte j holds bits 8j..8j+7.
+        The first min(2m, 2^m - 1) entries are scalar `_times_x` steps.  Past
+        them, with alpha^n = x * exp[n - 1] = sum of c_l x^l over the set bits l
+        of c, alpha^(n+t) = sum of c_l exp[t + l]; for t < n - m + 1 every such
+        exp[t + l] is already built, so each block of the table is the XOR of
+        popcount(c) <= m contiguous slices of the part before it, written in
+        place.  The table starts as zeros, so c = 0 (x divides f) leaves its
+        block zero and the log closure check rejects f.
         """
-        exp = np.empty(self.order, dtype="<i4")
-        n = min(256, self.order)
+        m, order, f = self.m, self.order, self.reduction
+        exp = np.zeros(order, dtype=np.int32)
+        n = min(2 * m, order)
         seed = [1]
         while len(seed) < n:
-            seed.append(_times_x(seed[-1], self.reduction))
+            seed.append(_times_x(seed[-1], f))
         exp[:n] = seed
-        while n < self.order:
-            tables = _byte_tables(_times_x(int(exp[n - 1]), self.reduction), self.m, self.reduction)
-            low = exp[:min(n, self.order - n)]
-            byte = low.view(np.uint8).reshape(-1, 4)
-            block = tables[0][byte[:, 0]]
-            for j in range(1, len(tables)):
-                block ^= tables[j][byte[:, j]]
-            exp[n:n + len(low)] = block
-            n *= 2
+        while n < order:
+            c = _times_x(int(exp[n - 1]), f)
+            block = exp[n:n + min(n - m + 1, order - n)]
+            for l in range(m):
+                if c >> l & 1:
+                    block ^= exp[l:l + len(block)]
+            n += len(block)
         return exp
 
     # -- vector operations (numpy) -------------------------------------------

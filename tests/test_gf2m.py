@@ -88,6 +88,22 @@ def test_tables_close_above_20(m):
     f = get_field(m)
     assert np.array_equal(np.sort(f.exp_table), np.arange(1, f.size))
     assert np.array_equal(f.log_table[f.exp_table], np.arange(f.order))
+    # exp[i] = x^i by induction: exp[0] = 1 and each entry is x times the one
+    # before, by one vectorized shift-and-reduce.
+    shifted = f.exp_table[:-1].astype(np.int64) << 1
+    shifted ^= (shifted >> m) * f.reduction
+    assert f.exp_table[0] == 1
+    assert np.array_equal(f.exp_table[1:], shifted)
+    nf = NaiveField(m, f.reduction)
+    assert [int(f.trace_table[1 << i]) for i in range(m)] == [nf.trace(1 << i) for i in range(m)]
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_trace_table_matches_naive_trace(m):
+    f = get_field(m)
+    nf = NaiveField(m, f.reduction)
+    assert f.trace_table.dtype == np.uint8
+    assert f.trace_table.tolist() == [nf.trace(a) for a in f.elements()]
 
 
 @pytest.mark.parametrize("m", range(1, 15))
@@ -220,6 +236,23 @@ def test_field_accepts_exactly_when_powers_of_x_are_distinct(m):
         except FieldError:
             accepted = False
         assert accepted == naive_powers_distinct(m, f), hex(f)
+
+
+@pytest.mark.parametrize("m", range(11, 17))
+@differential
+@given(low=st.integers(0, (1 << 16) - 1))
+def test_random_polynomials_match_naive_powers(m, low):
+    # Primitive or not: the recurrence must give x^i mod f, and the log
+    # closure must reject f exactly when those powers repeat.
+    f = 1 << m | low % (1 << m)
+    if not naive_powers_distinct(m, f):
+        with pytest.raises(FieldError):
+            Field(m, f)
+        return
+    field = Field(m, f)
+    exp, log = naive_exp_table(m, f)
+    assert field.exp_table.tolist() == exp
+    assert field.log_table.tolist() == log
 
 
 def test_pow_table_matches_scalar():
