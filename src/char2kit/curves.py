@@ -19,7 +19,7 @@ solvable iff Tr(beta) = 0, and then has exactly two roots).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache
 
 import numpy as np
 
@@ -44,7 +44,8 @@ FAST_COUNT_CAP = 20  # the fast counter costs ~2^s * |monomials|
 
 
 class TrivariatePoly:
-    """Homogeneous-or-not trivariate polynomial over F_2 in x, y, z."""
+    """Homogeneous-or-not trivariate polynomial over F_2 in x, y, z; immutable,
+    so that a cached catalog entry can be shared."""
 
     __slots__ = ("monomials",)
 
@@ -59,7 +60,15 @@ class TrivariatePoly:
                 mono.remove(t)  # char 2: duplicates cancel
             else:
                 mono.add(t)
-        self.monomials = frozenset(mono)
+        object.__setattr__(self, "monomials", frozenset(mono))
+
+    def __setattr__(self, *_):
+        raise AttributeError("TrivariatePoly is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__, not setattr
+        return TrivariatePoly, (self.monomials,)
 
     @property
     def degree(self) -> int:
@@ -76,22 +85,11 @@ class TrivariatePoly:
         return hash(self.monomials)
 
     def __add__(self, other: "TrivariatePoly") -> "TrivariatePoly":
-        out = TrivariatePoly.__new__(TrivariatePoly)
-        out.monomials = self.monomials ^ other.monomials
-        return out
+        return TrivariatePoly(self.monomials ^ other.monomials)
 
     def __mul__(self, other: "TrivariatePoly") -> "TrivariatePoly":
-        acc: set[tuple[int, int, int]] = set()
-        for a1, b1, c1 in self.monomials:
-            for a2, b2, c2 in other.monomials:
-                t = (a1 + a2, b1 + b2, c1 + c2)
-                if t in acc:
-                    acc.remove(t)
-                else:
-                    acc.add(t)
-        out = TrivariatePoly.__new__(TrivariatePoly)
-        out.monomials = frozenset(acc)
-        return out
+        return TrivariatePoly((a1 + a2, b1 + b2, c1 + c2)  # equal products cancel in __init__
+                              for a1, b1, c1 in self.monomials for a2, b2, c2 in other.monomials)
 
     def __pow__(self, e: int) -> "TrivariatePoly":
         out = TrivariatePoly([(0, 0, 0)])
@@ -99,28 +97,10 @@ class TrivariatePoly:
             out = out * self
         return out
 
-    def evaluate(self, field: Field, x: int, y: int, z: int) -> int:
-        acc = 0
-        for a, b, c in self.monomials:
-            acc ^= field.mul(field.mul(field.pow(x, a), field.pow(y, b)), field.pow(z, c))
-        return acc
-
     def derivative(self, variable: str) -> "TrivariatePoly":
         """Formal partial in characteristic 2: even exponents vanish."""
         i = "xyz".index(variable)
-        out = set()
-        for t in self.monomials:
-            if t[i] % 2 == 1:
-                s = list(t)
-                s[i] -= 1
-                s = tuple(s)
-                if s in out:
-                    out.remove(s)
-                else:
-                    out.add(s)
-        p = TrivariatePoly.__new__(TrivariatePoly)
-        p.monomials = frozenset(out)
-        return p
+        return TrivariatePoly(t[:i] + (t[i] - 1,) + t[i + 1:] for t in self.monomials if t[i] % 2)
 
     def y_degree(self) -> int:
         return max((b for _, b, _ in self.monomials), default=0)
@@ -187,36 +167,41 @@ def _charts(field: Field):
     return ((x, every, 1) for x in field.elements()), [(every, 1, 0)], [(1, 0, 0)]
 
 
-def _values(field: Field, terms, x, y, z, tables: dict) -> np.ndarray:
-    """XOR over (a, b, c) in terms of x^a y^b z^c, elementwise over the
-    broadcast coordinates, each an int or an array of elements.
+def _values(field: Field, terms, x, y, z, tables: dict):
+    """XOR over (a, b, c) in terms of x^a y^b z^c at one chart row: an int
+    if every coordinate is an int, else an int32 array over the elements v of
+    the row's one array coordinate (all of F_{2^s}, in element order).
 
-    Int coordinates fold into one scalar coefficient per array-exponent key,
-    so x^0 factors and constant coordinates never reach `vec_mul`; `tables`
-    keeps each `pow_table(e)` for all the calls of one search.
+    Int coordinates fold into one coefficient k per exponent e of v.  For
+    v != 0, k v^e is exp[(log k + e log v) mod 2^s - 1]; at v = 0 only the
+    e = 0 terms remain.  `tables` keeps each index e log v mod 2^s - 1 over
+    v = 1..2^s - 1 for all the calls of one search.
     """
     coords = (x, y, z)
-    arrays = [i for i, v in enumerate(coords) if np.ndim(v)]
-    scalars = [(i, v) for i, v in enumerate(coords) if i not in arrays and v != 1]
-    coef: dict[tuple[int, ...], int] = {}
+    arr = next((i for i, v in enumerate(coords) if np.ndim(v)), None)
+    scalars = [(i, v) for i, v in enumerate(coords) if i != arr and v != 1]
+    coef: dict[int, int] = {}
     for t in terms:
         k = 1
         for i, v in scalars:
             if t[i]:
                 k = field.mul(k, field.pow(v, t[i]))
-        key = tuple(t[i] for i in arrays)
-        coef[key] = coef.get(key, 0) ^ k
-    out = np.zeros(np.broadcast_shapes(*map(np.shape, coords)), dtype=np.int64)
-    for key, k in coef.items():
+        e = 0 if arr is None else t[arr]
+        coef[e] = coef.get(e, 0) ^ k
+    const = coef.pop(0, 0)
+    if arr is None:
+        return const
+    exp, log, order = field.exp_table, field.log_table, field.order
+    out = np.full(field.size, const, dtype=np.int32)
+    for e, k in coef.items():
         if not k:
             continue
-        factors = [] if k == 1 else [k]
-        for i, e in zip(arrays, key):
-            if e:
-                if e not in tables:
-                    tables[e] = field.pow_table(e)
-                factors.append(tables[e][coords[i]])
-        out ^= reduce(field.vec_mul, factors) if factors else 1
+        if e not in tables:
+            idx = np.multiply(log[1:], e % order, dtype=np.int64)  # int64: e log v reaches 2^40
+            idx %= order
+            tables[e] = idx.astype(np.int32)
+        idx = tables[e] if k == 1 else (tables[e] + int(log[k])) % order
+        out[1:] ^= exp[idx]
     return out
 
 
@@ -317,7 +302,9 @@ def catalog_curve_names() -> tuple[str, ...]:
     return tuple(_CATALOG_META)
 
 
+@cache
 def catalog_curve(name: str) -> CurveCatalogEntry:
+    """The catalog entry, parsed once per process (the entry is frozen)."""
     if name not in _CATALOG_META:
         raise ValueError(f"unknown catalog curve {name!r} (have {tuple(_CATALOG_META)})")
     poly = TrivariatePoly.parse(zeta.CATALOG.joinpath(f"{name}.curve").read_text())

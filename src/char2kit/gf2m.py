@@ -32,6 +32,7 @@ __all__ = [
 
 MAX_M = 24  # the int32 exp and log tables take 128 MB at m = 24
 LOG_BLOCK = 1 << 20  # exp entries per log-table scatter
+ORBIT_BLOCK = 1 << 20  # odd candidates per `orbits` filter pass; m <= 22 takes one
 
 # Primitive polynomials over GF(2), one per degree, from the standard
 # published tables (Zierler-Brillhart style trinomials/pentanomials).
@@ -137,19 +138,22 @@ class Field:
         member iff i <= rot_j(i) for j = 1..m-1, which forces i < 2^(m-1); the
         filter runs on the survivors of the previous j.  Below 2^(m-1), j = m-1
         (the right rotation) keeps exactly 0 and the odd i, so the filter starts
-        from those and runs j = m-2 down to 1.  The size is the least divisor d
-        of m with rot_d(i) = i.  Built on first use, as int64 so that exponent
-        products such as (2^k + 1) i stay exact.
+        from those, ORBIT_BLOCK odd i at a time, and runs j = m-2 down to 1.
+        The size is the least divisor d of m with rot_d(i) = i.  Built on first
+        use, as int64 so that exponent products such as (2^k + 1) i stay exact.
         """
-        m, mask = self.m, self.order
+        m, mask, half = self.m, self.order, 1 << (self.m - 1)
 
         def rot(i, j):
             return ((i << j) & mask) | (i >> (m - j))
 
-        reps = np.arange(0, (1 << (m - 1)) + 1, 2, dtype=np.uint32)  # uint32: the shift drops high bits
-        reps[1:] -= 1  # 0 and the odd i < 2^(m-1)
-        for j in range(m - 2, 0, -1):
-            reps = reps[reps <= rot(reps, j)]
+        blocks = [np.zeros(1, dtype=np.uint32)]
+        for lo in range(1, half, 2 * ORBIT_BLOCK):
+            reps = np.arange(lo, min(lo + 2 * ORBIT_BLOCK, half), 2, dtype=np.uint32)  # uint32: the shift drops high bits
+            for j in range(m - 2, 0, -1):
+                reps = reps[reps <= rot(reps, j)]
+            blocks.append(reps)
+        reps = np.concatenate(blocks)
         sizes = np.full(len(reps), m, dtype=np.int64)
         for d in range(m - 1, 0, -1):  # descending, so the least period is written last
             if m % d == 0:
@@ -202,15 +206,6 @@ class Field:
         idx *= e % order
         idx %= order
         out[exp] = exp[idx]
-        return out
-
-    def vec_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Elementwise field product of two arrays of elements."""
-        exp, log, order = self.exp_table, self.log_table, self.order
-        nz = (a != 0) & (b != 0)
-        out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
-        prod_idx = (log[a] + log[b]) % order
-        out[nz] = exp[prod_idx[nz]]
         return out
 
     # -- scalar operations ---------------------------------------------------

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from importlib import resources
 from operator import mul
 
@@ -233,8 +234,10 @@ def catalog_lpoly_names() -> tuple[str, ...]:
     return _CATALOG_NAMES
 
 
+@cache
 def catalog_lpoly(name: str) -> LPolynomial:
-    """Built-in zeta numerators and derived factors, expanded on demand."""
+    """Built-in zeta numerators and derived factors, expanded once per process
+    (an LPolynomial is frozen, so every caller can share it)."""
     if name not in _CATALOG_NAMES:
         raise ZetaError(f"unknown catalog L-polynomial {name!r} (have {_CATALOG_NAMES})")
     return parse_lpoly(CATALOG.joinpath(f"{name}.lpoly").read_text(), 2, _CATALOG_GENUS.get(name))

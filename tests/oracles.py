@@ -190,22 +190,36 @@ def naive_weight_distribution(F: NaiveField, k: int, alpha: int = 0b10) -> dict[
     return out
 
 
+def naive_evaluate(poly_monomials, F: NaiveField, x: int, y: int, z: int) -> int:
+    """XOR of x^a y^b z^c over the monomials, one product at a time."""
+    acc = 0
+    for a, b, c in poly_monomials:
+        acc ^= F.mul(F.mul(F.pow(x, a), F.pow(y, b)), F.pow(z, c))
+    return acc
+
+
 def naive_projective_count(poly_monomials, F: NaiveField) -> int:
     """Count projective zeros by enumerating all nonzero triples and dividing
     by the number of representatives per point (2^s - 1)."""
-    hits = 0
-    for x in range(F.size):
-        for y in range(F.size):
-            for z in range(F.size):
-                if x == y == z == 0:
-                    continue
-                acc = 0
-                for a, b, c in poly_monomials:
-                    acc ^= F.mul(F.mul(F.pow(x, a), F.pow(y, b)), F.pow(z, c))
-                if acc == 0:
-                    hits += 1
+    hits = sum(1 for x in range(F.size) for y in range(F.size) for z in range(F.size)
+               if (x, y, z) != (0, 0, 0) and naive_evaluate(poly_monomials, F, x, y, z) == 0)
     assert hits % F.order == 0
     return hits // F.order
+
+
+def naive_singular_points(poly_monomials, F: NaiveField) -> list[tuple[int, int, int]]:
+    """Points where the polynomial and its three formal partials vanish, listed
+    as (x, y, 1) for x, then y; (x, 1, 0) for x; (1, 0, 0).
+
+    The partial in a variable keeps the monomials of odd degree in it, that
+    degree lowered by one; equal monomials cancel in the XOR of the evaluation.
+    """
+    polys = [list(poly_monomials)]
+    for i in range(3):
+        polys.append([t[:i] + (t[i] - 1,) + t[i + 1:] for t in poly_monomials if t[i] % 2])
+    points = [(x, y, 1) for x in range(F.size) for y in range(F.size)]
+    points += [(x, 1, 0) for x in range(F.size)] + [(1, 0, 0)]
+    return [p for p in points if all(naive_evaluate(q, F, *p) == 0 for q in polys)]
 
 
 def naive_power_sums(coeffs: list[int], s_max: int) -> list[float]:

@@ -1,7 +1,9 @@
+import copy
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from char2kit import curves as cv
@@ -9,7 +11,8 @@ from char2kit import zeta as z
 from char2kit.curves import TrivariatePoly
 from char2kit.gf2m import FieldError, get_field
 
-from oracles import NaiveField, differential, naive_projective_count
+from oracles import (NaiveField, differential, naive_evaluate, naive_projective_count,
+                     naive_singular_points)
 
 
 GBAR = cv.catalog_curve("kloosterman").polynomial
@@ -52,20 +55,20 @@ def test_f_k_homogenizes_to_catalog_pattern(k):
 
 
 def test_evaluate_examples():
-    f = get_field(3)
-    assert TrivariatePoly([(1, 1, 1)]).evaluate(f, 0, 0, 0) == 0
-    assert TrivariatePoly([(0, 0, 0)]).evaluate(f, 0, 0, 0) == 1
-    assert GBAR.evaluate(get_field(1), 1, 0, 1) == 0  # on the curve over F_2
+    f = NaiveField(3, get_field(3).reduction)
+    assert naive_evaluate([(1, 1, 1)], f, 0, 0, 0) == 0
+    assert naive_evaluate([(0, 0, 0)], f, 0, 0, 0) == 1
+    assert naive_evaluate(GBAR.monomials, NaiveField(1, 0b11), 1, 0, 1) == 0  # on the curve over F_2
 
 
 def test_evaluate_homogeneity():
-    f = get_field(4)
+    f = NaiveField(4, get_field(4).reduction)
     rng = random.Random(5)
     for _ in range(20):
         x, y, zz = (rng.randrange(f.size) for _ in range(3))
         lam = rng.randrange(1, f.size)
-        lhs = P4.evaluate(f, f.mul(lam, x), f.mul(lam, y), f.mul(lam, zz))
-        rhs = f.mul(f.pow(lam, P4.degree), P4.evaluate(f, x, y, zz))
+        lhs = naive_evaluate(P4.monomials, f, f.mul(lam, x), f.mul(lam, y), f.mul(lam, zz))
+        rhs = f.mul(f.pow(lam, P4.degree), naive_evaluate(P4.monomials, f, x, y, zz))
         assert lhs == rhs
 
 
@@ -132,18 +135,58 @@ def test_fast_counter_agrees_with_generic(poly):
 
 
 @st.composite
-def quadratic_in_y(draw):
-    """A random homogeneous polynomial of y-degree at most 2."""
-    d = draw(st.integers(0, 5))
-    exps = draw(st.lists(st.tuples(st.integers(0, d), st.integers(0, min(d, 2))), max_size=6))
+def homogeneous(draw, y_max=2):
+    """A random homogeneous polynomial of y-degree at most y_max.
+
+    Degrees run to 16, past 2 (2^3 - 1), so that at s <= 3 some exponent e of
+    an array coordinate is a nonzero multiple of 2^s - 1: there v^e is 1 at
+    v != 0 and 0 at v = 0, which a log-space index e log v alone cannot tell.
+    """
+    d = draw(st.integers(0, 16))
+    exps = draw(st.lists(st.tuples(st.integers(0, d), st.integers(0, min(d, y_max))), max_size=6))
     return TrivariatePoly([(a, b, d - a - b) for a, b in exps if a + b <= d])
 
 
+# x^7 and x^14 at s = 3, x^3 at s = 2: array exponents that are multiples of 2^s - 1.
+@example(TrivariatePoly([(7, 0, 0), (0, 2, 5), (1, 1, 5)]), 3)
+@example(TrivariatePoly([(14, 0, 0), (3, 2, 9), (0, 0, 14)]), 3)
+@example(TrivariatePoly([(3, 0, 0), (0, 1, 2), (1, 2, 0)]), 2)
 @differential
-@given(quadratic_in_y(), st.integers(1, 3))
+@given(homogeneous(), st.integers(1, 3))
 def test_fast_and_generic_counters_match_naive_count(poly, s):
     naive = naive_projective_count(poly.monomials, NaiveField(s, get_field(s).reduction))
     assert cv.count_projective_points_fast(poly, s) == cv.count_projective_points(poly, s) == naive
+
+
+@example(TrivariatePoly([(7, 0, 0), (0, 3, 4), (2, 1, 4)]), 3)
+@example(TrivariatePoly([(0, 7, 0), (1, 0, 6), (4, 1, 2)]), 3)
+@differential
+@given(homogeneous(y_max=16), st.integers(1, 3))
+def test_singular_points_match_naive_in_order(poly, s):
+    nf = NaiveField(s, get_field(s).reduction)
+    assert cv.singular_points(poly, s) == naive_singular_points(poly.monomials, nf)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+@pytest.mark.parametrize("poly", [GBAR, P3, P4, P1T, FB3, F1, F2],
+                         ids=["kloosterman", "p3", "p4", "p1tilde", "fbar3", "f_1", "f_2"])
+def test_catalog_singular_points_match_naive_in_order(poly, s):
+    nf = NaiveField(s, get_field(s).reduction)
+    assert cv.singular_points(poly, s) == naive_singular_points(poly.monomials, nf)
+
+
+@pytest.mark.parametrize("s", [16, 20])
+def test_row_values_at_large_exponents_match_naive(s):
+    # e log v passes 2^31 here, and e passes 2^s - 1: the index needs int64 and e mod 2^s - 1
+    field, nf = get_field(s), NaiveField(s, get_field(s).reduction)
+    every = np.arange(field.size, dtype=np.int64)
+    terms = [(4097, 1, 0), (field.order, 0, 1), (3 * field.order + 7, 2, 0), ((1 << 31) + 3, 0, 0)]
+    sample = [0, 1, 2, 3, field.size - 1] + random.Random(s).sample(range(field.size), 40)
+    for row in ((every, 1, 1), (5, every, 1), (every, 1, 0)):
+        got = cv._values(field, terms, *row, {})
+        for v in sample:
+            point = [v if np.ndim(c) else c for c in row]
+            assert got[v] == naive_evaluate(terms, nf, *point), (row, v)
 
 
 def test_fast_counter_rejects_cubic_in_y():
@@ -196,12 +239,10 @@ def test_trivial_component_point_bookkeeping():
         n_total = cv.count_projective_points_fast(FB3, s)
         n_tilde = cv.count_projective_points_fast(P1T, s)
         assert n_total == n_tilde + 2**s
-        f = get_field(s)
-        on_line_only = sum(
-            1 for y in f.elements() if P1T.evaluate(f, 1, y, 1) != 0
-        )
+        f = NaiveField(s, get_field(s).reduction)
+        on_line_only = sum(1 for y in range(f.size) if naive_evaluate(P1T.monomials, f, 1, y, 1) != 0)
         assert on_line_only == 2**s  # all (1:y:1) avoid the nontrivial component
-        assert P1T.evaluate(f, 0, 1, 0) == 0  # the shared point
+        assert naive_evaluate(P1T.monomials, f, 0, 1, 0) == 0  # the shared point
 
 
 def test_curve_file_roundtrip(tmp_path):
@@ -217,6 +258,21 @@ def test_catalog_entries_are_homogeneous():
     assert len(P1T.monomials) == 29
     assert P1T.degree == 58
     assert FB3.degree == 66
+
+
+def test_catalog_curve_is_shared_and_frozen():
+    for name in cv.catalog_curve_names():
+        entry = cv.catalog_curve(name)
+        assert cv.catalog_curve(name) is entry
+        with pytest.raises(AttributeError):
+            entry.genus = 0
+        with pytest.raises(AttributeError):
+            entry.polynomial.monomials = frozenset()
+        assert copy.deepcopy(entry) == entry
+        assert isinstance(entry.polynomial.monomials, frozenset)
+    for _ in range(2):  # a failed lookup is not cached
+        with pytest.raises(ValueError):
+            cv.catalog_curve("p5")
 
 
 def test_catalog_singular_points_are_pinned_or_none():

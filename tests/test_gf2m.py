@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from char2kit import gf2m
 from char2kit.gf2m import (
     MAX_M,
     Field,
@@ -116,6 +117,15 @@ def test_orbits_match_naive_cosets(m):
         min(c): len(c) for c in naive_cyclotomic_cosets(m)}
     assert all(m % s == 0 for s in sizes.tolist())
     assert int(sizes.sum()) == 2**m - 1
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_orbits_in_small_blocks_match_naive_cosets(m, monkeypatch):
+    monkeypatch.setattr(gf2m, "ORBIT_BLOCK", 16)  # 2^(m-2) odd candidates: many blocks at m >= 7
+    reps, sizes = Field(m).orbits
+    assert dict(zip(reps.tolist(), sizes.tolist())) == {
+        min(c): len(c) for c in naive_cyclotomic_cosets(m)}
+    assert np.all(np.diff(reps) > 0)
 
 
 @pytest.mark.parametrize("m,k,expected", [(5, 1, 12), (7, 1, 44), (7, 3, 106)])
@@ -262,13 +272,3 @@ def test_pow_table_matches_scalar():
         assert t.dtype == np.int32
         for v in (0, 1, 2, 100, f.size - 1):
             assert t[v] == f.pow(v, e)
-
-
-def test_vec_mul_matches_scalar():
-    f = get_field(8)
-    rng = random.Random(3)
-    a = np.array([rng.randrange(f.size) for _ in range(64)])
-    b = np.array([rng.randrange(f.size) for _ in range(64)])
-    prod = f.vec_mul(a, b)
-    for i in range(64):
-        assert prod[i] == f.mul(int(a[i]), int(b[i]))

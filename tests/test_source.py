@@ -1,6 +1,7 @@
 """Rules about the library source itself."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import char2kit
@@ -29,6 +30,18 @@ def test_no_cap_parameter_on_public_functions():
              and not node.name.startswith("_")
              and "cap" in [a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)]]
     assert found == []
+
+
+def test_module_level_caches_are_pinned():
+    # A process cache is shared state: each one here hands every caller the
+    # same value (frozen catalog entries; a Field, read-only by convention).
+    # A new one needs a deliberate edit of this set.
+    modules = [importlib.import_module("char2kit" if path.stem == "__init__" else f"char2kit.{path.stem}")
+               for path in SOURCES]
+    found = {f"{fn.__module__}.{fn.__qualname__}" for module in modules
+             for fn in vars(module).values() if hasattr(fn, "cache_clear")}
+    assert found == {"char2kit.gf2m.get_field", "char2kit.zeta.catalog_lpoly",
+                     "char2kit.curves.catalog_curve"}
 
 
 MUTATORS = {"add", "append", "cache_clear", "clear", "discard", "extend", "insert", "pop",

@@ -132,6 +132,27 @@ def test_singular_correction_sums():
         assert z.singular_correction_sums(s) == z.singular_correction(s) == 2 ** (1 + (2 if s % 3 == 0 else 0))
 
 
+def test_catalog_is_parsed_once_per_process(monkeypatch):
+    calls = []
+    parse = z.parse_lpoly
+    monkeypatch.setattr(z, "parse_lpoly", lambda *a, **kw: calls.append(a) or parse(*a, **kw))
+    z.catalog_lpoly.cache_clear()
+    for s in range(1, 51):
+        z.singular_correction_sums(s)
+    assert len(calls) == 1
+
+
+def test_catalog_lpoly_is_shared_and_frozen():
+    for name in z.catalog_lpoly_names():
+        L = z.catalog_lpoly(name)
+        assert z.catalog_lpoly(name) is L
+        with pytest.raises(AttributeError):
+            L.coefficients = (1,)
+    for _ in range(2):  # a failed lookup is not cached
+        with pytest.raises(ZetaError):
+            z.catalog_lpoly("z5")
+
+
 def test_root_modulus_per_factor():
     for name in ("z1", "z2", "z3", "z4", "l1prime", "l3prime"):
         for f in catalog_lpoly_factors(name):
