@@ -15,6 +15,7 @@ import json
 import math
 import sys
 import time
+import traceback
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -334,7 +335,12 @@ def _verify_all(args, timings) -> list[Row]:
     rows = []
     for key, criterion in acceptance.CRITERIA.items():
         t0 = time.perf_counter()
-        rows += [checked(*row) for row in criterion(args.max_m, args.max_s)]
+        try:
+            for row in criterion(args.max_m, args.max_s):
+                rows.append(checked(*row))
+        except Exception as exc:  # a raise is one failed row; the other criteria still run
+            traceback.print_exc()
+            rows.append(checked(key, f"raised {type(exc).__name__}: {exc}", "no exception"))
         timings[key] = round(time.perf_counter() - t0, 3)
     return rows
 
@@ -413,10 +419,9 @@ def main(argv: list[str] | None = None) -> int:
     t0 = time.perf_counter()
     try:
         report.results = args.fn(args, report.timings)
-    except (gf2m.FieldError, zeta.ZetaError, crosscorr.InconsistencyError, ValueError,
-            OSError) as exc:
+    except (ValueError, OSError) as exc:  # FieldError, ZetaError, InconsistencyError included
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, crosscorr.InconsistencyError) else 2  # a failed check
     report.wall_time_ms = (time.perf_counter() - t0) * 1e3
     if args.json:
         print(report.to_json())

@@ -107,14 +107,11 @@ def walsh_spectrum(field: Field, e: int) -> np.ndarray:
     """
     if field.m > FLOAT32_EXACT_M:
         raise FieldError(f"m={field.m}: float32 holds the sums exactly only to 2^{FLOAT32_EXACT_M}")
-    order = field.order
-    idx = field.log_table[1:].astype(np.int64)  # int64: e log(y) reaches 2^48
-    idx *= e % order
-    idx %= order
+    idx = field.pow_log(e)  # before w and freed before spare: the heap reuses its block
     w = np.empty(field.size, dtype=np.float32)
     w[0] = 0  # Tr(0^e) = Tr(0)
     w[1:] = field.trace_table[field.exp_table[idx]]  # Tr(y^e) = Tr(alpha^(e log y))
-    del idx  # 8 bytes an entry: freed before the second buffer, to lower the peak
+    del idx
     w *= -2
     w += 1
     spare = np.empty_like(w)
@@ -166,8 +163,9 @@ def a1_bruteforce(m: int, k: int) -> int:
     field = get_field(m)
     dtype = np.uint32 if 3 * m <= 32 else np.int64
     keys = np.zeros((field.size, field.size), dtype)
-    for P in (field.pow_table((1 << (2 * k)) + 1), field.pow_table((1 << k) + 1), np.arange(field.size)):
-        P = P.astype(dtype)
+    P = np.zeros(field.size, dtype)  # v^e over v in element order; 0^e = 0
+    for e in ((1 << (2 * k)) + 1, (1 << k) + 1, 1):
+        P[1:] = field.exp_table[field.pow_log(e)]
         keys <<= m
         keys |= np.bitwise_xor.outer(P, P)
     keys = keys.ravel()

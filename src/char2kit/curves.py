@@ -43,32 +43,22 @@ COUNT_CAP = 12       # generic enumeration costs ~4^s * |monomials|
 FAST_COUNT_CAP = 20  # the fast counter costs ~2^s * |monomials|
 
 
+@dataclass(frozen=True)
 class TrivariatePoly:
-    """Homogeneous-or-not trivariate polynomial over F_2 in x, y, z; immutable,
-    so that a cached catalog entry can be shared."""
+    """Homogeneous-or-not trivariate polynomial over F_2 in x, y, z; frozen,
+    so that a cached catalog entry can be shared.  Built from any iterable of
+    exponent triples, which __post_init__ reduces to a frozenset."""
 
-    __slots__ = ("monomials",)
+    monomials: frozenset[tuple[int, int, int]] = frozenset()
 
-    def __init__(self, monomials=()):
+    def __post_init__(self):
         mono = set()
-        for t in monomials:
+        for t in self.monomials:
             a, b, c = t
             if a < 0 or b < 0 or c < 0:
                 raise ValueError(f"negative exponent in monomial {t}")
-            t = (a, b, c)
-            if t in mono:
-                mono.remove(t)  # char 2: duplicates cancel
-            else:
-                mono.add(t)
+            mono ^= {(a, b, c)}  # char 2: duplicates cancel
         object.__setattr__(self, "monomials", frozenset(mono))
-
-    def __setattr__(self, *_):
-        raise AttributeError("TrivariatePoly is immutable")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):  # copy and pickle rebuild through __init__, not setattr
-        return TrivariatePoly, (self.monomials,)
 
     @property
     def degree(self) -> int:
@@ -78,17 +68,11 @@ class TrivariatePoly:
         degs = {a + b + c for a, b, c in self.monomials}
         return len(degs) <= 1
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TrivariatePoly) and self.monomials == other.monomials
-
-    def __hash__(self) -> int:
-        return hash(self.monomials)
-
     def __add__(self, other: "TrivariatePoly") -> "TrivariatePoly":
         return TrivariatePoly(self.monomials ^ other.monomials)
 
     def __mul__(self, other: "TrivariatePoly") -> "TrivariatePoly":
-        return TrivariatePoly((a1 + a2, b1 + b2, c1 + c2)  # equal products cancel in __init__
+        return TrivariatePoly((a1 + a2, b1 + b2, c1 + c2)  # equal products cancel in __post_init__
                               for a1, b1, c1 in self.monomials for a2, b2, c2 in other.monomials)
 
     def __pow__(self, e: int) -> "TrivariatePoly":
@@ -164,7 +148,7 @@ def _charts(field: Field):
     of coordinates: ints, or `every`, the array of all elements.  The z = 1
     chart is one row per x, so a row holds at most 2^s points."""
     every = np.arange(field.size, dtype=np.int64)
-    return ((x, every, 1) for x in field.elements()), [(every, 1, 0)], [(1, 0, 0)]
+    return ((x, every, 1) for x in range(field.size)), [(every, 1, 0)], [(1, 0, 0)]
 
 
 def _values(field: Field, terms, x, y, z, tables: dict):
@@ -197,9 +181,7 @@ def _values(field: Field, terms, x, y, z, tables: dict):
         if not k:
             continue
         if e not in tables:
-            idx = np.multiply(log[1:], e % order, dtype=np.int64)  # int64: e log v reaches 2^40
-            idx %= order
-            tables[e] = idx.astype(np.int32)
+            tables[e] = field.pow_log(e).astype(np.int32)
         idx = tables[e] if k == 1 else (tables[e] + int(log[k])) % order
         out[1:] ^= exp[idx]
     return out

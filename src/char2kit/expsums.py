@@ -59,9 +59,12 @@ class ExpSumReport:
 
 @dataclass(frozen=True)
 class Verdict:
-    holds: bool
     lhs: int
     rhs: int
+
+    @property
+    def holds(self) -> bool:
+        return self.lhs == self.rhs
 
 
 def _field(m: int, k: int) -> Field:
@@ -113,7 +116,7 @@ def c_sum_square_check(m: int, k: int) -> Verdict:
     c = c_sum(m, k).value
     lhs = c * c
     rhs = 0 if c == 0 else 1 << (m + math.gcd(2 * k, m))
-    return Verdict(lhs == rhs, lhs, rhs)
+    return Verdict(lhs, rhs)
 
 
 def g_sum(m: int, k: int) -> ExpSumReport:
@@ -150,11 +153,11 @@ def conjecture2_check(m: int, k: int) -> Verdict:
     """Does K'_m (parameter k) equal the Kloosterman sum K_m?"""
     lhs = k_prime(m, k).value
     rhs = kloosterman(m).value
-    return Verdict(lhs == rhs, lhs, rhs)
+    return Verdict(lhs, rhs)
 
 
 def conjecture1_check(m: int, k: int) -> Verdict:
     """Does G_m^(k) equal G_m^(gcd(k, m))?"""
     lhs = g_sum(m, k).value
     rhs = g_sum(m, math.gcd(k, m)).value
-    return Verdict(lhs == rhs, lhs, rhs)
+    return Verdict(lhs, rhs)

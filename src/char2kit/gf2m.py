@@ -122,11 +122,11 @@ class Field:
         # conjugates x^(i 2^j), j < m, read off the exp table.
         conj = np.outer(np.arange(m), 1 << np.arange(m, dtype=np.int64)) % self.order
         tr_basis = np.bitwise_xor.reduce(self.exp_table[conj], axis=1)
-        self._trace_mask = sum(int(t) << i for i, t in enumerate(tr_basis))
+        mask = sum(int(t) << i for i, t in enumerate(tr_basis))
         # Tr(hi 2^h + lo) = Tr(hi 2^h) + Tr(lo): one XOR of two parity tables.
         h = m // 2
-        hi = np.bitwise_count(np.arange(1 << (m - h)) & (self._trace_mask >> h)) & 1
-        lo = np.bitwise_count(np.arange(1 << h) & self._trace_mask) & 1
+        hi = np.bitwise_count(np.arange(1 << (m - h)) & (mask >> h)) & 1
+        lo = np.bitwise_count(np.arange(1 << h) & mask) & 1
         self.trace_table = np.bitwise_xor.outer(hi, lo).ravel()
 
     @cached_property
@@ -187,33 +187,13 @@ class Field:
             n += len(block)
         return exp
 
-    # -- vector operations (numpy) -------------------------------------------
-
-    def pow_table(self, e: int) -> np.ndarray:
-        """Vector of v^e over all v in the field (index = element), int32 like
-        the exp table it reads.
-
-        0^e is 0 for e > 0 and 1 for e == 0 (empty product convention).
-        """
-        if e < 0:
-            raise FieldError("pow_table exponent must be >= 0")
-        out = np.zeros(self.size, dtype=np.int32)
-        if e == 0:
-            out[:] = 1
-            return out
-        exp, order = self.exp_table, self.order
-        idx = np.arange(order, dtype=np.int64)  # int64: idx * e reaches 2^48
-        idx *= e % order
-        idx %= order
-        out[exp] = exp[idx]
-        return out
-
-    # -- scalar operations ---------------------------------------------------
-
-    def check(self, a: int) -> int:
-        if not 0 <= a < self.size:
-            raise FieldError(f"{a} is not a canonical element of GF(2^{self.m})")
-        return a
+    def pow_log(self, e: int) -> np.ndarray:
+        """e log v mod 2^m - 1 over v = 1..2^m - 1 in element order, for any int
+        e, as int64 (the product reaches 2^48): exp_table of it is v^e."""
+        idx = self.log_table[1:].astype(np.int64)
+        idx *= e % self.order
+        idx %= self.order
+        return idx
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -223,25 +203,10 @@ class Field:
     def pow(self, a: int, e: int) -> int:
         """a^e with e >= 0; nonzero bases reduce e modulo 2^m - 1."""
         if e < 0:
-            raise FieldError("negative exponent; use inv() explicitly")
+            raise FieldError("negative exponent")
         if a == 0:
             return 1 if e == 0 else 0
         return int(self.exp_table[int(self.log_table[a]) * e % self.order])
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise FieldError("0 has no multiplicative inverse")
-        return self.pow(a, self.order - 1)
-
-    def trace(self, a: int) -> int:
-        self.check(a)
-        return (a & self._trace_mask).bit_count() & 1
-
-    def elements(self) -> range:
-        return range(self.size)
-
-    def nonzero(self) -> range:
-        return range(1, self.size)
 
     def __repr__(self) -> str:
         return f"Field(m={self.m}, reduction=0x{self.reduction:x})"

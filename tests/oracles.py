@@ -303,11 +303,29 @@ def cross_correlation(m: int, d: int, tau: int) -> int:
     return int(order - 2 * np.count_nonzero(bits))
 
 
+def pow_table(field: Field, e: int) -> np.ndarray:
+    """v^e over every v in element order, int32, by scattering
+    exp[e i mod 2^m - 1] to index exp[i]; e >= 0, and 0^e is 1 for e = 0 and
+    0 otherwise (the empty product)."""
+    if e < 0:
+        raise FieldError("pow_table exponent must be >= 0")
+    out = np.zeros(field.size, dtype=np.int32)
+    if e == 0:
+        out[:] = 1
+        return out
+    exp, order = field.exp_table, field.order
+    idx = np.arange(order, dtype=np.int64)  # int64: idx * e reaches 2^48
+    idx *= e % order
+    idx %= order
+    out[exp] = exp[idx]
+    return out
+
+
 def stacked_walsh_spectrum(field: Field, e: int) -> np.ndarray:
     """W(b) = sum over y of (-1)^(Tr(y^e) + b.y), e modulo 2^m - 1 and 0^e = 0,
     by m butterfly passes that each stack a new int64 array."""
     e = e % field.order + field.order  # positive, so that pow_table gives 0^e = 0
-    w = 1 - 2 * field.trace_table[field.pow_table(e)].astype(np.int64)
+    w = 1 - 2 * field.trace_table[pow_table(field, e)].astype(np.int64)
     for i in range(field.m):
         w = w.reshape(-1, 2, 1 << i)
         w = np.stack((w[:, 0] + w[:, 1], w[:, 0] - w[:, 1]), axis=1)

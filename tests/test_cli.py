@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from char2kit import acceptance, crosscorr
 from char2kit.cli import main
 from char2kit.curves import catalog_curve
 from char2kit.zeta import catalog_lpoly
@@ -322,6 +323,35 @@ def test_failure_exit_code(capsys, monkeypatch):
     code, out, _ = run(capsys, "weights", "--m", "7", "--k", "1")
     assert code == 1
     assert "fail" in out
+
+
+def test_inconsistency_is_a_failed_check(capsys, monkeypatch):
+    # Flipping the sign of every +-1 in the Walsh input negates the spectrum,
+    # which breaks the moment identities: a failed check (1), not a usage error (2).
+    walsh = crosscorr.walsh_spectrum
+    monkeypatch.setattr(crosscorr, "walsh_spectrum", lambda field, e: -walsh(field, e))
+    code, _, err = run(capsys, "corrdist", "--m", "9", "--k", "1")
+    assert code == 1
+    assert err.startswith("error:")
+
+
+def test_verify_all_records_a_raising_criterion_and_runs_the_rest(capsys, monkeypatch):
+    def broken(max_m, max_s):
+        raise crosscorr.InconsistencyError("criterion broken")
+        yield
+
+    monkeypatch.setitem(acceptance.CRITERIA, "C4", broken)
+    code, out, err = run(capsys, "verify-all", "--max-m", "8", "--max-s", "5", "--json")
+    assert code == 1
+    assert "InconsistencyError: criterion broken" in err  # the traceback
+    payload = json.loads(out)
+    failed = [r for r in payload["results"] if r["verdict"] == "fail"]
+    assert [(r["name"], r["observed"]) for r in failed] == [
+        ("C4", "raised InconsistencyError: criterion broken")]
+    names = [r["name"] for r in payload["results"]]
+    assert names.index("C4") < min(i for i, n in enumerate(names) if n.startswith("C5"))
+    assert any(n.startswith("C12") for n in names)
+    assert list(payload["timings"]) == [f"C{i}" for i in range(1, 13)]
 
 
 def test_error_exit_code(capsys):

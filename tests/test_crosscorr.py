@@ -118,7 +118,7 @@ def test_walsh_spectrum_of_the_trace_at_m_20():
     # 2^m there and 0 elsewhere, the largest magnitude the transform produces.
     field = get_field(20)
     expected = np.zeros(field.size, dtype=np.int32)
-    expected[field._trace_mask] = 1 << 20
+    expected[sum(int(field.trace_table[1 << i]) << i for i in range(field.m))] = 1 << 20
     assert np.array_equal(cc.walsh_spectrum(field, 1), expected)
 
 

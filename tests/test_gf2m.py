@@ -23,13 +23,14 @@ from oracles import (
     naive_cyclotomic_cosets,
     naive_exp_table,
     naive_powers_distinct,
+    pow_table,
 )
 
 
 def test_add_examples():
     # addition is XOR of the coefficient bits
     f = get_field(3)
-    for x in f.elements():
+    for x in range(f.size):
         assert f.mul(x, 1 ^ 1) == 0  # 1 + 1 = 0
         assert f.mul(x, 0b010 ^ 0b011) == x  # alpha + (alpha + 1) = 1
     assert f.pow(0b010, 3) == 0b010 ^ 0b001  # alpha^3 = alpha + 1
@@ -37,16 +38,16 @@ def test_add_examples():
 
 def test_mul_examples():
     f = get_field(3)  # reduction x^3 + x + 1
-    for x in f.elements():
+    for x in range(f.size):
         assert f.mul(1, x) == x
     assert f.mul(0b010, 0b100) == 0b011  # alpha * alpha^2 = alpha + 1
-    for x in f.nonzero():
-        assert f.mul(x, f.inv(x)) == 1
+    for x in range(1, f.size):
+        assert f.mul(x, f.pow(x, f.order - 1)) == 1
 
 
 def test_pow_examples():
     f = get_field(3)
-    for a in f.nonzero():
+    for a in range(1, f.size):
         assert f.pow(a, 1) == a
         assert f.pow(a, f.order) == 1
     assert f.pow(0b010, 3) == 0b011
@@ -55,24 +56,29 @@ def test_pow_examples():
 
 
 def test_inv_examples():
+    # the inverse of a != 0 is a^(2^m - 2)
     f = get_field(3)
-    assert f.inv(1) == 1
+
+    def inv(a):
+        return f.pow(a, f.order - 1)
+
+    assert inv(1) == 1
     # exhaustive: inv(alpha) is the unique y with alpha * y = 1
     alpha = 0b010
-    expected = next(y for y in f.nonzero() if f.mul(alpha, y) == 1)
-    assert f.inv(alpha) == expected
-    for a in f.nonzero():
-        assert f.inv(f.inv(a)) == a
+    expected = next(y for y in range(1, f.size) if f.mul(alpha, y) == 1)
+    assert inv(alpha) == expected
+    for a in range(1, f.size):
+        assert inv(inv(a)) == a
     with pytest.raises(FieldError):
-        f.inv(0)
+        f.pow(alpha, -1)  # no negative exponents, hence no 0^-1
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 8, 11])
 def test_trace_examples(m):
     f = get_field(m)
-    assert f.trace(0) == 0
-    assert f.trace(1) == m % 2
-    assert sum(f.trace(a) == 0 for a in f.elements()) == f.size // 2
+    assert f.trace_table[0] == 0
+    assert f.trace_table[1] == m % 2
+    assert sum(f.trace_table[a] == 0 for a in range(f.size)) == f.size // 2
 
 
 @pytest.mark.parametrize("m", range(1, 21))
@@ -104,7 +110,7 @@ def test_trace_table_matches_naive_trace(m):
     f = get_field(m)
     nf = NaiveField(m, f.reduction)
     assert f.trace_table.dtype == np.uint8
-    assert f.trace_table.tolist() == [nf.trace(a) for a in f.elements()]
+    assert f.trace_table.tolist() == [nf.trace(a) for a in range(f.size)]
 
 
 @pytest.mark.parametrize("m", range(1, 15))
@@ -158,7 +164,7 @@ def test_field_axioms_random_triples(m):
         assert f.mul(a, b) == f.mul(b, a)
         assert f.mul(a, b ^ c) == f.mul(a, b) ^ f.mul(a, c)
         if a:
-            assert f.mul(a, f.inv(a)) == 1
+            assert f.mul(a, f.pow(a, f.order - 1)) == 1
 
 
 @pytest.mark.parametrize("m", sorted(PRIMITIVE_POLY))
@@ -170,23 +176,23 @@ def test_frobenius_is_automorphism(m):
         ab = f.mul(a, b)
         assert f.mul(a ^ b, a ^ b) == f.mul(a, a) ^ f.mul(b, b)
         assert f.mul(ab, ab) == f.mul(f.mul(a, a), f.mul(b, b))
-        assert f.trace(f.mul(a, a)) == f.trace(a)
+        assert f.trace_table[f.mul(a, a)] == f.trace_table[a]
 
 
 @pytest.mark.parametrize("m", range(1, 13))
 def test_trace_of_square_exhaustive(m):
     f = get_field(m)
-    for a in f.elements():
-        assert f.trace(f.mul(a, a)) == f.trace(a)
+    for a in range(f.size):
+        assert f.trace_table[f.mul(a, a)] == f.trace_table[a]
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7, 8])
 def test_agrees_with_naive_field(m):
     f = get_field(m)
     nf = NaiveField(m, f.reduction)
-    for a in f.elements():
-        assert f.trace(a) == nf.trace(a)
-        for b in f.elements():
+    for a in range(f.size):
+        assert f.trace_table[a] == nf.trace(a)
+        for b in range(f.size):
             assert f.mul(a, b) == nf.mul(a, b)
 
 
@@ -199,9 +205,9 @@ def test_ops_match_naive_field(m, a, b, e):
     a, b = a % f.size, b % f.size
     assert f.mul(a, b) == nf.mul(a, b)
     assert f.pow(a, e) == nf.pow(a, e)
-    assert f.trace(a) == nf.trace(a)
+    assert int(f.trace_table[a]) == nf.trace(a)
     if a:
-        assert nf.mul(a, f.inv(a)) == 1
+        assert nf.mul(a, f.pow(a, f.order - 1)) == 1
 
 
 def test_validation_rejects_bad_polynomials():
@@ -265,10 +271,34 @@ def test_random_polynomials_match_naive_powers(m, low):
     assert field.log_table.tolist() == log
 
 
-def test_pow_table_matches_scalar():
+def test_pow_log_matches_scalar():
     f = get_field(9)
     for e in (0, 1, 2, 3, 5, 9, 65, f.order, f.order + 1):
-        t = f.pow_table(e)
-        assert t.dtype == np.int32
-        for v in (0, 1, 2, 100, f.size - 1):
-            assert t[v] == f.pow(v, e)
+        t = f.pow_log(e)
+        assert t.dtype == np.int64
+        for v in (1, 2, 100, f.size - 1):
+            assert f.exp_table[t[v - 1]] == f.pow(v, e)
+
+
+@pytest.mark.parametrize("m", range(1, 21))
+def test_pow_log_matches_scatter_oracle(m):
+    # v^e = v^(e mod 2^m - 1) at v != 0, so the oracle takes the residue.
+    f = get_field(m)
+    for e in (0, 1, -1, 3, 2**m - 1, 2**m + 5, 2**40 + 3, -(2**33) - 7):
+        idx = f.pow_log(e)
+        assert idx.dtype == np.int64
+        assert np.array_equal(f.exp_table[idx], pow_table(f, e % f.order)[1:]), e
+
+
+@pytest.mark.parametrize("m", range(21, MAX_M + 1))
+def test_pow_log_past_int32_matches_scalar_pow(m):
+    # e log v reaches (2^m - 3)(2^m - 2), past 2^31, where an int32 product
+    # would wrap; sampled v, the largest logs included, against Python ints.
+    f = get_field(m)
+    e = f.order - 2
+    assert e * (f.order - 1) >= 2**31
+    idx = f.pow_log(e)
+    assert idx.dtype == np.int64
+    logs = [f.order - 1, f.order - 2, *random.Random(m).sample(range(f.order), 500)]
+    for v in f.exp_table[logs].tolist():
+        assert f.exp_table[idx[v - 1]] == f.pow(v, e)

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
 
 import char2kit
@@ -133,3 +134,23 @@ def test_library_shares_no_function_body_with_the_oracles():
     oracle = {dump: name for name, dump in _bodies(Path(__file__).parent / "oracles.py")}
     assert [(name, oracle[dump]) for path in SOURCES for name, dump in _bodies(path)
             if dump in oracle] == []
+
+
+def _referenced_names(node):
+    """How often each name is read: every Name id and Attribute attr under node."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def test_every_public_function_has_a_caller_in_the_library():
+    # A library function or method that only tests call is code kept for the
+    # tests' sake: each public one is referenced in src/ outside its own def.
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in SOURCES]
+    total = sum((_referenced_names(tree) for tree in trees), Counter())
+    found = [f"{path.name}:{fn.name}"
+             for path, tree in zip(SOURCES, trees)
+             for fn in ast.walk(tree)
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and not fn.name.startswith("_")
+             and total[fn.name] == _referenced_names(fn)[fn.name]]
+    assert found == []
