@@ -139,7 +139,7 @@ def c9(max_m, max_s):
         product = zeta.catalog_lpoly(part) * zeta.catalog_lpoly(quotient)
         yield (f"C9 {whole} = {part} * {quotient}", list(product.coefficients),
                list(zeta.catalog_lpoly(whole).coefficients))
-    # vanishing_residue_check also requires every sigma_j with 3 not | j to be 0.
+    # The expansion row compares every sigma_j, so it also fails on a nonzero sigma_j with 3 not | j.
     L1p = zeta.catalog_lpoly("l1prime")
     yield ("C9 P_m(l1prime) = 0 for 3 coprime m <= 200",
            zeta.vanishing_residue_check(L1p, 3, 200).holds, True)

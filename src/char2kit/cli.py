@@ -143,8 +143,7 @@ def cmd_expsum(args, timings) -> list[Row]:
     else:  # Kp
         rep = expsums.k_prime(m, k)
         K = expsums.kloosterman(m).value
-        # K' = K needs gcd(k, m) = 1; otherwise K' is a different sum.
-        rows = ([checked(f"K'_{m}(k={k})", rep.value, K)] if math.gcd(k, m) == 1
+        rows = ([checked(f"K'_{m}(k={k})", rep.value, K)] if _conjecture2_proved(m, k)
                 else [recorded(f"K'_{m}(k={k})", rep.value), recorded(f"K_{m}", K)])
         if k == 3:
             rows.append(checked(f"K'_{m}(k=3) = 2 - S_m - P_m(z1)", rep.value,
@@ -159,25 +158,25 @@ def _conjecture1_proved(m: int, k: int) -> bool:
     return k == math.gcd(k, m) or k in (2, 3)
 
 
+def _conjecture2_proved(m: int, k: int) -> bool:
+    """K'_m = K_m is proved where gcd(k, m) = 1 and k <= 3 (K' is another sum if gcd > 1)."""
+    return math.gcd(k, m) == 1 and k <= 3
+
+
 def cmd_conjectures(args, timings) -> list[Row]:
     ms = _parse_range(args.m_range, 1, gf2m.MAX_M)
     ks = _parse_range(args.k_range, 1)
     rows = []
     for m in ms:
-        for k in ks:
-            # The K' = K identity needs gcd(k, m) = 1 (otherwise K' is a
-            # genuinely different sum) and k <= 3.  Everything else is
-            # recorded, not asserted.
-            proved1 = _conjecture1_proved(m, k)
-            proved2 = math.gcd(k, m) == 1 and k <= 3
+        for k in ks:  # an unproved identity is recorded, not checked
             v1 = expsums.conjecture1_check(m, k)
             v2 = expsums.conjecture2_check(m, k)
             mk = f"(m={m},k={k})"
-            if proved1:
+            if _conjecture1_proved(m, k):
                 rows.append(checked(f"conj1 G=G(gcd) {mk}", v1.lhs, v1.rhs))
             else:
                 rows.append(recorded(f"conj1 G=G(gcd) {mk}", f"{v1.lhs} vs {v1.rhs} ({'=' if v1.holds else 'diff'})"))
-            if proved2:
+            if _conjecture2_proved(m, k):
                 rows.append(checked(f"conj2 K'=K {mk}", v2.lhs, v2.rhs))
             else:
                 rows.append(recorded(f"conj2 K'=K {mk}", f"{v2.lhs} vs {v2.rhs} ({'=' if v2.holds else 'diff'})"))

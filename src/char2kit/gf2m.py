@@ -222,16 +222,13 @@ def decimation_exponent(m: int, k: int) -> int:
     """The decimation d = (2^(2k)+1) / (2^k+1) as a residue modulo 2^m - 1.
 
     The fraction means multiplication by the modular inverse of 2^k + 1.
-    Requires gcd(2^k + 1, 2^m - 1) = 1; then gcd(d, 2^m - 1) = 1, so the second
-    raise is unreachable: gcd(2^a + 1, 2^m - 1) > 1 iff the 2-adic valuation
-    of m exceeds that of a, and if it exceeds that of 2k it exceeds that of k.
+    Requires gcd(2^k + 1, 2^m - 1) = 1, and then d is a unit too, so no check
+    follows: gcd(2^a + 1, 2^m - 1) > 1 iff the 2-adic valuation of m exceeds
+    that of a, and if it exceeds that of 2k it exceeds that of k.
     """
     n = (1 << m) - 1
     den = (1 << k) + 1
     g = math.gcd(den, n)
     if g != 1:
         raise FieldError(f"2^{k}+1 = {den} is not invertible modulo 2^{m}-1 (gcd {g})")
-    d = ((1 << (2 * k)) + 1) * pow(den, -1, n) % n
-    if math.gcd(d, n) != 1:
-        raise FieldError(f"d = {d} is not invertible modulo 2^{m}-1")
-    return d
+    return ((1 << (2 * k)) + 1) * pow(den, -1, n) % n

@@ -125,11 +125,7 @@ def reconstruct_from_counts(counts: list[int], q: int, g: int) -> LPolynomial:
     coeffs = [int(s) for s in sigma]
     for j in range(g - 1, -1, -1):
         coeffs.append(q ** (g - j) * coeffs[j])
-    L = LPolynomial(tuple(coeffs), q, genus_hint=g)
-    for s in range(1, g + 1):
-        if predicted_count(L, s) != counts[s - 1]:
-            raise ZetaError("reconstructed polynomial does not reproduce the input counts")
-    return L
+    return LPolynomial(tuple(coeffs), q, genus_hint=g)
 
 
 @dataclass(frozen=True)
@@ -149,15 +145,10 @@ def functional_equation_check(L: LPolynomial, q: int, g: int) -> CheckResult:
 
 
 def vanishing_residue_check(L: LPolynomial, modulus: int, bound: int) -> CheckResult:
-    """Verify P_m(L) = 0 for every m <= bound with m % modulus != 0.
-
-    Also checks the structural cause: every coefficient sigma_j with
-    j % modulus != 0 vanishes (L is a polynomial in t^modulus), which makes
-    the reciprocal-root multiset closed under the modulus-th roots of unity.
+    """Verify P_m(L) = 0 for every m <= bound with m % modulus != 0; the
+    detail names the first nonzero P_m.  It follows when L is a polynomial in
+    t^modulus, which is not read here (l1prime_expansion_check reads l1prime).
     """
-    for j in range(L.degree + 1):
-        if j % modulus and L[j]:
-            return CheckResult(False, f"sigma_{j} = {L[j]} != 0")
     P = power_sums(L, bound)
     for m in range(1, bound + 1):
         if m % modulus and P[m - 1]:

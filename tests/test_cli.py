@@ -39,6 +39,15 @@ def test_expsum_kp_checked_against_k(capsys):
     assert row["verdict"] == "pass"
 
 
+def test_expsum_kp_open_at_k4_recorded(capsys):
+    # Conjecture 2 is open at k = 4 even where gcd(k, m) = 1, as in `conjectures`.
+    code, payload = run_json(capsys, "expsum", "--m", "7", "--k", "4", "--sum", "Kp")
+    assert code == 0
+    rows = results_by_name(payload)
+    assert rows["K'_7(k=4)"]["verdict"] == rows["K_7"]["verdict"] == "recorded"
+    assert rows["K'_7(k=4)"]["observed"] == rows["K_7"]["observed"] == -13
+
+
 def test_expsum_kp_gcd_above_one_recorded(capsys):
     # gcd(3, 6) = 3: K'_6 = 3 is not K_6 = -9; the zeta route still checks it
     code, payload = run_json(capsys, "expsum", "--m", "6", "--k", "3", "--sum", "Kp")
@@ -326,13 +335,44 @@ def test_failure_exit_code(capsys, monkeypatch):
 
 
 def test_inconsistency_is_a_failed_check(capsys, monkeypatch):
-    # Flipping the sign of every +-1 in the Walsh input negates the spectrum,
-    # which breaks the moment identities: a failed check (1), not a usage error (2).
+    # One Walsh entry off by 2 gives a sixth correlation value, which
+    # match_multiplicities refuses: a failed check (1), not a usage error (2).
     walsh = crosscorr.walsh_spectrum
-    monkeypatch.setattr(crosscorr, "walsh_spectrum", lambda field, e: -walsh(field, e))
+
+    def bumped(field, e):
+        w = walsh(field, e)
+        w[1] += 2
+        return w
+
+    monkeypatch.setattr(crosscorr, "walsh_spectrum", bumped)
     code, _, err = run(capsys, "corrdist", "--m", "9", "--k", "1")
     assert code == 1
-    assert err.startswith("error:")
+    assert err.startswith("error:") and "not one of the five values" in err
+
+
+def test_negated_spectrum_fails_the_moment_rows(capsys, monkeypatch):
+    # Flipping the sign of every +-1 in the Walsh input negates the spectrum:
+    # the moment identities are corrdist rows, so they fail as rows.
+    walsh = crosscorr.walsh_spectrum
+    monkeypatch.setattr(crosscorr, "walsh_spectrum", lambda field, e: -walsh(field, e))
+    code, payload = run_json(capsys, "corrdist", "--m", "9", "--k", "1")
+    assert code == 1
+    rows = results_by_name(payload)
+    assert rows["first moment"]["verdict"] == "fail"
+    assert rows["sum of multiplicities"]["verdict"] == "pass"
+
+
+def test_missing_zero_word_fails_the_weight_rows(capsys, monkeypatch):
+    # weight_distribution's result without the zero word: the word total and
+    # the zero word are weights rows, so they fail as rows.
+    real = crosscorr.WeightDistribution
+    monkeypatch.setattr(crosscorr, "WeightDistribution",
+                        lambda m, k, entries: real(m, k, {w: n for w, n in entries.items() if w}))
+    code, payload = run_json(capsys, "weights", "--m", "9", "--k", "1")
+    assert code == 1
+    rows = results_by_name(payload)
+    assert rows["zero words"]["verdict"] == rows["total words"]["verdict"] == "fail"
+    assert rows["zero words"]["observed"] == 0
 
 
 def test_verify_all_records_a_raising_criterion_and_runs_the_rest(capsys, monkeypatch):

@@ -130,7 +130,6 @@ def test_distribution_matches_shiftwise_scan(m, k):
     d = decimation_exponent(m, k)
     dist = cc.correlation_distribution(m, d)
     assert dist.entries == shiftwise_scan(m, d)
-    dist.check_moments()  # second call is fine too
 
 
 @differential
@@ -155,12 +154,6 @@ def test_distribution_caps():
         cc.correlation_distribution(6, 9)  # gcd(9, 63) != 1
     with pytest.raises(FieldError):
         cc.correlation_distribution(25, decimation_exponent(25, 1))  # over MAX_M
-
-
-def test_moment_checks_fire():
-    bad = cc.CorrelationDistribution(3, 3, {1: 7})
-    with pytest.raises(InconsistencyError):
-        bad.check_moments()
 
 
 # -- quadruple count ----------------------------------------------------------
@@ -317,9 +310,3 @@ def test_weight_caps_and_modes():
         cc.weight_distribution(5, 0)
     with pytest.raises(FieldError):
         cc.weight_distribution(4, 1)  # gcd(2^k+1, 2^m-1) = 3, no class reduction
-
-
-def test_weight_totals_check_fires():
-    bad = cc.WeightDistribution(3, 1, {0: 2, 4: 62})
-    with pytest.raises(InconsistencyError):
-        bad.check_totals()
