@@ -66,7 +66,8 @@ def c4(max_m, max_s):
     for m in range(13, max_m + 1, 2):
         for k in (1, 2, 3):
             if math.gcd(k, m) == 1:
-                yield (f"C4 A1 spectrum = formula (m={m},k={k})", crosscorr.a1_from_spectrum(m, k),
+                dist = crosscorr.correlation_distribution(m, gf2m.decimation_exponent(m, k))
+                yield (f"C4 A1 spectrum = formula (m={m},k={k})", crosscorr.a1_from_spectrum(dist),
                        crosscorr.a1_formula(m, k, brute=False).formula_value)
 
 

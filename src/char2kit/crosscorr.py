@@ -18,18 +18,17 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from . import expsums
-from .expsums import InconsistencyError
-from .gf2m import Field, FieldError, decimation_exponent, get_field
+from .gf2m import Field, FieldError, get_field
 
 __all__ = [
     "A1Report",
     "CorrelationDistribution",
-    "InconsistencyError",
     "WeightDistribution",
     "a1_bruteforce",
     "a1_formula",
@@ -175,14 +174,13 @@ def a1_formula(m: int, k: int, brute: bool | None = None) -> A1Report:
     return A1Report(m, k, value, bc)
 
 
-def a1_from_spectrum(m: int, k: int) -> int:
+def a1_from_spectrum(dist: CorrelationDistribution) -> int:
     """A_1 = 16 (N0 - 2^(m-1) + 1) by theorem 1, N0 the number of shifts with
-    C_d(tau) = -1, d = decimation_exponent(m, k)."""
-    n0 = correlation_distribution(m, decimation_exponent(m, k)).entries.get(-1, 0)
-    return 16 * (n0 - (1 << (m - 1)) + 1)
+    C_d(tau) = -1 in dist, the distribution at d = decimation_exponent(m, k)."""
+    return 16 * (dist.entries.get(-1, 0) - (1 << (dist.m - 1)) + 1)
 
 
-def theorem1_multiplicities(m: int, A1: int) -> dict[str, int]:
+def theorem1_multiplicities(m: int, A1: int) -> dict[str, int | Fraction]:
     """Multiplicities (N0, N1, N-1, N2, N-2) of the five correlation values.
 
     Case 3 coprime to m:
@@ -192,19 +190,16 @@ def theorem1_multiplicities(m: int, A1: int) -> dict[str, int]:
     Case 3 | m:
         N+-2 = (+-3*2^((m+5)/2) + A1) / 96,  N1 = N-1 = (3*2^(m+1) - A1)/24,
         same N0.
-    Raises if any expression is negative or non-integral.
+    Each value is the exact quotient, an int or else a Fraction, which equals
+    no count ("571/2" in --json); a negative value is returned as it is.
     """
     if m % 2 == 0:
         raise FieldError("the five-value distribution requires odd m")
-    vals: dict[str, int] = {}
+    vals: dict[str, int | Fraction] = {}
 
     def put(name: str, num: int, den: int) -> None:
-        if num % den:
-            raise InconsistencyError(f"{name} = {num}/{den} is not an integer (A1={A1})")
-        v = num // den
-        if v < 0:
-            raise InconsistencyError(f"{name} = {v} is negative (A1={A1})")
-        vals[name] = v
+        q, r = divmod(num, den)
+        vals[name] = Fraction(num, den) if r else q
 
     if m % 3:
         put("N2", A1, 96)
@@ -233,18 +228,14 @@ def match_multiplicities(dist: CorrelationDistribution) -> dict[str, int]:
 
     Value -1 goes to N0, |value + 1| = 2^((m+1)/2) to N+-1 and
     |value + 1| = 2^((m+3)/2) to N+-2, the sign of value + 1 picking the +-
-    side; any other value raises.  Absent values count 0.
+    side.  Absent values count 0.  Any other value v is filed under its own
+    key "C_d=v", after the five, so a comparison with the theorem-1 keys fails.
     """
     out = {"N0": 0, "N1": 0, "N-1": 0, "N2": 0, "N-2": 0}
-    tiers = {1 << ((dist.m + 1) // 2): 1, 1 << ((dist.m + 3) // 2): 2}
+    tiers = {0: 0, 1 << ((dist.m + 1) // 2): 1, 1 << ((dist.m + 3) // 2): 2}
     for v, n in dist.entries.items():
-        if v == -1:
-            out["N0"] = n
-            continue
-        if abs(v + 1) not in tiers:
-            raise InconsistencyError(f"correlation value {v} is not one of the five values "
-                                     f"for m={dist.m}: {sorted(dist.entries)}")
-        out[f"N{'' if v + 1 > 0 else '-'}{tiers[abs(v + 1)]}"] = n
+        tier = tiers.get(abs(v + 1))
+        out[f"C_d={v}" if tier is None else f"N{'-' if v + 1 < 0 else ''}{tier}"] = n
     return out
 
 

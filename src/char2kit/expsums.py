@@ -28,7 +28,6 @@ from .gf2m import Field, FieldError, get_field
 
 __all__ = [
     "ExpSumReport",
-    "InconsistencyError",
     "Verdict",
     "kloosterman",
     "c_sum",
@@ -40,9 +39,6 @@ __all__ = [
     "conjecture2_check",
 ]
 
-class InconsistencyError(ValueError):
-    """A computed quantity contradicts an identity it must satisfy."""
-
 
 @dataclass(frozen=True)
 class ExpSumReport:
@@ -51,10 +47,6 @@ class ExpSumReport:
     value: int
     trace_zero_count: int
     domain_size: int
-
-    def __post_init__(self):
-        if self.value != 2 * self.trace_zero_count - self.domain_size:
-            raise InconsistencyError(f"value {self.value} != 2 * {self.trace_zero_count} - {self.domain_size}")
 
 
 @dataclass(frozen=True)

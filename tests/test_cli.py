@@ -1,8 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
-from char2kit import acceptance, crosscorr
+from char2kit import acceptance, crosscorr, expsums
 from char2kit.cli import main
 from char2kit.curves import catalog_curve
 from char2kit.zeta import catalog_lpoly
@@ -169,6 +170,7 @@ def test_a1_subcommand(capsys):
     rows = results_by_name(payload)
     assert rows["formula A_1"]["observed"] == 0
     assert rows["brute-force A_1"]["verdict"] == "pass"
+    assert "first moment" not in rows
     code, payload = run_json(capsys, "a1", "--m", "11", "--k", "1", "--no-brute")
     assert code == 0
     assert results_by_name(payload)["formula A_1"]["observed"] == 2112
@@ -181,6 +183,7 @@ def test_a1_subcommand(capsys):
         assert "brute-force A_1" not in rows
         assert rows["spectrum A_1"]["verdict"] == "pass"
         assert rows["spectrum A_1"]["observed"] == rows["formula A_1"]["observed"] == a1
+        assert rows["first moment"]["verdict"] == rows["second moment"]["verdict"] == "pass"
 
 
 def test_weights_known_distribution(capsys):
@@ -212,15 +215,7 @@ def test_weights_unknown_m_recorded(capsys):
 
 
 def test_weights_theorem1_rows_fail_on_wrong_a1(capsys, monkeypatch):
-    from char2kit import crosscorr
-
-    real = crosscorr.a1_formula
-
-    def off_by_96(m, k, brute=None):
-        rep = real(m, k, brute=False)
-        return crosscorr.A1Report(m, k, rep.formula_value + 96)
-
-    monkeypatch.setattr(crosscorr, "a1_formula", off_by_96)
+    _a1_off_by(monkeypatch, 96)
     code, out, _ = run(capsys, "weights", "--m", "9", "--k", "1")
     assert code == 1
     assert "b = 1 multiplicity N2" in out and "fail" in out
@@ -335,8 +330,8 @@ def test_failure_exit_code(capsys, monkeypatch):
 
 
 def test_inconsistency_is_a_failed_check(capsys, monkeypatch):
-    # One Walsh entry off by 2 gives a sixth correlation value, which
-    # match_multiplicities refuses: a failed check (1), not a usage error (2).
+    # One Walsh entry off by 2 gives a sixth correlation value: one more
+    # multiplicity row, which fails, and no error line.
     walsh = crosscorr.walsh_spectrum
 
     def bumped(field, e):
@@ -345,9 +340,48 @@ def test_inconsistency_is_a_failed_check(capsys, monkeypatch):
         return w
 
     monkeypatch.setattr(crosscorr, "walsh_spectrum", bumped)
-    code, _, err = run(capsys, "corrdist", "--m", "9", "--k", "1")
-    assert code == 1
-    assert err.startswith("error:") and "not one of the five values" in err
+    code, out, err = run(capsys, "corrdist", "--m", "9", "--k", "1", "--json")
+    assert (code, err) == (1, "")
+    failed = [r for r in json.loads(out)["results"] if r["verdict"] == "fail"]
+    extra = [r for r in failed if r["name"].startswith("multiplicity C_d=")]
+    assert len(extra) == 1 and extra[0]["expected"] == 0
+
+
+def _a1_off_by(monkeypatch, delta):
+    """Make a1_formula report A_1 + delta, keeping its collision count."""
+    real = crosscorr.a1_formula
+    monkeypatch.setattr(crosscorr, "a1_formula", lambda m, k, brute=None: dataclasses.replace(
+        real(m, k, brute), formula_value=real(m, k, brute=False).formula_value + delta))
+
+
+def test_wrong_a1_fails_the_multiplicity_rows(capsys, monkeypatch):
+    # N2 = (3*2^7 + A_1)/96 at m = 9 is not an integer for A_1 + 8: the row
+    # expects the exact fraction, which no count equals.
+    _a1_off_by(monkeypatch, 8)
+    code, out, err = run(capsys, "corrdist", "--m", "9", "--k", "1", "--json")
+    assert (code, err) == (1, "")
+    row = results_by_name(json.loads(out))["multiplicity N2"]
+    assert row["verdict"] == "fail" and row["expected"] == "109/12"
+
+
+def test_wrong_a1_fails_c5_by_row(capsys, monkeypatch):
+    _a1_off_by(monkeypatch, 8)
+    code, out, err = run(capsys, "verify-all", "--max-m", "9", "--max-s", "2", "--json")
+    assert (code, err) == (1, "")
+    rows = json.loads(out)["results"]
+    c5 = [r for r in rows if r["name"].startswith("C5 multiplicities")]
+    assert len(c5) == 8 and all(r["verdict"] == "fail" for r in c5)  # m = 5, 7, 9
+    assert "C5" not in [r["name"] for r in rows]
+
+
+def test_wrong_kloosterman_sum_fails_its_row(capsys, monkeypatch):
+    # a report whose value is off by one (2n - 2^m over the 2^m - 1 units)
+    real = expsums.kloosterman
+    monkeypatch.setattr(expsums, "kloosterman",
+                        lambda m: dataclasses.replace(real(m), value=real(m).value - 1))
+    code, out, err = run(capsys, "expsum", "--m", "9", "--sum", "K", "--json")
+    assert (code, err) == (1, "")
+    assert results_by_name(json.loads(out))["K_9 = -P_m(z2)"]["verdict"] == "fail"
 
 
 def test_negated_spectrum_fails_the_moment_rows(capsys, monkeypatch):
@@ -360,6 +394,17 @@ def test_negated_spectrum_fails_the_moment_rows(capsys, monkeypatch):
     rows = results_by_name(payload)
     assert rows["first moment"]["verdict"] == "fail"
     assert rows["sum of multiplicities"]["verdict"] == "pass"
+
+
+def test_negated_spectrum_fails_the_a1_moment_rows(capsys, monkeypatch):
+    # W -> -W leaves N0, so the spectrum A_1 still passes; the moment rows do not.
+    walsh = crosscorr.walsh_spectrum
+    monkeypatch.setattr(crosscorr, "walsh_spectrum", lambda field, e: -walsh(field, e))
+    code, payload = run_json(capsys, "a1", "--m", "13", "--k", "1")
+    assert code == 1
+    rows = results_by_name(payload)
+    assert rows["spectrum A_1"]["verdict"] == "pass"
+    assert rows["first moment"]["verdict"] == "fail"
 
 
 def test_missing_zero_word_fails_the_weight_rows(capsys, monkeypatch):
@@ -377,17 +422,17 @@ def test_missing_zero_word_fails_the_weight_rows(capsys, monkeypatch):
 
 def test_verify_all_records_a_raising_criterion_and_runs_the_rest(capsys, monkeypatch):
     def broken(max_m, max_s):
-        raise crosscorr.InconsistencyError("criterion broken")
+        raise RuntimeError("criterion broken")
         yield
 
     monkeypatch.setitem(acceptance.CRITERIA, "C4", broken)
     code, out, err = run(capsys, "verify-all", "--max-m", "8", "--max-s", "5", "--json")
     assert code == 1
-    assert "InconsistencyError: criterion broken" in err  # the traceback
+    assert "RuntimeError: criterion broken" in err  # the traceback
     payload = json.loads(out)
     failed = [r for r in payload["results"] if r["verdict"] == "fail"]
     assert [(r["name"], r["observed"]) for r in failed] == [
-        ("C4", "raised InconsistencyError: criterion broken")]
+        ("C4", "raised RuntimeError: criterion broken")]
     names = [r["name"] for r in payload["results"]]
     assert names.index("C4") < min(i for i, n in enumerate(names) if n.startswith("C5"))
     assert any(n.startswith("C12") for n in names)

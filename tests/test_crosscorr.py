@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,7 +8,6 @@ from hypothesis import example, given, reject
 from hypothesis import strategies as st
 
 from char2kit import crosscorr as cc
-from char2kit.crosscorr import InconsistencyError
 from char2kit.gf2m import MAX_M, FieldError, decimation_exponent, get_field
 
 from oracles import (
@@ -193,7 +193,8 @@ def test_a1_formula_equals_brute(m, k):
 @pytest.mark.parametrize("m, k", [(3, 1), (5, 1), (5, 2), (7, 3), (9, 2), (11, 1)])
 def test_a1_from_spectrum_equals_collision_count(m, k):
     # two computed routes to A_1, neither of them the exponential-sum formula
-    assert cc.a1_from_spectrum(m, k) == cc.a1_bruteforce(m, k)
+    dist = cc.correlation_distribution(m, decimation_exponent(m, k))
+    assert cc.a1_from_spectrum(dist) == cc.a1_bruteforce(m, k)
 
 
 def test_a1_argument_checks():
@@ -225,10 +226,12 @@ def test_theorem1_m9_divisible_by_3():
 def test_theorem1_error_paths():
     with pytest.raises(FieldError):
         cc.theorem1_multiplicities(8, 0)
-    with pytest.raises(InconsistencyError):
-        cc.theorem1_multiplicities(11, 2113)  # not divisible
-    with pytest.raises(InconsistencyError):
-        cc.theorem1_multiplicities(5, 10**6)  # negative bucket
+    # a wrong A1 gives values that equal no count, not a raise
+    off = cc.theorem1_multiplicities(11, 2113)  # not divisible
+    assert off["N2"] == Fraction(2113, 96) and off["N0"] == Fraction(16 * 1023 + 2113, 16)
+    assert all(not isinstance(v, int) for v in off.values())
+    assert cc.theorem1_multiplicities(5, 96000) == {"N2": 1000, "N-2": 1000, "N1": -3990, "N-1": -3994,
+                                                    "N0": 6015}  # negative buckets, returned as they are
 
 
 @pytest.mark.parametrize("m,k", [(3, 1), (5, 1), (5, 2), (7, 1), (7, 3), (11, 1), (13, 1)])
@@ -244,10 +247,11 @@ def test_match_multiplicities_bucketing():
     dist = cc.CorrelationDistribution(11, 1, {-129: 22, -65: 408, -1: 1155, 63: 440, 127: 22})
     out = cc.match_multiplicities(dist)
     assert out == {"N0": 1155, "N1": 440, "N-1": 408, "N2": 22, "N-2": 22}
-    with pytest.raises(InconsistencyError):
-        cc.match_multiplicities(
-            cc.CorrelationDistribution(5, 1, {-1: 1, 3: 1, -5: 1, 7: 1, -9: 1, 11: 1})
-        )
+    # a value outside the five is filed under its own key, after the five
+    dist = cc.CorrelationDistribution(5, 1, {-1: 5, 11: 1, 7: 2, -9: 3, 15: 4, -17: 6})
+    out = cc.match_multiplicities(dist)
+    assert out == {"N0": 5, "N1": 2, "N-1": 3, "N2": 4, "N-2": 6, "C_d=11": 1}
+    assert list(out)[-1] == "C_d=11"
 
 
 # -- weight distributions -----------------------------------------------------

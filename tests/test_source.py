@@ -8,6 +8,8 @@ from pathlib import Path
 import char2kit
 
 SOURCES = sorted(Path(char2kit.__file__).parent.glob("*.py"))
+MODULES = [importlib.import_module("char2kit" if path.stem == "__init__" else f"char2kit.{path.stem}")
+           for path in SOURCES]
 
 
 def test_no_assert_in_library():
@@ -37,12 +39,21 @@ def test_module_level_caches_are_pinned():
     # A process cache is shared state: each one here hands every caller the
     # same value (frozen catalog entries; a Field, read-only by convention).
     # A new one needs a deliberate edit of this set.
-    modules = [importlib.import_module("char2kit" if path.stem == "__init__" else f"char2kit.{path.stem}")
-               for path in SOURCES]
-    found = {f"{fn.__module__}.{fn.__qualname__}" for module in modules
+    found = {f"{fn.__module__}.{fn.__qualname__}" for module in MODULES
              for fn in vars(module).values() if hasattr(fn, "cache_clear")}
     assert found == {"char2kit.gf2m.get_field", "char2kit.zeta.catalog_lpoly",
                      "char2kit.curves.catalog_curve"}
+
+
+def test_exception_classes_are_pinned():
+    # A wrong number is a failed row; an exception is a refused argument or a
+    # bad data file (both ValueErrors, exit 2).  A new exception class is a
+    # second way to fail and needs a deliberate edit of this set.
+    found = {f"{cls.__module__}.{cls.__qualname__}" for module in MODULES
+             for cls in vars(module).values()
+             if isinstance(cls, type) and issubclass(cls, BaseException)
+             and cls.__module__ == module.__name__}
+    assert found == {"char2kit.gf2m.FieldError", "char2kit.zeta.ZetaError"}
 
 
 MUTATORS = {"add", "append", "cache_clear", "clear", "discard", "extend", "insert", "pop",
