@@ -4,6 +4,8 @@ Each subcommand emits a run report: (name, expected, observed, verdict)
 rows, the per-stage timings it fills in, and wall time.  Verdicts are
 pass/fail when an expectation exists and "recorded" otherwise.  Exit 0 when
 every row passes, 1 when a row fails, 2 when the arguments are refused.
+Any other raise is one failed row named after the subcommand (after the
+criterion, in verify-all), with the traceback on stderr.
 Output is a human table, or --json / --csv.
 """
 
@@ -333,6 +335,12 @@ def cmd_dm_check(args, timings) -> list[Row]:
 # -- verify-all ---------------------------------------------------------------
 
 
+def _raised(name: str, exc: Exception) -> Row:
+    """A raise as one failed row named after what raised; the traceback goes to stderr."""
+    traceback.print_exc()
+    return checked(name, f"raised {type(exc).__name__}: {exc}", "no exception")
+
+
 def _verify_all(args, timings) -> list[Row]:
     for option, value, cap in (("--max-m", args.max_m, gf2m.MAX_M),
                                ("--max-s", args.max_s, curves.FAST_COUNT_CAP)):
@@ -344,9 +352,8 @@ def _verify_all(args, timings) -> list[Row]:
         try:
             for row in criterion(args.max_m, args.max_s):
                 rows.append(checked(*row))
-        except Exception as exc:  # a raise is one failed row; the other criteria still run
-            traceback.print_exc()
-            rows.append(checked(key, f"raised {type(exc).__name__}: {exc}", "no exception"))
+        except Exception as exc:  # the other criteria still run
+            rows.append(_raised(key, exc))
         timings[key] = round(time.perf_counter() - t0, 3)
     return rows
 
@@ -428,6 +435,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:  # FieldError and ZetaError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # any other raise is a failed run, not a refused argument
+        report.results = [_raised(args.command, exc)]
     report.wall_time_ms = (time.perf_counter() - t0) * 1e3
     if args.json:
         print(report.to_json())

@@ -89,7 +89,7 @@ def walsh_spectrum(field: Field, e: int) -> np.ndarray:
     idx = field.pow_log(e)  # before w and freed before spare: the heap reuses its block
     w = np.empty(field.size, dtype=np.float32)
     w[0] = 0  # Tr(0^e) = Tr(0)
-    w[1:] = field.trace_table[field.exp_table[idx]]  # Tr(y^e) = Tr(alpha^(e log y))
+    w[1:] = field.trace_seq[idx]  # Tr(y^e) = Tr(alpha^(e log y))
     del idx
     w *= -2
     w += 1
@@ -277,7 +277,7 @@ def weight_distribution(m: int, k: int, mode: str = "via_correlation") -> Weight
         # Row 1 + i of a bit matrix is a = alpha^i, read off the m-sequence
         # s_j = Tr(alpha^j) as Tr(alpha^i g^t) = s[(i + e t) mod 2^m - 1];
         # row 0 is a = 0.
-        s = field.trace_table[field.exp_table]
+        s = field.trace_seq
         i = np.arange(order, dtype=np.int64)
         zero = np.zeros((1, order), dtype=np.uint8)
         bits_a, bits_b = (np.vstack((zero, s[np.add.outer(i, e * i) % order])) for e in (e2, e1))

@@ -216,9 +216,10 @@ def count_projective_points_fast(P: TrivariatePoly, s: int) -> int:
     quad = (a != 0) & (b != 0)
     log = field.log_table
     log_a, log_b, c = log[a[quad]], log[b[quad]], c[quad]
-    # beta = c a / b^2 in log space; c = 0 gives beta = 0, of trace 0.
-    beta = field.exp_table[(log[c] + log_a - 2 * log_b) % field.order]
-    n += 2 * np.count_nonzero((c == 0) | (field.trace_table[beta] == 0))
+    # Tr(beta), beta = c a / b^2, read off the m-sequence at log beta; c = 0
+    # gives beta = 0, of trace 0.
+    tr_beta = field.trace_seq[(log[c] + log_a - 2 * log_b) % field.order]
+    n += 2 * np.count_nonzero((c == 0) | (tr_beta == 0))
     for row in line + point:
         n += np.count_nonzero(_values(field, P.monomials, *row, tables) == 0)
     return int(n)

@@ -4,7 +4,7 @@ Each sum is Sum (-1)^Tr(f(x)) with f over GF(2), so Tr(f(x^2)) = Tr(f(x)^2)
 = Tr(f(x)) and every summand is constant on the Frobenius orbit of x.  With
 x = alpha^i that orbit is the cyclotomic coset {i 2^j mod 2^m - 1}, so the
 sums are evaluated once per coset, on the least members of Field.orbits,
-as arithmetic on exponents read through the exp, log and trace tables, and
+as arithmetic on exponents whose traces are read off the m-sequence, and
 each term is weighted by its coset's size.  This module is the oracle the
 curve/zeta identities are checked against.  Each report carries the
 trace-zero count n, so value = 2n - domain_size.
@@ -68,12 +68,20 @@ def _field(m: int, k: int) -> Field:
 
 def _trace_zero_count(field: Field, a: int, b: int) -> int:
     """The number of i in [0, 2^m - 1) with Tr(alpha^(a i) + alpha^(b i)) = 0,
-    as the total size of the cosets whose least member i has it."""
+    as the total size of the cosets whose least member i has it.
+
+    For e = a, b: x = i (e mod 2^m - 1) < 2^(2m-1) since i < 2^(m-1), and
+    x = 2^m hi + lo is hi + lo < 2 (2^m - 1) modulo 2^m - 1, which the wrapping
+    gather reduces.
+    """
     reps, sizes = field.orbits
     order = field.order
-    x = field.exp_table[reps * (a % order) % order]
-    x ^= field.exp_table[reps * (b % order) % order]
-    return int(sizes[field.trace_table[x] == 0].sum())
+    t = []
+    for e in (a, b):
+        x = reps * (e % order)
+        x = (x & order) + (x >> field.m)
+        t.append(field.trace_seq.take(x, mode="wrap"))
+    return order - int(sizes @ (t[0] ^ t[1]))
 
 
 def kloosterman(m: int) -> ExpSumReport:
@@ -132,12 +140,12 @@ def k_prime(m: int, k: int) -> ExpSumReport:
     exp, log, order = field.exp_table, field.log_table, field.order
     reps, sizes = field.orbits
     log_f = reps * ((1 << k) % order) % order  # log q
-    q = exp[log_f]
+    q = exp[log_f].astype(np.int64)  # an int64 index gathers faster than an int32 one
     den = q ^ exp[reps]
     log_f += log[q ^ 1]
     log_f -= ((1 << k) + 1) % order * log[den].astype(np.int64)
     log_f %= order
-    n = int(sizes[(field.trace_table[exp[log_f]] == 0) & (den != 0)].sum()) + 1
+    n = order + 1 - int(sizes @ (field.trace_seq[log_f] | (den == 0)))  # a pole counts as trace one
     return ExpSumReport(m, k, 2 * n - order, n, order)
 
 

@@ -5,7 +5,9 @@ of x^i in the polynomial-basis representative.  A :class:`Field` object
 carries the reduction polynomial and precomputed log/antilog and trace
 tables (numpy arrays) for every m, so that scalar operations are lookups
 and enumeration loops in the higher modules can be vectorized.  The antilog
-table is built from the linear recurrence of the powers of x.
+table is built from the linear recurrence of the powers of x.  The library
+reads every trace of a power alpha^i off the m-sequence Tr(alpha^i), by
+exponent; the element-indexed trace table is the independent route.
 
 The shipped reduction polynomials are primitive, i.e. the class of x is a
 generator of the multiplicative group.  Construction does not trust the
@@ -31,7 +33,7 @@ __all__ = [
 ]
 
 MAX_M = 24  # the int32 exp and log tables take 128 MB at m = 24
-LOG_BLOCK = 1 << 20  # exp entries per log-table scatter
+LOG_BLOCK = 1 << 20  # exp entries per log-table scatter and trace_seq gather
 ORBIT_BLOCK = 1 << 20  # odd candidates per `orbits` filter pass; m <= 22 takes one
 
 # Primitive polynomials over GF(2), one per degree, from the standard
@@ -81,11 +83,13 @@ class Field:
         exp_table[i] = alpha^i for 0 <= i < 2^m - 1 (int32)
         log_table[v] = i with alpha^i = v for v != 0, and -1 at v = 0 (int32)
         trace_table[v] = Tr(v) (uint8)
+        trace_seq[i] = Tr(alpha^i) for 0 <= i < 2^m - 1, the m-sequence (uint8)
         orbits = (reps, sizes), built on first use: the least member and the
             size of each cyclotomic coset of exponents (int64)
 
-    log is scattered in blocks of LOG_BLOCK entries and trace is an outer XOR
-    of two half-width parity tables, so no build step makes a 2^m int temporary.
+    log is scattered and trace_seq gathered in blocks of LOG_BLOCK entries, and
+    trace is an outer XOR of two half-width parity tables, so no build step
+    makes an int temporary of more than LOG_BLOCK entries.
 
     Immutable after construction; all operations are pure.
     """
@@ -128,6 +132,11 @@ class Field:
         hi = np.bitwise_count(np.arange(1 << (m - h)) & (mask >> h)) & 1
         lo = np.bitwise_count(np.arange(1 << h) & mask) & 1
         self.trace_table = np.bitwise_xor.outer(hi, lo).ravel()
+        # Every index is in range; "clip", unlike "raise", writes out unbuffered.
+        self.trace_seq = np.empty(self.order, dtype=np.uint8)
+        for i in range(0, self.order, LOG_BLOCK):
+            self.trace_table.take(self.exp_table[i:i + LOG_BLOCK], out=self.trace_seq[i:i + LOG_BLOCK],
+                                  mode="clip")
 
     @cached_property
     def orbits(self) -> tuple[np.ndarray, np.ndarray]:
@@ -137,8 +146,9 @@ class Field:
         i 2^j mod 2^m - 1 is the m-bit left rotation rot_j(i), so i is a least
         member iff i <= rot_j(i) for j = 1..m-1, which forces i < 2^(m-1); the
         filter runs on the survivors of the previous j.  Below 2^(m-1), j = m-1
-        (the right rotation) keeps exactly 0 and the odd i, so the filter starts
-        from those, ORBIT_BLOCK odd i at a time, and runs j = m-2 down to 1.
+        (the right rotation) keeps exactly 0 and the odd i, and j = 1 keeps
+        every i (rot_1(i) = 2i), so the filter starts from 0 and the odd i,
+        ORBIT_BLOCK odd i at a time, and runs j = m-2 down to 2.
         The size is the least divisor d of m with rot_d(i) = i.  Built on first
         use, as int64 so that exponent products such as (2^k + 1) i stay exact.
         """
@@ -150,7 +160,7 @@ class Field:
         blocks = [np.zeros(1, dtype=np.uint32)]
         for lo in range(1, half, 2 * ORBIT_BLOCK):
             reps = np.arange(lo, min(lo + 2 * ORBIT_BLOCK, half), 2, dtype=np.uint32)  # uint32: the shift drops high bits
-            for j in range(m - 2, 0, -1):
+            for j in range(m - 2, 1, -1):
                 reps = reps[reps <= rot(reps, j)]
             blocks.append(reps)
         reps = np.concatenate(blocks)

@@ -420,6 +420,21 @@ def test_missing_zero_word_fails_the_weight_rows(capsys, monkeypatch):
     assert rows["zero words"]["observed"] == 0
 
 
+def test_a_raising_subcommand_is_one_failed_row(capsys, monkeypatch):
+    # A raise that is not a refused argument is a failed run (exit 1), not a
+    # bare traceback: one row named after the subcommand, the traceback on stderr.
+    def broken(field, e):
+        raise RuntimeError("spectrum broken")
+
+    monkeypatch.setattr(crosscorr, "walsh_spectrum", broken)
+    code, out, err = run(capsys, "corrdist", "--m", "9", "--k", "1", "--json")
+    assert code == 1
+    assert "RuntimeError: spectrum broken" in err
+    assert json.loads(out)["results"] == [{"name": "corrdist", "expected": "no exception",
+                                           "observed": "raised RuntimeError: spectrum broken",
+                                           "verdict": "fail"}]
+
+
 def test_verify_all_records_a_raising_criterion_and_runs_the_rest(capsys, monkeypatch):
     def broken(max_m, max_s):
         raise RuntimeError("criterion broken")

@@ -86,15 +86,28 @@ def test_sums_match_naive_any_k(mk):
         "K": nf.order, "C": nf.size, "G": nf.order, "Kp": nf.order}
 
 
+def assert_orbit_route_matches_enumeration(m, k):
+    reports = {"K": es.kloosterman(m), "C": es.c_sum(m, k), "G": es.g_sum(m, k), "Kp": es.k_prime(m, k)}
+    assert {name: (r.value, r.trace_zero_count, r.domain_size)
+            for name, r in reports.items()} == enumerated_sums(m, k)
+
+
 @differential
 @given(st.integers(1, 16).flatmap(lambda m: st.tuples(st.just(m), st.integers(1, 2 * m))))
 def test_orbit_route_matches_enumeration(mk):
     # one term per cyclotomic coset, weighted by its size, against every exponent;
     # k up to 2m draws gcd(k, m) > 1 and so the poles of K'
-    m, k = mk
-    reports = {"K": es.kloosterman(m), "C": es.c_sum(m, k), "G": es.g_sum(m, k), "Kp": es.k_prime(m, k)}
-    assert {name: (r.value, r.trace_zero_count, r.domain_size)
-            for name, r in reports.items()} == enumerated_sums(m, k)
+    assert_orbit_route_matches_enumeration(*mk)
+
+
+@pytest.mark.parametrize("m,k", [(17, 3), (19, 5), (20, 2),
+                                 (1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (4, 2)])
+def test_orbit_route_matches_enumeration_at_pinned_points(m, k):
+    # Past the drawn range, and at the edges of the trace-zero count's fold of
+    # i e modulo 2^m - 1, which the gather wraps: m = 1 (modulus 1), m = 2,
+    # 2^k + 1 = 0 modulo 2^m - 1 at (2, 1) and (2, 3), and at (4, 2) the
+    # folded 3 * 5 is 15, the modulus itself.
+    assert_orbit_route_matches_enumeration(m, k)
 
 
 # -- invariants ---------------------------------------------------------------

@@ -113,6 +113,14 @@ def test_trace_table_matches_naive_trace(m):
     assert f.trace_table.tolist() == [nf.trace(a) for a in range(f.size)]
 
 
+@pytest.mark.parametrize("m", range(1, MAX_M + 1))
+def test_trace_seq_is_the_m_sequence(m):
+    # the library's exponent-indexed route against the element-space one
+    f = get_field(m)
+    assert f.trace_seq.dtype == np.uint8
+    assert np.array_equal(f.trace_seq, f.trace_table[f.exp_table])
+
+
 @pytest.mark.parametrize("m", range(1, 15))
 def test_orbits_match_naive_cosets(m):
     field = Field(m)

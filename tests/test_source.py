@@ -165,3 +165,14 @@ def test_every_public_function_has_a_caller_in_the_library():
              and not fn.name.startswith("_")
              and total[fn.name] == _referenced_names(fn)[fn.name]]
     assert found == []
+
+
+def test_trace_table_is_read_only_in_gf2m():
+    # The library reads each trace off the m-sequence Field.trace_seq, by
+    # exponent; the element-indexed trace_table is the oracles' independent
+    # route, so outside gf2m no library module reads it.
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES if path.name != "gf2m.py"
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Attribute) and node.attr == "trace_table"]
+    assert found == []
