@@ -271,15 +271,9 @@ def cmd_curvecount(args, timings) -> list[Row]:
     cap = curves.COUNT_CAP if args.generic else curves.FAST_COUNT_CAP
     if not 1 <= args.s <= cap:
         raise ValueError(f"--s {args.s} outside 1..{cap}")
-    try:
-        entry = curves.catalog_curve(args.curve)
-        poly = entry.polynomial
-    except ValueError:
-        entry = None
-        poly = curves.load_curve(args.curve)
-    L = None
-    if entry is not None and entry.l_polynomial_name is not None:
-        L = zeta.catalog_lpoly(entry.l_polynomial_name)
+    entry = curves.catalog_curve(args.curve) if args.curve in curves.catalog_curve_names() else None
+    poly = entry.polynomial if entry else curves.load_curve(args.curve)
+    L = zeta.catalog_lpoly(entry.l_polynomial_name) if entry and entry.l_polynomial_name else None
     counter = curves.count_projective_points if args.generic else curves.count_projective_points_fast
     rows = []
     for s in range(1, args.s + 1):
@@ -315,21 +309,17 @@ def cmd_zeta(args, timings) -> list[Row]:
     g2 = L.degree
     if g2 % 2 == 0 and g2 > 0:
         fe = zeta.functional_equation_check(L, 2, g2 // 2)
-        rows.append(checked("functional equation", fe.holds, True))
+        rows.append(checked("functional equation", fe.lhs, fe.rhs))
     return rows
 
 
 def cmd_dm_check(args, timings) -> list[Row]:
     if args.bound < 1:
         raise ValueError(f"--bound {args.bound} must be >= 1")
-    L1p = zeta.catalog_lpoly("l1prime")
-    res = zeta.vanishing_residue_check(L1p, 3, args.bound)
-    rows = [checked(f"P_m(l1prime) = 0 for 3 coprime m <= {args.bound}", res.holds, True)]
-    if not res.holds:
-        rows.append(recorded("first failure", res.detail))
+    res = zeta.vanishing_residue_check(zeta.catalog_lpoly("l1prime"), 3, args.bound)
     exp = zeta.l1prime_expansion_check()
-    rows.append(checked("expansion matches published coefficients", exp.holds, True))
-    return rows
+    return [checked(f"P_m(l1prime) = 0 for 3 coprime m <= {args.bound}", res.lhs, res.rhs),
+            checked("expansion matches published coefficients", exp.lhs, exp.rhs)]
 
 
 # -- verify-all ---------------------------------------------------------------

@@ -25,10 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf2m import Field, FieldError, get_field
+from .verdict import Verdict
 
 __all__ = [
     "ExpSumReport",
-    "Verdict",
     "kloosterman",
     "c_sum",
     "c_sum_closed_form",
@@ -47,16 +47,6 @@ class ExpSumReport:
     value: int
     trace_zero_count: int
     domain_size: int
-
-
-@dataclass(frozen=True)
-class Verdict:
-    lhs: int
-    rhs: int
-
-    @property
-    def holds(self) -> bool:
-        return self.lhs == self.rhs
 
 
 def _field(m: int, k: int) -> Field:

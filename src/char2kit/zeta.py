@@ -18,8 +18,9 @@ from functools import cache
 from importlib import resources
 from operator import mul
 
+from .verdict import Verdict
+
 __all__ = [
-    "CheckResult",
     "L1PRIME_EXPANSION",
     "LPolynomial",
     "ZetaError",
@@ -53,11 +54,8 @@ class LPolynomial:
     def __post_init__(self):
         if not self.coefficients or self.coefficients[0] != 1:
             raise ZetaError("constant term must be 1")
-        if self.genus_hint is not None:
-            if len(self.coefficients) - 1 != 2 * self.genus_hint:
-                raise ZetaError("degree does not equal 2 * genus_hint")
-            if not functional_equation_check(self, self.q, self.genus_hint).holds:
-                raise ZetaError("functional equation fails for claimed genus")
+        if self.genus_hint is not None and not functional_equation_check(self, self.q, self.genus_hint).holds:
+            raise ZetaError(f"functional equation fails for claimed genus {self.genus_hint}")
 
     @property
     def degree(self) -> int:
@@ -104,7 +102,7 @@ def reconstruct_from_counts(counts: list[int], q: int, g: int) -> LPolynomial:
     """Recover the genus-g L-polynomial from point counts N_1..N_g.
 
     Newton's identities give sigma_1..sigma_g from P_s = q^s + 1 - N_s; the
-    functional equation sigma_{2g-j} = q^(g-j) sigma_j supplies the top half.
+    functional equation (_mirror) supplies the top half.
     Raises if any sigma comes out non-integral (the counts are inconsistent
     with a genus-g curve over F_q).
     """
@@ -122,38 +120,29 @@ def reconstruct_from_counts(counts: list[int], q: int, g: int) -> LPolynomial:
         if sj.denominator != 1:
             raise ZetaError(f"non-integral sigma_{j} = {sj}; counts are not from a genus-{g} curve")
         sigma.append(sj)
-    coeffs = [int(s) for s in sigma]
-    for j in range(g - 1, -1, -1):
-        coeffs.append(q ** (g - j) * coeffs[j])
-    return LPolynomial(tuple(coeffs), q, genus_hint=g)
+    return LPolynomial(_mirror([int(s) for s in sigma], q), q, genus_hint=g)
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    holds: bool
-    detail: str = ""
+def _mirror(low: list[int], q: int) -> tuple[int, ...]:
+    """sigma_0..sigma_2g from sigma_0..sigma_g by the Weil functional equation
+    sigma_(2g-j) = q^(g-j) sigma_j."""
+    g = len(low) - 1
+    return tuple(low) + tuple(q ** (g - j) * low[j] for j in range(g - 1, -1, -1))
 
 
-def functional_equation_check(L: LPolynomial, q: int, g: int) -> CheckResult:
-    """Weil symmetry sigma_{2g-j} = q^(g-j) sigma_j for 0 <= j <= g."""
-    if L.degree != 2 * g:
-        return CheckResult(False, f"degree {L.degree} != 2g = {2 * g}")
-    for j in range(g + 1):
-        if L[2 * g - j] != q ** (g - j) * L[j]:
-            return CheckResult(False, f"sigma_{2 * g - j} != {q}^{g - j} * sigma_{j}")
-    return CheckResult(True)
+def functional_equation_check(L: LPolynomial, q: int, g: int) -> Verdict:
+    """The coefficients of L against sigma_0..sigma_g mirrored to degree 2g;
+    a degree other than 2g fails by length."""
+    return Verdict(L.coefficients, _mirror([L[j] for j in range(g + 1)], q))
 
 
-def vanishing_residue_check(L: LPolynomial, modulus: int, bound: int) -> CheckResult:
-    """Verify P_m(L) = 0 for every m <= bound with m % modulus != 0; the
-    detail names the first nonzero P_m.  It follows when L is a polynomial in
-    t^modulus, which is not read here (l1prime_expansion_check reads l1prime).
+def vanishing_residue_check(L: LPolynomial, modulus: int, bound: int) -> Verdict:
+    """Every nonzero P_m(L) with m <= bound and m % modulus != 0, against {}.
+    They vanish when L is a polynomial in t^modulus, which is not read here
+    (l1prime_expansion_check reads l1prime).
     """
     P = power_sums(L, bound)
-    for m in range(1, bound + 1):
-        if m % modulus and P[m - 1]:
-            return CheckResult(False, f"P_{m} = {P[m - 1]} != 0")
-    return CheckResult(True)
+    return Verdict({m: P[m - 1] for m in range(1, bound + 1) if m % modulus and P[m - 1]}, {})
 
 
 def singular_correction(s: int) -> int:
@@ -182,13 +171,10 @@ L1PRIME_EXPANSION: dict[int, int] = {
 }
 
 
-def l1prime_expansion_check() -> CheckResult:
-    """Expand the factored l1prime and compare with the published expansion."""
+def l1prime_expansion_check() -> Verdict:
+    """The nonzero sigma_j of the factored l1prime against the published expansion."""
     L = catalog_lpoly("l1prime")
-    for j in range(L.degree + 1):
-        if L[j] != L1PRIME_EXPANSION.get(j, 0):
-            return CheckResult(False, f"sigma_{j} = {L[j]}, published {L1PRIME_EXPANSION.get(j, 0)}")
-    return CheckResult(True)
+    return Verdict({j: s for j, s in enumerate(L.coefficients) if s}, L1PRIME_EXPANSION)
 
 
 # -- catalog ---------------------------------------------------------------

@@ -19,7 +19,8 @@ import numpy as np
 from hypothesis import settings
 
 from char2kit.gf2m import Field, FieldError, get_field
-from char2kit.zeta import CheckResult, LPolynomial
+from char2kit.verdict import Verdict
+from char2kit.zeta import LPolynomial
 
 # Differential tests against these oracles: fixed, bounded, no deadline.
 differential = settings(derandomize=True, max_examples=25, deadline=None)
@@ -229,14 +230,11 @@ def naive_power_sums(coeffs: list[int], s_max: int) -> list[float]:
     return [complex(np.sum(recip**j)).real for j in range(1, s_max + 1)]
 
 
-def root_modulus_check(L: LPolynomial, expected_sq: int = 2, tol: float = 1e-9) -> CheckResult:
-    """Numeric check that every reciprocal root has |omega|^2 = expected_sq."""
-    roots = np.roots(list(reversed(L.coefficients)))
-    for t in roots:
-        w = 1.0 / t
-        if abs(abs(w) ** 2 - expected_sq) > tol * (1 + expected_sq):
-            return CheckResult(False, f"reciprocal root {w} has |.|^2 = {abs(w)**2}")
-    return CheckResult(True)
+def root_modulus_check(L: LPolynomial, expected_sq: int = 2, tol: float = 1e-9) -> Verdict:
+    """Numeric check that every reciprocal root has |omega|^2 = expected_sq:
+    the reciprocal roots off that circle, against []."""
+    recip = 1.0 / np.roots(list(reversed(L.coefficients)))
+    return Verdict([w for w in recip if abs(abs(w) ** 2 - expected_sq) > tol * (1 + expected_sq)], [])
 
 
 def catalog_lpoly_factors(name: str) -> list[LPolynomial]:

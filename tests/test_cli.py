@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from char2kit import acceptance, crosscorr, expsums
+from char2kit import acceptance, crosscorr, expsums, zeta
 from char2kit.cli import main
 from char2kit.curves import catalog_curve
 from char2kit.zeta import catalog_lpoly
@@ -244,6 +244,19 @@ def test_curvecount_rejects_s_before_counting(capsys, monkeypatch):
     assert calls == []
 
 
+def test_curvecount_reports_a_catalog_error_without_trying_a_path(capsys, monkeypatch):
+    # A catalog name is resolved by membership, so a ValueError raised while
+    # reading the catalog entry is the error shown, not "no such file".
+    from char2kit import curves
+
+    def unreadable(name):
+        raise ValueError(f"bad line in catalog curve {name}")
+
+    monkeypatch.setattr(curves, "catalog_curve", unreadable)
+    code, _, err = run(capsys, "curvecount", "--curve", "kloosterman", "--s", "2")
+    assert (code, err) == (2, "error: bad line in catalog curve kloosterman\n")
+
+
 def test_curvecount_from_file(tmp_path, capsys):
     path = tmp_path / "c.curve"
     path.write_text("".join(f"{a} {b} {c}\n" for a, b, c in catalog_curve("kloosterman").polynomial.monomials))
@@ -281,7 +294,23 @@ def test_zeta_reconstruct(capsys):
 def test_dm_check(capsys):
     code, payload = run_json(capsys, "dm-check", "--bound", "100")
     assert code == 0
-    assert all(r["verdict"] == "pass" for r in payload["results"])
+    assert [(r["name"], r["verdict"]) for r in payload["results"]] == [
+        ("P_m(l1prime) = 0 for 3 coprime m <= 100", "pass"),
+        ("expansion matches published coefficients", "pass")]
+    assert payload["results"][0]["observed"] == payload["results"][0]["expected"] == {}
+
+
+def test_a_wrong_published_coefficient_fails_c9_and_dm_check_at_its_index(capsys, monkeypatch):
+    monkeypatch.setattr(zeta, "L1PRIME_EXPANSION", {**zeta.L1PRIME_EXPANSION, 9: -47})
+    rows = {name: (observed, expected) for name, observed, expected in acceptance.CRITERIA["C9"](18, 10)}
+    observed, expected = rows.pop("C9 expansion matches published coefficients")
+    assert (observed[9], expected[9]) == (-48, -47)
+    assert all(observed == expected for observed, expected in rows.values())
+    code, payload = run_json(capsys, "dm-check")
+    assert code == 1
+    failed = [r for r in payload["results"] if r["verdict"] == "fail"]
+    assert [r["name"] for r in failed] == ["expansion matches published coefficients"]
+    assert (failed[0]["observed"]["9"], failed[0]["expected"]["9"]) == (-48, -47)
 
 
 def test_verify_all_small(capsys):

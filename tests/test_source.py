@@ -167,6 +167,23 @@ def test_every_public_function_has_a_caller_in_the_library():
     assert found == []
 
 
+def test_every_check_returns_a_verdict():
+    # An identity check returns its two exact sides, so a failed row shows
+    # what disagreed: Verdict is the one class with a holds attribute, and
+    # every public *_check function is annotated to return it (a cmd_*
+    # subcommand of the CLI returns rows).
+    holders = {f"{cls.__module__}.{cls.__qualname__}" for module in MODULES
+               for cls in vars(module).values()
+               if isinstance(cls, type) and cls.__module__ == module.__name__
+               and ("holds" in vars(cls) or "holds" in vars(cls).get("__annotations__", {}))}
+    assert holders == {"char2kit.verdict.Verdict"}
+    returns = {f"{module.__name__}.{name}": fn.__annotations__.get("return")
+               for module in MODULES for name, fn in vars(module).items()
+               if callable(fn) and getattr(fn, "__module__", None) == module.__name__
+               and name.endswith("_check") and not name.startswith(("_", "cmd_"))}
+    assert returns and {name for name, annotation in returns.items() if annotation != "Verdict"} == set()
+
+
 def test_trace_table_is_read_only_in_gf2m():
     # The library reads each trace off the m-sequence Field.trace_seq, by
     # exponent; the element-indexed trace_table is the oracles' independent

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from char2kit import zeta as z
+from char2kit.verdict import Verdict
 from char2kit.zeta import LPolynomial, ZetaError
 
 from oracles import catalog_lpoly_factors, naive_power_sums, root_modulus_check
@@ -77,7 +78,10 @@ def test_functional_equation():
     assert z.functional_equation_check(L2, 2, 1).holds  # sigma_2 = 2 sigma_0
     assert z.functional_equation_check(L4, 2, 2).holds  # sigma_4 = 4, sigma_3 = 2 sigma_1
     assert z.functional_equation_check(L1, 2, 31).holds
-    assert not z.functional_equation_check(LPolynomial((1, 1, 3)), 2, 1).holds
+    # A wrong sigma fails on its coefficient; a wrong degree fails by length.
+    assert z.functional_equation_check(LPolynomial((1, 1, 3)), 2, 1) == Verdict((1, 1, 3), (1, 1, 2))
+    assert z.functional_equation_check(L2, 2, 2) == Verdict((1, 1, 2), (1, 1, 2, 2, 4))
+    assert z.functional_equation_check(L4, 2, 1) == Verdict((1, 1, 0, 2, 4), (1, 1, 2))
 
 
 def test_reconstruct_examples():
@@ -113,13 +117,13 @@ def test_vanishing_residue_check():
     assert z.vanishing_residue_check(L1p, 3, 200).holds
     L3p = z.catalog_lpoly("l3prime")
     assert z.power_sums(L3p, 5) == [0, 0, 12, 0, 0]
-    assert z.vanishing_residue_check(L3p, 2, 10) == z.CheckResult(False, "P_3 = 12 != 0")
+    assert z.vanishing_residue_check(L3p, 2, 10) == Verdict({3: 12, 9: -96}, {})
     # any polynomial in t^3 passes automatically
     assert z.vanishing_residue_check(LPolynomial((1, 0, 0, 7)), 3, 30).holds
 
 
 def test_l1prime_expansion_against_published():
-    assert z.l1prime_expansion_check().holds
+    assert z.l1prime_expansion_check() == Verdict(z.L1PRIME_EXPANSION, z.L1PRIME_EXPANSION)
     L1p = z.catalog_lpoly("l1prime")
     assert L1p[60] == 1073741824 and L1p[57] == 268435456 and L1p[42] == 4784128
 
@@ -179,8 +183,9 @@ def test_file_format_roundtrip(tmp_path):
 
 
 def test_genus_hint_validation():
-    with pytest.raises(ZetaError):
+    # One raise covers both: a degree other than 2g and a sigma off the mirror.
+    with pytest.raises(ZetaError, match="genus 2"):
         LPolynomial((1, 1, 2), genus_hint=2)
-    with pytest.raises(ZetaError):
+    with pytest.raises(ZetaError, match="genus 1"):
         LPolynomial((1, 1, 3), genus_hint=1)
     assert LPolynomial((1, 1, 2), genus_hint=1).genus_hint == 1
