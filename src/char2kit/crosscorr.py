@@ -41,7 +41,7 @@ __all__ = [
     "weight_distribution",
 ]
 
-A1_BRUTE_CAP = 11      # 2^(2m) pair keys, int64 above 3m = 32 bits: 32 MB at m = 11
+A1_BRUTE_CAP = 11      # 2 R 2^m pair codes, R ~ 2^m/m orbits: 770k uint32 codes (31 bits) at m = 11
 DIRECT_WEIGHT_CAP = 8  # 2^(2m) codewords scanned individually
 FLOAT32_EXACT_M = np.finfo(np.float32).nmant + 1  # float32 holds every integer up to 2^24
 
@@ -127,31 +127,46 @@ def a1_bruteforce(m: int, k: int) -> int:
         x^(2^k+1) + y^(2^k+1) + z^(2^k+1) + u^(2^k+1) = 0,
         x^(2^2k+1) + y^(2^2k+1) + z^(2^2k+1) + u^(2^2k+1) = 0
 
-    by pair collisions.  Each ordered pair (x, y) has the key
-    K = (x^(2^2k+1) + y^(2^2k+1), x^(2^k+1) + y^(2^k+1), x + y), packed into
-    3m bits with x + y lowest; (x, y, z, u) is counted iff K(z, u) = K(x, y) xor 1,
-    so A_1 = sum over K of n(K) n(K xor 1) = 2 sum over even K of n(K) n(K + 1),
-    read off the runs of the sorted keys.  No symmetry quotient: the count is
-    of ordered quadruples.
+    by pair collisions, one Frobenius orbit of s = x + y at a time.  T(s), the
+    number of solutions with x + y = s and so z + u = s + 1, has
+    T(s^2) = T(s): squaring every coordinate maps the solutions at s onto those
+    at s^2.  So A_1 = sum of |orbit| T(s) over s = 0 (an orbit of one) and
+    s = alpha^i for the least members i of the cyclotomic cosets, R values in all.
+    With Q(v) = v^(2^2k+1) v^(2^k+1) packed into 2m bits, the pair (x, x + s)
+    has the key Q(x) xor Q(x + s); T(s) = sum over keys of n0 n1, n0 counting
+    the 2^m pairs (x, x + s) and n1 the 2^m pairs (z, z + s + 1) with that key.
+    Each pair is one code: the representative's row above the key, the side
+    (0 or 1) below it.  One sort of the 2 R 2^m codes puts side 0 of a
+    (row, key) just before its side 1, read off the runs.  No symmetry
+    quotient: the count is of ordered quadruples.
     """
     if m > A1_BRUTE_CAP:
         raise FieldError(f"m={m} exceeds brute cap {A1_BRUTE_CAP}: the collision count "
-                         f"sorts 2^{2 * m} = {4**m} pair keys")
+                         f"sorts 2 R 2^{m} pair codes, R ~ 2^{m}/{m} orbits of x + y")
     field = get_field(m)
-    dtype = np.uint32 if 3 * m <= 32 else np.int64
-    keys = np.zeros((field.size, field.size), dtype)
-    P = np.zeros(field.size, dtype)  # v^e over v in element order; 0^e = 0
-    for e in ((1 << (2 * k)) + 1, (1 << k) + 1, 1):
-        P[1:] = field.exp_table[field.pow_log(e)]
-        keys <<= m
-        keys |= np.bitwise_xor.outer(P, P)
-    keys = keys.ravel()
-    keys.sort()
-    edges = np.flatnonzero(keys[1:] != keys[:-1]) + 1
-    run_keys = keys[np.concatenate(([0], edges))]
-    counts = np.diff(edges, prepend=0, append=len(keys))
-    pair = (run_keys[1:] == run_keys[:-1] + 1) & (run_keys[:-1] % 2 == 0)
-    return 2 * int(counts[:-1][pair] @ counts[1:][pair])
+    reps, sizes = field.orbits
+    s = np.concatenate(([0], field.exp_table[reps]))  # one s per Frobenius orbit
+    weight = np.concatenate(([1], sizes))
+    shift = 2 * m + 1  # key and side bit below the row
+    dtype = np.uint32 if shift + (len(s) - 1).bit_length() <= 32 else np.uint64
+    Q = np.zeros(field.size, dtype)  # Q(v) over v in element order; 0^e = 0
+    for e in ((1 << (2 * k)) + 1, (1 << k) + 1):
+        Q <<= m
+        Q[1:] |= field.exp_table[field.pow_log(e)].astype(dtype)
+    sums = s[:, None, None] ^ np.array([[0], [1]])  # [row, side]: s, then s + 1
+    codes = Q[np.arange(field.size) ^ sums]  # [row, side, x]: Q(x + s + side)
+    codes ^= Q
+    codes <<= 1
+    codes[:, 1] |= 1
+    codes |= (np.arange(len(s), dtype=dtype) << shift)[:, None, None]
+    codes = codes.ravel()
+    codes.sort()
+    edges = np.flatnonzero(codes[1:] != codes[:-1]) + 1
+    run_codes = codes[np.concatenate(([0], edges))]
+    counts = np.diff(edges, prepend=0, append=len(codes))
+    pair = (run_codes[1:] == run_codes[:-1] + 1) & (run_codes[:-1] % 2 == 0)
+    rows = (run_codes[:-1][pair] >> shift).astype(np.intp)
+    return int((weight[rows] * counts[:-1][pair]) @ counts[1:][pair])
 
 
 def a1_formula(m: int, k: int, brute: bool | None = None) -> A1Report:
@@ -276,13 +291,17 @@ def weight_distribution(m: int, k: int, mode: str = "via_correlation") -> Weight
     if mode == "direct":
         # Row 1 + i of a bit matrix is a = alpha^i, read off the m-sequence
         # s_j = Tr(alpha^j) as Tr(alpha^i g^t) = s[(i + e t) mod 2^m - 1];
-        # row 0 is a = 0.
+        # row 0 is a = 0.  Rows are packed 8 positions a byte (zero padding),
+        # and the word (a, b) weighs popcount(pack_a xor pack_b).
         s = field.trace_seq
         i = np.arange(order, dtype=np.int64)
         zero = np.zeros((1, order), dtype=np.uint8)
-        bits_a, bits_b = (np.vstack((zero, s[np.add.outer(i, e * i) % order])) for e in (e2, e1))
-        for row in bits_a:
-            entries.update(np.count_nonzero(row ^ bits_b, axis=1).tolist())
+        pack_a, pack_b = (np.packbits(np.vstack((zero, s[np.add.outer(i, e * i) % order])), axis=1)
+                          for e in (e2, e1))
+        bits = pack_a[:, None] ^ pack_b
+        weights, counts = np.unique(np.bitwise_count(bits, out=bits).sum(axis=-1, dtype=np.uint16),
+                                    return_counts=True)
+        entries.update(dict(zip(weights.tolist(), counts.tolist())))
     else:
         W = walsh_spectrum(field, e1 * pow(e2, -1, order))
         weights, counts = np.unique((field.size - W) // 2, return_counts=True)

@@ -5,7 +5,7 @@ of x^i in the polynomial-basis representative.  A :class:`Field` object
 carries the reduction polynomial and precomputed log/antilog and trace
 tables (numpy arrays) for every m, so that scalar operations are lookups
 and enumeration loops in the higher modules can be vectorized.  The antilog
-table is built from the linear recurrence of the powers of x.  The library
+table is built from the Frobenius powers of the reduction polynomial.  The library
 reads every trace of a power alpha^i off the m-sequence Tr(alpha^i), by
 exponent; the element-indexed trace table is the independent route.
 
@@ -33,7 +33,7 @@ __all__ = [
 ]
 
 MAX_M = 24  # the int32 exp and log tables take 128 MB at m = 24
-LOG_BLOCK = 1 << 20  # exp entries per log-table scatter and trace_seq gather
+LOG_BLOCK = 1 << 20  # exp entries per log-table scatter and trace_seq popcount pass
 ORBIT_BLOCK = 1 << 20  # odd candidates per `orbits` filter pass; m <= 22 takes one
 
 # Primitive polynomials over GF(2), one per degree, from the standard
@@ -70,12 +70,6 @@ class FieldError(ValueError):
     """Bad field parameters or an operation outside its domain."""
 
 
-def _times_x(v: int, f: int) -> int:
-    """x * v mod f, for v of degree below that of f."""
-    v <<= 1
-    return v ^ f if v >> (f.bit_length() - 1) else v
-
-
 class Field:
     """GF(2^m) in polynomial basis with a primitive class of x as generator.
 
@@ -87,7 +81,7 @@ class Field:
         orbits = (reps, sizes), built on first use: the least member and the
             size of each cyclotomic coset of exponents (int64)
 
-    log is scattered and trace_seq gathered in blocks of LOG_BLOCK entries, and
+    log is scattered and trace_seq counted in blocks of LOG_BLOCK entries, and
     trace is an outer XOR of two half-width parity tables, so no build step
     makes an int temporary of more than LOG_BLOCK entries.
 
@@ -112,7 +106,7 @@ class Field:
         # The primitivity check: if x^0, ..., x^(2^m - 2) cover every nonzero
         # residue, each of them is a unit, so GF(2)[x]/(f) is a field and x
         # generates its multiplicative group.
-        self.exp_table = self._exp_by_doubling()
+        self.exp_table = self._exp_by_frobenius()
         self.log_table = np.full(self.size, -1, dtype=np.int32)
         for i in range(0, self.order, LOG_BLOCK):
             block = self.exp_table[i:i + LOG_BLOCK]
@@ -132,11 +126,11 @@ class Field:
         hi = np.bitwise_count(np.arange(1 << (m - h)) & (mask >> h)) & 1
         lo = np.bitwise_count(np.arange(1 << h) & mask) & 1
         self.trace_table = np.bitwise_xor.outer(hi, lo).ravel()
-        # Every index is in range; "clip", unlike "raise", writes out unbuffered.
+        # Tr(alpha^i) = parity(popcount(exp[i] & mask)), popcounts written as uint8.
         self.trace_seq = np.empty(self.order, dtype=np.uint8)
         for i in range(0, self.order, LOG_BLOCK):
-            self.trace_table.take(self.exp_table[i:i + LOG_BLOCK], out=self.trace_seq[i:i + LOG_BLOCK],
-                                  mode="clip")
+            np.bitwise_count(self.exp_table[i:i + LOG_BLOCK] & mask, out=self.trace_seq[i:i + LOG_BLOCK])
+        self.trace_seq &= 1
 
     @cached_property
     def orbits(self) -> tuple[np.ndarray, np.ndarray]:
@@ -170,30 +164,29 @@ class Field:
                 sizes[rot(reps, d) == reps] = d
         return reps.astype(np.int64), sizes
 
-    def _exp_by_doubling(self) -> np.ndarray:
-        """alpha^i for 0 <= i < 2^m - 1, from the linear recurrence of the powers.
+    def _exp_by_frobenius(self) -> np.ndarray:
+        """alpha^i for 0 <= i < 2^m - 1, from the Frobenius powers of f.
 
-        The first min(2m, 2^m - 1) entries are scalar `_times_x` steps.  Past
-        them, with alpha^n = x * exp[n - 1] = sum of c_l x^l over the set bits l
-        of c, alpha^(n+t) = sum of c_l exp[t + l]; for t < n - m + 1 every such
-        exp[t + l] is already built, so each block of the table is the XOR of
-        popcount(c) <= m contiguous slices of the part before it, written in
-        place.  The table starts as zeros, so c = 0 (x divides f) leaves its
-        block zero and the log closure check rejects f.
+        exp[i] = x^i for i < m.  With f = x^m + sum of x^a over the terms a < m,
+        f(x)^(2^j) = f(x^(2^j)) gives x^(m 2^j) = sum of x^(a 2^j), so for
+        T >= m 2^j, exp[T] is the XOR of exp[T - (m - a) 2^j] over those a.  With
+        2^j the largest power of two at most n / m, a block of
+        (m - a_max) 2^j entries past the first n reads only built entries, so
+        it is the XOR of one contiguous slice per term, written in place: two
+        slices for a trinomial, four for a pentanomial.  With no term below
+        x^m the table stays zero past x^(m-1), and the log closure rejects f.
         """
         m, order, f = self.m, self.order, self.reduction
         exp = np.zeros(order, dtype=np.int32)
-        n = min(2 * m, order)
-        seed = [1]
-        while len(seed) < n:
-            seed.append(_times_x(seed[-1], f))
-        exp[:n] = seed
-        while n < order:
-            c = _times_x(int(exp[n - 1]), f)
-            block = exp[n:n + min(n - m + 1, order - n)]
-            for l in range(m):
-                if c >> l & 1:
-                    block ^= exp[l:l + len(block)]
+        exp[:m] = 1 << np.arange(m)
+        terms = [a for a in range(m) if f >> a & 1]
+        n = m
+        while terms and n < order:
+            p = 1 << ((n // m).bit_length() - 1)
+            block = exp[n:n + min((m - terms[-1]) * p, order - n)]
+            for a in terms:
+                lo = n - (m - a) * p
+                block ^= exp[lo:lo + len(block)]
             n += len(block)
         return exp
 

@@ -328,3 +328,42 @@ def stacked_walsh_spectrum(field: Field, e: int) -> np.ndarray:
         w = w.reshape(-1, 2, 1 << i)
         w = np.stack((w[:, 0] + w[:, 1], w[:, 0] - w[:, 1]), axis=1)
     return w.reshape(-1)
+
+
+def sorted_pair_collision_a1(m: int, k: int) -> int:
+    """A_1 by sorting all 2^(2m) ordered pair keys
+    K = (x^(2^2k+1) + y^(2^2k+1), x^(2^k+1) + y^(2^k+1), x + y), packed into 3m
+    bits with x + y lowest: (x, y, z, u) counts iff K(z, u) = K(x, y) xor 1, so
+    A_1 = 2 sum over even K of n(K) n(K + 1), read off the runs of the sorted keys."""
+    field = get_field(m)
+    dtype = np.uint32 if 3 * m <= 32 else np.int64
+    keys = np.zeros((field.size, field.size), dtype)
+    P = np.zeros(field.size, dtype)  # v^e over v in element order; 0^e = 0
+    for e in ((1 << (2 * k)) + 1, (1 << k) + 1, 1):
+        P[1:] = field.exp_table[field.pow_log(e)]
+        keys <<= m
+        keys |= np.bitwise_xor.outer(P, P)
+    keys = keys.ravel()
+    keys.sort()
+    edges = np.flatnonzero(keys[1:] != keys[:-1]) + 1
+    run_keys = keys[np.concatenate(([0], edges))]
+    counts = np.diff(edges, prepend=0, append=len(keys))
+    pair = (run_keys[1:] == run_keys[:-1] + 1) & (run_keys[:-1] % 2 == 0)
+    return 2 * int(counts[:-1][pair] @ counts[1:][pair])
+
+
+def row_loop_direct_weights(m: int, k: int) -> dict[int, int]:
+    """Weight distribution of the words Tr(a g2^t + b g1^t), one unpacked row of
+    a at a time against every row of b, each row read off the m-sequence."""
+    field = get_field(m)
+    order = field.order
+    s = field.trace_seq
+    i = np.arange(order, dtype=np.int64)
+    zero = np.zeros((1, order), dtype=np.uint8)
+    bits_a, bits_b = (np.vstack((zero, s[np.add.outer(i, e * i % order) % order]))
+                      for e in ((1 << (2 * k)) + 1, (1 << k) + 1))
+    entries: dict[int, int] = {}
+    for row in bits_a:
+        for w in np.count_nonzero(row ^ bits_b, axis=1).tolist():
+            entries[w] = entries.get(w, 0) + 1
+    return dict(sorted(entries.items()))

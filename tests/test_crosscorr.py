@@ -16,7 +16,10 @@ from oracles import (
     differential,
     naive_a1,
     naive_cross_correlation,
+    naive_cyclotomic_cosets,
     naive_weight_distribution,
+    row_loop_direct_weights,
+    sorted_pair_collision_a1,
     stacked_walsh_spectrum,
 )
 
@@ -171,8 +174,16 @@ def test_a1_bruteforce_matches_naive_any_k(m, k):
     assert cc.a1_bruteforce(m, k) == naive_a1(naive(m), k)
 
 
+@pytest.mark.parametrize("m", range(1, 10))
+def test_a1_orbit_count_matches_sorted_pair_collisions(m):
+    # One Frobenius orbit of x + y per sorted run against all 4^m pair keys.
+    for k in range(1, 6):
+        assert cc.a1_bruteforce(m, k) == sorted_pair_collision_a1(m, k), k
+
+
 def test_a1_bruteforce_at_cap():
-    assert cc.a1_bruteforce(11, 1) == cc.a1_formula(11, 1, brute=False).formula_value == 2112
+    assert cc.a1_bruteforce(11, 1) == sorted_pair_collision_a1(11, 1) == 2112
+    assert cc.a1_formula(11, 1, brute=False).formula_value == 2112
 
 
 def test_a1_examples():
@@ -261,6 +272,20 @@ def test_match_multiplicities_bucketing():
 def test_weights_direct_matches_naive(m, k):
     got = cc.weight_distribution(m, k, mode="direct").entries
     assert got == naive_weight_distribution(naive(m), k)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_packed_direct_weights_match_row_loop(m):
+    # Every nondegenerate (m, k), k <= 6: the cosets of 2^k+1 and 2^(2k)+1
+    # modulo 2^m - 1 differ and have m members each; the rest are refused.
+    cosets = naive_cyclotomic_cosets(m)
+    for k in range(1, 7):
+        c1, c2 = (next(c for c in cosets if e % (2**m - 1) in c) for e in (2**k + 1, 2 ** (2 * k) + 1))
+        if c1 == c2 or len(c1) < m or len(c2) < m:
+            with pytest.raises(FieldError, match="degenerate code"):
+                cc.weight_distribution(m, k, mode="direct")
+        else:
+            assert cc.weight_distribution(m, k, mode="direct").entries == row_loop_direct_weights(m, k), k
 
 
 def test_degenerate_decimation_pair_is_rejected():

@@ -226,6 +226,8 @@ def test_validation_rejects_bad_polynomials():
     with pytest.raises(FieldError):
         Field(4, 0b1011)  # wrong degree
     with pytest.raises(FieldError):
+        Field(5, 0b100000)  # x^5: no term below x^m, so x^5 = 0
+    with pytest.raises(FieldError):
         Field(0)
     with pytest.raises(FieldError):
         Field(25)
