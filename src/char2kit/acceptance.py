@@ -40,7 +40,7 @@ def c2(max_m, max_s):
 
 def c3(max_m, max_s):
     """C_m closed form by m mod 8; C_m^2 in {0, 2^(m+gcd(2k,m))} at every (m, k)"""
-    for m in range(1, min(19, max_m) + 1, 2):
+    for m in range(1, max_m + 1, 2):
         for k in range(1, 6):
             closed = expsums.c_sum_closed_form(m, k)
             if closed is not None:
@@ -117,10 +117,9 @@ def c7(max_m, max_s):
 
 
 def c8(max_m, max_s):
-    """exponential sums = zeta power sums, m <= 18"""
-    top = min(18, max_m)
-    P1, P2, P3, P4 = (zeta.power_sums(zeta.catalog_lpoly(f"z{i}"), top) for i in (1, 2, 3, 4))
-    for m in range(1, top + 1):
+    """exponential sums = zeta power sums"""
+    P1, P2, P3, P4 = (zeta.power_sums(zeta.catalog_lpoly(f"z{i}"), max_m) for i in (1, 2, 3, 4))
+    for m in range(1, max_m + 1):
         yield f"C8 K_{m} = -P_m(z2)", expsums.kloosterman(m).value, -P2[m - 1]
         yield f"C8 G_{m} = -P_m(z4)", expsums.g_sum(m, 1).value, -P4[m - 1]
         yield f"C8 G_{m}^(3) = -P_m(z3)", expsums.g_sum(m, 3).value, -P3[m - 1]

@@ -5,9 +5,13 @@ Each sum is Sum (-1)^Tr(f(x)) with f over GF(2), so Tr(f(x^2)) = Tr(f(x)^2)
 x = alpha^i that orbit is the cyclotomic coset {i 2^j mod 2^m - 1}, so the
 sums are evaluated once per coset, on the least members of Field.orbits,
 as arithmetic on exponents whose traces are read off the m-sequence, and
-each term is weighted by its coset's size.  This module is the oracle the
-curve/zeta identities are checked against.  Each report carries the
-trace-zero count n, so value = 2n - domain_size.
+each term is weighted by its coset's size.  K, C and G^(k) are Tr(x^a) +
+Tr(x^b) for fixed exponents a, b in {1, -1, 2^k + 1}: each is the XOR of two
+memoized Field.orbit_traces vectors and one dot with the coset sizes, so the
+sums at one m share their trace vectors.  K' is one pass over the coset
+representatives.  This module is the oracle the curve/zeta identities are
+checked against.  Each report carries the trace-zero count n, so
+value = 2n - domain_size.
 
 Sums:
     kloosterman : sum over x != 0 of (-1)^Tr(x + x^-1)
@@ -58,20 +62,9 @@ def _field(m: int, k: int) -> Field:
 
 def _trace_zero_count(field: Field, a: int, b: int) -> int:
     """The number of i in [0, 2^m - 1) with Tr(alpha^(a i) + alpha^(b i)) = 0,
-    as the total size of the cosets whose least member i has it.
-
-    For e = a, b: x = i (e mod 2^m - 1) < 2^(2m-1) since i < 2^(m-1), and
-    x = 2^m hi + lo is hi + lo < 2 (2^m - 1) modulo 2^m - 1, which the wrapping
-    gather reduces.
-    """
-    reps, sizes = field.orbits
-    order = field.order
-    t = []
-    for e in (a, b):
-        x = reps * (e % order)
-        x = (x & order) + (x >> field.m)
-        t.append(field.trace_seq.take(x, mode="wrap"))
-    return order - int(sizes @ (t[0] ^ t[1]))
+    as the total size of the cosets whose least member i has it."""
+    sizes = field.orbits[1]
+    return field.order - int(sizes @ (field.orbit_traces(a) ^ field.orbit_traces(b)))
 
 
 def kloosterman(m: int) -> ExpSumReport:

@@ -33,11 +33,12 @@ __all__ = [
 ]
 
 MAX_M = 24  # the int32 exp and log tables take 128 MB at m = 24
-LOG_BLOCK = 1 << 20  # exp entries per log-table scatter and trace_seq popcount pass
+LOG_BLOCK = 1 << 14  # exp entries per log-table scatter and trace_seq popcount pass
 ORBIT_BLOCK = 1 << 20  # odd candidates per `orbits` filter pass; m <= 22 takes one
 
-# Primitive polynomials over GF(2), one per degree, from the standard
-# published tables (Zierler-Brillhart style trinomials/pentanomials).
+# One trinomial or pentanomial per degree.  The lower its second term, the
+# more entries one block of `_exp_by_frobenius` writes.  The constructor's
+# log closure checks that each of them is primitive.
 PRIMITIVE_POLY: dict[int, int] = {
     1: 0b11,                    # x + 1
     2: 0b111,                   # x^2 + x + 1
@@ -52,9 +53,9 @@ PRIMITIVE_POLY: dict[int, int] = {
     11: 0b100000000101,         # x^11 + x^2 + 1
     12: 0b1000001010011,        # x^12 + x^6 + x^4 + x + 1
     13: 0b10000000011011,       # x^13 + x^4 + x^3 + x + 1
-    14: 0b100010001000011,      # x^14 + x^10 + x^6 + x + 1
+    14: 0b100000000101011,      # x^14 + x^5 + x^3 + x + 1
     15: 0b1000000000000011,     # x^15 + x + 1
-    16: 0b10001000000001011,    # x^16 + x^12 + x^3 + x + 1
+    16: 0b10000000000101101,    # x^16 + x^5 + x^3 + x^2 + 1
     17: 0b100000000000001001,   # x^17 + x^3 + 1
     18: 0b1000000000010000001,  # x^18 + x^7 + 1
     19: 0b10000000000000100111,     # x^19 + x^5 + x^2 + x + 1
@@ -73,19 +74,26 @@ class FieldError(ValueError):
 class Field:
     """GF(2^m) in polynomial basis with a primitive class of x as generator.
 
-    Tables (numpy arrays, read-only by convention):
+    Tables (numpy arrays, all read-only: a write raises ValueError):
         exp_table[i] = alpha^i for 0 <= i < 2^m - 1 (int32)
         log_table[v] = i with alpha^i = v for v != 0, and -1 at v = 0 (int32)
         trace_table[v] = Tr(v) (uint8)
         trace_seq[i] = Tr(alpha^i) for 0 <= i < 2^m - 1, the m-sequence (uint8)
         orbits = (reps, sizes), built on first use: the least member and the
             size of each cyclotomic coset of exponents (int64)
+        orbit_traces(e) = Tr(alpha^(e r)) over the reps r (uint8), built on
+            first use for each residue e mod 2^m - 1
 
-    log is scattered and trace_seq counted in blocks of LOG_BLOCK entries, and
-    trace is an outer XOR of two half-width parity tables, so no build step
-    makes an int temporary of more than LOG_BLOCK entries.
+    log is scattered (through an intp index) and trace_seq counted in blocks
+    of LOG_BLOCK entries, and trace is an outer XOR of two half-width parity
+    tables, so no build step makes an int temporary of more than LOG_BLOCK
+    entries.
 
-    Immutable after construction; all operations are pure.
+    The only state that changes after construction is the memo behind
+    orbit_traces: one vector of len(reps) ~ 2^m/m bytes per residue asked
+    for.  The sums ask for 1, -1 and 2^k + 1, which has period m in k, so a
+    field holds at most m + 2 of them.  The memo lives and dies with the
+    field, so get_field.cache_clear() drops it too.  Every operation is pure.
     """
 
     has_tables = True  # every field has its tables; kept for callers that ask
@@ -109,7 +117,7 @@ class Field:
         self.exp_table = self._exp_by_frobenius()
         self.log_table = np.full(self.size, -1, dtype=np.int32)
         for i in range(0, self.order, LOG_BLOCK):
-            block = self.exp_table[i:i + LOG_BLOCK]
+            block = self.exp_table[i:i + LOG_BLOCK].astype(np.intp)  # an int32 index scatters slower
             self.log_table[block] = np.arange(i, i + len(block), dtype=np.int32)
         if np.any(self.log_table[1:] < 0):
             raise FieldError(f"0x{reduction:x} is not primitive: the powers of x "
@@ -131,6 +139,9 @@ class Field:
         for i in range(0, self.order, LOG_BLOCK):
             np.bitwise_count(self.exp_table[i:i + LOG_BLOCK] & mask, out=self.trace_seq[i:i + LOG_BLOCK])
         self.trace_seq &= 1
+        for table in (self.exp_table, self.log_table, self.trace_table, self.trace_seq):
+            table.flags.writeable = False
+        self._orbit_traces: dict[int, np.ndarray] = {}
 
     @cached_property
     def orbits(self) -> tuple[np.ndarray, np.ndarray]:
@@ -162,7 +173,27 @@ class Field:
         for d in range(m - 1, 0, -1):  # descending, so the least period is written last
             if m % d == 0:
                 sizes[rot(reps, d) == reps] = d
-        return reps.astype(np.int64), sizes
+        reps = reps.astype(np.int64)
+        reps.flags.writeable = sizes.flags.writeable = False
+        return reps, sizes
+
+    def orbit_traces(self, e: int) -> np.ndarray:
+        """Tr(alpha^(e r)) over the least members r of `orbits`, as uint8, for
+        any int e.  Built on first use for each residue e mod 2^m - 1 and kept,
+        read-only, so each later call with that residue is a dict lookup.
+
+        x = r (e mod 2^m - 1) < 2^(2m-1) since r < 2^(m-1), and x = 2^m hi + lo
+        is hi + lo < 2 (2^m - 1) modulo 2^m - 1, which the wrapping gather reduces.
+        """
+        e %= self.order
+        t = self._orbit_traces.get(e)
+        if t is None:
+            x = self.orbits[0] * e
+            x = (x & self.order) + (x >> self.m)
+            t = self.trace_seq.take(x, mode="wrap")
+            t.flags.writeable = False
+            self._orbit_traces[e] = t
+        return t
 
     def _exp_by_frobenius(self) -> np.ndarray:
         """alpha^i for 0 <= i < 2^m - 1, from the Frobenius powers of f.

@@ -16,6 +16,7 @@ from char2kit.gf2m import (
     get_field,
 )
 from char2kit.crosscorr import walsh_spectrum
+from char2kit.expsums import c_sum, g_sum, kloosterman
 
 from oracles import (
     NaiveField,
@@ -131,6 +132,75 @@ def test_orbits_match_naive_cosets(m):
         min(c): len(c) for c in naive_cyclotomic_cosets(m)}
     assert all(m % s == 0 for s in sizes.tolist())
     assert int(sizes.sum()) == 2**m - 1
+
+
+def _element_route_traces(field, e):
+    """Tr(alpha^(e r)) over the orbit representatives r, read off the
+    element-indexed trace table."""
+    reps = field.orbits[0]
+    return field.trace_table[field.exp_table[reps * e % field.order]]
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_orbit_traces_match_element_route_for_every_e(m):
+    field = Field(m)
+    for e in range(-field.order, 2 * field.order):
+        t = field.orbit_traces(e)
+        assert t.dtype == np.uint8
+        assert np.array_equal(t, _element_route_traces(field, e)), e
+
+
+@pytest.mark.parametrize("m", range(13, 21))
+def test_orbit_traces_match_element_route_sampled(m):
+    field = Field(m)
+    rng = random.Random(3000 + m)
+    samples = [-1, 0, 1, 3, (1 << (m // 2)) + 1, field.order - 1, field.order, 2 * field.order - 1]
+    for e in samples + [rng.randrange(-field.order, 2 * field.order) for _ in range(6)]:
+        assert np.array_equal(field.orbit_traces(e), _element_route_traces(field, e)), e
+
+
+def test_orbit_traces_memo_keeps_one_vector_per_residue():
+    field = Field(9)
+    assert field._orbit_traces == {}  # a new field starts with an empty memo
+    t = field.orbit_traces(5)
+    assert field.orbit_traces(5) is t
+    assert field.orbit_traces(5 + field.order) is t
+    assert field.orbit_traces(5 - field.order) is t
+    assert list(field._orbit_traces) == [5]
+
+
+def test_cache_clear_drops_the_memo_with_the_field():
+    before = get_field(7)
+    before.orbit_traces(3)
+    get_field.cache_clear()
+    after = get_field(7)
+    assert after is not before
+    assert after._orbit_traces == {}
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 6, 9, 12])
+def test_sum_sweep_memo_is_bounded(m):
+    # The sums ask for the exponents 1, -1 and 2^k + 1; 2^k mod 2^m - 1 has
+    # period m in k, so a sweep over k = 1..3m leaves at most m + 2 vectors.
+    get_field.cache_clear()
+    for k in range(1, 3 * m + 1):
+        kloosterman(m)
+        g_sum(m, k)
+        c_sum(m, k)
+    assert 1 <= len(get_field(m)._orbit_traces) <= m + 2
+
+
+def test_shared_field_tables_are_read_only():
+    # get_field hands one Field to every caller; a write to a table would
+    # change every later result and leave the memo stale, so it raises.
+    f = get_field(6)
+    arrays = [f.exp_table, f.log_table, f.trace_table, f.trace_seq, *f.orbits, f.orbit_traces(3)]
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[0] = a[0]
+    with pytest.raises(ValueError):
+        f.trace_seq ^= 1
+    assert np.array_equal(f.trace_seq, f.trace_table[f.exp_table])
 
 
 @pytest.mark.parametrize("m", range(1, 13))

@@ -37,7 +37,7 @@ def test_no_cap_parameter_on_public_functions():
 
 def test_module_level_caches_are_pinned():
     # A process cache is shared state: each one here hands every caller the
-    # same value (frozen catalog entries; a Field, read-only by convention).
+    # same value (frozen catalog entries; a Field, whose arrays are read-only).
     # A new one needs a deliberate edit of this set.
     found = {f"{fn.__module__}.{fn.__qualname__}" for module in MODULES
              for fn in vars(module).values() if hasattr(fn, "cache_clear")}
