@@ -25,7 +25,7 @@ PINNED_M11 = {"N0": 1155, "N1": 440, "N-1": 408, "N2": 22, "N-2": 22}
 def c1(max_m, max_s):
     """K'_m = K_m at k=3 where 3 does not divide m"""
     for m in range(1, max_m + 1):
-        if m % 3:
+        if expsums.conjecture2_proved(m, 3):
             v = expsums.conjecture2_check(m, 3)
             yield f"C1 K'_{m} = K_{m} (k=3)", v.lhs, v.rhs
 
@@ -47,8 +47,14 @@ def c3(max_m, max_s):
                 yield f"C3 C_{m}(k={k}) closed form", expsums.c_sum(m, k).value, closed
     for m in range(1, max_m + 1):
         for k in range(1, 6):
-            v = expsums.c_sum_square_check(m, k)
-            yield f"C3 C_{m}(k={k})^2 in {{0, 2^{m + math.gcd(2 * k, m)}}}", v.lhs, v.rhs
+            name, lhs, rhs = c_square_row(m, k)
+            yield f"C3 {name}", lhs, rhs
+
+
+def c_square_row(m, k):
+    """C_m^2 against {0, 2^(m+w)}, w = gcd(2k, m), as one unprefixed row."""
+    v = expsums.c_sum_square_check(m, k)
+    return f"C_{m}(k={k})^2 in {{0, 2^{m + math.gcd(2 * k, m)}}}", v.lhs, v.rhs
 
 
 def c4(max_m, max_s):
@@ -118,13 +124,9 @@ def c7(max_m, max_s):
 
 def c8(max_m, max_s):
     """exponential sums = zeta power sums"""
-    P1, P2, P3, P4 = (zeta.power_sums(zeta.catalog_lpoly(f"z{i}"), max_m) for i in (1, 2, 3, 4))
     for m in range(1, max_m + 1):
-        yield f"C8 K_{m} = -P_m(z2)", expsums.kloosterman(m).value, -P2[m - 1]
-        yield f"C8 G_{m} = -P_m(z4)", expsums.g_sum(m, 1).value, -P4[m - 1]
-        yield f"C8 G_{m}^(3) = -P_m(z3)", expsums.g_sum(m, 3).value, -P3[m - 1]
-        yield (f"C8 K'_{m} = 2 - S_m - P_m(z1)", expsums.k_prime(m, 3).value,
-               2 - zeta.singular_correction(m) - P1[m - 1])
+        for name, k, lpoly, label in expsums.ZETA_ROUTES:
+            yield f"C8 {label.format(m=m)}", expsums.sum_report(name, m, k).value, expsums.zeta_side(name, lpoly, m)
 
 
 def c9(max_m, max_s):

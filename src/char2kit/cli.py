@@ -113,57 +113,27 @@ def _parse_range(text: str, lo_min: int, hi_max: float = math.inf) -> range:
 # -- subcommands -------------------------------------------------------------
 
 
-def _power_sum(lpoly: str, m: int) -> int:
-    """P_m of the catalog L-polynomial lpoly."""
-    return zeta.power_sums(zeta.catalog_lpoly(lpoly), m)[m - 1]
-
-
 def cmd_expsum(args, timings) -> list[Row]:
-    m, k = args.m, args.k
+    m, k, g = args.m, args.k, math.gcd(args.k, args.m)
+    rep = expsums.sum_report(args.sum, m, k)
     if args.sum == "K":
-        rep = expsums.kloosterman(m)
-        rows = [recorded(f"K_{m}", rep.value),
-                checked(f"K_{m} = -P_m(z2)", rep.value, -_power_sum("z2", m))]
+        rows = [recorded(f"K_{m}", rep.value)]
     elif args.sum == "C":
-        rep = expsums.c_sum(m, k)
         closed = expsums.c_sum_closed_form(m, k)
-        if closed is not None:
-            rows = [checked(f"C_{m}(k={k})", rep.value, closed)]
-        else:
-            sq = expsums.c_sum_square_check(m, k)
-            rows = [recorded(f"C_{m}(k={k})", rep.value),
-                    checked(f"C_{m}(k={k})^2 in {{0, 2^{m + math.gcd(2 * k, m)}}}", sq.lhs, sq.rhs)]
+        rows = ([checked(f"C_{m}(k={k})", rep.value, closed)] if closed is not None
+                else [recorded(f"C_{m}(k={k})", rep.value), checked(*acceptance.c_square_row(m, k))])
     elif args.sum == "G":
-        rep = expsums.g_sum(m, k)
         rows = [recorded(f"G_{m}^({k})", rep.value)]
-        g = math.gcd(k, m)
-        if g < k and _conjecture1_proved(m, k):
+        if g < k and expsums.conjecture1_proved(m, k):
             rows.append(checked(f"G_{m}^({k}) = G_{m}^({g})", rep.value, expsums.g_sum(m, g).value))
-        if k == 1:
-            rows.append(checked(f"G_{m} = -P_m(z4)", rep.value, -_power_sum("z4", m)))
-        elif k == 3:
-            rows.append(checked(f"G_{m}^(3) = -P_m(z3)", rep.value, -_power_sum("z3", m)))
     else:  # Kp
-        rep = expsums.k_prime(m, k)
         K = expsums.kloosterman(m).value
-        rows = ([checked(f"K'_{m}(k={k})", rep.value, K)] if _conjecture2_proved(m, k)
+        rows = ([checked(f"K'_{m}(k={k})", rep.value, K)] if expsums.conjecture2_proved(m, k)
                 else [recorded(f"K'_{m}(k={k})", rep.value), recorded(f"K_{m}", K)])
-        if k == 3:
-            rows.append(checked(f"K'_{m}(k=3) = 2 - S_m - P_m(z1)", rep.value,
-                                2 - zeta.singular_correction(m) - _power_sum("z1", m)))
+    rows += [checked(label.format(m=m), rep.value, expsums.zeta_side(name, lpoly, m))
+             for name, route_k, lpoly, label in expsums.ZETA_ROUTES if name == args.sum and route_k in (None, k)]
     rows.append(recorded("trace_zero_count", rep.trace_zero_count))
     return rows
-
-
-def _conjecture1_proved(m: int, k: int) -> bool:
-    """G_m^(k) = G_m^(gcd(k, m)) is proved when k = gcd(k, m) (the two sums
-    are one) or k is 2 or 3 (for k = 3 with 3 | m, k = gcd(k, m) again)."""
-    return k == math.gcd(k, m) or k in (2, 3)
-
-
-def _conjecture2_proved(m: int, k: int) -> bool:
-    """K'_m = K_m is proved where gcd(k, m) = 1 and k <= 3 (K' is another sum if gcd > 1)."""
-    return math.gcd(k, m) == 1 and k <= 3
 
 
 def cmd_conjectures(args, timings) -> list[Row]:
@@ -172,17 +142,11 @@ def cmd_conjectures(args, timings) -> list[Row]:
     rows = []
     for m in ms:
         for k in ks:  # an unproved identity is recorded, not checked
-            v1 = expsums.conjecture1_check(m, k)
-            v2 = expsums.conjecture2_check(m, k)
-            mk = f"(m={m},k={k})"
-            if _conjecture1_proved(m, k):
-                rows.append(checked(f"conj1 G=G(gcd) {mk}", v1.lhs, v1.rhs))
-            else:
-                rows.append(recorded(f"conj1 G=G(gcd) {mk}", f"{v1.lhs} vs {v1.rhs} ({'=' if v1.holds else 'diff'})"))
-            if _conjecture2_proved(m, k):
-                rows.append(checked(f"conj2 K'=K {mk}", v2.lhs, v2.rhs))
-            else:
-                rows.append(recorded(f"conj2 K'=K {mk}", f"{v2.lhs} vs {v2.rhs} ({'=' if v2.holds else 'diff'})"))
+            for label, check, proved in (("conj1 G=G(gcd)", expsums.conjecture1_check, expsums.conjecture1_proved),
+                                         ("conj2 K'=K", expsums.conjecture2_check, expsums.conjecture2_proved)):
+                v, name = check(m, k), f"{label} (m={m},k={k})"
+                rows.append(checked(name, v.lhs, v.rhs) if proved(m, k) else
+                            recorded(name, f"{v.lhs} vs {v.rhs} ({'=' if v.holds else 'diff'})"))
     return rows
 
 

@@ -11,7 +11,8 @@ memoized Field.orbit_traces vectors and one dot with the coset sizes, so the
 sums at one m share their trace vectors.  K' is one pass over the coset
 representatives.  This module is the oracle the curve/zeta identities are
 checked against.  Each report carries the trace-zero count n, so
-value = 2n - domain_size.
+value = 2n - domain_size.  ZETA_ROUTES is the one table of the sums' zeta
+identities, and conjecture1_proved / conjecture2_proved state where each conjecture is proved.
 
 Sums:
     kloosterman : sum over x != 0 of (-1)^Tr(x + x^-1)
@@ -28,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import zeta
 from .gf2m import Field, FieldError, get_field
 from .verdict import Verdict
 
@@ -41,6 +43,10 @@ __all__ = [
     "k_prime",
     "conjecture1_check",
     "conjecture2_check",
+    "conjecture1_proved",
+    "conjecture2_proved",
+    "sum_report",
+    "zeta_side",
 ]
 
 
@@ -144,3 +150,31 @@ def conjecture1_check(m: int, k: int) -> Verdict:
     lhs = g_sum(m, k).value
     rhs = g_sum(m, math.gcd(k, m)).value
     return Verdict(lhs, rhs)
+
+
+def conjecture1_proved(m: int, k: int) -> bool:
+    """Where conjecture1_check is proved: k = gcd(k, m) (the two sums are one) or k = 2, 3."""
+    return k == math.gcd(k, m) or k in (2, 3)
+
+
+def conjecture2_proved(m: int, k: int) -> bool:
+    """Where conjecture2_check is proved: gcd(k, m) = 1 and k <= 3 (K' is another sum if gcd > 1)."""
+    return math.gcd(k, m) == 1 and k <= 3
+
+
+def sum_report(name: str, m: int, k: int | None) -> ExpSumReport:
+    """The sum that `expsum --sum` names K, C, G or Kp; K takes no k."""
+    return kloosterman(m) if name == "K" else {"C": c_sum, "G": g_sum, "Kp": k_prime}[name](m, k)
+
+
+# The paper's identities of a sum with a zeta power sum, in the order C8 checks them:
+# (sum as sum_report names it, its k or None for every k, catalog L-polynomial, row label).
+ZETA_ROUTES = (("K", None, "z2", "K_{m} = -P_m(z2)"), ("G", 1, "z4", "G_{m} = -P_m(z4)"),
+               ("G", 3, "z3", "G_{m}^(3) = -P_m(z3)"), ("Kp", 3, "z1", "K'_{m}(k=3) = 2 - S_m - P_m(z1)"))
+
+
+def zeta_side(name: str, lpoly: str, m: int) -> int:
+    """-P_m(L) of the catalog L-polynomial lpoly, or 2 - S_m - P_m(L) for K' (S_m the
+    singular correction of its genus-31 curve)."""
+    p = zeta.power_sums(zeta.catalog_lpoly(lpoly), m)[-1]
+    return 2 - zeta.singular_correction(m) - p if name == "Kp" else -p
