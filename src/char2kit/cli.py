@@ -114,6 +114,8 @@ def _parse_range(text: str, lo_min: int, hi_max: float = math.inf) -> range:
 
 
 def cmd_expsum(args, timings) -> list[Row]:
+    if args.k < 1:
+        raise ValueError(f"--k {args.k} must be >= 1")
     m, k, g = args.m, args.k, math.gcd(args.k, args.m)
     rep = expsums.sum_report(args.sum, m, k)
     if args.sum == "K":
@@ -257,13 +259,14 @@ def _load_lpoly_arg(name: str) -> zeta.LPolynomial:
 
 def cmd_zeta(args, timings) -> list[Row]:
     if args.reconstruct:
-        if args.genus is None:
-            raise ValueError("--reconstruct needs --genus")
-        if args.genus < 1:
-            raise ValueError(f"--genus {args.genus} must be >= 1")
+        if args.l_poly is not None:
+            raise ValueError("--l-poly and --reconstruct exclude each other")
+        if args.genus is None or args.genus < 1:
+            raise ValueError(f"--reconstruct needs --genus >= 1, got {args.genus}")
         counts = [int(c) for c in args.reconstruct]
         L = zeta.reconstruct_from_counts(counts, q=2, g=args.genus)
-        return [recorded("reconstructed coefficients", list(L.coefficients))]
+        return [recorded("reconstructed coefficients", list(L.coefficients))] + [
+            checked(f"N_{s}", n, zeta.predicted_count(L, s)) for s, n in enumerate(counts, 1) if s > args.genus]
     if args.l_poly is None:
         raise ValueError("specify --l-poly or --reconstruct")
     L = _load_lpoly_arg(args.l_poly)
@@ -280,10 +283,7 @@ def cmd_zeta(args, timings) -> list[Row]:
 def cmd_dm_check(args, timings) -> list[Row]:
     if args.bound < 1:
         raise ValueError(f"--bound {args.bound} must be >= 1")
-    res = zeta.vanishing_residue_check(zeta.catalog_lpoly("l1prime"), 3, args.bound)
-    exp = zeta.l1prime_expansion_check()
-    return [checked(f"P_m(l1prime) = 0 for 3 coprime m <= {args.bound}", res.lhs, res.rhs),
-            checked("expansion matches published coefficients", exp.lhs, exp.rhs)]
+    return [checked(*row) for row in acceptance.dm_rows(args.bound)]
 
 
 # -- verify-all ---------------------------------------------------------------
@@ -362,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--l-poly", help=f"catalog name {zeta.catalog_lpoly_names()} or file path")
     sp.add_argument("--s-max", type=int, default=10)
     sp.add_argument("--reconstruct", nargs="+", metavar="N",
-                    help="point counts N_1..N_g to invert")
+                    help="point counts N_1..N_g to invert; each later N_s is checked against L")
     sp.add_argument("--genus", type=int, help="genus for --reconstruct")
 
     sp = command("dm-check", cmd_dm_check, "vanishing power-sum recurrence for l1prime")

@@ -257,7 +257,6 @@ class CurveCatalogEntry:
     #   "minus_one"  -> n - 1    (one F_2-rational singular point)
     #   "minus_s1"   -> n - S_s  (S_s = 2^(1+delta), delta = 2 iff 3 | s)
     correction: str | None
-    genus: int | None
     # Singular points over F_2 in chart order; None where they are not pinned.
     expected_singular_points: tuple[tuple[int, int, int], ...] | None
 
@@ -272,12 +271,12 @@ class CurveCatalogEntry:
 
 
 _CATALOG_META = {
-    # name: (lpoly, correction, genus, singular points over F_2)
-    "fbar3": (None, None, None, None),
-    "p1tilde": ("z1", "minus_s1", 31, None),
-    "kloosterman": ("z2", "exact", 1, ()),
-    "p3": ("z3", "minus_one", 5, ((0, 1, 0),)),
-    "p4": ("z4", "minus_one", 2, ((0, 1, 0),)),
+    # name: (lpoly, correction, singular points over F_2); the genus is the lpoly's genus_hint
+    "fbar3": (None, None, None),
+    "p1tilde": ("z1", "minus_s1", None),
+    "kloosterman": ("z2", "exact", ()),
+    "p3": ("z3", "minus_one", ((0, 1, 0),)),
+    "p4": ("z4", "minus_one", ((0, 1, 0),)),
 }
 
 

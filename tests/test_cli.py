@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import pytest
 
@@ -62,18 +63,40 @@ def test_expsum_kp_gcd_above_one_recorded(capsys):
     assert row["verdict"] == "pass"
 
 
-@pytest.mark.parametrize("argv, name", [
-    (("--sum", "K"), "K_19 = -P_m(z2)"),
-    (("--sum", "G", "--k", "1"), "G_19 = -P_m(z4)"),
-    (("--sum", "G", "--k", "3"), "G_19^(3) = -P_m(z3)"),
-])
+ZETA_ROWS_AT_24 = [
+    (("--sum", "K"), "K_24 = -P_m(z2)"),
+    (("--sum", "G", "--k", "1"), "G_24 = -P_m(z4)"),
+    (("--sum", "G", "--k", "3"), "G_24^(3) = -P_m(z3)"),
+    (("--sum", "Kp", "--k", "3"), "K'_24(k=3) = 2 - S_m - P_m(z1)"),
+]
+
+
+@pytest.mark.parametrize("argv, name", ZETA_ROWS_AT_24)
 def test_expsum_k_and_g_checked_against_zeta_above_c8(capsys, argv, name):
-    # m = 19 is past C8's m <= 18: the zeta route still checks the sum
-    code, payload = run_json(capsys, "expsum", "--m", "19", *argv)
+    # m = 24 = MAX_M is past verify-all's default --max-m 18: every entry of
+    # the table of zeta routes still checks its sum
+    code, payload = run_json(capsys, "expsum", "--m", "24", *argv)
     assert code == 0
     row = results_by_name(payload)[name]
     assert row["observed"] == row["expected"]
     assert row["verdict"] == "pass"
+
+
+def test_the_zeta_routes_are_the_four_identities():
+    assert [label.format(m=24) for *_, label in expsums.ZETA_ROUTES] == [name for _, name in ZETA_ROWS_AT_24]
+
+
+def test_swapping_z3_and_z4_in_the_table_fails_c8_and_expsum(capsys, monkeypatch):
+    # C8 and `expsum` read the one table.  z3 = z4 * l3prime, so the swap
+    # shows where P_m(l3prime) is not 0: at m = 3 (12) and 9 (-96), not at 6.
+    swap = {"z3": "z4", "z4": "z3"}
+    monkeypatch.setattr(expsums, "ZETA_ROUTES", tuple((name, k, swap.get(lpoly, lpoly), label)
+                                                      for name, k, lpoly, label in expsums.ZETA_ROUTES))
+    failed = [name for name, observed, expected in acceptance.CRITERIA["C8"](9, 1) if observed != expected]
+    assert failed == [f"C8 {row}" for m in (3, 9) for row in (f"G_{m} = -P_m(z4)", f"G_{m}^(3) = -P_m(z3)")]
+    code, payload = run_json(capsys, "expsum", "--m", "9", "--sum", "G", "--k", "1")
+    assert code == 1
+    assert results_by_name(payload)["G_9 = -P_m(z4)"]["verdict"] == "fail"
 
 
 def test_expsum_g_checked_against_gcd_where_proved(capsys):
@@ -119,6 +142,26 @@ def test_conjectures_sweep(capsys):
     assert rows["conj1 G=G(gcd) (m=7,k=3)"]["verdict"] == "pass"
     assert rows["conj1 G=G(gcd) (m=7,k=2)"]["verdict"] == "pass"
     assert rows["conj1 G=G(gcd) (m=7,k=4)"]["verdict"] == "recorded"
+
+
+def test_conjectures_and_expsum_check_the_same_domains(capsys):
+    # `conjectures` checks conjecture 1 (2) at (m, k) exactly where `expsum
+    # --sum G` checks G^(k) = G^(g), g = gcd(k, m) < k (`--sum Kp` checks K' = K).
+    _, payload = run_json(capsys, "conjectures", "--m-range", "1:12", "--k-range", "1:6")
+    conj = {r["name"]: r["verdict"] != "recorded" for r in payload["results"]}
+    seen = set()
+    for m in range(1, 13):
+        for k in range(1, 7):
+            g = math.gcd(k, m)
+            _, payload = run_json(capsys, "expsum", "--m", str(m), "--k", str(k), "--sum", "G")
+            checks_gcd = f"G_{m}^({k}) = G_{m}^({g})" in results_by_name(payload)
+            assert checks_gcd == (g < k and conj[f"conj1 G=G(gcd) (m={m},k={k})"]), (m, k)
+            _, payload = run_json(capsys, "expsum", "--m", str(m), "--k", str(k), "--sum", "Kp")
+            checks_k = results_by_name(payload)[f"K'_{m}(k={k})"]["verdict"] != "recorded"
+            assert checks_k == conj[f"conj2 K'=K (m={m},k={k})"], (m, k)
+            seen |= {("conj1", g < k, checks_gcd), ("conj2", checks_k)}
+    assert seen == {("conj1", False, False), ("conj1", True, True), ("conj1", True, False),
+                    ("conj2", True), ("conj2", False)}
 
 
 def test_corrdist_with_k(capsys):
@@ -289,6 +332,18 @@ def test_zeta_reconstruct(capsys):
     assert code == 0
     row = results_by_name(payload)["reconstructed coefficients"]
     assert row["observed"] == [1, 1, 0, 2, 4]
+
+
+def test_zeta_reconstruct_checks_the_counts_past_the_genus(capsys):
+    # The Kloosterman cubic's N_1..N_6: N_1 gives L = 1 + t + 2t^2, which predicts the other five
+    code, payload = run_json(capsys, "zeta", "--reconstruct", "4", "8", "4", "16", "44", "56", "--genus", "1")
+    assert code == 0
+    assert [(r["name"], r["verdict"]) for r in payload["results"]] == [
+        ("reconstructed coefficients", "recorded"), *((f"N_{s}", "pass") for s in range(2, 7))]
+    code, payload = run_json(capsys, "zeta", "--reconstruct", "4", "8", "16", "--genus", "1")
+    assert code == 1
+    row = results_by_name(payload)["N_3"]
+    assert (row["observed"], row["expected"], row["verdict"]) == (16, 4, "fail")
 
 
 def test_dm_check(capsys):
@@ -499,6 +554,9 @@ def test_error_exit_code(capsys):
         ("corrdist", "--m", "25", "--k", "1"),
         ("zeta",),
         ("zeta", "--reconstruct", "4", "4"),
+        ("zeta", "--reconstruct", "4", "--genus", "1", "--l-poly", "z2"),
+        ("expsum", "--m", "7", "--sum", "K", "--k", "0"),
+        ("expsum", "--m", "7", "--sum", "K", "--k", "-3"),
         ("verify-all", "--max-m", "0"),
         ("verify-all", "--max-s", "0"),
         ("curvecount", "--curve", "/nonexistent", "--s", "2"),

@@ -193,3 +193,25 @@ def test_trace_table_is_read_only_in_gf2m():
              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
              if isinstance(node, ast.Attribute) and node.attr == "trace_table"]
     assert found == []
+
+
+def _zeta_literals(path):
+    """Every string literal in path that names z1..z4 or holds a P_m( label."""
+    return [f"{path.name}:{node.lineno}"
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and (node.value in {"z1", "z2", "z3", "z4"} or "P_m(" in node.value)]
+
+
+def test_cli_states_no_zeta_identity():
+    # Each identity's route and label live in expsums.ZETA_ROUTES, and the
+    # l1prime rows in acceptance: the CLI loops over them and names none.
+    assert _zeta_literals(Path(char2kit.__file__).parent / "cli.py") == []
+
+
+def test_zeta_literal_rule_sees_labels_and_names(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        'def f(m, L):\n'
+        '    return f"K_{m} = -P_m(z2)", L("z4"), "z5", "P_m", f"P_{m}"\n')
+    assert _zeta_literals(path) == ["mod.py:2", "mod.py:2"]
