@@ -261,6 +261,8 @@ def cmd_zeta(args, timings) -> list[Row]:
     if args.reconstruct:
         if args.l_poly is not None:
             raise ValueError("--l-poly and --reconstruct exclude each other")
+        if args.s_max is not None:
+            raise ValueError("--s-max applies to --l-poly, not to --reconstruct")
         if args.genus is None or args.genus < 1:
             raise ValueError(f"--reconstruct needs --genus >= 1, got {args.genus}")
         counts = [int(c) for c in args.reconstruct]
@@ -269,10 +271,13 @@ def cmd_zeta(args, timings) -> list[Row]:
             checked(f"N_{s}", n, zeta.predicted_count(L, s)) for s, n in enumerate(counts, 1) if s > args.genus]
     if args.l_poly is None:
         raise ValueError("specify --l-poly or --reconstruct")
+    if args.genus is not None:
+        raise ValueError("--genus applies to --reconstruct, not to --l-poly")
+    s_max = 10 if args.s_max is None else args.s_max
     L = _load_lpoly_arg(args.l_poly)
-    P = zeta.power_sums(L, args.s_max)
-    rows = [recorded(f"P_{s}", P[s - 1]) for s in range(1, args.s_max + 1)]
-    rows += [recorded(f"N_{s} predicted", 2**s + 1 - P[s - 1]) for s in range(1, args.s_max + 1)]
+    P = zeta.power_sums(L, s_max)
+    rows = [recorded(f"P_{s}", P[s - 1]) for s in range(1, s_max + 1)]
+    rows += [recorded(f"N_{s} predicted", 2**s + 1 - P[s - 1]) for s in range(1, s_max + 1)]
     g2 = L.degree
     if g2 % 2 == 0 and g2 > 0:
         fe = zeta.functional_equation_check(L, 2, g2 // 2)
@@ -360,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = command("zeta", cmd_zeta, "power sums / predicted counts / reconstruction")
     sp.add_argument("--l-poly", help=f"catalog name {zeta.catalog_lpoly_names()} or file path")
-    sp.add_argument("--s-max", type=int, default=10)
+    sp.add_argument("--s-max", type=int, help="P_s and N_s for s = 1..S with --l-poly (default 10)")
     sp.add_argument("--reconstruct", nargs="+", metavar="N",
                     help="point counts N_1..N_g to invert; each later N_s is checked against L")
     sp.add_argument("--genus", type=int, help="genus for --reconstruct")

@@ -3,12 +3,17 @@
 A polynomial is a set of exponent triples (a, b, c) with implicit
 coefficient 1; adding a duplicate monomial cancels it (characteristic 2).
 Projective points over F_{2^s} are enumerated in the three standard
-representative charts, defined once in `_charts`, in the fixed order
+representative charts, in the fixed order
 
     (x, y, 1) for all x, y;   (x, 1, 0) for all x;   (1, 0, 0)
 
-so each point is counted exactly once.  Every search evaluates a chart row
-(up to 2^s points) at a time through one evaluator, `_values`.
+so each point is counted exactly once.  On each chart a homogeneous P is a
+polynomial in one variable over all of F_{2^s}.  On z = 1 it is the sum of
+C_b(x) y^b, where C_b(x) is the sum of x^a over the monomials (a, b, c), so
+the row at x is a polynomial in y with coefficients C_b[x].  On z = 0 it is
+the sum of x^a over the monomials with c = 0, and at (1, 0, 0) it is the
+parity of the number of monomials (a, 0, 0).  One evaluator, `_values`,
+gives the C_b vectors, the rows and the line.
 
 Two counters are provided: a generic one that walks the full chart, and a
 fast one for curves that are (at most) quadratic in y, which solves the
@@ -67,9 +72,6 @@ class TrivariatePoly:
     def is_homogeneous(self) -> bool:
         degs = {a + b + c for a, b, c in self.monomials}
         return len(degs) <= 1
-
-    def __add__(self, other: "TrivariatePoly") -> "TrivariatePoly":
-        return TrivariatePoly(self.monomials ^ other.monomials)
 
     def __mul__(self, other: "TrivariatePoly") -> "TrivariatePoly":
         return TrivariatePoly((a1 + a2, b1 + b2, c1 + c2)  # equal products cancel in __post_init__
@@ -143,42 +145,18 @@ def _field_for(P: TrivariatePoly, s: int, cap: int) -> Field:
     return get_field(s)
 
 
-def _charts(field: Field):
-    """The three charts in the module's order, each an iterable of rows (x, y, z)
-    of coordinates: ints, or `every`, the array of all elements.  The z = 1
-    chart is one row per x, so a row holds at most 2^s points."""
-    every = np.arange(field.size, dtype=np.int64)
-    return ((x, every, 1) for x in range(field.size)), [(every, 1, 0)], [(1, 0, 0)]
+def _values(field: Field, coef: dict[int, int], tables: dict) -> np.ndarray:
+    """The polynomial in one variable v with a coefficient k per exponent e,
+    given as coef = {e: k}, over all v of F_{2^s} in element order (int32).
 
-
-def _values(field: Field, terms, x, y, z, tables: dict):
-    """XOR over (a, b, c) in terms of x^a y^b z^c at one chart row: an int
-    if every coordinate is an int, else an int32 array over the elements v of
-    the row's one array coordinate (all of F_{2^s}, in element order).
-
-    Int coordinates fold into one coefficient k per exponent e of v.  For
-    v != 0, k v^e is exp[(log k + e log v) mod 2^s - 1]; at v = 0 only the
-    e = 0 terms remain.  `tables` keeps each index e log v mod 2^s - 1 over
-    v = 1..2^s - 1 for all the calls of one search.
+    For v != 0, k v^e is exp[(log k + e log v) mod 2^s - 1]; at v = 0 only
+    the e = 0 term remains.  `tables` keeps each index e log v mod 2^s - 1
+    over v = 1..2^s - 1 for all the calls of one search.
     """
-    coords = (x, y, z)
-    arr = next((i for i, v in enumerate(coords) if np.ndim(v)), None)
-    scalars = [(i, v) for i, v in enumerate(coords) if i != arr and v != 1]
-    coef: dict[int, int] = {}
-    for t in terms:
-        k = 1
-        for i, v in scalars:
-            if t[i]:
-                k = field.mul(k, field.pow(v, t[i]))
-        e = 0 if arr is None else t[arr]
-        coef[e] = coef.get(e, 0) ^ k
-    const = coef.pop(0, 0)
-    if arr is None:
-        return const
     exp, log, order = field.exp_table, field.log_table, field.order
-    out = np.full(field.size, const, dtype=np.int32)
+    out = np.full(field.size, coef.get(0, 0), dtype=np.int32)
     for e, k in coef.items():
-        if not k:
+        if not e or not k:
             continue
         if e not in tables:
             tables[e] = field.pow_log(e).astype(np.int32)
@@ -187,30 +165,50 @@ def _values(field: Field, terms, x, y, z, tables: dict):
     return out
 
 
+def _coefficient(field: Field, P: TrivariatePoly, b: int, tables: dict) -> np.ndarray:
+    """C_b over all x: the sum of x^a over the monomials (a, b, c) of P, so
+    that P(x, y, 1) is the sum of C_b(x) y^b.  P is homogeneous, so the a
+    of one b are distinct."""
+    return _values(field, {a: 1 for a, j, _ in P.monomials if j == b}, tables)
+
+
+def _rows(field: Field, P: TrivariatePoly, tables: dict):
+    """P(x, y, 1) over all y, one row per x in element order: the polynomial
+    in y with coefficients C_b[x]."""
+    C = [_coefficient(field, P, b, tables) for b in range(P.y_degree() + 1)]
+    for coefs in np.stack(C, axis=1):
+        yield _values(field, dict(enumerate(coefs.tolist())), tables)
+
+
+def _line_and_point(field: Field, P: TrivariatePoly, tables: dict) -> tuple[np.ndarray, int]:
+    """P(x, 1, 0) over all x, the sum of x^a over the monomials with c = 0;
+    and P(1, 0, 0), the parity of the number of monomials (a, 0, 0)."""
+    line = _values(field, {a: 1 for a, _, c in P.monomials if c == 0}, tables)
+    return line, sum(b == c == 0 for _, b, c in P.monomials) % 2
+
+
 def count_projective_points(P: TrivariatePoly, s: int) -> int:
     """Projective zeros of a homogeneous P over F_{2^s}, generic chart walk."""
     field = _field_for(P, s, COUNT_CAP)
     tables: dict = {}
-    return int(sum(np.count_nonzero(_values(field, P.monomials, *row, tables) == 0)
-                   for chart in _charts(field) for row in chart))
+    line, point = _line_and_point(field, P, tables)
+    n = sum(np.count_nonzero(row == 0) for row in _rows(field, P, tables))
+    return int(n + np.count_nonzero(line == 0) + (point == 0))
 
 
 def count_projective_points_fast(P: TrivariatePoly, s: int) -> int:
     """Same count as count_projective_points, for curves quadratic in y.
 
-    Solves a y^2 + b y + c = 0 over the x of the z = 1 chart at once: for
-    a != 0, b != 0 the substitution y = (b/a) w turns it into
-    w^2 + w = c a / b^2 with 2 or 0 roots by Tr(c a / b^2); a != 0, b = 0
-    gives the unique square root; a = 0 is linear.
+    Solves a y^2 + b y + c = 0 over the x of the z = 1 chart at once, with
+    a, b, c = C_2, C_1, C_0: for a != 0, b != 0 the substitution y = (b/a) w
+    turns it into w^2 + w = c a / b^2 with 2 or 0 roots by Tr(c a / b^2);
+    a != 0, b = 0 gives the unique square root; a = 0 is linear.
     """
     field = _field_for(P, s, FAST_COUNT_CAP)
     if P.y_degree() > 2:
         raise ValueError("fast counter requires a polynomial quadratic in y")
-    _, line, point = _charts(field)
-    every = line[0][0]  # the line's x: all elements
     tables: dict = {}
-    a, b, c = (_values(field, [t for t in P.monomials if t[1] == j], every, 1, 1, tables)
-               for j in (2, 1, 0))
+    a, b, c = (_coefficient(field, P, j, tables) for j in (2, 1, 0))
     n = field.size * np.count_nonzero((a == 0) & (b == 0) & (c == 0))
     n += np.count_nonzero((a == 0) != (b == 0))
     quad = (a != 0) & (b != 0)
@@ -220,9 +218,8 @@ def count_projective_points_fast(P: TrivariatePoly, s: int) -> int:
     # gives beta = 0, of trace 0.
     tr_beta = field.trace_seq[(log[c] + log_a - 2 * log_b) % field.order]
     n += 2 * np.count_nonzero((c == 0) | (tr_beta == 0))
-    for row in line + point:
-        n += np.count_nonzero(_values(field, P.monomials, *row, tables) == 0)
-    return int(n)
+    line, point = _line_and_point(field, P, tables)
+    return int(n + np.count_nonzero(line == 0) + (point == 0))
 
 
 def singular_points(P: TrivariatePoly, s: int) -> list[tuple[int, int, int]]:
@@ -235,11 +232,14 @@ def singular_points(P: TrivariatePoly, s: int) -> list[tuple[int, int, int]]:
     polys = [P, P.derivative("x"), P.derivative("y"), P.derivative("z")]
     tables: dict = {}
     out = []
-    for chart in _charts(field):
-        for row in chart:
-            hit = np.logical_and.reduce([_values(field, q.monomials, *row, tables) == 0
-                                         for q in polys])
-            out += zip(*(np.broadcast_to(v, hit.shape)[hit].tolist() for v in row))
+    for x, rows in enumerate(zip(*(_rows(field, q, tables) for q in polys))):
+        hit = np.logical_and.reduce([row == 0 for row in rows])
+        out += [(x, y, 1) for y in np.flatnonzero(hit).tolist()]
+    lines, points = zip(*(_line_and_point(field, q, tables) for q in polys))
+    hit = np.logical_and.reduce([line == 0 for line in lines])
+    out += [(x, 1, 0) for x in np.flatnonzero(hit).tolist()]
+    if not any(points):
+        out.append((1, 0, 0))
     return out
 
 

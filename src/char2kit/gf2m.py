@@ -3,9 +3,10 @@
 Field elements are plain Python ints: bit i of the int is the coefficient
 of x^i in the polynomial-basis representative.  A :class:`Field` object
 carries the reduction polynomial and precomputed log/antilog and trace
-tables (numpy arrays) for every m, so that scalar operations are lookups
-and enumeration loops in the higher modules can be vectorized.  The antilog
-table is built from the Frobenius powers of the reduction polynomial.  The library
+tables (numpy arrays) for every m.  There is no scalar arithmetic: the
+higher modules multiply and raise to powers by gathers from these tables
+over whole vectors of elements or exponents.  The antilog table is built
+from the Frobenius powers of the reduction polynomial.  The library
 reads every trace of a power alpha^i off the m-sequence Tr(alpha^i), by
 exponent; the element-indexed trace table is the independent route.
 
@@ -228,19 +229,6 @@ class Field:
         idx *= e % self.order
         idx %= self.order
         return idx
-
-    def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return int(self.exp_table[(int(self.log_table[a]) + int(self.log_table[b])) % self.order])
-
-    def pow(self, a: int, e: int) -> int:
-        """a^e with e >= 0; nonzero bases reduce e modulo 2^m - 1."""
-        if e < 0:
-            raise FieldError("negative exponent")
-        if a == 0:
-            return 1 if e == 0 else 0
-        return int(self.exp_table[int(self.log_table[a]) * e % self.order])
 
     def __repr__(self) -> str:
         return f"Field(m={self.m}, reduction=0x{self.reduction:x})"

@@ -317,6 +317,10 @@ def test_zeta_power_sums(capsys):
     assert [rows[f"P_{s}"]["observed"] for s in (1, 2, 3)] == [-1, -3, 5]
     assert rows["N_1 predicted"]["observed"] == 4
     assert rows["functional equation"]["verdict"] == "pass"
+    code, payload = run_json(capsys, "zeta", "--l-poly", "z2")  # --s-max defaults to 10
+    assert code == 0
+    assert [r["name"] for r in payload["results"] if r["name"].startswith("P_")] == [
+        f"P_{s}" for s in range(1, 11)]
 
 
 def test_zeta_from_file(tmp_path, capsys):
@@ -568,7 +572,9 @@ def test_error_exit_code(capsys):
     for argv, option in ((("dm-check", "--bound", "0"), "--bound"),
                          (("verify-all", "--max-m", "25"), "--max-m"),
                          (("verify-all", "--max-s", "21"), "--max-s"),
-                         (("zeta", "--reconstruct", "4", "--genus", "0"), "--genus")):
+                         (("zeta", "--reconstruct", "4", "--genus", "0"), "--genus"),
+                         (("zeta", "--l-poly", "z2", "--genus", "5"), "--genus"),
+                         (("zeta", "--reconstruct", "4", "4", "--genus", "2", "--s-max", "3"), "--s-max")):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
         assert "error:" in err and option in err, argv

@@ -1,7 +1,7 @@
 import copy
+import itertools
 import random
 
-import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -28,7 +28,6 @@ def test_monomial_set_semantics():
     # duplicates cancel in characteristic 2
     p = TrivariatePoly([(1, 0, 0), (1, 0, 0), (0, 1, 0)])
     assert p.monomials == frozenset({(0, 1, 0)})
-    assert TrivariatePoly([(1, 0, 0)]) + TrivariatePoly([(1, 0, 0)]) == TrivariatePoly()
 
 
 def test_homogenize_examples():
@@ -179,14 +178,18 @@ def test_catalog_singular_points_match_naive_in_order(poly, s):
 def test_row_values_at_large_exponents_match_naive(s):
     # e log v passes 2^31 here, and e passes 2^s - 1: the index needs int64 and e mod 2^s - 1
     field, nf = get_field(s), NaiveField(s, get_field(s).reduction)
-    every = np.arange(field.size, dtype=np.int64)
     terms = [(4097, 1, 0), (field.order, 0, 1), (3 * field.order + 7, 2, 0), ((1 << 31) + 3, 0, 0)]
+    P, tables = TrivariatePoly(terms), {}
     sample = [0, 1, 2, 3, field.size - 1] + random.Random(s).sample(range(field.size), 40)
-    for row in ((every, 1, 1), (5, every, 1), (every, 1, 0)):
-        got = cv._values(field, terms, *row, {})
+    cases = (
+        (cv._values(field, {a: 1 for a, _, _ in terms}, tables), lambda v: (v, 1, 1)),
+        # the z = 1 row at x = 5: coefficients k = C_b[5] != 1
+        (next(itertools.islice(cv._rows(field, P, tables), 5, None)), lambda v: (5, v, 1)),
+        (cv._line_and_point(field, P, tables)[0], lambda v: (v, 1, 0)),
+    )
+    for got, point in cases:
         for v in sample:
-            point = [v if np.ndim(c) else c for c in row]
-            assert got[v] == naive_evaluate(terms, nf, *point), (row, v)
+            assert got[v] == naive_evaluate(terms, nf, *point(v)), point(v)
 
 
 def test_fast_counter_rejects_cubic_in_y():
@@ -229,6 +232,15 @@ def test_catalog_counts_match_zeta_predictions():
         for s in range(1, 9):
             obs = cv.count_projective_points_fast(entry.polynomial, s)
             assert obs == entry.corrected_prediction(z.predicted_count(L, s), s), (name, s)
+
+
+@pytest.mark.parametrize("name", ["kloosterman", "p3"])
+def test_generic_counter_at_its_cap_matches_zeta_prediction(name):
+    entry = cv.catalog_curve(name)
+    L = z.catalog_lpoly(entry.l_polynomial_name)
+    s = cv.COUNT_CAP
+    assert cv.count_projective_points(entry.polynomial, s) == entry.corrected_prediction(
+        z.predicted_count(L, s), s)
 
 
 def test_trivial_component_point_bookkeeping():

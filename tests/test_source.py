@@ -6,6 +6,7 @@ from collections import Counter
 from pathlib import Path
 
 import char2kit
+from char2kit import gf2m
 
 SOURCES = sorted(Path(char2kit.__file__).parent.glob("*.py"))
 MODULES = [importlib.import_module("char2kit" if path.stem == "__init__" else f"char2kit.{path.stem}")
@@ -54,6 +55,16 @@ def test_exception_classes_are_pinned():
              if isinstance(cls, type) and issubclass(cls, BaseException)
              and cls.__module__ == module.__name__}
     assert found == {"char2kit.gf2m.FieldError", "char2kit.zeta.ZetaError"}
+
+
+def test_field_public_surface_is_pinned():
+    # A Field is its tables and the vector maps read off them; the library
+    # has no scalar field arithmetic.  A new public method or attribute needs
+    # a deliberate edit of this set.  has_tables and trace_table stay public:
+    # traced benchmark runs read them.
+    found = {name for name in dir(gf2m.Field(3)) if not name.startswith("_")}
+    assert found == {"exp_table", "has_tables", "log_table", "m", "orbit_traces", "orbits", "order",
+                     "pow_log", "reduction", "size", "trace_seq", "trace_table"}
 
 
 MUTATORS = {"add", "append", "cache_clear", "clear", "discard", "extend", "insert", "pop",
