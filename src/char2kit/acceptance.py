@@ -2,9 +2,15 @@
 
 CRITERIA maps "C1".."C12" to generators that take (max_m, max_s), the
 largest field degree and curve-count extension to enumerate, and yield
-(name, observed, expected) rows; a row passes iff observed == expected
-exactly.  C1-C5 check the paper's claims for k = 3; C6-C12 the weights,
-point counts and zeta-function identities.
+unprefixed (name, observed, expected) rows; a row passes iff observed ==
+expected exactly, and verify-all names it "<key> <name>".  C1-C5 check the
+paper's claims for k = 3; C6-C12 the weights, point counts and
+zeta-function identities.
+
+Every row that a subcommand shares with a criterion is built here, once:
+c_square_row (C3, expsum --sum C), a1_rows (C4, a1), moment_rows (C4,
+corrdist), theorem1_rows (C5, corrdist, the b = 1 rows of weights),
+count_rows (C7, curvecount) and dm_rows (C9, dm-check).
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ def c1(max_m, max_s):
     for m in range(1, max_m + 1):
         if expsums.conjecture2_proved(m, 3):
             v = expsums.conjecture2_check(m, 3)
-            yield f"C1 K'_{m} = K_{m} (k=3)", v.lhs, v.rhs
+            yield f"K'_{m} = K_{m} (k=3)", v.lhs, v.rhs
 
 
 def c2(max_m, max_s):
@@ -36,7 +42,7 @@ def c2(max_m, max_s):
     for m in range(1, max_m + 1):
         for k in range(1, 6):
             v = expsums.conjecture1_check(m, k)
-            yield f"C2 G_{m}^({k}) = G_{m}^(gcd)", v.lhs, v.rhs
+            yield f"G_{m}^({k}) = G_{m}^(gcd)", v.lhs, v.rhs
 
 
 def c3(max_m, max_s):
@@ -45,15 +51,12 @@ def c3(max_m, max_s):
         for k in range(1, 6):
             closed = expsums.c_sum_closed_form(m, k)
             if closed is not None:
-                yield f"C3 C_{m}(k={k}) closed form", expsums.c_sum(m, k).value, closed
-    for m in range(1, max_m + 1):
-        for k in range(1, 6):
-            name, lhs, rhs = c_square_row(m, k)
-            yield f"C3 {name}", lhs, rhs
+                yield f"C_{m}(k={k}) closed form", expsums.c_sum(m, k).value, closed
+    yield from (c_square_row(m, k) for m in range(1, max_m + 1) for k in range(1, 6))
 
 
 def c_square_row(m, k):
-    """C_m^2 against {0, 2^(m+w)}, w = gcd(2k, m), as one unprefixed row."""
+    """C_m^2 against {0, 2^(m+w)}, w = gcd(2k, m), as one row."""
     v = expsums.c_sum_square_check(m, k)
     return f"C_{m}(k={k})^2 in {{0, 2^{m + math.gcd(2 * k, m)}}}", v.lhs, v.rhs
 
@@ -62,14 +65,33 @@ def c4(max_m, max_s):
     """A_1 pair-collision count = formula; above its cap, spectrum A_1 = formula"""
     for m, k in ((5, 1), (5, 2), (5, 3), (7, 1), (7, 2), (7, 3), (9, 2), (11, 1)):
         if m <= max_m:
-            rep = crosscorr.a1_formula(m, k, brute=True)
-            yield f"C4 A1 brute = formula (m={m},k={k})", rep.brute_count, rep.formula_value
+            yield from a1_rows(m, k)
     for m in range(13, max_m + 1, 2):
         for k in (1, 2, 3):
             if math.gcd(k, m) == 1:
-                dist = crosscorr.correlation_distribution(m, gf2m.decimation_exponent(m, k))
-                yield (f"C4 A1 spectrum = formula (m={m},k={k})", crosscorr.a1_from_spectrum(dist),
-                       crosscorr.a1_formula(m, k, brute=False).formula_value)
+                yield from a1_rows(m, k)
+
+
+def a1_rows(m, k):
+    """The A_1 formula against the pair-collision count up to A1_BRUTE_CAP;
+    above it, against the A_1 read off the spectrum's N0, followed by the
+    spectrum's moment rows: W -> -W leaves N0 unchanged, not the first moment."""
+    if m <= crosscorr.A1_BRUTE_CAP:
+        rep = crosscorr.a1_formula(m, k, brute=True)
+        yield f"A1 brute = formula (m={m},k={k})", rep.brute_count, rep.formula_value
+    else:
+        a1 = crosscorr.a1_formula(m, k).formula_value  # refuses even m and gcd(k, m) > 1 before the spectrum
+        dist = crosscorr.correlation_distribution(m, gf2m.decimation_exponent(m, k))
+        yield f"A1 spectrum = formula (m={m},k={k})", crosscorr.a1_from_spectrum(dist), a1
+        yield from moment_rows(f"m={m} k={k} ", dist)
+
+
+def moment_rows(prefix, dist):
+    """The shift count and the first two moments of dist, which hold at every d."""
+    m, entries = dist.m, dist.entries
+    yield f"{prefix}sum of multiplicities", sum(entries.values()), (1 << m) - 1
+    yield f"{prefix}first moment", sum(v * n for v, n in entries.items()), 1
+    yield f"{prefix}second moment", sum(v * v * n for v, n in entries.items()), (1 << (2 * m)) - (1 << m) - 1
 
 
 def c5(max_m, max_s):
@@ -82,19 +104,26 @@ def c5(max_m, max_s):
             if math.gcd(k, m) != 1:
                 continue
             dist = crosscorr.correlation_distribution(m, gf2m.decimation_exponent(m, k))
-            a1 = crosscorr.a1_formula(m, k, brute=False).formula_value
-            expect = crosscorr.theorem1_multiplicities(m, a1)
-            observed = crosscorr.match_multiplicities(dist)
-            yield f"C5 multiplicities m={m} k={k}", observed, expect
-            yield (f"C5 N0 - 6*N2 m={m} k={k}", observed["N0"] - 6 * observed["N2"],
-                   crosscorr.one_sixth_slack(m))
+            yield from theorem1_rows(f"m={m} k={k} ", dist, k)
             if base is None:
                 base = dist.entries
             else:
-                yield f"C5 distribution m={m} k={k} equals k=1", dist.entries, base
+                yield f"distribution m={m} k={k} equals k=1", dist.entries, base
     if max_m >= 11:
-        a1 = crosscorr.a1_formula(11, 1, brute=False).formula_value
-        yield "C5 m=11 pinned multiplicities", crosscorr.theorem1_multiplicities(11, a1), PINNED_M11
+        a1 = crosscorr.a1_formula(11, 1).formula_value
+        yield "m=11 pinned multiplicities", crosscorr.theorem1_multiplicities(11, a1), PINNED_M11
+
+
+def theorem1_rows(prefix, dist, k):
+    """The observed five-value multiplicities of dist against theorem 1 (odd m,
+    gcd(k, m) = 1), one row each, and N0 - 6*N2; a value outside the five adds
+    one failed row."""
+    a1 = crosscorr.a1_formula(dist.m, k).formula_value
+    expect = crosscorr.theorem1_multiplicities(dist.m, a1)
+    observed = crosscorr.match_multiplicities(dist)
+    for name, n in observed.items():
+        yield f"{prefix}multiplicity {name}", n, expect.get(name, 0)
+    yield f"{prefix}N0 - 6*N2", observed["N0"] - 6 * observed["N2"], crosscorr.one_sixth_slack(dist.m)
 
 
 def c6(max_m, max_s):
@@ -103,10 +132,10 @@ def c6(max_m, max_s):
         if m > max_m:
             continue
         w1 = crosscorr.weight_distribution(m, 1)
-        yield f"C6 weights m={m} k=1", w1.entries, KNOWN_WEIGHTS[m]
-        yield f"C6 weights m={m} k=3 = k=1", crosscorr.weight_distribution(m, 3).entries, w1.entries
+        yield f"weights m={m} k=1", w1.entries, KNOWN_WEIGHTS[m]
+        yield f"weights m={m} k=3 = k=1", crosscorr.weight_distribution(m, 3).entries, w1.entries
     if max_m >= 7:
-        yield ("C6 direct mode m=7", crosscorr.weight_distribution(7, 1, mode="direct").entries,
+        yield ("direct mode m=7", crosscorr.weight_distribution(7, 1, mode="direct").entries,
                crosscorr.weight_distribution(7, 1).entries)
 
 
@@ -114,34 +143,38 @@ def c7(max_m, max_s):
     """point counts = corrected zeta predictions; pinned singular points"""
     for name in ("kloosterman", "p3", "p4", "p1tilde"):
         entry = curves.catalog_curve(name)
-        L = zeta.catalog_lpoly(entry.l_polynomial_name)
-        for s in range(1, max_s + 1):
-            yield (f"C7 {name} N_{s}", curves.count_projective_points_fast(entry.polynomial, s),
-                   entry.corrected_prediction(zeta.predicted_count(L, s), s))
+        yield from count_rows(f"{name} ", entry, max_s, curves.count_projective_points_fast)
         if entry.expected_singular_points is not None:
-            yield (f"C7 {name} singular points s=1", curves.singular_points(entry.polynomial, 1),
+            yield (f"{name} singular points s=1", curves.singular_points(entry.polynomial, 1),
                    list(entry.expected_singular_points))
+
+
+def count_rows(prefix, entry, s_max, counter):
+    """N_s of a catalog curve by counter against its corrected zeta prediction, s = 1..s_max."""
+    L = zeta.catalog_lpoly(entry.l_polynomial_name)
+    for s in range(1, s_max + 1):
+        yield (f"{prefix}N_{s}", counter(entry.polynomial, s),
+               entry.corrected_prediction(zeta.predicted_count(L, s), s))
 
 
 def c8(max_m, max_s):
     """exponential sums = zeta power sums"""
     for m in range(1, max_m + 1):
         for name, k, lpoly, label in expsums.ZETA_ROUTES:
-            yield f"C8 {label.format(m=m)}", expsums.sum_report(name, m, k).value, expsums.zeta_side(name, lpoly, m)
+            yield label.format(m=m), expsums.sum_report(name, m, k).value, expsums.zeta_side(name, lpoly, m)
 
 
 def c9(max_m, max_s):
     """catalog quotients; quotient power sums vanish off multiples of 3"""
     for whole, part, quotient in (("z1", "z2", "l1prime"), ("z3", "z4", "l3prime")):
         product = zeta.catalog_lpoly(part) * zeta.catalog_lpoly(quotient)
-        yield (f"C9 {whole} = {part} * {quotient}", list(product.coefficients),
+        yield (f"{whole} = {part} * {quotient}", list(product.coefficients),
                list(zeta.catalog_lpoly(whole).coefficients))
-    for name, lhs, rhs in dm_rows(200):
-        yield f"C9 {name}", lhs, rhs
+    yield from dm_rows(200)
 
 
 def dm_rows(bound):
-    """P_m(l1prime) = 0 for 3 coprime m <= bound, and l1prime's published expansion, unprefixed."""
+    """P_m(l1prime) = 0 for 3 coprime m <= bound, and l1prime's published expansion."""
     # The expansion row compares every nonzero sigma_j, so it also fails on one with 3 not | j.
     v = zeta.vanishing_residue_check(zeta.catalog_lpoly("l1prime"), 3, bound)
     yield f"P_m(l1prime) = 0 for 3 coprime m <= {bound}", v.lhs, v.rhs
@@ -159,12 +192,12 @@ def c10(max_m, max_s):
         counts = [curves.count_projective_points_fast(entry.polynomial, s)
                   - entry.corrected_prediction(0, s) for s in range(1, g + 1)]
         L = zeta.reconstruct_from_counts(counts, 2, g)
-        yield f"C10 reconstruct {name} (g={g})", list(L.coefficients), list(zeta.catalog_lpoly(name).coefficients)
+        yield f"reconstruct {name} (g={g})", list(L.coefficients), list(zeta.catalog_lpoly(name).coefficients)
 
 
 def c11(max_m, max_s):
     """extra-factor power sums = 2^(1+delta)"""
-    yield ("C11 P_s(extra factor) = 2^(1+delta) for s <= 50",
+    yield ("P_s(extra factor) = 2^(1+delta) for s <= 50",
            [zeta.singular_correction_sums(s) for s in range(1, 51)],
            [zeta.singular_correction(s) for s in range(1, 51)])
 
@@ -174,8 +207,8 @@ def c12(max_m, max_s):
     xz = curves.TrivariatePoly([(1, 0, 0), (0, 0, 1)])
     p1 = curves.catalog_curve("p1tilde").polynomial
     fb3 = curves.catalog_curve("fbar3").polynomial
-    yield "C12 (x+z)^e * p1tilde = fbar3 for e", [e for e in range(1, 9) if (xz**e) * p1 == fb3], [8]
-    yield "C12 homogenize(f_3, 66) = fbar3", curves.homogenize(curves.f_k_affine(3), 66), fb3
+    yield "(x+z)^e * p1tilde = fbar3 for e", [e for e in range(1, 9) if (xz**e) * p1 == fb3], [8]
+    yield "homogenize(f_3, 66) = fbar3", curves.homogenize(curves.f_k_affine(3), 66), fb3
 
 
 CRITERIA = {"C1": c1, "C2": c2, "C3": c3, "C4": c4, "C5": c5, "C6": c6,

@@ -5,7 +5,8 @@ rows, the per-stage timings it fills in, and wall time.  Verdicts are
 pass/fail when an expectation exists and "recorded" otherwise.  Exit 0 when
 every row passes, 1 when a row fails, 2 when the arguments are refused.
 Any other raise is one failed row named after the subcommand (after the
-criterion, in verify-all), with the traceback on stderr.
+criterion, in verify-all), with the traceback on stderr.  A row that a
+subcommand shares with a criterion is built once, in acceptance.
 Output is a human table, or --json / --csv.
 """
 
@@ -164,44 +165,15 @@ def cmd_corrdist(args, timings) -> list[Row]:
     m = args.m
     d = _resolve_d(m, args.k, args.d)
     dist = crosscorr.correlation_distribution(m, d)
-    rows = [recorded(f"C_d(tau)={v}", n) for v, n in dist.entries.items()] + _moment_rows(dist)
+    rows = [recorded(f"C_d(tau)={v}", n) for v, n in dist.entries.items()]
+    rows += [checked(*row) for row in acceptance.moment_rows("", dist)]
     if args.k is not None and m % 2 == 1 and math.gcd(args.k, m) == 1:
-        rows += _theorem1_rows("", dist, args.k)
-    return rows
-
-
-def _moment_rows(dist: crosscorr.CorrelationDistribution) -> list[Row]:
-    """The shift count and the first two moments of dist, which hold at every d."""
-    m, entries = dist.m, dist.entries
-    return [checked("sum of multiplicities", sum(entries.values()), (1 << m) - 1),
-            checked("first moment", sum(v * n for v, n in entries.items()), 1),
-            checked("second moment", sum(v * v * n for v, n in entries.items()),
-                    (1 << (2 * m)) - (1 << m) - 1)]
-
-
-def _theorem1_rows(prefix: str, dist: crosscorr.CorrelationDistribution, k: int) -> list[Row]:
-    """The observed five-value multiplicities of dist against theorem 1 (odd m,
-    gcd(k, m) = 1); a value outside the five adds one failed row."""
-    a1 = crosscorr.a1_formula(dist.m, k, brute=False).formula_value
-    expect = crosscorr.theorem1_multiplicities(dist.m, a1)
-    observed = crosscorr.match_multiplicities(dist)
-    rows = [checked(f"{prefix}multiplicity {name}", n, expect.get(name, 0)) for name, n in observed.items()]
-    rows.append(checked(f"{prefix}N0 - 6*N2", observed["N0"] - 6 * observed["N2"],
-                        crosscorr.one_sixth_slack(dist.m)))
+        rows += [checked(*row) for row in acceptance.theorem1_rows("", dist, args.k)]
     return rows
 
 
 def cmd_a1(args, timings) -> list[Row]:
-    m, k = args.m, args.k
-    rep = crosscorr.a1_formula(m, k, brute=False if args.no_brute else None)
-    rows = [recorded("formula A_1", rep.formula_value)]
-    if rep.brute_count is not None:
-        rows.append(checked("brute-force A_1", rep.brute_count, rep.formula_value))
-    else:
-        dist = crosscorr.correlation_distribution(m, gf2m.decimation_exponent(m, k))
-        rows.append(checked("spectrum A_1", crosscorr.a1_from_spectrum(dist), rep.formula_value))
-        rows += _moment_rows(dist)
-    return rows
+    return [checked(*row) for row in acceptance.a1_rows(args.m, args.k)]
 
 
 def cmd_weights(args, timings) -> list[Row]:
@@ -229,7 +201,7 @@ def cmd_weights(args, timings) -> list[Row]:
             values = Counter({order - 2 * w: n // order for w, n in rest.items()})
             values[-1] -= 1
             spectrum = crosscorr.CorrelationDistribution(m, gf2m.decimation_exponent(m, k), +values)
-            rows += _theorem1_rows("b = 1 ", spectrum, k)
+            rows += [checked(*row) for row in acceptance.theorem1_rows("b = 1 ", spectrum, k)]
     return rows
 
 
@@ -237,18 +209,12 @@ def cmd_curvecount(args, timings) -> list[Row]:
     cap = curves.COUNT_CAP if args.generic else curves.FAST_COUNT_CAP
     if not 1 <= args.s <= cap:
         raise ValueError(f"--s {args.s} outside 1..{cap}")
-    entry = curves.catalog_curve(args.curve) if args.curve in curves.catalog_curve_names() else None
-    poly = entry.polynomial if entry else curves.load_curve(args.curve)
-    L = zeta.catalog_lpoly(entry.l_polynomial_name) if entry and entry.l_polynomial_name else None
     counter = curves.count_projective_points if args.generic else curves.count_projective_points_fast
-    rows = []
-    for s in range(1, args.s + 1):
-        obs = counter(poly, s)
-        if L is None:
-            rows.append(recorded(f"N_{s}", obs))
-        else:
-            rows.append(checked(f"N_{s}", obs, entry.corrected_prediction(zeta.predicted_count(L, s), s)))
-    return rows
+    entry = curves.catalog_curve(args.curve) if args.curve in curves.catalog_curve_names() else None
+    if entry and entry.l_polynomial_name:
+        return [checked(*row) for row in acceptance.count_rows("", entry, args.s, counter)]
+    poly = entry.polynomial if entry else curves.load_curve(args.curve)
+    return [recorded(f"N_{s}", counter(poly, s)) for s in range(1, args.s + 1)]
 
 
 def _load_lpoly_arg(name: str) -> zeta.LPolynomial:
@@ -309,8 +275,8 @@ def _verify_all(args, timings) -> list[Row]:
     for key, criterion in acceptance.CRITERIA.items():
         t0 = time.perf_counter()
         try:
-            for row in criterion(args.max_m, args.max_s):
-                rows.append(checked(*row))
+            for name, observed, expected in criterion(args.max_m, args.max_s):
+                rows.append(checked(f"{key} {name}", observed, expected))
         except Exception as exc:  # the other criteria still run
             rows.append(_raised(key, exc))
         timings[key] = round(time.perf_counter() - t0, 3)
@@ -347,10 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int)
     sp.add_argument("--d", type=int)
 
-    sp = command("a1", cmd_a1, "solution count: pair-collision count vs formula")
+    sp = command("a1", cmd_a1, "A_1 formula vs pair-collision count (spectrum above the cap)")
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--no-brute", action="store_true")
 
     sp = command("weights", cmd_weights, "cyclic-code weight distribution")
     sp.add_argument("--m", type=int, required=True)

@@ -169,11 +169,11 @@ def a1_bruteforce(m: int, k: int) -> int:
     return int((weight[rows] * counts[:-1][pair]) @ counts[1:][pair])
 
 
-def a1_formula(m: int, k: int, brute: bool | None = None) -> A1Report:
+def a1_formula(m: int, k: int, brute: bool = False) -> A1Report:
     """A_1 = 2^m + 1 + 3 G_m^(k) - 2 K'_m - 2 C_m (for k = 1, K'_m is K_m).
 
-    brute=None fills the collision count of a1_bruteforce when m is within
-    A1_BRUTE_CAP; True forces it (may raise), False skips it.
+    brute=True also fills the collision count of a1_bruteforce, which
+    refuses m above A1_BRUTE_CAP.
     """
     if m % 2 == 0:
         raise FieldError("the A_1 formula requires odd m")
@@ -183,10 +183,7 @@ def a1_formula(m: int, k: int, brute: bool | None = None) -> A1Report:
     kp = expsums.kloosterman(m).value if k == 1 else expsums.k_prime(m, k).value
     c = expsums.c_sum(m, k).value
     value = (1 << m) + 1 + 3 * g - 2 * kp - 2 * c
-    bc = None
-    if brute is True or (brute is None and m <= A1_BRUTE_CAP):
-        bc = a1_bruteforce(m, k)
-    return A1Report(m, k, value, bc)
+    return A1Report(m, k, value, a1_bruteforce(m, k) if brute else None)
 
 
 def a1_from_spectrum(dist: CorrelationDistribution) -> int:

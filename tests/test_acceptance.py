@@ -2,8 +2,8 @@
 
 The criteria are the ones `char2kit verify-all` runs; here they run at
 max_m = 19, max_s = 10, which adds m = 19 to C3, to C8 and to the spectrum
-rows of C4.  Run with `pytest -s tests/test_acceptance.py` to see the
-per-criterion pass/FAIL lines; every comparison is exact equality.
+and moment rows of C4.  Run with `pytest -s tests/test_acceptance.py` to
+see the per-criterion pass/FAIL lines; every comparison is exact equality.
 """
 
 from char2kit.acceptance import CRITERIA

@@ -93,7 +93,7 @@ def test_swapping_z3_and_z4_in_the_table_fails_c8_and_expsum(capsys, monkeypatch
     monkeypatch.setattr(expsums, "ZETA_ROUTES", tuple((name, k, swap.get(lpoly, lpoly), label)
                                                       for name, k, lpoly, label in expsums.ZETA_ROUTES))
     failed = [name for name, observed, expected in acceptance.CRITERIA["C8"](9, 1) if observed != expected]
-    assert failed == [f"C8 {row}" for m in (3, 9) for row in (f"G_{m} = -P_m(z4)", f"G_{m}^(3) = -P_m(z3)")]
+    assert failed == [row for m in (3, 9) for row in (f"G_{m} = -P_m(z4)", f"G_{m}^(3) = -P_m(z3)")]
     code, payload = run_json(capsys, "expsum", "--m", "9", "--sum", "G", "--k", "1")
     assert code == 1
     assert results_by_name(payload)["G_9 = -P_m(z4)"]["verdict"] == "fail"
@@ -208,25 +208,21 @@ def test_corrdist_requires_exactly_one_of_k_d(capsys):
 
 
 def test_a1_subcommand(capsys):
-    code, payload = run_json(capsys, "a1", "--m", "7", "--k", "3")
+    # up to the cap (m = 11) the pair-collision count checks the formula, with no moment rows
+    for m, k, a1 in ((7, 3, 0), (11, 1, 2112)):
+        code, payload = run_json(capsys, "a1", "--m", str(m), "--k", str(k))
+        assert code == 0
+        assert [(r["name"], r["observed"], r["expected"], r["verdict"]) for r in payload["results"]] == [
+            (f"A1 brute = formula (m={m},k={k})", a1, a1, "pass")]
+    # above the cap the spectrum's N0 checks the formula, with the spectrum's moment rows
+    code, payload = run_json(capsys, "a1", "--m", "13", "--k", "1")
     assert code == 0
     rows = results_by_name(payload)
-    assert rows["formula A_1"]["observed"] == 0
-    assert rows["brute-force A_1"]["verdict"] == "pass"
-    assert "first moment" not in rows
-    code, payload = run_json(capsys, "a1", "--m", "11", "--k", "1", "--no-brute")
-    assert code == 0
-    assert results_by_name(payload)["formula A_1"]["observed"] == 2112
-    assert "brute-force A_1" not in results_by_name(payload)
-    # without the collision count (--no-brute, or above the cap) the spectrum's N0 checks the formula
-    for argv, a1 in ((("--m", "11", "--k", "1", "--no-brute"), 2112), (("--m", "13", "--k", "1"), 8736)):
-        code, payload = run_json(capsys, "a1", *argv)
-        assert code == 0
-        rows = results_by_name(payload)
-        assert "brute-force A_1" not in rows
-        assert rows["spectrum A_1"]["verdict"] == "pass"
-        assert rows["spectrum A_1"]["observed"] == rows["formula A_1"]["observed"] == a1
-        assert rows["first moment"]["verdict"] == rows["second moment"]["verdict"] == "pass"
+    assert list(rows) == ["A1 spectrum = formula (m=13,k=1)"] + [
+        f"m=13 k=1 {name}" for name in ("sum of multiplicities", "first moment", "second moment")]
+    assert rows["A1 spectrum = formula (m=13,k=1)"]["observed"] == 8736
+    assert rows["A1 spectrum = formula (m=13,k=1)"]["expected"] == 8736
+    assert all(r["verdict"] == "pass" for r in rows.values())
 
 
 def test_weights_known_distribution(capsys):
@@ -362,7 +358,7 @@ def test_dm_check(capsys):
 def test_a_wrong_published_coefficient_fails_c9_and_dm_check_at_its_index(capsys, monkeypatch):
     monkeypatch.setattr(zeta, "L1PRIME_EXPANSION", {**zeta.L1PRIME_EXPANSION, 9: -47})
     rows = {name: (observed, expected) for name, observed, expected in acceptance.CRITERIA["C9"](18, 10)}
-    observed, expected = rows.pop("C9 expansion matches published coefficients")
+    observed, expected = rows.pop("expansion matches published coefficients")
     assert (observed[9], expected[9]) == (-48, -47)
     assert all(observed == expected for observed, expected in rows.values())
     code, payload = run_json(capsys, "dm-check")
@@ -438,7 +434,7 @@ def test_inconsistency_is_a_failed_check(capsys, monkeypatch):
 def _a1_off_by(monkeypatch, delta):
     """Make a1_formula report A_1 + delta, keeping its collision count."""
     real = crosscorr.a1_formula
-    monkeypatch.setattr(crosscorr, "a1_formula", lambda m, k, brute=None: dataclasses.replace(
+    monkeypatch.setattr(crosscorr, "a1_formula", lambda m, k, brute=False: dataclasses.replace(
         real(m, k, brute), formula_value=real(m, k, brute=False).formula_value + delta))
 
 
@@ -457,8 +453,11 @@ def test_wrong_a1_fails_c5_by_row(capsys, monkeypatch):
     code, out, err = run(capsys, "verify-all", "--max-m", "9", "--max-s", "2", "--json")
     assert (code, err) == (1, "")
     rows = json.loads(out)["results"]
-    c5 = [r for r in rows if r["name"].startswith("C5 multiplicities")]
-    assert len(c5) == 8 and all(r["verdict"] == "fail" for r in c5)  # m = 5, 7, 9
+    # every multiplicity moves with A_1; N0 - 6*N2 is read off the observed counts
+    c5 = [r for r in rows if r["name"].startswith("C5 m=") and " multiplicity " in r["name"]]
+    assert len(c5) == 8 * 5 and all(r["verdict"] == "fail" for r in c5)  # m = 5, 7, 9
+    slack = [r for r in rows if r["name"].startswith("C5 m=") and r["name"].endswith(" N0 - 6*N2")]
+    assert len(slack) == 8 and all(r["verdict"] == "pass" for r in slack)
     assert "C5" not in [r["name"] for r in rows]
 
 
@@ -491,8 +490,18 @@ def test_negated_spectrum_fails_the_a1_moment_rows(capsys, monkeypatch):
     code, payload = run_json(capsys, "a1", "--m", "13", "--k", "1")
     assert code == 1
     rows = results_by_name(payload)
-    assert rows["spectrum A_1"]["verdict"] == "pass"
-    assert rows["first moment"]["verdict"] == "fail"
+    assert rows["A1 spectrum = formula (m=13,k=1)"]["verdict"] == "pass"
+    assert rows["m=13 k=1 first moment"]["verdict"] == "fail"
+
+
+def test_negated_spectrum_at_m17_fails_c4(monkeypatch):
+    # At verify-all's defaults C5 stops at m = 15, and W -> -W leaves the N0
+    # that the spectrum A_1 row reads: C4's moment rows are what see it.
+    walsh = crosscorr.walsh_spectrum
+    monkeypatch.setattr(crosscorr, "walsh_spectrum",
+                        lambda field, e: -walsh(field, e) if field.m == 17 else walsh(field, e))
+    failed = [name for name, observed, expected in acceptance.CRITERIA["C4"](18, 10) if observed != expected]
+    assert failed == [f"m=17 k={k} {moment} moment" for k in (1, 2, 3) for moment in ("first", "second")]
 
 
 def test_missing_zero_word_fails_the_weight_rows(capsys, monkeypatch):

@@ -189,14 +189,14 @@ def test_a1_bruteforce_at_cap():
 def test_a1_examples():
     assert cc.a1_bruteforce(7, 3) == 0
     assert cc.a1_formula(7, 3).formula_value == 0
-    r = cc.a1_formula(9, 2)
+    r = cc.a1_formula(9, 2, brute=True)
     assert r.formula_value == 480 == r.brute_count
     assert cc.a1_formula(11, 1, brute=False).formula_value == 2112
 
 
 @pytest.mark.parametrize("m,k", [(5, 1), (5, 2), (5, 3), (7, 1), (7, 2), (7, 3)])
 def test_a1_formula_equals_brute(m, k):
-    r = cc.a1_formula(m, k)
+    r = cc.a1_formula(m, k, brute=True)
     assert r.brute_count is not None
     assert r.formula_value == r.brute_count
 

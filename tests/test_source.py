@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -226,3 +227,35 @@ def test_zeta_literal_rule_sees_labels_and_names(tmp_path):
         'def f(m, L):\n'
         '    return f"K_{m} = -P_m(z2)", L("z4"), "z5", "P_m", f"P_{m}"\n')
     assert _zeta_literals(path) == ["mod.py:2", "mod.py:2"]
+
+
+def _keyed_literals(path):
+    """Every string literal in path that begins with a criterion key and a space."""
+    return [f"{path.name}:{node.lineno}"
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and re.match(r"C\d+ ", node.value)]
+
+
+def test_criteria_yield_unprefixed_rows():
+    # verify-all names a row "<key> <name>": a criterion that wrote its own
+    # key would print it twice, and a shared row could not be shared.
+    assert _keyed_literals(Path(char2kit.__file__).parent / "acceptance.py") == []
+
+
+def test_keyed_literal_rule_sees_plain_and_formatted_strings(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        'def f(m):\n'
+        '    return f"C4 A1 (m={m})", "C12 x", "C1", "AC1 x", f"{m} C5 y"\n')
+    assert _keyed_literals(path) == ["mod.py:2", "mod.py:2"]
+
+
+def test_cli_restates_no_theorem_check():
+    # Theorem 1, the one-sixth bound, both A_1 routes and the corrected count
+    # prediction are rows built in acceptance; the CLI turns them into rows.
+    tree = ast.parse((Path(char2kit.__file__).parent / "cli.py").read_text())
+    names = set(_referenced_names(tree)) | {a.name.split(".")[-1] for a in ast.walk(tree)
+                                             if isinstance(a, ast.alias)}
+    assert names & {"theorem1_multiplicities", "match_multiplicities", "one_sixth_slack",
+                    "a1_from_spectrum", "a1_formula", "corrected_prediction"} == set()
