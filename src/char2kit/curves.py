@@ -8,17 +8,23 @@ representative charts, in the fixed order
     (x, y, 1) for all x, y;   (x, 1, 0) for all x;   (1, 0, 0)
 
 so each point is counted exactly once.  On each chart a homogeneous P is a
-polynomial in one variable over all of F_{2^s}.  On z = 1 it is the sum of
-C_b(x) y^b, where C_b(x) is the sum of x^a over the monomials (a, b, c), so
-the row at x is a polynomial in y with coefficients C_b[x].  On z = 0 it is
-the sum of x^a over the monomials with c = 0, and at (1, 0, 0) it is the
-parity of the number of monomials (a, 0, 0).  One evaluator, `_values`,
-gives the C_b vectors, the rows and the line.
+polynomial in one variable.  On z = 1 it is the sum of C_b(x) y^b, where
+C_b(x) is the sum of x^a over the monomials (a, b, c), so the row at x is a
+polynomial in y with coefficients C_b[x].  On z = 0 it is the sum of x^a
+over the monomials with c = 0, and at (1, 0, 0) it is the parity of the
+number of monomials (a, 0, 0).  One evaluator, `_values`, gives the C_b
+vectors, the rows and the line at the points it is given as exponents, x = 0
+always included: all of F_{2^s}^* in element order for `singular_points`,
+which lists points, and one x = alpha^r per Frobenius orbit for the
+counters.  P has its coefficients in F_2, so (x, y) -> (x^2, y^2) maps the
+zeros over x onto those over x^2, and a counter weights the zeros over r by
+the size of its orbit.
 
-Two counters are provided: a generic one that walks the full chart, and a
-fast one for curves that are (at most) quadratic in y, which solves the
-quadratic for all x at once via the trace criterion (y^2 + y = beta is
-solvable iff Tr(beta) = 0, and then has exactly two roots).
+Two counters are provided: a generic one that walks every y of one z = 1 row
+per orbit, and a fast one for curves that are (at most) quadratic in y,
+which solves the quadratic at every orbit at once via the trace criterion
+(y^2 + y = beta is solvable iff Tr(beta) = 0, and then has exactly two
+roots).
 """
 
 from __future__ import annotations
@@ -44,8 +50,8 @@ __all__ = [
     "singular_points",
 ]
 
-COUNT_CAP = 12       # generic enumeration costs ~4^s * |monomials|
-FAST_COUNT_CAP = 20  # the fast counter costs ~2^s * |monomials|
+COUNT_CAP = 12       # generic rows cost ~4^s/s * |monomials|; singular_points walks all ~4^s
+FAST_COUNT_CAP = 20  # the fast counter costs ~2^s/s * |monomials|
 
 
 @dataclass(frozen=True)
@@ -145,100 +151,114 @@ def _field_for(P: TrivariatePoly, s: int, cap: int) -> Field:
     return get_field(s)
 
 
-def _values(field: Field, coef: dict[int, int], tables: dict) -> np.ndarray:
-    """The polynomial in one variable v with a coefficient k per exponent e,
-    given as coef = {e: k}, over all v of F_{2^s} in element order (int32).
+def _values(field: Field, polys: list[dict[int, int]], logs: np.ndarray) -> np.ndarray:
+    """Polynomials in one variable v, each given as {e: k} for its terms k v^e,
+    at v = 0 and at v = alpha^l for each l in logs: one int32 row per
+    polynomial, with v = 0 in column 0 and v = alpha^logs[j] in column j + 1.
 
-    For v != 0, k v^e is exp[(log k + e log v) mod 2^s - 1]; at v = 0 only
-    the e = 0 term remains.  `tables` keeps each index e log v mod 2^s - 1
-    over v = 1..2^s - 1 for all the calls of one search.
+    For v != 0, k v^e is exp[(log k + (e mod 2^s - 1) l) mod 2^s - 1]; e is
+    reduced first, so the int64 index stays below 2^(2s).  Each distinct term
+    (e mod 2^s - 1, k) is one row of one index and of one exp gather, and each
+    polynomial is one XOR-reduce over its rows.  At v = 0 only the terms with
+    e = 0 remain: e = 2^s - 1 gives 1 at every v != 0 but 0 there.
     """
-    exp, log, order = field.exp_table, field.log_table, field.order
-    out = np.full(field.size, coef.get(0, 0), dtype=np.int32)
-    for e, k in coef.items():
-        if not e or not k:
-            continue
-        if e not in tables:
-            tables[e] = field.pow_log(e).astype(np.int32)
-        idx = tables[e] if k == 1 else (tables[e] + int(log[k])) % order
-        out[1:] ^= exp[idx]
+    order = field.order
+    terms: dict[tuple[int, int], int] = {}
+    rows = [[terms.setdefault((e % order, k), len(terms)) for e, k in p.items() if k] for p in polys]
+    e, k = np.array(list(terms), dtype=np.int64).reshape(-1, 2).T
+    idx = np.multiply.outer(e, logs)
+    idx += field.log_table[k][:, None]
+    idx %= order
+    vals = field.exp_table[idx]
+    out = np.empty((len(polys), 1 + len(logs)), dtype=np.int32)
+    out[:, 0] = [p.get(0, 0) for p in polys]
+    for i, r in enumerate(rows):
+        np.bitwise_xor.reduce(vals[r], axis=0, out=out[i, 1:])
     return out
 
 
-def _coefficient(field: Field, P: TrivariatePoly, b: int, tables: dict) -> np.ndarray:
-    """C_b over all x: the sum of x^a over the monomials (a, b, c) of P, so
-    that P(x, y, 1) is the sum of C_b(x) y^b.  P is homogeneous, so the a
-    of one b are distinct."""
-    return _values(field, {a: 1 for a, j, _ in P.monomials if j == b}, tables)
+def _chart(field: Field, P: TrivariatePoly, logs: np.ndarray, d: int) -> np.ndarray:
+    """P on its charts at x = 0 and at x = alpha^l for each l in logs, from one
+    _values call: rows C_0, ..., C_d for a y-degree of at most d, the sums of
+    x^a over the monomials (a, b, c), so that P(x, y, 1) is the sum of
+    C_b(x) y^b; then the line P(x, 1, 0), the sum of x^a over the monomials
+    with c = 0.  P is homogeneous, so the a of one b, and those of c = 0, are
+    distinct."""
+    polys: list[dict[int, int]] = [{} for _ in range(d + 2)]
+    for a, b, c in P.monomials:
+        polys[b][a] = 1
+        if c == 0:
+            polys[-1][a] = 1
+    return _values(field, polys, logs)
 
 
-def _rows(field: Field, P: TrivariatePoly, tables: dict):
-    """P(x, y, 1) over all y, one row per x in element order: the polynomial
-    in y with coefficients C_b[x]."""
-    C = [_coefficient(field, P, b, tables) for b in range(P.y_degree() + 1)]
-    for coefs in np.stack(C, axis=1):
-        yield _values(field, dict(enumerate(coefs.tolist())), tables)
+def _point(P: TrivariatePoly) -> int:
+    """P(1, 0, 0): the parity of the number of monomials (a, 0, 0)."""
+    return sum(b == c == 0 for _, b, c in P.monomials) % 2
 
 
-def _line_and_point(field: Field, P: TrivariatePoly, tables: dict) -> tuple[np.ndarray, int]:
-    """P(x, 1, 0) over all x, the sum of x^a over the monomials with c = 0;
-    and P(1, 0, 0), the parity of the number of monomials (a, 0, 0)."""
-    line = _values(field, {a: 1 for a, _, c in P.monomials if c == 0}, tables)
-    return line, sum(b == c == 0 for _, b, c in P.monomials) % 2
+def _rows(field: Field, charts: list[np.ndarray]):
+    """The z = 1 rows of several polynomials, one x (a column of their charts)
+    at a time: one _values call gives each polynomial's sum of C_b[x] y^b over
+    all y of F_{2^s} in element order."""
+    ys = field.log_table[1:]
+    for x in range(charts[0].shape[1]):
+        yield _values(field, [dict(enumerate(chart[:-1, x].tolist())) for chart in charts], ys)
 
 
 def count_projective_points(P: TrivariatePoly, s: int) -> int:
-    """Projective zeros of a homogeneous P over F_{2^s}, generic chart walk."""
+    """Projective zeros of a homogeneous P over F_{2^s}: every y of the z = 1
+    row at x = 0 and at one x per Frobenius orbit, weighted by its size."""
     field = _field_for(P, s, COUNT_CAP)
-    tables: dict = {}
-    line, point = _line_and_point(field, P, tables)
-    n = sum(np.count_nonzero(row == 0) for row in _rows(field, P, tables))
-    return int(n + np.count_nonzero(line == 0) + (point == 0))
+    reps, sizes = field.orbits
+    weights = np.concatenate(([1], sizes))  # x = 0, then each orbit
+    chart = _chart(field, P, reps, P.y_degree())
+    zeros = np.array([np.count_nonzero(row == 0) for (row,) in _rows(field, [chart])])
+    return int(weights @ zeros + weights @ (chart[-1] == 0) + (_point(P) == 0))
 
 
 def count_projective_points_fast(P: TrivariatePoly, s: int) -> int:
     """Same count as count_projective_points, for curves quadratic in y.
 
-    Solves a y^2 + b y + c = 0 over the x of the z = 1 chart at once, with
-    a, b, c = C_2, C_1, C_0: for a != 0, b != 0 the substitution y = (b/a) w
-    turns it into w^2 + w = c a / b^2 with 2 or 0 roots by Tr(c a / b^2);
-    a != 0, b = 0 gives the unique square root; a = 0 is linear.
+    Solves a y^2 + b y + c = 0 at x = 0 and at one x per Frobenius orbit, with
+    a, b, c = C_2, C_1, C_0, and weights each x by its orbit's size (the
+    roots over x^2 are the squares of those over x): for a != 0, b != 0 the
+    substitution y = (b/a) w turns it into w^2 + w = c a / b^2 with 2 or 0
+    roots by Tr(c a / b^2); a != 0, b = 0 gives the unique square root;
+    a = 0 is linear.
     """
     field = _field_for(P, s, FAST_COUNT_CAP)
     if P.y_degree() > 2:
         raise ValueError("fast counter requires a polynomial quadratic in y")
-    tables: dict = {}
-    a, b, c = (_coefficient(field, P, j, tables) for j in (2, 1, 0))
-    n = field.size * np.count_nonzero((a == 0) & (b == 0) & (c == 0))
-    n += np.count_nonzero((a == 0) != (b == 0))
-    quad = (a != 0) & (b != 0)
-    log = field.log_table
-    log_a, log_b, c = log[a[quad]], log[b[quad]], c[quad]
-    # Tr(beta), beta = c a / b^2, read off the m-sequence at log beta; c = 0
-    # gives beta = 0, of trace 0.
-    tr_beta = field.trace_seq[(log[c] + log_a - 2 * log_b) % field.order]
-    n += 2 * np.count_nonzero((c == 0) | (tr_beta == 0))
-    line, point = _line_and_point(field, P, tables)
-    return int(n + np.count_nonzero(line == 0) + (point == 0))
+    reps, sizes = field.orbits
+    weights = np.concatenate(([1], sizes))  # x = 0, then each orbit
+    chart = _chart(field, P, reps, 2)
+    c, b, a, line = chart
+    log_c, log_b, log_a = field.log_table[chart[:3]]
+    # Tr(beta), beta = c a / b^2, read off the m-sequence at log beta; it is
+    # read only where a, b != 0, and c = 0 gives beta = 0, of trace 0.
+    tr = field.trace_seq[(log_c + log_a - 2 * log_b) % field.order]
+    roots = np.where((a != 0) & (b != 0), 2 * ((c == 0) | (tr == 0)),
+                     np.where((a | b) != 0, 1, field.size * (c == 0)))
+    return int(weights @ (roots + (line == 0)) + (_point(P) == 0))
 
 
 def singular_points(P: TrivariatePoly, s: int) -> list[tuple[int, int, int]]:
     """Projective points over F_{2^s} where P and all three partials vanish.
 
     Representatives in the standard charts, in chart order; the search is
-    exhaustive over F_{2^s} only (no algebraic closure).
+    exhaustive over F_{2^s} only (no algebraic closure), so it walks every x,
+    in element order: column v of each chart is x = v.
     """
     field = _field_for(P, s, COUNT_CAP)
     polys = [P, P.derivative("x"), P.derivative("y"), P.derivative("z")]
-    tables: dict = {}
+    charts = [_chart(field, q, field.log_table[1:], q.y_degree()) for q in polys]
     out = []
-    for x, rows in enumerate(zip(*(_rows(field, q, tables) for q in polys))):
-        hit = np.logical_and.reduce([row == 0 for row in rows])
-        out += [(x, y, 1) for y in np.flatnonzero(hit).tolist()]
-    lines, points = zip(*(_line_and_point(field, q, tables) for q in polys))
-    hit = np.logical_and.reduce([line == 0 for line in lines])
+    for x, rows in enumerate(_rows(field, charts)):
+        out += [(x, y, 1) for y in np.flatnonzero(~rows.any(axis=0)).tolist()]
+    hit = ~np.any([chart[-1] for chart in charts], axis=0)
     out += [(x, 1, 0) for x in np.flatnonzero(hit).tolist()]
-    if not any(points):
+    if not any(_point(q) for q in polys):
         out.append((1, 0, 0))
     return out
 

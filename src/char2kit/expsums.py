@@ -9,7 +9,9 @@ each term is weighted by its coset's size.  K, C and G^(k) are Tr(x^a) +
 Tr(x^b) for fixed exponents a, b in {1, -1, 2^k + 1}: each is the XOR of two
 memoized Field.orbit_traces vectors and one dot with the coset sizes, so the
 sums at one m share their trace vectors.  K' is one pass over the coset
-representatives.  This module is the oracle the curve/zeta identities are
+representatives.  Each trace-zero count is kept in the field's _sum_counts,
+by its exponent residues, so a sum asked for again at the same residues is
+a dict lookup.  This module is the oracle the curve/zeta identities are
 checked against.  Each report carries the trace-zero count n, so
 value = 2n - domain_size.  ZETA_ROUTES is the one table of the sums' zeta
 identities, and conjecture1_proved / conjecture2_proved state where each conjecture is proved.
@@ -68,9 +70,15 @@ def _field(m: int, k: int) -> Field:
 
 def _trace_zero_count(field: Field, a: int, b: int) -> int:
     """The number of i in [0, 2^m - 1) with Tr(alpha^(a i) + alpha^(b i)) = 0,
-    as the total size of the cosets whose least member i has it."""
-    sizes = field.orbits[1]
-    return field.order - int(sizes @ (field.orbit_traces(a) ^ field.orbit_traces(b)))
+    as the total size of the cosets whose least member i has it; computed
+    once per field and unordered pair of residues a, b mod 2^m - 1."""
+    key = ("pair", *sorted((a % field.order, b % field.order)))
+    n = field._sum_counts.get(key)
+    if n is None:
+        sizes = field.orbits[1]
+        t = field.orbit_traces(a) ^ field.orbit_traces(b)
+        n = field._sum_counts[key] = field.order - int(sizes @ t)
+    return n
 
 
 def kloosterman(m: int) -> ExpSumReport:
@@ -127,14 +135,19 @@ def k_prime(m: int, k: int) -> ExpSumReport:
     """
     field = _field(m, k)
     exp, log, order = field.exp_table, field.log_table, field.order
-    reps, sizes = field.orbits
-    log_f = reps * ((1 << k) % order) % order  # log q
-    q = exp[log_f].astype(np.int64)  # an int64 index gathers faster than an int32 one
-    den = q ^ exp[reps]
-    log_f += log[q ^ 1]
-    log_f -= ((1 << k) + 1) % order * log[den].astype(np.int64)
-    log_f %= order
-    n = order + 1 - int(sizes @ (field.trace_seq[log_f] | (den == 0)))  # a pole counts as trace one
+    e = (1 << k) % order  # f depends on k only through 2^k mod 2^m - 1
+    key = ("Kp", e)
+    n = field._sum_counts.get(key)
+    if n is None:
+        reps, sizes = field.orbits
+        log_f = reps * e % order  # log q
+        q = exp[log_f].astype(np.int64)  # an int64 index gathers faster than an int32 one
+        den = q ^ exp[reps]
+        log_f += log[q ^ 1]
+        log_f -= (e + 1) % order * log[den].astype(np.int64)
+        log_f %= order
+        t = field.trace_seq[log_f] | (den == 0)  # a pole counts as trace one
+        n = field._sum_counts[key] = order + 1 - int(sizes @ t)
     return ExpSumReport(m, k, 2 * n - order, n, order)
 
 

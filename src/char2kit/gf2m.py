@@ -90,11 +90,14 @@ class Field:
     tables, so no build step makes an int temporary of more than LOG_BLOCK
     entries.
 
-    The only state that changes after construction is the memo behind
+    The only state that changes after construction is two memos.  Behind
     orbit_traces: one vector of len(reps) ~ 2^m/m bytes per residue asked
     for.  The sums ask for 1, -1 and 2^k + 1, which has period m in k, so a
-    field holds at most m + 2 of them.  The memo lives and dies with the
-    field, so get_field.cache_clear() drops it too.  Every operation is pure.
+    field holds at most m + 2 of them.  And _sum_counts, where the sums of
+    `expsums` keep each trace-zero count they compute: one int per exponent
+    pair, at most 2m + 1 (K's, and C's and G's at each 2^k + 1), and one per
+    K' residue 2^k mod 2^m - 1, at most m.  The memos live and die with the
+    field, so get_field.cache_clear() drops them too.  Every operation is pure.
     """
 
     has_tables = True  # every field has its tables; kept for callers that ask
@@ -143,6 +146,7 @@ class Field:
         for table in (self.exp_table, self.log_table, self.trace_table, self.trace_seq):
             table.flags.writeable = False
         self._orbit_traces: dict[int, np.ndarray] = {}
+        self._sum_counts: dict[tuple, int] = {}
 
     @cached_property
     def orbits(self) -> tuple[np.ndarray, np.ndarray]:

@@ -367,3 +367,30 @@ def row_loop_direct_weights(m: int, k: int) -> dict[int, int]:
         for w in np.count_nonzero(row ^ bits_b, axis=1).tolist():
             entries[w] = entries.get(w, 0) + 1
     return dict(sorted(entries.items()))
+
+
+def full_x_fast_count(P, s: int) -> int:
+    """Projective zeros over F_{2^s} of a homogeneous P quadratic in y, by the
+    trace criterion at every x of F_{2^s} in element order: each C_b and the
+    line is one `pow_log` pass per monomial, and x = 0 takes the parity of
+    the monomials with a = 0."""
+    field = get_field(s)
+    log, order = field.log_table, field.order
+
+    def values(exponents):  # the sum of x^a over every x, in element order
+        out = np.zeros(field.size, dtype=np.int32)
+        for a in exponents:
+            out[0] ^= a == 0
+            out[1:] ^= field.exp_table[field.pow_log(a)]
+        return out
+
+    a, b, c = (values([a for a, j, _ in P.monomials if j == y]) for y in (2, 1, 0))
+    n = field.size * np.count_nonzero((a == 0) & (b == 0) & (c == 0))
+    n += np.count_nonzero((a == 0) != (b == 0))
+    quad = (a != 0) & (b != 0)
+    log_a, log_b, c = log[a[quad]], log[b[quad]], c[quad]
+    tr_beta = field.trace_seq[(log[c] + log_a - 2 * log_b) % order]  # Tr(c a / b^2); c = 0 has trace 0
+    n += 2 * np.count_nonzero((c == 0) | (tr_beta == 0))
+    line = values([a for a, _, z in P.monomials if z == 0])
+    point = sum(b == z == 0 for _, b, z in P.monomials) % 2
+    return int(n + np.count_nonzero(line == 0) + (point == 0))

@@ -11,8 +11,8 @@ from char2kit import zeta as z
 from char2kit.curves import TrivariatePoly
 from char2kit.gf2m import FieldError, get_field
 
-from oracles import (NaiveField, differential, naive_evaluate, naive_projective_count,
-                     naive_singular_points)
+from oracles import (NaiveField, differential, full_x_fast_count, naive_evaluate,
+                     naive_projective_count, naive_singular_points)
 
 
 GBAR = cv.catalog_curve("kloosterman").polynomial
@@ -134,14 +134,15 @@ def test_fast_counter_agrees_with_generic(poly):
 
 
 @st.composite
-def homogeneous(draw, y_max=2):
+def homogeneous(draw, y_max=2, d_max=16):
     """A random homogeneous polynomial of y-degree at most y_max.
 
-    Degrees run to 16, past 2 (2^3 - 1), so that at s <= 3 some exponent e of
-    an array coordinate is a nonzero multiple of 2^s - 1: there v^e is 1 at
-    v != 0 and 0 at v = 0, which a log-space index e log v alone cannot tell.
+    Degrees run to 16 by default, past 2 (2^3 - 1), so that at s <= 3 some
+    exponent e of an array coordinate is a nonzero multiple of 2^s - 1: there
+    v^e is 1 at v != 0 and 0 at v = 0, which a log-space index e log v alone
+    cannot tell.
     """
-    d = draw(st.integers(0, 16))
+    d = draw(st.integers(0, d_max))
     exps = draw(st.lists(st.tuples(st.integers(0, d), st.integers(0, min(d, y_max))), max_size=6))
     return TrivariatePoly([(a, b, d - a - b) for a, b in exps if a + b <= d])
 
@@ -155,6 +156,44 @@ def homogeneous(draw, y_max=2):
 def test_fast_and_generic_counters_match_naive_count(poly, s):
     naive = naive_projective_count(poly.monomials, NaiveField(s, get_field(s).reduction))
     assert cv.count_projective_points_fast(poly, s) == cv.count_projective_points(poly, s) == naive
+
+
+@pytest.mark.parametrize("s", range(1, 15))
+@pytest.mark.parametrize("poly", [GBAR, P3, P4, P1T, FB3], ids=["kloosterman", "p3", "p4", "p1tilde", "fbar3"])
+def test_orbit_fast_counter_matches_full_x_oracle_on_catalog(poly, s):
+    assert cv.count_projective_points_fast(poly, s) == full_x_fast_count(poly, s)
+
+
+# Degrees to 600 pass 2^8 - 1, so a multiple of 2^s - 1 can be an exponent at every s.
+@example(TrivariatePoly([(255, 0, 0), (0, 2, 253), (1, 1, 253)]), 8)
+@example(TrivariatePoly([(0, 0, 0)]), 5)
+@differential
+@given(homogeneous(d_max=600), st.integers(1, 8))
+def test_orbit_fast_counter_matches_full_x_oracle(poly, s):
+    assert cv.count_projective_points_fast(poly, s) == full_x_fast_count(poly, s)
+
+
+@example(TrivariatePoly([(7, 0, 0), (0, 3, 4), (2, 1, 4)]), 3)
+@differential
+@given(homogeneous(y_max=16), st.integers(1, 3))
+def test_generic_counter_matches_naive_count_at_any_y_degree(poly, s):
+    naive = naive_projective_count(poly.monomials, NaiveField(s, get_field(s).reduction))
+    assert cv.count_projective_points(poly, s) == naive
+
+
+@pytest.mark.parametrize("poly", [GBAR, P1T], ids=["kloosterman", "p1tilde"])
+def test_generic_counter_evaluates_one_row_per_orbit(poly, monkeypatch):
+    s, rows, evaluate = 6, [], cv._rows
+
+    def counted(field, charts):
+        for row in evaluate(field, charts):
+            rows.append(row)
+            yield row
+
+    monkeypatch.setattr(cv, "_rows", counted)
+    n = cv.count_projective_points(poly, s)
+    assert len(rows) == len(get_field(s).orbits[0]) + 1 < 2**s  # x = 0 and one x per orbit
+    assert n == full_x_fast_count(poly, s)
 
 
 @example(TrivariatePoly([(7, 0, 0), (0, 3, 4), (2, 1, 4)]), 3)
@@ -179,13 +218,14 @@ def test_row_values_at_large_exponents_match_naive(s):
     # e log v passes 2^31 here, and e passes 2^s - 1: the index needs int64 and e mod 2^s - 1
     field, nf = get_field(s), NaiveField(s, get_field(s).reduction)
     terms = [(4097, 1, 0), (field.order, 0, 1), (3 * field.order + 7, 2, 0), ((1 << 31) + 3, 0, 0)]
-    P, tables = TrivariatePoly(terms), {}
+    P, xs = TrivariatePoly(terms), field.log_table[1:]  # all of F^* in element order: column v is v
+    chart = cv._chart(field, P, xs, P.y_degree())
     sample = [0, 1, 2, 3, field.size - 1] + random.Random(s).sample(range(field.size), 40)
     cases = (
-        (cv._values(field, {a: 1 for a, _, _ in terms}, tables), lambda v: (v, 1, 1)),
+        (cv._values(field, [{a: 1 for a, _, _ in terms}], xs)[0], lambda v: (v, 1, 1)),
         # the z = 1 row at x = 5: coefficients k = C_b[5] != 1
-        (next(itertools.islice(cv._rows(field, P, tables), 5, None)), lambda v: (5, v, 1)),
-        (cv._line_and_point(field, P, tables)[0], lambda v: (v, 1, 0)),
+        (next(itertools.islice(cv._rows(field, [chart]), 5, None))[0], lambda v: (5, v, 1)),
+        (chart[-1], lambda v: (v, 1, 0)),
     )
     for got, point in cases:
         for v in sample:

@@ -16,7 +16,7 @@ from char2kit.gf2m import (
     get_field,
 )
 from char2kit.crosscorr import walsh_spectrum
-from char2kit.expsums import c_sum, g_sum, kloosterman
+from char2kit.expsums import c_sum, g_sum, k_prime, kloosterman
 
 from oracles import (
     NaiveField,
@@ -188,6 +188,7 @@ def test_cache_clear_drops_the_memo_with_the_field():
     after = get_field(7)
     assert after is not before
     assert after._orbit_traces == {}
+    assert after._sum_counts == {}
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 6, 9, 12])
@@ -200,6 +201,25 @@ def test_sum_sweep_memo_is_bounded(m):
         g_sum(m, k)
         c_sum(m, k)
     assert 1 <= len(get_field(m)._orbit_traces) <= m + 2
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 6, 9, 12])
+def test_sum_count_memo_is_bounded(m):
+    # One count per unordered pair of exponent residues: K's (1, -1), and C's
+    # and G's at 2^k + 1, which has period m in k; one K' count per residue
+    # 2^k mod 2^m - 1.  A second sweep adds none and returns the same values.
+    get_field.cache_clear()
+
+    def sweep():
+        return [(kloosterman(m), g_sum(m, k), c_sum(m, k), k_prime(m, k)) for k in range(1, 3 * m + 1)]
+
+    first = sweep()
+    counts = dict(get_field(m)._sum_counts)
+    pairs = [key for key in counts if key[0] == "pair"]
+    assert 1 <= len(pairs) <= 2 * m + 1
+    assert 1 <= len(counts) - len(pairs) <= m
+    assert sweep() == first
+    assert get_field(m)._sum_counts == counts
 
 
 def test_shared_field_tables_are_read_only():
