@@ -2,12 +2,14 @@
 
 Each subcommand emits a run report: (name, expected, observed, verdict)
 rows, the per-stage timings it fills in, and wall time.  Verdicts are
-pass/fail when an expectation exists and "recorded" otherwise.  Exit 0 when
-every row passes, 1 when a row fails, 2 when the arguments are refused.
-Any other raise is one failed row named after the subcommand (after the
-criterion, in verify-all), with the traceback on stderr.  A row that a
-subcommand shares with a criterion is built once, in acceptance.
-Output is a human table, or --json / --csv.
+pass/fail when an expectation exists and "recorded" otherwise.  Output is a
+human table, or --json / --csv.  Exit 0 when every row passes, 1 when a row
+fails, 2 when the arguments are refused: by the parser, which states each
+option's domain, by a subcommand, which checks only the rules that relate
+two options, or by the library (a ValueError or OSError).  Any other raise
+is one failed row named after the subcommand (after the criterion, in
+verify-all), with the traceback on stderr.  A row that a subcommand shares
+with a criterion is built once, in acceptance.
 """
 
 from __future__ import annotations
@@ -102,21 +104,37 @@ class RunReport:
         return "\n".join(lines)
 
 
-def _parse_range(text: str, lo_min: int, hi_max: float = math.inf) -> range:
-    """'lo:hi' (inclusive) or a single integer; nonempty, within lo_min..hi_max."""
-    lo, hi = text.split(":", 1) if ":" in text else (text, text)
-    r = range(int(lo), int(hi) + 1)
-    if not r or r[0] < lo_min or r[-1] > hi_max:
-        raise ValueError(f"range {text!r} is empty or outside {lo_min}..{hi_max}")
-    return r
+def _int_in(lo: int, hi: float = math.inf):
+    """An argparse type: an int within lo..hi."""
+    def parse(text: str) -> int:
+        if not lo <= int(text) <= hi:
+            raise argparse.ArgumentTypeError(f"{text} outside {lo}..{hi}")
+        return int(text)
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
+class _Span(str):
+    """'lo:hi' (inclusive) or a single integer, as typed; .values is its range."""
+
+
+def _span_in(lo: int, hi: float = math.inf):
+    """An argparse type: a nonempty _Span within lo..hi."""
+    def parse(text: str) -> _Span:
+        a, b = text.split(":", 1) if ":" in text else (text, text)
+        span = _Span(text)
+        span.values = range(int(a), int(b) + 1)
+        if not span.values or span.values[0] < lo or span.values[-1] > hi:
+            raise argparse.ArgumentTypeError(f"range {text!r} is empty or outside {lo}..{hi}")
+        return span
+    parse.__name__ = "range"
+    return parse
 
 
 # -- subcommands -------------------------------------------------------------
 
 
 def cmd_expsum(args, timings) -> list[Row]:
-    if args.k < 1:
-        raise ValueError(f"--k {args.k} must be >= 1")
     m, k, g = args.m, args.k, math.gcd(args.k, args.m)
     rep = expsums.sum_report(args.sum, m, k)
     if args.sum == "K":
@@ -140,11 +158,9 @@ def cmd_expsum(args, timings) -> list[Row]:
 
 
 def cmd_conjectures(args, timings) -> list[Row]:
-    ms = _parse_range(args.m_range, 1, gf2m.MAX_M)
-    ks = _parse_range(args.k_range, 1)
     rows = []
-    for m in ms:
-        for k in ks:  # an unproved identity is recorded, not checked
+    for m in args.m_range.values:
+        for k in args.k_range.values:  # an unproved identity is recorded, not checked
             for label, check, proved in (("conj1 G=G(gcd)", expsums.conjecture1_check, expsums.conjecture1_proved),
                                          ("conj2 K'=K", expsums.conjecture2_check, expsums.conjecture2_proved)):
                 v, name = check(m, k), f"{label} (m={m},k={k})"
@@ -153,17 +169,9 @@ def cmd_conjectures(args, timings) -> list[Row]:
     return rows
 
 
-def _resolve_d(m: int, k: int | None, d: int | None) -> int:
-    if (k is None) == (d is None):
-        raise ValueError("specify exactly one of --k / --d")
-    if k is not None and k < 1:
-        raise ValueError(f"--k {k} must be >= 1")
-    return d if d is not None else gf2m.decimation_exponent(m, k)
-
-
 def cmd_corrdist(args, timings) -> list[Row]:
     m = args.m
-    d = _resolve_d(m, args.k, args.d)
+    d = gf2m.decimation_exponent(m, args.k) if args.d is None else args.d
     dist = crosscorr.correlation_distribution(m, d)
     rows = [recorded(f"C_d(tau)={v}", n) for v, n in dist.entries.items()]
     rows += [checked(*row) for row in acceptance.moment_rows("", dist)]
@@ -206,9 +214,8 @@ def cmd_weights(args, timings) -> list[Row]:
 
 
 def cmd_curvecount(args, timings) -> list[Row]:
-    cap = curves.COUNT_CAP if args.generic else curves.FAST_COUNT_CAP
-    if not 1 <= args.s <= cap:
-        raise ValueError(f"--s {args.s} outside 1..{cap}")
+    if args.generic and args.s > curves.COUNT_CAP:
+        raise ValueError(f"--s {args.s} outside 1..{curves.COUNT_CAP} with --generic")
     counter = curves.count_projective_points if args.generic else curves.count_projective_points_fast
     entry = curves.catalog_curve(args.curve) if args.curve in curves.catalog_curve_names() else None
     if entry and entry.l_polynomial_name:
@@ -217,43 +224,28 @@ def cmd_curvecount(args, timings) -> list[Row]:
     return [recorded(f"N_{s}", counter(poly, s)) for s in range(1, args.s + 1)]
 
 
-def _load_lpoly_arg(name: str) -> zeta.LPolynomial:
-    if name in zeta.catalog_lpoly_names():
-        return zeta.catalog_lpoly(name)
-    return zeta.load_lpoly(name)
-
-
 def cmd_zeta(args, timings) -> list[Row]:
+    if (args.genus is None) != (args.reconstruct is None) or (args.reconstruct and args.s_max is not None):
+        raise ValueError("--reconstruct takes --genus and not --s-max; --l-poly takes no --genus")
     if args.reconstruct:
-        if args.l_poly is not None:
-            raise ValueError("--l-poly and --reconstruct exclude each other")
-        if args.s_max is not None:
-            raise ValueError("--s-max applies to --l-poly, not to --reconstruct")
-        if args.genus is None or args.genus < 1:
-            raise ValueError(f"--reconstruct needs --genus >= 1, got {args.genus}")
         counts = [int(c) for c in args.reconstruct]
         L = zeta.reconstruct_from_counts(counts, q=2, g=args.genus)
         return [recorded("reconstructed coefficients", list(L.coefficients))] + [
             checked(f"N_{s}", n, zeta.predicted_count(L, s)) for s, n in enumerate(counts, 1) if s > args.genus]
-    if args.l_poly is None:
-        raise ValueError("specify --l-poly or --reconstruct")
-    if args.genus is not None:
-        raise ValueError("--genus applies to --reconstruct, not to --l-poly")
     s_max = 10 if args.s_max is None else args.s_max
-    L = _load_lpoly_arg(args.l_poly)
+    name = args.l_poly
+    L = zeta.catalog_lpoly(name) if name in zeta.catalog_lpoly_names() else zeta.load_lpoly(name)
     P = zeta.power_sums(L, s_max)
     rows = [recorded(f"P_{s}", P[s - 1]) for s in range(1, s_max + 1)]
     rows += [recorded(f"N_{s} predicted", 2**s + 1 - P[s - 1]) for s in range(1, s_max + 1)]
     g2 = L.degree
     if g2 % 2 == 0 and g2 > 0:
-        fe = zeta.functional_equation_check(L, 2, g2 // 2)
+        fe = zeta.functional_equation_check(L, g2 // 2)
         rows.append(checked("functional equation", fe.lhs, fe.rhs))
     return rows
 
 
 def cmd_dm_check(args, timings) -> list[Row]:
-    if args.bound < 1:
-        raise ValueError(f"--bound {args.bound} must be >= 1")
     return [checked(*row) for row in acceptance.dm_rows(args.bound)]
 
 
@@ -267,10 +259,6 @@ def _raised(name: str, exc: Exception) -> Row:
 
 
 def _verify_all(args, timings) -> list[Row]:
-    for option, value, cap in (("--max-m", args.max_m, gf2m.MAX_M),
-                               ("--max-s", args.max_s, curves.FAST_COUNT_CAP)):
-        if not 1 <= value <= cap:
-            raise ValueError(f"{option} {value} outside 1..{cap}")
     rows = []
     for key, criterion in acceptance.CRITERIA.items():
         t0 = time.perf_counter()
@@ -287,66 +275,75 @@ def _verify_all(args, timings) -> list[Row]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="char2kit",
-                                description="Characteristic-2 computational algebra toolkit")
+    p = argparse.ArgumentParser(prog="char2kit", description="Characteristic-2 computational algebra toolkit")
     p.add_argument("--version", action="version", version=f"char2kit {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
     def command(name, fn, summary):
         sp = sub.add_parser(name, help=summary)
         sp.set_defaults(fn=fn)
-        sp.add_argument("--json", action="store_true", help="machine-readable JSON output")
-        sp.add_argument("--csv", action="store_true", help="CSV output")
+        out = sp.add_mutually_exclusive_group()
+        out.add_argument("--json", action="store_true", help="machine-readable JSON output")
+        out.add_argument("--csv", action="store_true", help="CSV output")
         return sp
 
+    m_type, s_type, k_type = _int_in(1, gf2m.MAX_M), _int_in(1, curves.FAST_COUNT_CAP), _int_in(1)
+
     sp = command("expsum", cmd_expsum, "evaluate one exponential sum")
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--k", type=int, default=1)
+    sp.add_argument("--m", type=m_type, required=True)
+    sp.add_argument("--k", type=k_type, default=1)
     sp.add_argument("--sum", choices=("K", "C", "G", "Kp"), required=True)
 
     sp = command("conjectures", cmd_conjectures, "sweep both conjecture checks")
-    sp.add_argument("--m-range", default="1:16", help="lo:hi inclusive")
-    sp.add_argument("--k-range", default="1:5", help="lo:hi inclusive")
+    sp.add_argument("--m-range", type=_span_in(1, gf2m.MAX_M), default="1:16", help="lo:hi inclusive")
+    sp.add_argument("--k-range", type=_span_in(1), default="1:5", help="lo:hi inclusive")
 
     sp = command("corrdist", cmd_corrdist, "cross-correlation distribution sweep")
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--k", type=int)
-    sp.add_argument("--d", type=int)
+    sp.add_argument("--m", type=m_type, required=True)
+    kd = sp.add_mutually_exclusive_group(required=True)
+    kd.add_argument("--k", type=k_type)
+    kd.add_argument("--d", type=int)
 
     sp = command("a1", cmd_a1, "A_1 formula vs pair-collision count (spectrum above the cap)")
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
+    sp.add_argument("--m", type=m_type, required=True)
+    sp.add_argument("--k", type=k_type, required=True)
 
     sp = command("weights", cmd_weights, "cyclic-code weight distribution")
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
+    sp.add_argument("--m", type=m_type, required=True)
+    sp.add_argument("--k", type=k_type, required=True)
     sp.add_argument("--mode", choices=("direct", "via_correlation"), default="via_correlation")
 
     sp = command("curvecount", cmd_curvecount, "projective point counts vs zeta prediction")
     sp.add_argument("--curve", required=True,
                     help=f"catalog name {curves.catalog_curve_names()} or a .curve file path")
-    sp.add_argument("--s", type=int, required=True, help="count over F_2^1 .. F_2^s")
+    sp.add_argument("--s", type=s_type, required=True, help="count over F_2^1 .. F_2^s")
     sp.add_argument("--generic", action="store_true", help="use the generic (slow) counter")
 
     sp = command("zeta", cmd_zeta, "power sums / predicted counts / reconstruction")
-    sp.add_argument("--l-poly", help=f"catalog name {zeta.catalog_lpoly_names()} or file path")
-    sp.add_argument("--s-max", type=int, help="P_s and N_s for s = 1..S with --l-poly (default 10)")
-    sp.add_argument("--reconstruct", nargs="+", metavar="N",
-                    help="point counts N_1..N_g to invert; each later N_s is checked against L")
-    sp.add_argument("--genus", type=int, help="genus for --reconstruct")
+    mode = sp.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--l-poly", help=f"catalog name {zeta.catalog_lpoly_names()} or file path")
+    mode.add_argument("--reconstruct", nargs="+", metavar="N",
+                      help="point counts N_1..N_g to invert; each later N_s is checked against L")
+    sp.add_argument("--s-max", type=k_type, help="P_s and N_s for s = 1..S with --l-poly (default 10)")
+    sp.add_argument("--genus", type=k_type, help="genus for --reconstruct")
 
     sp = command("dm-check", cmd_dm_check, "vanishing power-sum recurrence for l1prime")
-    sp.add_argument("--bound", type=int, default=200)
+    sp.add_argument("--bound", type=k_type, default=200)
 
     sp = command("verify-all", _verify_all, "run the full acceptance suite")
-    sp.add_argument("--max-m", type=int, default=18, help="bound enumeration degree")
-    sp.add_argument("--max-s", type=int, default=10, help="bound curve-count extensions")
+    sp.add_argument("--max-m", type=m_type, default=18, help="bound enumeration degree")
+    sp.add_argument("--max-s", type=s_type, default=10, help="bound curve-count extensions")
 
     return p
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage and an error: line
+        if exc.code == 0:  # --help, --version
+            raise
+        return 2
     params = {
         k: v
         for k, v in vars(args).items()

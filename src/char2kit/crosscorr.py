@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import expsums
-from .gf2m import Field, FieldError, get_field
+from .gf2m import Field, FieldError, get_field, group_order
 
 __all__ = [
     "A1Report",
@@ -43,7 +43,6 @@ __all__ = [
 
 A1_BRUTE_CAP = 11      # 2 R 2^m pair codes, R ~ 2^m/m orbits: 770k uint32 codes (31 bits) at m = 11
 DIRECT_WEIGHT_CAP = 8  # 2^(2m) codewords scanned individually
-FLOAT32_EXACT_M = np.finfo(np.float32).nmant + 1  # float32 holds every integer up to 2^24
 
 
 @dataclass(frozen=True)
@@ -84,8 +83,6 @@ def walsh_spectrum(field: Field, e: int) -> np.ndarray:
     magnitude <= 2^m <= 2^24.  Blocks of at most 2^10 rows (M N K <= 2^18) keep
     OpenBLAS on the calling thread; its threads gained no time here.
     """
-    if field.m > FLOAT32_EXACT_M:
-        raise FieldError(f"m={field.m}: float32 holds the sums exactly only to 2^{FLOAT32_EXACT_M}")
     idx = field.pow_log(e)  # before w and freed before spare: the heap reuses its block
     w = np.empty(field.size, dtype=np.float32)
     w[0] = 0  # Tr(0^e) = Tr(0)
@@ -112,10 +109,10 @@ def correlation_distribution(m: int, d: int) -> CorrelationDistribution:
     C_d(tau) + 1 is the sum over all y of (-1)^Tr(alpha^tau y + y^d), so the
     values are W(b) - 1 over the nonzero b of walsh_spectrum(field, d).
     """
-    field = get_field(m)
-    order = field.order
+    order = group_order(m)
     if math.gcd(d, order) != 1:
         raise FieldError(f"gcd(d={d}, 2^{m}-1) = {math.gcd(d, order)} != 1")
+    field = get_field(m)
     values, counts = np.unique(walsh_spectrum(field, d)[1:] - 1, return_counts=True)
     return CorrelationDistribution(m, d, dict(zip(values.tolist(), counts.tolist())))
 
@@ -148,17 +145,17 @@ def a1_bruteforce(m: int, k: int) -> int:
     s = np.concatenate(([0], field.exp_table[reps]))  # one s per Frobenius orbit
     weight = np.concatenate(([1], sizes))
     shift = 2 * m + 1  # key and side bit below the row
-    dtype = np.uint32 if shift + (len(s) - 1).bit_length() <= 32 else np.uint64
-    Q = np.zeros(field.size, dtype)  # Q(v) over v in element order; 0^e = 0
+    # uint32: row, key and side take 2m + 1 + bit_length(R) <= 31 bits for m <= A1_BRUTE_CAP
+    Q = np.zeros(field.size, np.uint32)  # Q(v) over v in element order; 0^e = 0
     for e in ((1 << (2 * k)) + 1, (1 << k) + 1):
         Q <<= m
-        Q[1:] |= field.exp_table[field.pow_log(e)].astype(dtype)
+        Q[1:] |= field.exp_table[field.pow_log(e)].astype(np.uint32)
     sums = s[:, None, None] ^ np.array([[0], [1]])  # [row, side]: s, then s + 1
     codes = Q[np.arange(field.size) ^ sums]  # [row, side, x]: Q(x + s + side)
     codes ^= Q
     codes <<= 1
     codes[:, 1] |= 1
-    codes |= (np.arange(len(s), dtype=dtype) << shift)[:, None, None]
+    codes |= (np.arange(len(s), dtype=np.uint32) << shift)[:, None, None]
     codes = codes.ravel()
     codes.sort()
     edges = np.flatnonzero(codes[1:] != codes[:-1]) + 1
@@ -267,8 +264,7 @@ def weight_distribution(m: int, k: int, mode: str = "via_correlation") -> Weight
         raise FieldError("k must be >= 1")
     if mode not in ("direct", "via_correlation"):
         raise ValueError(f"unknown mode {mode!r} (use 'direct' or 'via_correlation')")
-    field = get_field(m)
-    order = field.order
+    order = group_order(m)  # each refusal below reads m, k and order, before the field is built
     e1 = ((1 << k) + 1) % order
     e2 = ((1 << (2 * k)) + 1) % order
     if mode == "direct" and m > DIRECT_WEIGHT_CAP:
@@ -284,6 +280,7 @@ def weight_distribution(m: int, k: int, mode: str = "via_correlation") -> Weight
         raise FieldError(f"degenerate code: the cyclotomic cosets of 2^{k}+1 and 2^{2 * k}+1 "
                          f"modulo 2^{m}-1 hold {len(cosets)} < 2m = {2 * m} exponents, "
                          f"so the 2^{2 * m} words are not distinct")
+    field = get_field(m)
     entries: Counter = Counter()
     if mode == "direct":
         # Row 1 + i of a bit matrix is a = alpha^i, read off the m-sequence

@@ -31,6 +31,7 @@ __all__ = [
     "PRIMITIVE_POLY",
     "decimation_exponent",
     "get_field",
+    "group_order",
 ]
 
 MAX_M = 24  # the int32 exp and log tables take 128 MB at m = 24
@@ -103,8 +104,7 @@ class Field:
     has_tables = True  # every field has its tables; kept for callers that ask
 
     def __init__(self, m: int, reduction: int | None = None):
-        if not 1 <= m <= MAX_M:
-            raise FieldError(f"extension degree m={m} outside supported range 1..{MAX_M}")
+        order = group_order(m)
         if reduction is None:
             reduction = PRIMITIVE_POLY[m]
         # Degree m keeps every residue below 2^m, inside the log table.
@@ -113,7 +113,7 @@ class Field:
         self.m = m
         self.reduction = reduction
         self.size = 1 << m
-        self.order = self.size - 1
+        self.order = order
 
         # The primitivity check: if x^0, ..., x^(2^m - 2) cover every nonzero
         # residue, each of them is a unit, so GF(2)[x]/(f) is a field and x
@@ -236,6 +236,13 @@ class Field:
 
     def __repr__(self) -> str:
         return f"Field(m={self.m}, reduction=0x{self.reduction:x})"
+
+
+def group_order(m: int) -> int:
+    """2^m - 1, the order of the unit group, for an m that Field accepts; Field's error otherwise."""
+    if not 1 <= m <= MAX_M:
+        raise FieldError(f"extension degree m={m} outside supported range 1..{MAX_M}")
+    return (1 << m) - 1
 
 
 @lru_cache(maxsize=None)

@@ -54,7 +54,7 @@ class LPolynomial:
     def __post_init__(self):
         if not self.coefficients or self.coefficients[0] != 1:
             raise ZetaError("constant term must be 1")
-        if self.genus_hint is not None and not functional_equation_check(self, self.q, self.genus_hint).holds:
+        if self.genus_hint is not None and not functional_equation_check(self, self.genus_hint).holds:
             raise ZetaError(f"functional equation fails for claimed genus {self.genus_hint}")
 
     @property
@@ -130,10 +130,10 @@ def _mirror(low: list[int], q: int) -> tuple[int, ...]:
     return tuple(low) + tuple(q ** (g - j) * low[j] for j in range(g - 1, -1, -1))
 
 
-def functional_equation_check(L: LPolynomial, q: int, g: int) -> Verdict:
-    """The coefficients of L against sigma_0..sigma_g mirrored to degree 2g;
-    a degree other than 2g fails by length."""
-    return Verdict(L.coefficients, _mirror([L[j] for j in range(g + 1)], q))
+def functional_equation_check(L: LPolynomial, g: int) -> Verdict:
+    """The coefficients of L against sigma_0..sigma_g mirrored to degree 2g
+    over F_q, q = L.q; a degree other than 2g fails by length."""
+    return Verdict(L.coefficients, _mirror([L[j] for j in range(g + 1)], L.q))
 
 
 def vanishing_residue_check(L: LPolynomial, modulus: int, bound: int) -> Verdict:

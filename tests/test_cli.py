@@ -204,7 +204,7 @@ def test_corrdist_requires_exactly_one_of_k_d(capsys):
     for argv in (("corrdist", "--m", "7"), ("corrdist", "--m", "7", "--k", "1", "--d", "5")):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
-        assert "exactly one of --k / --d" in err, argv
+        assert "error:" in err and "--k" in err and "--d" in err, argv
 
 
 def test_a1_subcommand(capsys):
@@ -591,6 +591,64 @@ def test_error_exit_code(capsys):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
         assert "error: degenerate code" in err, argv
+
+
+@pytest.mark.parametrize("argv", [
+    ("expsum", "--m", "x", "--sum", "K"),  # not an integer
+    ("expsum", "--m", "7", "--sum", "Q"),  # not a choice
+    ("expsum", "--m", "7", "--sum", "K", "--bogus"),  # unknown option
+    ("expsum", "--sum", "K"),  # missing required option
+    (),  # no subcommand
+    ("expsum", "--m", "7", "--sum", "K", "--json", "--csv"),
+    ("corrdist", "--m", "7"),
+    ("corrdist", "--m", "7", "--k", "1", "--d", "5"),
+    ("zeta",),
+    ("zeta", "--l-poly", "z2", "--reconstruct", "4", "--genus", "1"),
+])
+def test_a_refused_argument_returns_2_without_raising(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "error:" in err
+
+
+# One accepted argv per subcommand and mode; every option that takes a typed
+# value appears in one of them.
+ACCEPTED = [
+    ("expsum", "--m", "5", "--k", "1", "--sum", "K"),
+    ("conjectures", "--m-range", "1:3", "--k-range", "1:2"),
+    ("corrdist", "--m", "5", "--k", "1"),
+    ("corrdist", "--m", "5", "--d", "3"),
+    ("a1", "--m", "5", "--k", "1"),
+    ("weights", "--m", "5", "--k", "1"),
+    ("curvecount", "--curve", "kloosterman", "--s", "2"),
+    ("zeta", "--l-poly", "z2", "--s-max", "2"),
+    ("zeta", "--reconstruct", "4", "--genus", "1"),
+    ("dm-check", "--bound", "10"),
+    ("verify-all", "--max-m", "3", "--max-s", "2"),
+]
+
+
+def test_every_typed_option_refuses_0_before_building_a_field(capsys, monkeypatch):
+    # Walks the parser: each option's domain is declared, so a value of 0 in
+    # any typed option exits 2 before any field table is built.
+    from char2kit import gf2m
+    from char2kit.cli import build_parser
+
+    commands = next(action.choices for action in build_parser()._actions if action.dest == "command")
+    typed = {(name, option) for name, sp in commands.items() for action in sp._actions
+             if action.type is not None for option in action.option_strings}
+    assert typed <= {(argv[0], option) for argv in ACCEPTED for option in argv[1:]}
+    for argv in ACCEPTED:
+        assert run(capsys, *argv)[0] == 0, argv
+    gf2m.get_field.cache_clear()  # a cached field would hide a refusal that comes after get_field
+    builds = []
+    monkeypatch.setattr(gf2m.Field, "_exp_by_frobenius", lambda field: builds.append(field.m))
+    for argv in ACCEPTED:
+        for i, option in enumerate(argv):
+            if (argv[0], option) in typed:
+                code, _, err = run(capsys, *argv[:i + 1], "0", *argv[i + 2:])
+                assert code == 2 and "error:" in err, (argv, option)
+    assert builds == []
 
 
 def test_version_flag(capsys):

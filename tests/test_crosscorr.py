@@ -1,6 +1,5 @@
 import math
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -101,18 +100,9 @@ def test_walsh_spectrum_matches_definition(m, e):
 FLOAT32_EXACT = np.finfo(np.float32).nmant + 1  # float32 holds every integer up to 2^24
 
 
-@pytest.mark.parametrize("m,error,match", [(FLOAT32_EXACT + 1, FieldError, "float32"),
-                                           (FLOAT32_EXACT, AttributeError, "no attribute")])
-def test_walsh_spectrum_rejects_m_past_float32_exact_range(m, error, match):
-    # The stub has no tables: m = 25 is refused before any array work, and
-    # m = 24 passes the bound and fails only on the missing tables.
-    with pytest.raises(error, match=match):
-        cc.walsh_spectrum(SimpleNamespace(m=m), 1)
-
-
 def test_max_m_within_float32_exact_range():
-    # The float32 stages are exact while |partial sum| <= 2^m <= 2^24; a larger
-    # MAX_M needs another transform.
+    # The float32 stages are exact while |partial sum| <= 2^m <= 2^24, and
+    # Field refuses m past MAX_M; a larger MAX_M needs another transform.
     assert MAX_M <= FLOAT32_EXACT == 24
 
 
@@ -184,6 +174,14 @@ def test_a1_orbit_count_matches_sorted_pair_collisions(m):
 def test_a1_bruteforce_at_cap():
     assert cc.a1_bruteforce(11, 1) == sorted_pair_collision_a1(11, 1) == 2112
     assert cc.a1_formula(11, 1, brute=False).formula_value == 2112
+
+
+def test_a1_codes_fit_in_32_bits_up_to_the_cap():
+    # a1_bruteforce packs each pair code into uint32: key and side take
+    # 2m + 1 bits below the row index of 1 + |reps| rows.  m = 12 needs 34.
+    for m in range(1, cc.A1_BRUTE_CAP + 1):
+        assert 2 * m + 1 + len(get_field(m).orbits[0]).bit_length() <= 32, m
+    assert 2 * 12 + 1 + len(get_field(12).orbits[0]).bit_length() > 32
 
 
 def test_a1_examples():
@@ -339,3 +337,20 @@ def test_weight_caps_and_modes():
         cc.weight_distribution(5, 0)
     with pytest.raises(FieldError):
         cc.weight_distribution(4, 1)  # gcd(2^k+1, 2^m-1) = 3, no class reduction
+
+
+def test_refused_arguments_build_no_field(monkeypatch):
+    # A refused d or (m, k) is read off m, k and 2^m - 1 alone: at m = 24 the
+    # field build it skips takes about half a second and 190 MB.
+    monkeypatch.setattr(cc, "get_field", lambda m: pytest.fail(f"built the field at m={m}"))
+    for call, match in ((lambda: cc.correlation_distribution(24, 3), "gcd"),
+                        (lambda: cc.weight_distribution(24, 2), "gcd"),
+                        (lambda: cc.weight_distribution(24, 1, mode="direct"), "direct mode"),
+                        (lambda: cc.weight_distribution(6, 2), "degenerate code")):
+        with pytest.raises(FieldError, match=match):
+            call()
+    # m outside 1..MAX_M is refused with the Field's message (m = 0 has no units to take d mod)
+    for m in (-1, 0, MAX_M + 1):
+        for call in (lambda: cc.correlation_distribution(m, 1), lambda: cc.weight_distribution(m, 1)):
+            with pytest.raises(FieldError, match="outside supported range"):
+                call()

@@ -75,13 +75,14 @@ def test_series_identity_random_polynomials():
 
 
 def test_functional_equation():
-    assert z.functional_equation_check(L2, 2, 1).holds  # sigma_2 = 2 sigma_0
-    assert z.functional_equation_check(L4, 2, 2).holds  # sigma_4 = 4, sigma_3 = 2 sigma_1
-    assert z.functional_equation_check(L1, 2, 31).holds
+    assert z.functional_equation_check(L2, 1).holds  # sigma_2 = 2 sigma_0
+    assert z.functional_equation_check(L4, 2).holds  # sigma_4 = 4, sigma_3 = 2 sigma_1
+    assert z.functional_equation_check(L1, 31).holds
+    assert z.functional_equation_check(LPolynomial((1, 1, 3), q=3), 1).holds  # q is L's: sigma_2 = 3 sigma_0
     # A wrong sigma fails on its coefficient; a wrong degree fails by length.
-    assert z.functional_equation_check(LPolynomial((1, 1, 3)), 2, 1) == Verdict((1, 1, 3), (1, 1, 2))
-    assert z.functional_equation_check(L2, 2, 2) == Verdict((1, 1, 2), (1, 1, 2, 2, 4))
-    assert z.functional_equation_check(L4, 2, 1) == Verdict((1, 1, 0, 2, 4), (1, 1, 2))
+    assert z.functional_equation_check(LPolynomial((1, 1, 3)), 1) == Verdict((1, 1, 3), (1, 1, 2))
+    assert z.functional_equation_check(L2, 2) == Verdict((1, 1, 2), (1, 1, 2, 2, 4))
+    assert z.functional_equation_check(L4, 1) == Verdict((1, 1, 0, 2, 4), (1, 1, 2))
 
 
 def test_reconstruct_examples():
