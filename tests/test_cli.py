@@ -4,8 +4,8 @@ import math
 
 import pytest
 
-from char2kit import acceptance, crosscorr, expsums, zeta
-from char2kit.cli import main
+from char2kit import acceptance, crosscorr, expsums, gf2m, zeta
+from char2kit.cli import build_parser, main
 from char2kit.curves import catalog_curve
 from char2kit.zeta import catalog_lpoly
 
@@ -631,9 +631,6 @@ ACCEPTED = [
 def test_every_typed_option_refuses_0_before_building_a_field(capsys, monkeypatch):
     # Walks the parser: each option's domain is declared, so a value of 0 in
     # any typed option exits 2 before any field table is built.
-    from char2kit import gf2m
-    from char2kit.cli import build_parser
-
     commands = next(action.choices for action in build_parser()._actions if action.dest == "command")
     typed = {(name, option) for name, sp in commands.items() for action in sp._actions
              if action.type is not None for option in action.option_strings}
