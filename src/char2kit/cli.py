@@ -111,6 +111,7 @@ def _int_in(lo: int, hi: float = math.inf):
             raise argparse.ArgumentTypeError(f"{text} outside {lo}..{hi}")
         return int(text)
     parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    parse.lo = lo  # the domain's lower end, readable off the parser
     return parse
 
 
@@ -128,6 +129,7 @@ def _span_in(lo: int, hi: float = math.inf):
             raise argparse.ArgumentTypeError(f"range {text!r} is empty or outside {lo}..{hi}")
         return span
     parse.__name__ = "range"
+    parse.lo = lo  # the domain's lower end, readable off the parser
     return parse
 
 
@@ -228,15 +230,17 @@ def cmd_zeta(args, timings) -> list[Row]:
     if (args.genus is None) != (args.reconstruct is None) or (args.reconstruct and args.s_max is not None):
         raise ValueError("--reconstruct takes --genus and not --s-max; --l-poly takes no --genus")
     if args.reconstruct:
-        counts = [int(c) for c in args.reconstruct]
-        L = zeta.reconstruct_from_counts(counts, q=2, g=args.genus)
+        L = zeta.reconstruct_from_counts(args.reconstruct, q=2, g=args.genus)
         return [recorded("reconstructed coefficients", list(L.coefficients))] + [
-            checked(f"N_{s}", n, zeta.predicted_count(L, s)) for s, n in enumerate(counts, 1) if s > args.genus]
+            checked(f"N_{s}", n, zeta.predicted_count(L, s))
+            for s, n in enumerate(args.reconstruct, 1) if s > args.genus]
     s_max = 10 if args.s_max is None else args.s_max
     name = args.l_poly
     L = zeta.catalog_lpoly(name) if name in zeta.catalog_lpoly_names() else zeta.load_lpoly(name)
     P = zeta.power_sums(L, s_max)
     rows = [recorded(f"P_{s}", P[s - 1]) for s in range(1, s_max + 1)]
+    if name in zeta.CORRECTION_FACTORS:  # no curve's numerator: no count, no functional equation
+        return rows
     rows += [recorded(f"N_{s} predicted", 2**s + 1 - P[s - 1]) for s in range(1, s_max + 1)]
     g2 = L.degree
     if g2 % 2 == 0 and g2 > 0:
@@ -322,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = command("zeta", cmd_zeta, "power sums / predicted counts / reconstruction")
     mode = sp.add_mutually_exclusive_group(required=True)
     mode.add_argument("--l-poly", help=f"catalog name {zeta.catalog_lpoly_names()} or file path")
-    mode.add_argument("--reconstruct", nargs="+", metavar="N",
+    mode.add_argument("--reconstruct", type=_int_in(0), nargs="+", metavar="N",
                       help="point counts N_1..N_g to invert; each later N_s is checked against L")
     sp.add_argument("--s-max", type=k_type, help="P_s and N_s for s = 1..S with --l-poly (default 10)")
     sp.add_argument("--genus", type=k_type, help="genus for --reconstruct")

@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import expsums
-from .gf2m import Field, FieldError, get_field, group_order
+from .gf2m import LOG_BLOCK, Field, FieldError, get_field, group_order
 
 __all__ = [
     "A1Report",
@@ -81,13 +81,14 @@ def walsh_spectrum(field: Field, e: int) -> np.ndarray:
     index bits and moves them to the end, so after the last stage the bits are
     in order.  It runs in float32, exactly: every partial sum is an integer of
     magnitude <= 2^m <= 2^24.  Blocks of at most 2^10 rows (M N K <= 2^18) keep
-    OpenBLAS on the calling thread; its threads gained no time here.
+    OpenBLAS on the calling thread; its threads gained no time here.  The input
+    is gathered LOG_BLOCK values of y at a time, so besides the two 2^m-entry
+    float32 buffers no temporary exceeds LOG_BLOCK entries.
     """
-    idx = field.pow_log(e)  # before w and freed before spare: the heap reuses its block
     w = np.empty(field.size, dtype=np.float32)
     w[0] = 0  # Tr(0^e) = Tr(0)
-    w[1:] = field.trace_seq[idx]  # Tr(y^e) = Tr(alpha^(e log y))
-    del idx
+    for lo in range(1, field.size, LOG_BLOCK):  # Tr(y^e) = Tr(alpha^(e log y))
+        w[lo:lo + LOG_BLOCK] = field.trace_seq[field.pow_log(e, lo, lo + LOG_BLOCK)]
     w *= -2
     w += 1
     spare = np.empty_like(w)
@@ -112,9 +113,21 @@ def correlation_distribution(m: int, d: int) -> CorrelationDistribution:
     order = group_order(m)
     if math.gcd(d, order) != 1:
         raise FieldError(f"gcd(d={d}, 2^{m}-1) = {math.gcd(d, order)} != 1")
-    field = get_field(m)
-    values, counts = np.unique(walsh_spectrum(field, d)[1:] - 1, return_counts=True)
+    W = walsh_spectrum(get_field(m), d)[1:]
+    W -= 1
+    values, counts = _runs(W)
     return CorrelationDistribution(m, d, dict(zip(values.tolist(), counts.tolist())))
+
+
+def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of a nonempty 1-d array, ascending, and how often each
+    occurs: np.unique(values, return_counts=True), which copies its input
+    twice.  Here the array is the caller's and is sorted in place, and the
+    counts are the lengths of its runs.
+    """
+    values.sort()
+    edges = np.flatnonzero(values[1:] != values[:-1]) + 1
+    return values[np.concatenate(([0], edges))], np.diff(edges, prepend=0, append=len(values))
 
 
 def a1_bruteforce(m: int, k: int) -> int:
@@ -156,11 +169,7 @@ def a1_bruteforce(m: int, k: int) -> int:
     codes <<= 1
     codes[:, 1] |= 1
     codes |= (np.arange(len(s), dtype=np.uint32) << shift)[:, None, None]
-    codes = codes.ravel()
-    codes.sort()
-    edges = np.flatnonzero(codes[1:] != codes[:-1]) + 1
-    run_codes = codes[np.concatenate(([0], edges))]
-    counts = np.diff(edges, prepend=0, append=len(codes))
+    run_codes, counts = _runs(codes.ravel())
     pair = (run_codes[1:] == run_codes[:-1] + 1) & (run_codes[:-1] % 2 == 0)
     rows = (run_codes[:-1][pair] >> shift).astype(np.intp)
     return int((weight[rows] * counts[:-1][pair]) @ counts[1:][pair])
@@ -293,12 +302,13 @@ def weight_distribution(m: int, k: int, mode: str = "via_correlation") -> Weight
         pack_a, pack_b = (np.packbits(np.vstack((zero, s[np.add.outer(i, e * i) % order])), axis=1)
                           for e in (e2, e1))
         bits = pack_a[:, None] ^ pack_b
-        weights, counts = np.unique(np.bitwise_count(bits, out=bits).sum(axis=-1, dtype=np.uint16),
-                                    return_counts=True)
+        weights, counts = _runs(np.bitwise_count(bits, out=bits).sum(axis=-1, dtype=np.uint16).ravel())
         entries.update(dict(zip(weights.tolist(), counts.tolist())))
     else:
         W = walsh_spectrum(field, e1 * pow(e2, -1, order))
-        weights, counts = np.unique((field.size - W) // 2, return_counts=True)
+        np.subtract(field.size, W, out=W)
+        W //= 2  # the weight (2^m - W) / 2, written into W
+        weights, counts = _runs(W)
         for w, n in zip(weights.tolist(), counts.tolist()):
             entries[w] += n * order  # each b != 0 class has 2^m - 1 members
         entries[(order + 1) // 2] += order  # b = 0, a != 0: m-sequence rows

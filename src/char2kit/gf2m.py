@@ -226,10 +226,12 @@ class Field:
             n += len(block)
         return exp
 
-    def pow_log(self, e: int) -> np.ndarray:
-        """e log v mod 2^m - 1 over v = 1..2^m - 1 in element order, for any int
-        e, as int64 (the product reaches 2^48): exp_table of it is v^e."""
-        idx = self.log_table[1:].astype(np.int64)
+    def pow_log(self, e: int, start: int = 1, stop: int | None = None) -> np.ndarray:
+        """e log v mod 2^m - 1 over v = start..stop - 1 in element order
+        (1 <= start; stop defaults to 2^m), for any int e, as int64 (the
+        product reaches 2^48): exp_table of it is v^e.  A caller that needs
+        no 2^m-entry index asks for LOG_BLOCK elements at a time."""
+        idx = self.log_table[start:stop].astype(np.int64)
         idx *= e % self.order
         idx %= self.order
         return idx

@@ -21,6 +21,7 @@ from operator import mul
 from .verdict import Verdict
 
 __all__ = [
+    "CORRECTION_FACTORS",
     "L1PRIME_EXPANSION",
     "LPolynomial",
     "ZetaError",
@@ -205,6 +206,10 @@ def load_lpoly(path: str, q: int = 2) -> LPolynomial:
 CATALOG = resources.files("char2kit.catalog")  # the shipped data files; never rebound
 _CATALOG_GENUS = {"z1": 31, "z2": 1, "z3": 5, "z4": 2}
 _CATALOG_NAMES = ("z1", "z2", "z3", "z4", "l1prime", "l3prime", "singular_extra")
+# Catalog entries that are correction factors, not a curve's zeta numerator:
+# their reciprocal roots have modulus 1, so neither the q = 2 functional
+# equation nor the count q^s + 1 - P_s applies to them.
+CORRECTION_FACTORS = ("singular_extra",)
 
 
 def catalog_lpoly_names() -> tuple[str, ...]:

@@ -319,6 +319,18 @@ def test_zeta_power_sums(capsys):
         f"P_{s}" for s in range(1, 11)]
 
 
+def test_zeta_every_catalog_entry_passes(capsys):
+    # A correction factor is no curve's numerator: its roots have modulus 1,
+    # so it has P_s rows alone, no N_s prediction and no functional equation.
+    for name in zeta.catalog_lpoly_names():
+        code, payload = run_json(capsys, "zeta", "--l-poly", name, "--s-max", "3")
+        assert code == 0, name
+        names = [r["name"] for r in payload["results"]]
+        assert names[:3] == ["P_1", "P_2", "P_3"], name
+        assert (names == ["P_1", "P_2", "P_3"]) == (name in zeta.CORRECTION_FACTORS), name
+    assert zeta.CORRECTION_FACTORS == ("singular_extra",)
+
+
 def test_zeta_from_file(tmp_path, capsys):
     path = tmp_path / "t.lpoly"
     path.write_text("1 1 2\n")
@@ -582,6 +594,8 @@ def test_error_exit_code(capsys):
                          (("verify-all", "--max-m", "25"), "--max-m"),
                          (("verify-all", "--max-s", "21"), "--max-s"),
                          (("zeta", "--reconstruct", "4", "--genus", "0"), "--genus"),
+                         (("zeta", "--reconstruct", "4", "x", "--genus", "1"), "--reconstruct"),
+                         (("zeta", "--reconstruct", "4", "-3", "--genus", "1"), "--reconstruct"),
                          (("zeta", "--l-poly", "z2", "--genus", "5"), "--genus"),
                          (("zeta", "--reconstruct", "4", "4", "--genus", "2", "--s-max", "3"), "--s-max")):
         code, _, err = run(capsys, *argv)
@@ -628,13 +642,16 @@ ACCEPTED = [
 ]
 
 
-def test_every_typed_option_refuses_0_before_building_a_field(capsys, monkeypatch):
-    # Walks the parser: each option's domain is declared, so a value of 0 in
-    # any typed option exits 2 before any field table is built.
+def test_every_typed_option_refuses_below_its_domain_before_building_a_field(capsys, monkeypatch):
+    # Walks the parser: each option's domain is declared, so the value just
+    # below it (lo - 1 for a bounded type) in any typed option exits 2 before
+    # any field table is built.  --d is a plain int: 0 is never a unit mod 2^m - 1.
     commands = next(action.choices for action in build_parser()._actions if action.dest == "command")
-    typed = {(name, option) for name, sp in commands.items() for action in sp._actions
+    typed = {(name, option): str(getattr(action.type, "lo", 1) - 1)
+             for name, sp in commands.items() for action in sp._actions
              if action.type is not None for option in action.option_strings}
-    assert typed <= {(argv[0], option) for argv in ACCEPTED for option in argv[1:]}
+    assert typed[("zeta", "--reconstruct")] == "-1"
+    assert typed.keys() <= {(argv[0], option) for argv in ACCEPTED for option in argv[1:]}
     for argv in ACCEPTED:
         assert run(capsys, *argv)[0] == 0, argv
     gf2m.get_field.cache_clear()  # a cached field would hide a refusal that comes after get_field
@@ -643,7 +660,7 @@ def test_every_typed_option_refuses_0_before_building_a_field(capsys, monkeypatc
     for argv in ACCEPTED:
         for i, option in enumerate(argv):
             if (argv[0], option) in typed:
-                code, _, err = run(capsys, *argv[:i + 1], "0", *argv[i + 2:])
+                code, _, err = run(capsys, *argv[:i + 1], typed[argv[0], option], *argv[i + 2:])
                 assert code == 2 and "error:" in err, (argv, option)
     assert builds == []
 

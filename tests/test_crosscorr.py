@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import example, given, reject
 from hypothesis import strategies as st
 
 from char2kit import crosscorr as cc
-from char2kit.gf2m import MAX_M, FieldError, decimation_exponent, get_field
+from char2kit.gf2m import LOG_BLOCK, MAX_M, FieldError, decimation_exponent, get_field
 
 from oracles import (
     NaiveField,
@@ -97,6 +98,15 @@ def test_walsh_spectrum_matches_definition(m, e):
     assert cc.walsh_spectrum(get_field(m), e).tolist() == expected
 
 
+@pytest.mark.parametrize("block", [1, 5, 64])
+def test_walsh_spectrum_in_small_input_blocks_matches_stacked_route(monkeypatch, block):
+    # Blocks that split the 2^m - 1 nonzero y unevenly, and one longer than them.
+    monkeypatch.setattr(cc, "LOG_BLOCK", block)
+    field = get_field(7)
+    for e in (1, 3, -5):
+        assert np.array_equal(cc.walsh_spectrum(field, e), stacked_walsh_spectrum(field, e))
+
+
 FLOAT32_EXACT = np.finfo(np.float32).nmant + 1  # float32 holds every integer up to 2^24
 
 
@@ -116,6 +126,46 @@ def test_walsh_spectrum_of_the_trace_at_m_20():
 
 
 # -- distribution sweep -------------------------------------------------------
+
+
+@differential
+@given(st.lists(st.one_of(st.integers(-3, 3), st.integers(-2**31, 2**31 - 1)), min_size=1))
+@example([-7] * 5).via("a single repeated negative value")
+@example([2**31 - 1, -2**31, 0]).via("both int32 extremes")
+def test_runs_match_np_unique(values):
+    a = np.array(values, dtype=np.int32)
+    expected_values, expected_counts = np.unique(a, return_counts=True)
+    run_values, run_counts = cc._runs(a)
+    assert run_values.dtype == np.int32
+    assert np.array_equal(run_values, expected_values)
+    assert np.array_equal(run_counts, expected_counts)
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_spectrum_route_temporaries_stay_within_the_two_transform_buffers(monkeypatch):
+    # With the field built, the Walsh route holds its two 2^m-entry float32
+    # buffers; the exponent index comes in LOG_BLOCK blocks and each tally
+    # sorts the spectrum in place, so nothing else comes near 2^m entries.
+    m, k = 18, 2
+    field = get_field(m)
+    d = decimation_exponent(m, k)
+    calls = (lambda: cc.correlation_distribution(m, d), lambda: cc.weight_distribution(m, k))
+    for call in calls:
+        assert _traced_peak(call) < 8 * field.size + 2 * 8 * LOG_BLOCK
+    # The tally alone, on spectra built before tracing starts: its one
+    # 2^m-entry temporary is the bool mask of run edges, 2^m bytes.
+    prebuilt = [cc.walsh_spectrum(field, d) for _ in calls]
+    monkeypatch.setattr(cc, "walsh_spectrum", lambda field, e: prebuilt.pop())
+    for call in calls:
+        assert _traced_peak(call) < 2 * field.size
 
 
 @pytest.mark.parametrize("m,k", [(5, 1), (7, 1), (7, 3)])

@@ -400,6 +400,8 @@ def test_pow_log_matches_scatter_oracle(m):
         idx = f.pow_log(e)
         assert idx.dtype == np.int64
         assert np.array_equal(f.exp_table[idx], pow_table(f, e % f.order)[1:]), e
+        blocks = [f.pow_log(e, lo, lo + 7) for lo in range(1, f.size, 7)]  # the last one short
+        assert np.array_equal(np.concatenate(blocks), idx), e
 
 
 @pytest.mark.parametrize("m", range(21, MAX_M + 1))
