@@ -8,7 +8,9 @@ higher modules multiply and raise to powers by gathers from these tables
 over whole vectors of elements or exponents.  The antilog table is built
 from the Frobenius powers of the reduction polynomial.  The library
 reads every trace of a power alpha^i off the m-sequence Tr(alpha^i), by
-exponent; the element-indexed trace table is the independent route.
+exponent.  The element-indexed trace table is the independent route: no
+library module reads it, so it is built on first read, from the trace
+mask alone.
 
 The shipped reduction polynomials are primitive, i.e. the class of x is a
 generator of the multiplicative group.  Construction does not trust the
@@ -79,19 +81,23 @@ class Field:
     Tables (numpy arrays, all read-only: a write raises ValueError):
         exp_table[i] = alpha^i for 0 <= i < 2^m - 1 (int32)
         log_table[v] = i with alpha^i = v for v != 0, and -1 at v = 0 (int32)
-        trace_table[v] = Tr(v) (uint8)
         trace_seq[i] = Tr(alpha^i) for 0 <= i < 2^m - 1, the m-sequence (uint8)
+        trace_table[v] = Tr(v) (uint8), built on first read: no library
+            module reads it; the test oracles and traced benchmark runs do
         orbits = (reps, sizes), built on first use: the least member and the
             size of each cyclotomic coset of exponents (int64)
         orbit_traces(e) = Tr(alpha^(e r)) over the reps r (uint8), built on
             first use for each residue e mod 2^m - 1
 
     log is scattered (through an intp index) and trace_seq counted in blocks
-    of LOG_BLOCK entries, and trace is an outer XOR of two half-width parity
-    tables, so no build step makes an int temporary of more than LOG_BLOCK
-    entries.
+    of LOG_BLOCK entries, and trace_table is an outer XOR of two half-width
+    parity tables, so no build step makes an int temporary of more than
+    LOG_BLOCK entries.  Construction holds 9 bytes an element: exp, log and
+    trace_seq.
 
-    The only state that changes after construction is two memos.  Behind
+    Past the two tables built on first read (orbits and trace_table, each
+    a function of m and the reduction), the only state that changes after
+    construction is two memos.  Behind
     orbit_traces: one vector of len(reps) ~ 2^m/m bytes per residue asked
     for.  The sums ask for 1, -1 and 2^k + 1, which has period m in k, so a
     field holds at most m + 2 of them.  And _sum_counts, where the sums of
@@ -132,21 +138,30 @@ class Field:
         # conjugates x^(i 2^j), j < m, read off the exp table.
         conj = np.outer(np.arange(m), 1 << np.arange(m, dtype=np.int64)) % self.order
         tr_basis = np.bitwise_xor.reduce(self.exp_table[conj], axis=1)
-        mask = sum(int(t) << i for i, t in enumerate(tr_basis))
-        # Tr(hi 2^h + lo) = Tr(hi 2^h) + Tr(lo): one XOR of two parity tables.
-        h = m // 2
-        hi = np.bitwise_count(np.arange(1 << (m - h)) & (mask >> h)) & 1
-        lo = np.bitwise_count(np.arange(1 << h) & mask) & 1
-        self.trace_table = np.bitwise_xor.outer(hi, lo).ravel()
+        self._trace_mask = mask = sum(int(t) << i for i, t in enumerate(tr_basis))
         # Tr(alpha^i) = parity(popcount(exp[i] & mask)), popcounts written as uint8.
         self.trace_seq = np.empty(self.order, dtype=np.uint8)
         for i in range(0, self.order, LOG_BLOCK):
             np.bitwise_count(self.exp_table[i:i + LOG_BLOCK] & mask, out=self.trace_seq[i:i + LOG_BLOCK])
         self.trace_seq &= 1
-        for table in (self.exp_table, self.log_table, self.trace_table, self.trace_seq):
+        for table in (self.exp_table, self.log_table, self.trace_seq):
             table.flags.writeable = False
         self._orbit_traces: dict[int, np.ndarray] = {}
         self._sum_counts: dict[tuple, int] = {}
+
+    def _trace_by_parity(self) -> np.ndarray:
+        """Tr(v) for 0 <= v < 2^m as uint8, from the trace mask alone: by
+        linearity Tr(hi 2^h + lo) = Tr(hi 2^h) + Tr(lo), one XOR of two
+        half-width parity tables.  It never reads trace_seq or exp_table, so
+        it stays an independent route to the trace."""
+        m, mask, h = self.m, self._trace_mask, self.m // 2
+        hi = np.bitwise_count(np.arange(1 << (m - h)) & (mask >> h)) & 1
+        lo = np.bitwise_count(np.arange(1 << h) & mask) & 1
+        table = np.bitwise_xor.outer(hi, lo).ravel()
+        table.flags.writeable = False
+        return table
+
+    trace_table = cached_property(_trace_by_parity)
 
     @cached_property
     def orbits(self) -> tuple[np.ndarray, np.ndarray]:

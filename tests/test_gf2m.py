@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -132,6 +133,48 @@ def test_trace_seq_is_the_m_sequence(m):
     f = get_field(m)
     assert f.trace_seq.dtype == np.uint8
     assert np.array_equal(f.trace_seq, f.trace_table[f.exp_table])
+
+
+def _naive_trace_by_linearity(field):
+    """Tr(v) over every v, the XOR of the naive basis traces Tr(x^i) over the
+    set bits i of v."""
+    nf = NaiveField(field.m, field.reduction)
+    v = np.arange(field.size)
+    trace = np.zeros(field.size, dtype=np.uint8)
+    for i in range(field.m):
+        if nf.trace(1 << i):
+            trace ^= ((v >> i) & 1).astype(np.uint8)
+    return trace
+
+
+@pytest.mark.parametrize("m", [10, 18, 20])
+def test_construction_holds_no_element_table(m):
+    # Construction holds exp and log (4 bytes an element each) and trace_seq
+    # (1 byte), plus build temporaries of at most LOG_BLOCK entries.
+    tracemalloc.start()
+    try:
+        f = Field(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * f.size + 16 * gf2m.LOG_BLOCK, peak
+    assert "trace_table" not in vars(f)
+    table = f.trace_table
+    assert f.trace_table is table  # built once, on the first read
+    assert table.dtype == np.uint8
+    with pytest.raises(ValueError):
+        table[0] = table[0]
+    assert np.array_equal(table, _naive_trace_by_linearity(f))
+
+
+def test_trace_table_is_built_without_trace_seq():
+    # An element table scattered from trace_seq would inherit a wrong
+    # m-sequence; then test_trace_seq_is_the_m_sequence would compare the
+    # sequence with itself.
+    f = Field(10)
+    f.trace_seq = f.trace_seq ^ 1
+    nf = NaiveField(10, f.reduction)
+    assert f.trace_table.tolist() == [nf.trace(a) for a in range(f.size)]
 
 
 @pytest.mark.parametrize("m", range(1, 15))
