@@ -104,11 +104,16 @@ class RunReport:
         return "\n".join(lines)
 
 
+def _outside(lo: int, hi: float) -> str:
+    """A refusal's domain: "outside lo..hi", or "below lo" when there is no upper end."""
+    return f"outside {lo}..{hi}" if hi < math.inf else f"below {lo}"
+
+
 def _int_in(lo: int, hi: float = math.inf):
     """An argparse type: an int within lo..hi."""
     def parse(text: str) -> int:
         if not lo <= int(text) <= hi:
-            raise argparse.ArgumentTypeError(f"{text} outside {lo}..{hi}")
+            raise argparse.ArgumentTypeError(f"{text} {_outside(lo, hi)}")
         return int(text)
     parse.__name__ = "int"  # argparse names the type in "invalid int value"
     parse.lo = lo  # the domain's lower end, readable off the parser
@@ -126,7 +131,7 @@ def _span_in(lo: int, hi: float = math.inf):
         span = _Span(text)
         span.values = range(int(a), int(b) + 1)
         if not span.values or span.values[0] < lo or span.values[-1] > hi:
-            raise argparse.ArgumentTypeError(f"range {text!r} is empty or outside {lo}..{hi}")
+            raise argparse.ArgumentTypeError(f"range {text!r} is empty or {_outside(lo, hi)}")
         return span
     parse.__name__ = "range"
     parse.lo = lo  # the domain's lower end, readable off the parser
@@ -187,21 +192,18 @@ def cmd_a1(args, timings) -> list[Row]:
 
 
 def cmd_weights(args, timings) -> list[Row]:
-    m, k = args.m, args.k
-    dist = crosscorr.weight_distribution(m, k, mode=args.mode)
+    m, k, order = args.m, args.k, (1 << args.m) - 1
+    # b -> 1 needs 2^k + 1 prime to 2^m - 1 (then so is 2^(2k) + 1, see decimation_exponent)
+    classes = math.gcd((1 << k) + 1, order) == 1
+    dist = crosscorr.weight_distribution(m, k, mode="via_correlation" if classes else "direct")
     expected = KNOWN_WEIGHTS.get(m)
-    rows = []
-    for w, n in dist.entries.items():
-        if expected is not None:
-            rows.append(checked(f"A_{w}", n, expected.get(w)))
-        else:
-            rows.append(recorded(f"A_{w}", n))
+    rows = [recorded(f"A_{w}", n) if expected is None else checked(f"A_{w}", n, expected.get(w))
+            for w, n in dist.entries.items()]
     if expected is not None:
         rows.append(checked("weight set", sorted(dist.entries), sorted(expected)))
     rows.append(checked("total words", sum(dist.entries.values()), 1 << (2 * m)))
     rows.append(checked("zero words", dist.entries.get(0, 0), 1))
-    order = (1 << m) - 1
-    if math.gcd((1 << k) + 1, order) == 1:
+    if classes:
         # b = 0 gives the zero word and 2^m - 1 m-sequences of weight 2^(m-1);
         # x -> cx maps the b = 1 rows onto each of the 2^m - 1 classes b != 0.
         rest = {w: n - (w == 0) - order * (w == 1 << (m - 1)) for w, n in dist.entries.items()}
@@ -216,13 +218,14 @@ def cmd_weights(args, timings) -> list[Row]:
 
 
 def cmd_curvecount(args, timings) -> list[Row]:
-    if args.generic and args.s > curves.COUNT_CAP:
-        raise ValueError(f"--s {args.s} outside 1..{curves.COUNT_CAP} with --generic")
-    counter = curves.count_projective_points if args.generic else curves.count_projective_points_fast
     entry = curves.catalog_curve(args.curve) if args.curve in curves.catalog_curve_names() else None
-    if entry and entry.l_polynomial_name:
-        return [checked(*row) for row in acceptance.count_rows("", entry, args.s, counter)]
     poly = entry.polynomial if entry else curves.load_curve(args.curve)
+    fast = poly.y_degree() <= 2  # the fast counter solves a quadratic in y; the generic one walks every y
+    if not fast and args.s > curves.COUNT_CAP:
+        raise ValueError(f"--s {args.s} outside 1..{curves.COUNT_CAP} for a curve of degree {poly.y_degree()} in y")
+    if entry and entry.l_polynomial_name:  # every catalog curve is quadratic in y
+        return [checked(*row) for row in acceptance.count_rows("", entry, args.s)]
+    counter = curves.count_projective_points_fast if fast else curves.count_projective_points
     return [recorded(f"N_{s}", counter(poly, s)) for s in range(1, args.s + 1)]
 
 
@@ -315,13 +318,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp = command("weights", cmd_weights, "cyclic-code weight distribution")
     sp.add_argument("--m", type=m_type, required=True)
     sp.add_argument("--k", type=k_type, required=True)
-    sp.add_argument("--mode", choices=("direct", "via_correlation"), default="via_correlation")
 
     sp = command("curvecount", cmd_curvecount, "projective point counts vs zeta prediction")
     sp.add_argument("--curve", required=True,
                     help=f"catalog name {curves.catalog_curve_names()} or a .curve file path")
     sp.add_argument("--s", type=s_type, required=True, help="count over F_2^1 .. F_2^s")
-    sp.add_argument("--generic", action="store_true", help="use the generic (slow) counter")
 
     sp = command("zeta", cmd_zeta, "power sums / predicted counts / reconstruction")
     mode = sp.add_mutually_exclusive_group(required=True)

@@ -291,7 +291,7 @@ class CurveCatalogEntry:
 
 
 _CATALOG_META = {
-    # name: (lpoly, correction, singular points over F_2); the genus is the lpoly's genus_hint
+    # name: (lpoly, correction, singular points over F_2); the genus is the lpoly's degree / 2
     "fbar3": (None, None, None),
     "p1tilde": ("z1", "minus_s1", None),
     "kloosterman": ("z2", "exact", ()),

@@ -6,8 +6,8 @@ P_j = sum omega_j^j follow from the coefficients by Newton's identities
 without ever extracting roots; all arithmetic is exact (Python ints).
 
 The catalog ships the zeta numerators of the curves in the curve catalog,
-in factored form, as plain text files (one factor per line, coefficients
-space-separated from sigma_0 upward).
+all over F_2, in factored form, as plain text files (one factor per line,
+coefficients space-separated from sigma_0 upward).
 """
 
 from __future__ import annotations
@@ -46,17 +46,14 @@ class ZetaError(ValueError):
 
 @dataclass(frozen=True)
 class LPolynomial:
-    """Integer polynomial with constant term 1, optionally tagged with genus."""
+    """Integer polynomial with constant term 1 over F_q; a curve's numerator has genus degree / 2."""
 
     coefficients: tuple[int, ...]
     q: int = 2
-    genus_hint: int | None = None
 
     def __post_init__(self):
         if not self.coefficients or self.coefficients[0] != 1:
             raise ZetaError("constant term must be 1")
-        if self.genus_hint is not None and not functional_equation_check(self, self.genus_hint).holds:
-            raise ZetaError(f"functional equation fails for claimed genus {self.genus_hint}")
 
     @property
     def degree(self) -> int:
@@ -121,7 +118,7 @@ def reconstruct_from_counts(counts: list[int], q: int, g: int) -> LPolynomial:
         if sj.denominator != 1:
             raise ZetaError(f"non-integral sigma_{j} = {sj}; counts are not from a genus-{g} curve")
         sigma.append(sj)
-    return LPolynomial(_mirror([int(s) for s in sigma], q), q, genus_hint=g)
+    return LPolynomial(_mirror([int(s) for s in sigma], q), q)
 
 
 def _mirror(low: list[int], q: int) -> tuple[int, ...]:
@@ -181,30 +178,27 @@ def l1prime_expansion_check() -> Verdict:
 # -- catalog ---------------------------------------------------------------
 
 
-def parse_lpoly(text: str, q: int = 2, genus_hint: int | None = None) -> LPolynomial:
-    """Parse the file format: one factor per line, integers from sigma_0 up."""
-    L = LPolynomial((1,), q)
+def parse_lpoly(text: str) -> LPolynomial:
+    """Parse the file format over F_2: one factor per line, integers from sigma_0 up."""
+    L = LPolynomial((1,))
     seen = False
     for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
-        L = L * LPolynomial(tuple(int(c) for c in line.split()), q)
+        L = L * LPolynomial(tuple(int(c) for c in line.split()))
         seen = True
     if not seen:
         raise ZetaError("no factors found")
-    if genus_hint is not None:
-        L = LPolynomial(L.coefficients, q, genus_hint=genus_hint)
     return L
 
 
-def load_lpoly(path: str, q: int = 2) -> LPolynomial:
+def load_lpoly(path: str) -> LPolynomial:
     with open(path) as fh:
-        return parse_lpoly(fh.read(), q)
+        return parse_lpoly(fh.read())
 
 
 CATALOG = resources.files("char2kit.catalog")  # the shipped data files; never rebound
-_CATALOG_GENUS = {"z1": 31, "z2": 1, "z3": 5, "z4": 2}
 _CATALOG_NAMES = ("z1", "z2", "z3", "z4", "l1prime", "l3prime", "singular_extra")
 # Catalog entries that are correction factors, not a curve's zeta numerator:
 # their reciprocal roots have modulus 1, so neither the q = 2 functional
@@ -218,9 +212,12 @@ def catalog_lpoly_names() -> tuple[str, ...]:
 
 @cache
 def catalog_lpoly(name: str) -> LPolynomial:
-    """Built-in zeta numerators and derived factors, expanded once per process
-    (an LPolynomial is frozen, so every caller can share it)."""
+    """Built-in zeta numerators and derived factors, expanded once per process (an LPolynomial is
+    frozen, so every caller can share it); each outside CORRECTION_FACTORS has genus degree / 2."""
     if name not in _CATALOG_NAMES:
         raise ZetaError(f"unknown catalog L-polynomial {name!r} (have {_CATALOG_NAMES})")
-    return parse_lpoly(CATALOG.joinpath(f"{name}.lpoly").read_text(), 2, _CATALOG_GENUS.get(name))
+    L = parse_lpoly(CATALOG.joinpath(f"{name}.lpoly").read_text())
+    if name not in CORRECTION_FACTORS and not functional_equation_check(L, L.degree // 2).holds:
+        raise ZetaError(f"catalog L-polynomial {name!r} fails the functional equation at genus {L.degree // 2}")
+    return L
 

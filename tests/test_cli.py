@@ -1,13 +1,18 @@
 import dataclasses
 import json
 import math
+import re
 
 import pytest
 
-from char2kit import acceptance, crosscorr, expsums, gf2m, zeta
+from char2kit import acceptance, crosscorr, curves, expsums, gf2m, zeta
 from char2kit.cli import build_parser, main
 from char2kit.curves import catalog_curve
 from char2kit.zeta import catalog_lpoly
+from oracles import NaiveField, naive_projective_count, naive_weight_distribution
+
+# y^3 + x^3 + xyz + z^3: cubic in y, so only the generic counter counts it.
+Y_CUBIC = ((0, 3, 0), (3, 0, 0), (1, 1, 1), (0, 0, 3))
 
 
 def run(capsys, *argv):
@@ -247,10 +252,22 @@ def test_weights_unknown_m_recorded(capsys):
             "b = 1 N0 - 6*N2"]
     assert rows["b = 1 multiplicity N0"]["observed"] == 2**8 - 1 + 480 // 16
     # even m: no theorem-1 rows, and no class rows where 2^k + 1 shares a factor with 2^m - 1
-    code, payload = run_json(capsys, "weights", "--m", "6", "--k", "1", "--mode", "direct")
+    code, payload = run_json(capsys, "weights", "--m", "6", "--k", "1")
     assert code == 0
     assert [r["name"] for r in payload["results"] if r["verdict"] != "recorded"] == [
         "total words", "zero words"]
+
+
+@pytest.mark.parametrize("m,k", [(6, 1), (8, 1), (8, 3)])
+def test_weights_without_the_class_reduction_weigh_every_word(capsys, m, k):
+    # gcd(2^k + 1, 2^m - 1) = 3 here, so no b != 0 reduces to b = 1: the
+    # direct route weighs all 4^m words, with no option to ask for it.
+    assert math.gcd((1 << k) + 1, (1 << m) - 1) > 1
+    code, payload = run_json(capsys, "weights", "--m", str(m), "--k", str(k))
+    assert code == 0
+    observed = {int(r["name"][2:]): r["observed"] for r in payload["results"] if r["name"].startswith("A_")}
+    assert observed == naive_weight_distribution(NaiveField(m, gf2m.get_field(m).reduction), k)
+    assert payload["params"] == {"m": m, "k": k}
 
 
 def test_weights_theorem1_rows_fail_on_wrong_a1(capsys, monkeypatch):
@@ -265,29 +282,56 @@ def test_curvecount_catalog(capsys):
     assert code == 0
     rows = results_by_name(payload)
     assert all(rows[f"N_{s}"]["verdict"] == "pass" for s in range(1, 7))
-    code, payload = run_json(capsys, "curvecount", "--curve", "p4", "--s", "4", "--generic")
+    code, payload = run_json(capsys, "curvecount", "--curve", "p4", "--s", "4")
     assert code == 0
     assert results_by_name(payload)["N_1"]["observed"] == 3
 
 
-def test_curvecount_rejects_s_before_counting(capsys, monkeypatch):
-    from char2kit import curves
+def y_cubic_file(tmp_path):
+    path = tmp_path / "cubic.curve"
+    path.write_text("".join(f"{a} {b} {c}\n" for a, b, c in Y_CUBIC))
+    return str(path)
 
+
+def test_curvecount_counts_a_curve_cubic_in_y_by_the_generic_counter(tmp_path, capsys, monkeypatch):
+    calls = []
+    for name in ("count_projective_points", "count_projective_points_fast"):
+        counter = getattr(curves, name)
+        monkeypatch.setattr(curves, name, lambda P, s, name=name, counter=counter:
+                            calls.append(name) or counter(P, s))
+    code, payload = run_json(capsys, "curvecount", "--curve", y_cubic_file(tmp_path), "--s", "3")
+    assert code == 0
+    assert [r["observed"] for r in payload["results"]] == [
+        naive_projective_count(Y_CUBIC, NaiveField(s, gf2m.get_field(s).reduction)) for s in (1, 2, 3)]
+    assert calls == ["count_projective_points"] * 3
+
+
+def test_curvecount_rejects_s_before_counting(tmp_path, capsys, monkeypatch):
+    # The generic counter's cap relates --s to the curve, so the subcommand
+    # refuses it, still before any count.
     calls = []
     for name in ("count_projective_points", "count_projective_points_fast"):
         monkeypatch.setattr(curves, name, lambda P, s, name=name: calls.append((name, s)) or 0)
-    for argv in (("--s", "21"), ("--s", "13", "--generic")):
-        code, _, err = run(capsys, "curvecount", "--curve", "kloosterman", *argv)
-        assert code == 2, argv
-        assert "error:" in err and "--s" in err, argv
+    for curve, s in (("kloosterman", "21"), (y_cubic_file(tmp_path), "13")):
+        code, _, err = run(capsys, "curvecount", "--curve", curve, "--s", s)
+        assert code == 2, (curve, s)
+        assert "error:" in err and "--s" in err, (curve, s)
     assert calls == []
+
+
+@pytest.mark.parametrize("argv,option", [(("weights", "--m", "7", "--k", "1"), ("--mode", "direct")),
+                                         (("curvecount", "--curve", "kloosterman", "--s", "2"), ("--generic",))])
+def test_a_route_option_is_an_unknown_option(capsys, argv, option):
+    # The input picks the route: no option names one.
+    code, out, err = run(capsys, *argv, *option)
+    assert (code, out) == (2, "")
+    assert "error: unrecognized arguments: " + " ".join(option) in err
+    assert run(capsys, *argv)[0] == 0
 
 
 def test_curvecount_reports_a_catalog_error_without_trying_a_path(capsys, monkeypatch):
     # A catalog name is resolved by membership, so a ValueError raised while
     # reading the catalog entry is the error shown, not "no such file".
-    from char2kit import curves
-
     def unreadable(name):
         raise ValueError(f"bad line in catalog curve {name}")
 
@@ -563,16 +607,17 @@ def test_verify_all_records_a_raising_criterion_and_runs_the_rest(capsys, monkey
     assert list(payload["timings"]) == [f"C{i}" for i in range(1, 13)]
 
 
-def test_error_exit_code(capsys):
+def test_error_exit_code(tmp_path, capsys):
     code, out, err = run(capsys, "a1", "--m", "8", "--k", "1")
     assert code == 2
     assert "error:" in err
     for argv in (
         ("curvecount", "--curve", "kloosterman", "--s", "25"),
-        ("curvecount", "--curve", "kloosterman", "--s", "13", "--generic"),
+        ("curvecount", "--curve", y_cubic_file(tmp_path), "--s", "13"),
         ("curvecount", "--curve", "kloosterman", "--s", "0"),
         ("conjectures", "--m-range", "5:3"),
         ("conjectures", "--k-range", "4:1"),
+        ("conjectures", "--k-range", "0:3"),
         ("conjectures", "--m-range", "1:25"),
         ("weights", "--m", "7", "--k", "0"),
         ("corrdist", "--m", "7", "--k", "0"),
@@ -590,6 +635,7 @@ def test_error_exit_code(capsys):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
         assert "error:" in err, argv
+        assert not re.search(r"\binf\b", err), (argv, err)  # an unbounded domain states its lower end alone
     for argv, option in ((("dm-check", "--bound", "0"), "--bound"),
                          (("verify-all", "--max-m", "25"), "--max-m"),
                          (("verify-all", "--max-s", "21"), "--max-s"),
@@ -601,6 +647,12 @@ def test_error_exit_code(capsys):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
         assert "error:" in err and option in err, argv
+        assert not re.search(r"\binf\b", err), (argv, err)
+    for argv, message in ((("expsum", "--m", "7", "--sum", "K", "--k", "0"), "0 below 1"),
+                          (("conjectures", "--k-range", "0:3"), "range '0:3' is empty or below 1"),
+                          (("dm-check", "--bound", "0"), "0 below 1"),
+                          (("verify-all", "--max-m", "25"), "25 outside 1..24")):
+        assert message in run(capsys, *argv)[2], argv
     for argv in (("weights", "--m", "6", "--k", "2"), ("weights", "--m", "3", "--k", "2")):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
@@ -640,6 +692,31 @@ ACCEPTED = [
     ("dm-check", "--bound", "10"),
     ("verify-all", "--max-m", "3", "--max-s", "2"),
 ]
+
+
+def test_parser_options_are_pinned():
+    # Every (subcommand, option) pair of the parser.  An option that the input
+    # decides (a route, a genus, q) does not belong here; a new option needs a
+    # deliberate edit of this set.
+    commands = next(action.choices for action in build_parser()._actions if action.dest == "command")
+    found = {(name, option) for name, sp in commands.items() for action in sp._actions
+             for option in action.option_strings if option not in ("-h", "--help", "--json", "--csv")}
+    assert set(commands) == {"expsum", "conjectures", "corrdist", "a1", "weights", "curvecount", "zeta",
+                             "dm-check", "verify-all"}
+    assert found == {
+        ("expsum", "--m"), ("expsum", "--k"), ("expsum", "--sum"),
+        ("conjectures", "--m-range"), ("conjectures", "--k-range"),
+        ("corrdist", "--m"), ("corrdist", "--k"), ("corrdist", "--d"),
+        ("a1", "--m"), ("a1", "--k"),
+        ("weights", "--m"), ("weights", "--k"),
+        ("curvecount", "--curve"), ("curvecount", "--s"),
+        ("zeta", "--l-poly"), ("zeta", "--reconstruct"), ("zeta", "--s-max"), ("zeta", "--genus"),
+        ("dm-check", "--bound"),
+        ("verify-all", "--max-m"), ("verify-all", "--max-s"),
+    }
+    assert all({"-h", "--help", "--json", "--csv"} <= {option for action in sp._actions
+                                                       for option in action.option_strings}
+               for sp in commands.values())
 
 
 def test_every_typed_option_refuses_below_its_domain_before_building_a_field(capsys, monkeypatch):

@@ -183,10 +183,17 @@ def test_file_format_roundtrip(tmp_path):
         z.parse_lpoly("# nothing\n")
 
 
-def test_genus_hint_validation():
-    # One raise covers both: a degree other than 2g and a sigma off the mirror.
-    with pytest.raises(ZetaError, match="genus 2"):
-        LPolynomial((1, 1, 2), genus_hint=2)
-    with pytest.raises(ZetaError, match="genus 1"):
-        LPolynomial((1, 1, 3), genus_hint=1)
-    assert LPolynomial((1, 1, 2), genus_hint=1).genus_hint == 1
+def test_catalog_load_checks_the_functional_equation(tmp_path, monkeypatch):
+    # A curve's numerator has genus degree / 2, so no file states a genus: every
+    # entry outside the correction factors meets the functional equation there,
+    # and the load raises on one that does not.
+    for name in z.catalog_lpoly_names():
+        L = z.catalog_lpoly(name)
+        assert z.functional_equation_check(L, L.degree // 2).holds == (name not in z.CORRECTION_FACTORS), name
+    monkeypatch.setattr(z, "CATALOG", tmp_path)
+    for text in ("1 1 3\n", "1 1 2 2\n"):  # sigma_2 off its mirror 2 sigma_0; an odd degree
+        (tmp_path / "z2.lpoly").write_text(text)
+        with pytest.raises(ZetaError, match="'z2'"):
+            z.catalog_lpoly.__wrapped__("z2")
+    (tmp_path / "singular_extra.lpoly").write_text("1 1 3\n")  # no curve's numerator: not checked
+    assert z.catalog_lpoly.__wrapped__("singular_extra").coefficients == (1, 1, 3)
