@@ -8,9 +8,10 @@ paper's claims for k = 3; C6-C12 the weights, point counts and
 zeta-function identities.
 
 Every row that a subcommand shares with a criterion is built here, once:
-c_square_row (C3, expsum --sum C), a1_rows (C4, a1), moment_rows (C4,
-corrdist), theorem1_rows (C5, corrdist, the b = 1 rows of weights),
-count_rows (C7, curvecount) and dm_rows (C9, dm-check).
+c_row (C3, expsum --sum C), a1_rows (C4, a1), spectrum_rows (C5, corrdist,
+a1 above A1_BRUTE_CAP, the b = 1 rows of weights), count_rows (C7,
+curvecount) and dm_rows (C9, dm-check).  theorem1_applies is the one
+statement of where theorem 1 gives the multiplicities.
 """
 
 from __future__ import annotations
@@ -46,84 +47,81 @@ def c2(max_m, max_s):
 
 
 def c3(max_m, max_s):
-    """C_m closed form by m mod 8; C_m^2 in {0, 2^(m+gcd(2k,m))} at every (m, k)"""
-    for m in range(1, max_m + 1, 2):
-        for k in range(1, 6):
-            closed = expsums.c_sum_closed_form(m, k)
-            if closed is not None:
-                yield f"C_{m}(k={k}) closed form", expsums.c_sum(m, k).value, closed
-    yield from (c_square_row(m, k) for m in range(1, max_m + 1) for k in range(1, 6))
+    """C_m closed form by m mod 8 where it applies; C_m^2 in {0, 2^(m+gcd(2k,m))} at every other (m, k)"""
+    yield from (c_row(m, k) for m in range(1, max_m + 1) for k in range(1, 6))
 
 
-def c_square_row(m, k):
-    """C_m^2 against {0, 2^(m+w)}, w = gcd(2k, m), as one row."""
+def c_row(m, k):
+    """C_m against its closed form where c_sum_closed_form has one (odd m,
+    gcd(k, m) = 1), which implies the square row; elsewhere C_m^2 against
+    {0, 2^(m+w)}, w = gcd(2k, m)."""
+    closed = expsums.c_sum_closed_form(m, k)
+    if closed is not None:
+        return f"C_{m}(k={k}) closed form", expsums.c_sum(m, k).value, closed
     v = expsums.c_sum_square_check(m, k)
     return f"C_{m}(k={k})^2 in {{0, 2^{m + math.gcd(2 * k, m)}}}", v.lhs, v.rhs
 
 
 def c4(max_m, max_s):
-    """A_1 pair-collision count = formula; above its cap, spectrum A_1 = formula"""
+    """A_1 pair-collision count = formula"""
     for m, k in ((5, 1), (5, 2), (5, 3), (7, 1), (7, 2), (7, 3), (9, 2), (11, 1)):
         if m <= max_m:
             yield from a1_rows(m, k)
-    for m in range(13, max_m + 1, 2):
-        for k in (1, 2, 3):
-            if math.gcd(k, m) == 1:
-                yield from a1_rows(m, k)
 
 
 def a1_rows(m, k):
     """The A_1 formula against the pair-collision count up to A1_BRUTE_CAP;
-    above it, against the A_1 read off the spectrum's N0, followed by the
-    spectrum's moment rows: W -> -W leaves N0 unchanged, not the first moment."""
+    above it, the spectrum rows at d = decimation_exponent(m, k), whose
+    theorem-1 rows read the formula's A_1 through all five multiplicities."""
     if m <= crosscorr.A1_BRUTE_CAP:
         rep = crosscorr.a1_formula(m, k, brute=True)
         yield f"A1 brute = formula (m={m},k={k})", rep.brute_count, rep.formula_value
     else:
-        a1 = crosscorr.a1_formula(m, k).formula_value  # refuses even m and gcd(k, m) > 1 before the spectrum
+        crosscorr.a1_formula(m, k)  # refuses even m and gcd(k, m) > 1 before the spectrum
         dist = crosscorr.correlation_distribution(m, gf2m.decimation_exponent(m, k))
-        yield f"A1 spectrum = formula (m={m},k={k})", crosscorr.a1_from_spectrum(dist), a1
-        yield from moment_rows(f"m={m} k={k} ", dist)
+        yield from spectrum_rows(f"m={m} k={k} ", dist, k)
 
 
-def moment_rows(prefix, dist):
-    """The shift count and the first two moments of dist, which hold at every d."""
+def theorem1_applies(m, k):
+    """Theorem 1 gives the five multiplicities of the spectrum at
+    d = decimation_exponent(m, k) for odd m and gcd(k, m) = 1."""
+    return k is not None and m % 2 == 1 and math.gcd(k, m) == 1
+
+
+def spectrum_rows(prefix, dist, k=None):
+    """The shift count and the first two moments of dist, which hold at every
+    d; where theorem 1 applies to (dist.m, k), the observed five-value
+    multiplicities against it, one row each, and N0 - 6*N2.  A value outside
+    the five adds one failed row; W -> -W fails the first moment."""
     m, entries = dist.m, dist.entries
     yield f"{prefix}sum of multiplicities", sum(entries.values()), (1 << m) - 1
     yield f"{prefix}first moment", sum(v * n for v, n in entries.items()), 1
     yield f"{prefix}second moment", sum(v * v * n for v, n in entries.items()), (1 << (2 * m)) - (1 << m) - 1
+    if not theorem1_applies(m, k):
+        return
+    expect = crosscorr.theorem1_multiplicities(m, crosscorr.a1_formula(m, k).formula_value)
+    observed = crosscorr.match_multiplicities(dist)
+    for name, n in observed.items():
+        yield f"{prefix}multiplicity {name}", n, expect.get(name, 0)
+    yield f"{prefix}N0 - 6*N2", observed["N0"] - 6 * observed["N2"], crosscorr.one_sixth_slack(m)
 
 
 def c5(max_m, max_s):
-    """observed distribution = multiplicity formulas, N0 - 6*N2 exact"""
-    for m in (5, 7, 9, 11, 13, 15):
-        if m > max_m:
-            continue
+    """spectrum moments; observed distribution = multiplicity formulas, N0 - 6*N2 exact"""
+    for m in range(5, max_m + 1, 2):
         base = None
         for k in (1, 2, 3):
-            if math.gcd(k, m) != 1:
+            if not theorem1_applies(m, k):
                 continue
             dist = crosscorr.correlation_distribution(m, gf2m.decimation_exponent(m, k))
-            yield from theorem1_rows(f"m={m} k={k} ", dist, k)
+            yield from spectrum_rows(f"m={m} k={k} ", dist, k)
             if base is None:
                 base = dist.entries
-            else:
+            elif m <= 15:  # above, each k's spectrum is checked against theorem 1 alone
                 yield f"distribution m={m} k={k} equals k=1", dist.entries, base
     if max_m >= 11:
         a1 = crosscorr.a1_formula(11, 1).formula_value
         yield "m=11 pinned multiplicities", crosscorr.theorem1_multiplicities(11, a1), PINNED_M11
-
-
-def theorem1_rows(prefix, dist, k):
-    """The observed five-value multiplicities of dist against theorem 1 (odd m,
-    gcd(k, m) = 1), one row each, and N0 - 6*N2; a value outside the five adds
-    one failed row."""
-    a1 = crosscorr.a1_formula(dist.m, k).formula_value
-    expect = crosscorr.theorem1_multiplicities(dist.m, a1)
-    observed = crosscorr.match_multiplicities(dist)
-    for name, n in observed.items():
-        yield f"{prefix}multiplicity {name}", n, expect.get(name, 0)
-    yield f"{prefix}N0 - 6*N2", observed["N0"] - 6 * observed["N2"], crosscorr.one_sixth_slack(dist.m)
 
 
 def c6(max_m, max_s):

@@ -147,9 +147,9 @@ def cmd_expsum(args, timings) -> list[Row]:
     if args.sum == "K":
         rows = [recorded(f"K_{m}", rep.value)]
     elif args.sum == "C":
-        closed = expsums.c_sum_closed_form(m, k)
-        rows = ([checked(f"C_{m}(k={k})", rep.value, closed)] if closed is not None
-                else [recorded(f"C_{m}(k={k})", rep.value), checked(*acceptance.c_square_row(m, k))])
+        rows = [checked(*acceptance.c_row(m, k))]
+        if expsums.c_sum_closed_form(m, k) is None:  # the row checks C_m^2: record C_m, whose sign it drops
+            rows.insert(0, recorded(f"C_{m}(k={k})", rep.value))
     elif args.sum == "G":
         rows = [recorded(f"G_{m}^({k})", rep.value)]
         if g < k and expsums.conjecture1_proved(m, k):
@@ -181,10 +181,7 @@ def cmd_corrdist(args, timings) -> list[Row]:
     d = gf2m.decimation_exponent(m, args.k) if args.d is None else args.d
     dist = crosscorr.correlation_distribution(m, d)
     rows = [recorded(f"C_d(tau)={v}", n) for v, n in dist.entries.items()]
-    rows += [checked(*row) for row in acceptance.moment_rows("", dist)]
-    if args.k is not None and m % 2 == 1 and math.gcd(args.k, m) == 1:
-        rows += [checked(*row) for row in acceptance.theorem1_rows("", dist, args.k)]
-    return rows
+    return rows + [checked(*row) for row in acceptance.spectrum_rows("", dist, args.k)]
 
 
 def cmd_a1(args, timings) -> list[Row]:
@@ -208,12 +205,11 @@ def cmd_weights(args, timings) -> list[Row]:
         # x -> cx maps the b = 1 rows onto each of the 2^m - 1 classes b != 0.
         rest = {w: n - (w == 0) - order * (w == 1 << (m - 1)) for w, n in dist.entries.items()}
         rows.append(checked("b != 0 classes of 2^m - 1 words", [w for w, n in rest.items() if n % order], []))
-        if m % 2 and math.gcd(k, m) == 1:
-            # A b = 1 row of weight w has C_d value 2^m - 1 - 2w; its a = 0 row has -1.
-            values = Counter({order - 2 * w: n // order for w, n in rest.items()})
-            values[-1] -= 1
-            spectrum = crosscorr.CorrelationDistribution(m, gf2m.decimation_exponent(m, k), +values)
-            rows += [checked(*row) for row in acceptance.theorem1_rows("b = 1 ", spectrum, k)]
+        # A b = 1 row of weight w has C_d value 2^m - 1 - 2w; its a = 0 row has -1.
+        values = Counter({order - 2 * w: n // order for w, n in rest.items()})
+        values[-1] -= 1
+        spectrum = crosscorr.CorrelationDistribution(m, gf2m.decimation_exponent(m, k), +values)
+        rows += [checked(*row) for row in acceptance.spectrum_rows("b = 1 ", spectrum, k)]
     return rows
 
 
@@ -311,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     kd.add_argument("--k", type=k_type)
     kd.add_argument("--d", type=int)
 
-    sp = command("a1", cmd_a1, "A_1 formula vs pair-collision count (spectrum above the cap)")
+    sp = command("a1", cmd_a1, "A_1 formula vs pair-collision count (spectrum rows above the cap)")
     sp.add_argument("--m", type=m_type, required=True)
     sp.add_argument("--k", type=k_type, required=True)
 

@@ -32,7 +32,6 @@ __all__ = [
     "WeightDistribution",
     "a1_bruteforce",
     "a1_formula",
-    "a1_from_spectrum",
     "correlation_distribution",
     "match_multiplicities",
     "one_sixth_slack",
@@ -192,12 +191,6 @@ def a1_formula(m: int, k: int, brute: bool = False) -> A1Report:
     return A1Report(m, k, value, a1_bruteforce(m, k) if brute else None)
 
 
-def a1_from_spectrum(dist: CorrelationDistribution) -> int:
-    """A_1 = 16 (N0 - 2^(m-1) + 1) by theorem 1, N0 the number of shifts with
-    C_d(tau) = -1 in dist, the distribution at d = decimation_exponent(m, k)."""
-    return 16 * (dist.entries.get(-1, 0) - (1 << (dist.m - 1)) + 1)
-
-
 def theorem1_multiplicities(m: int, A1: int) -> dict[str, int | Fraction]:
     """Multiplicities (N0, N1, N-1, N2, N-2) of the five correlation values.
 
@@ -277,7 +270,9 @@ def weight_distribution(m: int, k: int, mode: str = "via_correlation") -> Weight
     e1 = ((1 << k) + 1) % order
     e2 = ((1 << (2 * k)) + 1) % order
     if mode == "direct" and m > DIRECT_WEIGHT_CAP:
-        raise FieldError(f"direct mode scans 2^{2 * m} words; m={m} over cap")
+        why = "" if math.gcd(e1, order) == 1 else f"gcd(2^{k}+1, 2^{m}-1) != 1 leaves no class reduction, and "
+        raise FieldError(f"{why}m={m} is above DIRECT_WEIGHT_CAP = {DIRECT_WEIGHT_CAP}, "
+                         f"the largest m whose 4^m words the direct route weighs")
     if mode == "via_correlation":
         for e, lbl in ((e1, "2^k+1"), (e2, "2^(2k)+1")):
             if math.gcd(e, order) != 1:

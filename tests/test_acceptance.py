@@ -2,11 +2,17 @@
 
 The criteria are the ones `char2kit verify-all` runs; here they run at
 max_m = 19, max_s = 10, which adds m = 19 to C3, to C8 and to the spectrum
-and moment rows of C4.  Run with `pytest -s tests/test_acceptance.py` to
-see the per-criterion pass/FAIL lines; every comparison is exact equality.
+rows of C5 (moments and theorem 1).  Run with `pytest -s
+tests/test_acceptance.py` to see the per-criterion pass/FAIL lines; every
+comparison is exact equality.
 """
 
+import math
+from collections import Counter
+
+from char2kit import crosscorr
 from char2kit.acceptance import CRITERIA
+from char2kit.gf2m import decimation_exponent
 
 
 def run_criterion(key: str) -> None:
@@ -69,3 +75,19 @@ def test_criterion_12_factorization():
 def test_every_criterion_has_a_test():
     tested = [int(name.split("_")[2]) for name in globals() if name.startswith("test_criterion_")]
     assert [f"C{n}" for n in sorted(tested)] == list(CRITERIA)
+
+
+def test_each_spectrum_is_built_once_and_each_row_named_once(monkeypatch):
+    built = Counter()
+    real = crosscorr.correlation_distribution
+
+    def counted(m, d):
+        built[m, d] += 1
+        return real(m, d)
+
+    monkeypatch.setattr(crosscorr, "correlation_distribution", counted)
+    names = Counter(f"{key} {name}" for key, criterion in CRITERIA.items() for name, _, _ in criterion(19, 10))
+    assert [name for name, n in names.items() if n > 1] == []
+    assert set(built) == {(m, decimation_exponent(m, k)) for m in range(5, 20, 2) for k in (1, 2, 3)
+                          if math.gcd(k, m) == 1}
+    assert set(built.values()) == {1}

@@ -120,7 +120,10 @@ def test_expsum_g_checked_against_gcd_where_proved(capsys):
 def test_expsum_c_closed_form(capsys):
     code, payload = run_json(capsys, "expsum", "--m", "7", "--k", "3", "--sum", "C")
     assert code == 0
-    assert results_by_name(payload)["C_7(k=3)"]["expected"] == 16
+    rows = results_by_name(payload)
+    assert rows["C_7(k=3) closed form"]["expected"] == 16
+    # the closed form implies C_7^2 = 2^8, so no square row and no recorded C_7
+    assert list(rows) == ["C_7(k=3) closed form", "trace_zero_count"]
 
 
 def test_expsum_c_square_checked_off_the_closed_form(capsys):
@@ -219,15 +222,28 @@ def test_a1_subcommand(capsys):
         assert code == 0
         assert [(r["name"], r["observed"], r["expected"], r["verdict"]) for r in payload["results"]] == [
             (f"A1 brute = formula (m={m},k={k})", a1, a1, "pass")]
-    # above the cap the spectrum's N0 checks the formula, with the spectrum's moment rows
+    # above the cap the formula's A_1 = 8736 checks the spectrum through theorem 1:
+    # N0 = 2^12 - 1 + 8736/16, after the spectrum's moment rows
     code, payload = run_json(capsys, "a1", "--m", "13", "--k", "1")
     assert code == 0
     rows = results_by_name(payload)
-    assert list(rows) == ["A1 spectrum = formula (m=13,k=1)"] + [
-        f"m=13 k=1 {name}" for name in ("sum of multiplicities", "first moment", "second moment")]
-    assert rows["A1 spectrum = formula (m=13,k=1)"]["observed"] == 8736
-    assert rows["A1 spectrum = formula (m=13,k=1)"]["expected"] == 8736
+    assert list(rows) == [f"m=13 k=1 {name}" for name in (
+        "sum of multiplicities", "first moment", "second moment", "multiplicity N0", "multiplicity N1",
+        "multiplicity N-1", "multiplicity N2", "multiplicity N-2", "N0 - 6*N2")]
+    assert rows["m=13 k=1 multiplicity N0"]["observed"] == rows["m=13 k=1 multiplicity N0"]["expected"] == (
+        2**12 - 1 + 8736 // 16)
+    assert crosscorr.a1_formula(13, 1).formula_value == 8736
     assert all(r["verdict"] == "pass" for r in rows.values())
+
+
+@pytest.mark.parametrize("m,k", [(14, 1), (15, 3)])
+def test_a1_refuses_above_the_cap_before_the_spectrum(capsys, monkeypatch, m, k):
+    # even m, and gcd(k, m) > 1 where the decimation itself exists (m = 15, k = 3)
+    monkeypatch.setattr(crosscorr, "correlation_distribution",
+                        lambda m, d: pytest.fail(f"built the spectrum at m={m}"))
+    code, out, err = run(capsys, "a1", "--m", str(m), "--k", str(k))
+    assert (code, out) == (2, "")
+    assert "error:" in err
 
 
 def test_weights_known_distribution(capsys):
@@ -248,6 +264,7 @@ def test_weights_unknown_m_recorded(capsys):
         assert all(r["verdict"] == "recorded" for n, r in rows.items() if n.startswith("A_"))
         checked = [r["name"] for r in payload["results"] if r["verdict"] == "pass"]
         assert checked == ["total words", "zero words", "b != 0 classes of 2^m - 1 words"] + [
+            f"b = 1 {n}" for n in ("sum of multiplicities", "first moment", "second moment")] + [
             f"b = 1 multiplicity {n}" for n in ("N0", "N1", "N-1", "N2", "N-2")] + [
             "b = 1 N0 - 6*N2"]
     assert rows["b = 1 multiplicity N0"]["observed"] == 2**8 - 1 + 480 // 16
@@ -540,24 +557,28 @@ def test_negated_spectrum_fails_the_moment_rows(capsys, monkeypatch):
 
 
 def test_negated_spectrum_fails_the_a1_moment_rows(capsys, monkeypatch):
-    # W -> -W leaves N0, so the spectrum A_1 still passes; the moment rows do not.
+    # W -> -W leaves N0 and, at 3 not | m, N2 = N-2; it swaps N1 and N-1 and
+    # fails the first moment.
     walsh = crosscorr.walsh_spectrum
     monkeypatch.setattr(crosscorr, "walsh_spectrum", lambda field, e: -walsh(field, e))
     code, payload = run_json(capsys, "a1", "--m", "13", "--k", "1")
     assert code == 1
     rows = results_by_name(payload)
-    assert rows["A1 spectrum = formula (m=13,k=1)"]["verdict"] == "pass"
     assert rows["m=13 k=1 first moment"]["verdict"] == "fail"
+    assert [name for name, r in rows.items() if r["verdict"] == "fail"] == [
+        f"m=13 k=1 {name}" for name in ("first moment", "second moment", "multiplicity N1", "multiplicity N-1")]
 
 
-def test_negated_spectrum_at_m17_fails_c4(monkeypatch):
-    # At verify-all's defaults C5 stops at m = 15, and W -> -W leaves the N0
-    # that the spectrum A_1 row reads: C4's moment rows are what see it.
+def test_negated_spectrum_at_m17_fails_c5(monkeypatch):
+    # W -> -W leaves N0 and N2 = N-2 (3 does not divide 17); it swaps N1 and
+    # N-1, and the first two moments see it.
     walsh = crosscorr.walsh_spectrum
     monkeypatch.setattr(crosscorr, "walsh_spectrum",
                         lambda field, e: -walsh(field, e) if field.m == 17 else walsh(field, e))
-    failed = [name for name, observed, expected in acceptance.CRITERIA["C4"](18, 10) if observed != expected]
-    assert failed == [f"m=17 k={k} {moment} moment" for k in (1, 2, 3) for moment in ("first", "second")]
+    assert [name for name, observed, expected in acceptance.CRITERIA["C4"](18, 10) if observed != expected] == []
+    failed = [name for name, observed, expected in acceptance.CRITERIA["C5"](18, 10) if observed != expected]
+    assert failed == [f"m=17 k={k} {row}" for k in (1, 2, 3) for row in (
+        "first moment", "second moment", "multiplicity N1", "multiplicity N-1")]
 
 
 def test_missing_zero_word_fails_the_weight_rows(capsys, monkeypatch):
@@ -611,6 +632,11 @@ def test_error_exit_code(tmp_path, capsys):
     code, out, err = run(capsys, "a1", "--m", "8", "--k", "1")
     assert code == 2
     assert "error:" in err
+    # 3 divides 2^10 - 1, so every word is weighed, and m = 10 is over that route's cap
+    code, out, err = run(capsys, "weights", "--m", "10", "--k", "1")
+    assert code == 2
+    assert "error: gcd(2^1+1, 2^10-1) != 1 leaves no class reduction" in err
+    assert "m=10 is above DIRECT_WEIGHT_CAP = 8" in err
     for argv in (
         ("curvecount", "--curve", "kloosterman", "--s", "25"),
         ("curvecount", "--curve", y_cubic_file(tmp_path), "--s", "13"),

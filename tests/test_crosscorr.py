@@ -251,9 +251,10 @@ def test_a1_formula_equals_brute(m, k):
 
 @pytest.mark.parametrize("m, k", [(3, 1), (5, 1), (5, 2), (7, 3), (9, 2), (11, 1)])
 def test_a1_from_spectrum_equals_collision_count(m, k):
-    # two computed routes to A_1, neither of them the exponential-sum formula
+    # two computed routes to A_1, neither of them the exponential-sum formula:
+    # the spectrum's five multiplicities are theorem 1's at the counted A_1
     dist = cc.correlation_distribution(m, decimation_exponent(m, k))
-    assert cc.a1_from_spectrum(dist) == cc.a1_bruteforce(m, k)
+    assert cc.match_multiplicities(dist) == cc.theorem1_multiplicities(m, cc.a1_bruteforce(m, k))
 
 
 def test_a1_argument_checks():
@@ -395,7 +396,9 @@ def test_refused_arguments_build_no_field(monkeypatch):
     monkeypatch.setattr(cc, "get_field", lambda m: pytest.fail(f"built the field at m={m}"))
     for call, match in ((lambda: cc.correlation_distribution(24, 3), "gcd"),
                         (lambda: cc.weight_distribution(24, 2), "gcd"),
-                        (lambda: cc.weight_distribution(24, 1, mode="direct"), "direct mode"),
+                        (lambda: cc.weight_distribution(24, 1, mode="direct"),
+                         r"no class reduction, and m=24 is above DIRECT_WEIGHT_CAP = 8"),
+                        (lambda: cc.weight_distribution(9, 1, mode="direct"), r"^m=9 is above DIRECT_WEIGHT_CAP"),
                         (lambda: cc.weight_distribution(6, 2), "degenerate code")):
         with pytest.raises(FieldError, match=match):
             call()

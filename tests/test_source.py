@@ -259,4 +259,4 @@ def test_cli_restates_no_theorem_check():
     names = set(_referenced_names(tree)) | {a.name.split(".")[-1] for a in ast.walk(tree)
                                              if isinstance(a, ast.alias)}
     assert names & {"theorem1_multiplicities", "match_multiplicities", "one_sixth_slack",
-                    "a1_from_spectrum", "a1_formula", "corrected_prediction"} == set()
+                    "theorem1_applies", "a1_formula", "corrected_prediction"} == set()
