@@ -107,7 +107,7 @@ def spectrum_rows(prefix, dist, k=None):
 
 
 def c5(max_m, max_s):
-    """spectrum moments; observed distribution = multiplicity formulas, N0 - 6*N2 exact"""
+    """spectrum moments; observed distribution = multiplicity formulas, N0 - 6*N2 exact, k = 2, 3 as k = 1"""
     for m in range(5, max_m + 1, 2):
         base = None
         for k in (1, 2, 3):
@@ -117,7 +117,7 @@ def c5(max_m, max_s):
             yield from spectrum_rows(f"m={m} k={k} ", dist, k)
             if base is None:
                 base = dist.entries
-            elif m <= 15:  # above, each k's spectrum is checked against theorem 1 alone
+            else:
                 yield f"distribution m={m} k={k} equals k=1", dist.entries, base
     if max_m >= 11:
         a1 = crosscorr.a1_formula(11, 1).formula_value

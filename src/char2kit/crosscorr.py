@@ -273,10 +273,9 @@ def weight_distribution(m: int, k: int, mode: str = "via_correlation") -> Weight
         why = "" if math.gcd(e1, order) == 1 else f"gcd(2^{k}+1, 2^{m}-1) != 1 leaves no class reduction, and "
         raise FieldError(f"{why}m={m} is above DIRECT_WEIGHT_CAP = {DIRECT_WEIGHT_CAP}, "
                          f"the largest m whose 4^m words the direct route weighs")
-    if mode == "via_correlation":
-        for e, lbl in ((e1, "2^k+1"), (e2, "2^(2k)+1")):
-            if math.gcd(e, order) != 1:
-                raise FieldError(f"gcd({lbl}, 2^{m}-1) != 1; class reduction unavailable")
+    # 2^k+1 prime to 2^m-1 makes 2^(2k)+1 prime to it too (see decimation_exponent).
+    if mode == "via_correlation" and math.gcd(e1, order) != 1:
+        raise FieldError(f"gcd(2^k+1, 2^{m}-1) != 1; class reduction unavailable")
     # The code has dimension |C(e1) u C(e2)|, C(e) = {e 2^j mod 2^m - 1}: the
     # 2^(2m) words are distinct only if the cosets differ and both have m members.
     cosets = {e * (1 << j) % order for e in (e1, e2) for j in range(m)}

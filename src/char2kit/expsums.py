@@ -140,13 +140,23 @@ def k_prime(m: int, k: int) -> ExpSumReport:
     n = field._sum_counts.get(key)
     if n is None:
         reps, sizes = field.orbits
-        log_f = reps * e % order  # log q
-        q = exp[log_f].astype(np.int64)  # an int64 index gathers faster than an int32 one
-        den = q ^ exp[reps]
-        log_f += log[q ^ 1]
-        log_f -= (e + 1) % order * log[den].astype(np.int64)
+        # In this order, and in place, so that at most two int64 vectors of
+        # len(reps) are held at a time; the int32 ones are table reads.
+        q = exp[reps * e % order]
+        den = exp[reps]
+        den ^= q  # q + v
+        pole = den == 0  # a pole counts as trace one
+        den = log[den]
+        log_f = np.multiply(den, -((e + 1) % order), dtype=np.int64)
+        del den
+        q ^= 1
+        log_f += log[q]
+        del q
+        log_f += reps * e  # log q, unreduced
         log_f %= order
-        t = field.trace_seq[log_f] | (den == 0)  # a pole counts as trace one
+        t = field.trace_seq[log_f]
+        del log_f
+        t |= pole
         n = field._sum_counts[key] = order + 1 - int(sizes @ t)
     return ExpSumReport(m, k, 2 * n - order, n, order)
 

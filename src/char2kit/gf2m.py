@@ -38,7 +38,7 @@ __all__ = [
 
 MAX_M = 24  # the int32 exp and log tables take 128 MB at m = 24
 LOG_BLOCK = 1 << 14  # exp entries per log-table scatter and trace_seq popcount pass
-ORBIT_BLOCK = 1 << 20  # odd candidates per `orbits` filter pass; m <= 22 takes one
+ORBIT_BLOCK = 1 << 20  # odd candidates per `orbits` block, before the zero-run test; m <= 22 takes one
 
 # One trinomial or pentanomial per degree.  The lower its second term, the
 # more entries one block of `_exp_by_frobenius` writes.  The constructor's
@@ -169,26 +169,55 @@ class Field:
         {i 2^j mod 2^m - 1} of [0, 2^m - 1), ascending, and the coset's size.
 
         i 2^j mod 2^m - 1 is the m-bit left rotation rot_j(i), so i is a least
-        member iff i <= rot_j(i) for j = 1..m-1, which forces i < 2^(m-1); the
-        filter runs on the survivors of the previous j.  Below 2^(m-1), j = m-1
-        (the right rotation) keeps exactly 0 and the odd i, and j = 1 keeps
-        every i (rot_1(i) = 2i), so the filter starts from 0 and the odd i,
-        ORBIT_BLOCK odd i at a time, and runs j = m-2 down to 2.
-        The size is the least divisor d of m with rot_d(i) = i.  Built on first
-        use, as int64 so that exponent products such as (2^k + 1) i stay exact.
+        member iff i <= rot_j(i) for j = 1..m-1, which forces i < 2^(m-1).
+        Below 2^(m-1), j = m-1 (the right rotation) keeps exactly 0 and the
+        odd i, and j = 1 keeps every i (rot_1(i) = 2i), so the filter starts
+        from 0 and the odd i, ORBIT_BLOCK of them at a time.
+
+        Zero-run lemma: a least member i with exactly z leading zeros (of m
+        bits) has no run of z + 1 zeros below its top bit, since the rotation
+        that moves such a run to the top has more leading zeros, so it is
+        less than i.  In bits: i | i >> 1 | ... | i >> z has every bit below
+        2^(m-z) set.  The odd i in [2^(m-2), 2^(m-1)) (z = 1) and in
+        [2^(m-3), 2^(m-2)) (z = 2), three quarters of them, pass this test
+        first.  It also implies i <= rot_2(i): for z >= 2 rot_2(i) = 4i, and
+        an i with z = 1 and no two adjacent zeros is at least 0101...01 in
+        binary, so 3i >= 2^m - 1 and rot_2(i) = 4i - 2^m + 1 >= i.  So each
+        block concatenates the survivors of its groups and runs the rotation
+        filter once on them, j = m-2 down to 3, each j on the survivors of
+        the previous one.  The size is the least divisor d of m with
+        rot_d(i) = i.  Built on first use, as int64 so that exponent products
+        such as (2^k + 1) i stay exact.
         """
         m, mask, half = self.m, self.order, 1 << (self.m - 1)
 
         def rot(i, j):
-            return ((i << j) & mask) | (i >> (m - j))
+            r = i << j  # uint32: the shift drops high bits
+            r &= mask
+            r |= i >> (m - j)
+            return r
+
+        def candidates(lo, hi):  # the odd i in [lo, hi), all with the same z
+            i = np.arange(lo | 1, hi, 2, dtype=np.uint32)
+            z = m - (hi - 1).bit_length()
+            if z > 2:
+                return i
+            run = i >> 1
+            run |= i
+            if z == 2:
+                run |= run >> 1
+            return i[run == (1 << (m - z)) - 1]
 
         blocks = [np.zeros(1, dtype=np.uint32)]
-        for lo in range(1, half, 2 * ORBIT_BLOCK):
-            reps = np.arange(lo, min(lo + 2 * ORBIT_BLOCK, half), 2, dtype=np.uint32)  # uint32: the shift drops high bits
-            for j in range(m - 2, 1, -1):
+        for lo in range(0, half, 2 * ORBIT_BLOCK):
+            hi = min(lo + 2 * ORBIT_BLOCK, half)
+            cuts = [lo, *(c for c in (half >> 2, half >> 1) if lo < c < hi), hi]
+            reps = np.concatenate([candidates(a, b) for a, b in zip(cuts, cuts[1:])])
+            for j in range(m - 2, 2, -1):
                 reps = reps[reps <= rot(reps, j)]
             blocks.append(reps)
         reps = np.concatenate(blocks)
+        del blocks
         sizes = np.full(len(reps), m, dtype=np.int64)
         for d in range(m - 1, 0, -1):  # descending, so the least period is written last
             if m % d == 0:
@@ -203,13 +232,17 @@ class Field:
         read-only, so each later call with that residue is a dict lookup.
 
         x = r (e mod 2^m - 1) < 2^(2m-1) since r < 2^(m-1), and x = 2^m hi + lo
-        is hi + lo < 2 (2^m - 1) modulo 2^m - 1, which the wrapping gather reduces.
+        is hi + lo < 2 (2^m - 1) modulo 2^m - 1, which the wrapping gather
+        reduces.  x is reduced in place: two int64 vectors of len(reps) at a time.
         """
         e %= self.order
         t = self._orbit_traces.get(e)
         if t is None:
             x = self.orbits[0] * e
-            x = (x & self.order) + (x >> self.m)
+            hi = x >> self.m
+            x &= self.order
+            x += hi
+            del hi
             t = self.trace_seq.take(x, mode="wrap")
             t.flags.writeable = False
             self._orbit_traces[e] = t

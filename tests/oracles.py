@@ -129,6 +129,30 @@ def naive_cyclotomic_cosets(m: int) -> list[set[int]]:
     return cosets
 
 
+def rotation_filter_orbits(m: int, block: int = 1 << 20) -> tuple[np.ndarray, np.ndarray]:
+    """(reps, sizes) as Field.orbits gives them, by the rotation filter alone:
+    0 and the odd i < 2^(m-1), block at a time, each kept iff i <= rot_j(i)
+    for j = m-2 down to 2, with no zero-run test; the size is the least
+    divisor d of m with rot_d(i) = i."""
+    mask, half = (1 << m) - 1, 1 << (m - 1)
+
+    def rot(i, j):
+        return ((i << j) & mask) | (i >> (m - j))
+
+    blocks = [np.zeros(1, dtype=np.uint32)]
+    for lo in range(1, half, 2 * block):
+        reps = np.arange(lo, min(lo + 2 * block, half), 2, dtype=np.uint32)  # uint32: the shift drops high bits
+        for j in range(m - 2, 1, -1):
+            reps = reps[reps <= rot(reps, j)]
+        blocks.append(reps)
+    reps = np.concatenate(blocks)
+    sizes = np.full(len(reps), m, dtype=np.int64)
+    for d in range(m - 1, 0, -1):  # descending, so the least period is written last
+        if m % d == 0:
+            sizes[rot(reps, d) == reps] = d
+    return reps.astype(np.int64), sizes
+
+
 def naive_kloosterman(F: NaiveField) -> int:
     return sum((-1) ** F.trace(x ^ F.inv(x)) for x in range(1, F.size))
 
@@ -180,15 +204,12 @@ def naive_weight_distribution(F: NaiveField, k: int, alpha: int = 0b10) -> dict[
     e1, e2 = 2**k + 1, 2 ** (2 * k) + 1
     g1 = [F.pow(alpha, (e1 * t) % F.order) for t in range(F.order)]
     g2 = [F.pow(alpha, (e2 * t) % F.order) for t in range(F.order)]
-    # Tr(c g^t) once per (c, t); the word of (a, b) is the XOR of two rows.
-    rows1 = [[F.trace(F.mul(b, g)) for g in g1] for b in range(F.size)]
-    rows2 = [[F.trace(F.mul(a, g)) for g in g2] for a in range(F.size)]
-    out: dict[int, int] = {}
-    for r2 in rows2:
-        for r1 in rows1:
-            w = sum(x ^ y for x, y in zip(r2, r1))
-            out[w] = out.get(w, 0) + 1
-    return out
+    # Tr(c g^t) once per (c, t); the word of (a, b) is the XOR of two rows,
+    # and one XOR-and-sum over the stacked rows weighs all 4^m words.
+    rows1 = np.array([[F.trace(F.mul(b, g)) for g in g1] for b in range(F.size)], dtype=np.uint8)
+    rows2 = np.array([[F.trace(F.mul(a, g)) for g in g2] for a in range(F.size)], dtype=np.uint8)
+    weights, counts = np.unique((rows2[:, None] ^ rows1).sum(axis=-1), return_counts=True)
+    return dict(zip(weights.tolist(), counts.tolist()))
 
 
 def naive_evaluate(poly_monomials, F: NaiveField, x: int, y: int, z: int) -> int:

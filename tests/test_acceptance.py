@@ -91,3 +91,12 @@ def test_each_spectrum_is_built_once_and_each_row_named_once(monkeypatch):
     assert set(built) == {(m, decimation_exponent(m, k)) for m in range(5, 20, 2) for k in (1, 2, 3)
                           if math.gcd(k, m) == 1}
     assert set(built.values()) == {1}
+
+
+def test_c5_compares_each_spectrum_with_k1_at_every_odd_m():
+    # The k-independence Johansen and Helleseth state: at each odd m the
+    # spectra for k = 2 and 3 (where gcd(k, m) = 1) equal the one for k = 1.
+    rows = [(name, observed == expected) for name, observed, expected in CRITERIA["C5"](17, 10)
+            if name.endswith("equals k=1")]
+    assert rows == [(f"distribution m={m} k={k} equals k=1", True)
+                    for m in range(5, 18, 2) for k in (2, 3) if math.gcd(k, m) == 1]

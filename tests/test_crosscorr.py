@@ -317,6 +317,15 @@ def test_match_multiplicities_bucketing():
 # -- weight distributions -----------------------------------------------------
 
 
+def test_class_reduction_needs_only_the_gcd_of_2k_plus_1():
+    # weight_distribution tests gcd(2^k + 1, 2^m - 1) alone: wherever
+    # 2^(2k) + 1 shares a factor with 2^m - 1, so does 2^k + 1.
+    pairs = [(m, k) for m in range(1, 25) for k in range(1, 60)
+             if math.gcd((1 << (2 * k)) + 1, (1 << m) - 1) > 1]
+    assert pairs  # e.g. (4, 1): gcd(5, 15) = 5
+    assert all(math.gcd((1 << k) + 1, (1 << m) - 1) > 1 for m, k in pairs)
+
+
 @pytest.mark.parametrize("m,k", [(5, 1), (5, 2), (5, 3), (7, 3)])
 def test_weights_direct_matches_naive(m, k):
     got = cc.weight_distribution(m, k, mode="direct").entries

@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -174,3 +176,18 @@ def test_m_out_of_range():
         es.kloosterman(25)
     with pytest.raises(FieldError):
         es.g_sum(5, 0)
+
+
+def test_k_prime_holds_two_int64_vectors():
+    # With the field and its orbits built, K' holds at most two int64
+    # vectors of len(reps) at a time, next to int32 table reads, a pole mask
+    # and numpy's casting buffer; five int64 vectors at once took 40 bytes a rep.
+    get_field.cache_clear()
+    n = len(get_field(18).orbits[0])
+    tracemalloc.start()
+    try:
+        es.k_prime(18, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 18 * n + 8 * np.getbufsize(), peak

@@ -26,6 +26,7 @@ from oracles import (
     naive_exp_table,
     naive_powers_distinct,
     pow_table,
+    rotation_filter_orbits,
 )
 
 
@@ -285,6 +286,48 @@ def test_orbits_in_small_blocks_match_naive_cosets(m, monkeypatch):
     assert dict(zip(reps.tolist(), sizes.tolist())) == {
         min(c): len(c) for c in naive_cyclotomic_cosets(m)}
     assert np.all(np.diff(reps) > 0)
+
+
+# Block 16 makes many blocks, each inside one zero-run group; blocks of 5
+# odd i (10 integers) straddle the group bounds 2^(m-3) and 2^(m-2).
+@pytest.mark.parametrize("m,block", [(m, b) for b in (gf2m.ORBIT_BLOCK, 16) for m in range(1, 21)]
+                         + [(m, 5) for m in range(1, 15)])
+def test_orbits_match_rotation_filter(m, block, monkeypatch):
+    monkeypatch.setattr(gf2m, "ORBIT_BLOCK", block)
+    reps, sizes = Field(m).orbits
+    old_reps, old_sizes = rotation_filter_orbits(m)
+    assert reps.dtype == sizes.dtype == np.int64
+    assert np.array_equal(reps, old_reps)
+    assert np.array_equal(sizes, old_sizes)
+
+
+def _traced_peak(build):
+    """(result, traced peak in bytes) of build()."""
+    tracemalloc.start()
+    try:
+        out = build()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("m", [18, 22])
+def test_orbits_transient_is_a_few_bytes_a_rep(m):
+    # Past its two int64 outputs, the zero-run test and the in-place
+    # rotations hold under 24 bytes a rep; the rotation filter alone held
+    # 44 at m = 18 and 50 at m = 22.
+    field = Field(m)
+    (reps, sizes), peak = _traced_peak(lambda: field.orbits)
+    assert peak - reps.nbytes - sizes.nbytes < 24 * len(reps), peak
+
+
+def test_orbit_traces_hold_two_int64_vectors():
+    # x = r e and its high half, reduced in place: 16 bytes a rep past the
+    # uint8 result, where (x & order) + (x >> m) held 31.
+    field = Field(18)
+    n = len(field.orbits[0])
+    t, peak = _traced_peak(lambda: field.orbit_traces(12345))
+    assert peak - t.nbytes <= 16 * n + 4096, peak
 
 
 @pytest.mark.parametrize("m,k,expected", [(5, 1, 12), (7, 1, 44), (7, 3, 106)])
