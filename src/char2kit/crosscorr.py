@@ -37,6 +37,7 @@ __all__ = [
     "one_sixth_slack",
     "theorem1_multiplicities",
     "walsh_spectrum",
+    "walsh_transform",
     "weight_distribution",
 ]
 
@@ -73,16 +74,9 @@ def walsh_spectrum(field: Field, e: int) -> np.ndarray:
     both run over all linear forms and send 0 to 0, so the multiset
     {W(b) : b != 0} equals {sum over y of (-1)^Tr(a y + y^e) : a != 0}.
 
-    The fast Walsh-Hadamard transform of (-1)^Tr(y^e) is Good's factorization
-    of the Hadamard matrix into ceil(m/4) stages.  A stage multiplies the vector,
-    viewed as (2^r, 2^(m-r)) and transposed, by the Sylvester block
-    H[i, j] = (-1)^popcount(i & j), i, j < 2^r <= 16: it contracts the leading r
-    index bits and moves them to the end, so after the last stage the bits are
-    in order.  It runs in float32, exactly: every partial sum is an integer of
-    magnitude <= 2^m <= 2^24.  Blocks of at most 2^10 rows (M N K <= 2^18) keep
-    OpenBLAS on the calling thread; its threads gained no time here.  The input
-    is gathered LOG_BLOCK values of y at a time, so besides the two 2^m-entry
-    float32 buffers no temporary exceeds LOG_BLOCK entries.
+    (-1)^Tr(y^e) is gathered into one 2^m-entry float32 buffer, LOG_BLOCK
+    values of y at a time, and walsh_transform turns that buffer into the
+    spectrum in place, so no other temporary exceeds LOG_BLOCK entries.
     """
     w = np.empty(field.size, dtype=np.float32)
     w[0] = 0  # Tr(0^e) = Tr(0)
@@ -90,17 +84,67 @@ def walsh_spectrum(field: Field, e: int) -> np.ndarray:
         w[lo:lo + LOG_BLOCK] = field.trace_seq[field.pow_log(e, lo, lo + LOG_BLOCK)]
     w *= -2
     w += 1
-    spare = np.empty_like(w)
-    signs = np.array([1, -1, -1, 1, -1, 1, 1, -1, -1, 1, 1, -1, 1, -1, -1, 1], np.float32)
-    H = signs[np.bitwise_and.outer(np.arange(16), np.arange(16))]  # signs[n] = (-1)^popcount(n)
-    for done in range(0, field.m, 4):
-        r = min(4, field.m - done)
-        blocks = max(1, field.size >> (r + 10))
-        np.matmul(w.reshape(1 << r, blocks, -1).transpose(1, 2, 0), H[:1 << r, :1 << r],
-                  out=spare.reshape(blocks, -1, 1 << r))
-        w, spare = spare, w
-    np.copyto(spare.view(np.int32), w, casting="unsafe")  # the spare buffer takes the result
-    return spare.view(np.int32)
+    return walsh_transform(w)
+
+
+# H[i, j] = (-1)^popcount(i & j), i, j < 16; H[:2^r, :2^r] is the order-2^r block.
+_SYLVESTER = np.bitwise_count(np.bitwise_and.outer(np.arange(16), np.arange(16))) & 1
+_SYLVESTER = 1 - 2 * _SYLVESTER.astype(np.float32)
+_SYLVESTER.flags.writeable = False
+
+
+def walsh_transform(w: np.ndarray) -> np.ndarray:
+    """W(b) = sum over y of (-1)^popcount(b & y) w(y), for a float32 w of 2^m
+    integers, in place: the result is w's own memory viewed as int32.
+
+    It is exact while every partial sum is an integer of magnitude <= 2^24,
+    as for any vector of +-1 at m <= 24.  Good's factorization of the Hadamard
+    matrix gives stages that each contract r <= 4 index bits with the
+    Sylvester block H[:2^r, :2^r], as GEMMs into one spare buffer of
+    max(2^span, 16) entries, 2^span the largest power of two <= LOG_BLOCK.
+    Every GEMM has M N K <= 2^18, which keeps OpenBLAS on the calling thread;
+    its threads gained no time here.
+
+    The `low` low bits come first, one chunk of 2^span contiguous entries at a
+    time: a stage views each 2^low-entry piece as (2^r, 2^(low-r)), transposed,
+    times H, which contracts the leading r bits and moves them to the end, so
+    after the last stage the bits are back in order.  The stages alternate
+    between the chunk and the spare buffer.  Past m = span, the high m - low bits
+    (a multiple of 4, so that no more than ceil(m/4) stages run) are
+    contracted in place, r at a time: H times a column block of the 2^r rows
+    that differ only in bits p..p+r-1, into the spare buffer and back, the last
+    stage writing int32.  Below that, one in-place cast ends the transform.
+    """
+    m = len(w).bit_length() - 1
+    span = min(m, LOG_BLOCK.bit_length() - 1)
+    low = max(0, m - 4 * -(-(m - span) // 4))  # -(-x // 4) = ceil(x / 4)
+    spare = np.empty(max(1 << span, 16), dtype=np.float32)
+    out = w.view(np.int32)
+    for lo in range(0, len(w), 1 << span):
+        chunk = src = w[lo:lo + (1 << span)]
+        dst = spare[:len(chunk)]
+        for done in range(0, low, 4):
+            r = min(4, low - done)
+            np.matmul(src.reshape(-1, 1 << r, 1 << (low - r)).transpose(0, 2, 1),
+                      _SYLVESTER[:1 << r, :1 << r], out=dst.reshape(-1, 1 << (low - r), 1 << r))
+            src, dst = dst, src
+        if src is not chunk:
+            chunk[:] = src
+    if low == m:
+        np.copyto(out, w, casting="unsafe")  # element by element, in place
+        return out
+    for p in range(low, m, 4):
+        r = min(4, m - p)
+        rows = w.reshape(-1, 1 << r, 1 << p)
+        dest = rows if p + r < m else out.reshape(rows.shape)
+        width = len(spare) >> r
+        for a in range(len(rows)):
+            for c in range(0, 1 << p, width):
+                block = rows[a, :, c:c + width]
+                product = spare[:block.size].reshape(block.shape)
+                np.matmul(_SYLVESTER[:1 << r, :1 << r], block, out=product)
+                np.copyto(dest[a, :, c:c + width], product, casting="unsafe")
+    return out
 
 
 def correlation_distribution(m: int, d: int) -> CorrelationDistribution:
@@ -121,12 +165,17 @@ def correlation_distribution(m: int, d: int) -> CorrelationDistribution:
 def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct values of a nonempty 1-d array, ascending, and how often each
     occurs: np.unique(values, return_counts=True), which copies its input
-    twice.  Here the array is the caller's and is sorted in place, and the
-    counts are the lengths of its runs.
+    twice.  Here the array is the caller's and is sorted in place, the counts
+    are the lengths of its runs, and the run edges are found LOG_BLOCK
+    neighbour pairs at a time, so no mask as long as the array is made.
     """
     values.sort()
-    edges = np.flatnonzero(values[1:] != values[:-1]) + 1
-    return values[np.concatenate(([0], edges))], np.diff(edges, prepend=0, append=len(values))
+    starts = [np.zeros(1, dtype=np.intp)]
+    for lo in range(0, len(values) - 1, LOG_BLOCK):
+        window = values[lo:lo + LOG_BLOCK + 1]
+        starts.append(np.flatnonzero(window[1:] != window[:-1]) + (lo + 1))
+    starts = np.concatenate(starts)
+    return values[starts], np.diff(starts, append=len(values))
 
 
 def a1_bruteforce(m: int, k: int) -> int:

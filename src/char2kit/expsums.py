@@ -7,7 +7,7 @@ sums are evaluated once per coset, on the least members of Field.orbits,
 as arithmetic on exponents whose traces are read off the m-sequence, and
 each term is weighted by its coset's size.  K, C and G^(k) are Tr(x^a) +
 Tr(x^b) for fixed exponents a, b in {1, -1, 2^k + 1}: each is the XOR of two
-memoized Field.orbit_traces vectors and one dot with the coset sizes, so the
+memoized Field.orbit_traces vectors and one size-weighted count, so the
 sums at one m share their trace vectors.  K' is one pass over the coset
 representatives.  Each trace-zero count is kept in the field's _sum_counts,
 by its exponent residues, so a sum asked for again at the same residues is
@@ -75,10 +75,17 @@ def _trace_zero_count(field: Field, a: int, b: int) -> int:
     key = ("pair", *sorted((a % field.order, b % field.order)))
     n = field._sum_counts.get(key)
     if n is None:
-        sizes = field.orbits[1]
         t = field.orbit_traces(a) ^ field.orbit_traces(b)
-        n = field._sum_counts[key] = field.order - int(sizes @ t)
+        n = field._sum_counts[key] = field.order - _orbit_total(field, t)
     return n
+
+
+def _orbit_total(field: Field, t: np.ndarray) -> int:
+    """The sum of size * t over the cosets, for a 0/1 uint8 t over the least
+    members of Field.orbits: m count_nonzero(t) less (m - size) t over the
+    short cosets, which are few, so no int64 vector as long as t is made."""
+    short = field._short_orbits
+    return field.m * int(np.count_nonzero(t)) - int((field.m - field.orbits[1][short]) @ t[short])
 
 
 def kloosterman(m: int) -> ExpSumReport:
@@ -139,7 +146,7 @@ def k_prime(m: int, k: int) -> ExpSumReport:
     key = ("Kp", e)
     n = field._sum_counts.get(key)
     if n is None:
-        reps, sizes = field.orbits
+        reps = field.orbits[0]
         # In this order, and in place, so that at most two int64 vectors of
         # len(reps) are held at a time; the int32 ones are table reads.
         q = exp[reps * e % order]
@@ -157,7 +164,7 @@ def k_prime(m: int, k: int) -> ExpSumReport:
         t = field.trace_seq[log_f]
         del log_f
         t |= pole
-        n = field._sum_counts[key] = order + 1 - int(sizes @ t)
+        n = field._sum_counts[key] = order + 1 - _orbit_total(field, t)
     return ExpSumReport(m, k, 2 * n - order, n, order)
 
 

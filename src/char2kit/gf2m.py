@@ -85,7 +85,8 @@ class Field:
         trace_table[v] = Tr(v) (uint8), built on first read: no library
             module reads it; the test oracles and traced benchmark runs do
         orbits = (reps, sizes), built on first use: the least member and the
-            size of each cyclotomic coset of exponents (int64)
+            size of each cyclotomic coset of exponents (int64); _short_orbits
+            indexes the cosets of fewer than m members
         orbit_traces(e) = Tr(alpha^(e r)) over the reps r (uint8), built on
             first use for each residue e mod 2^m - 1
 
@@ -95,9 +96,9 @@ class Field:
     LOG_BLOCK entries.  Construction holds 9 bytes an element: exp, log and
     trace_seq.
 
-    Past the two tables built on first read (orbits and trace_table, each
-    a function of m and the reduction), the only state that changes after
-    construction is two memos.  Behind
+    Past the tables built on first read (orbits, _short_orbits and
+    trace_table, each a function of m and the reduction), the only state
+    that changes after construction is two memos.  Behind
     orbit_traces: one vector of len(reps) ~ 2^m/m bytes per residue asked
     for.  The sums ask for 1, -1 and 2^k + 1, which has period m in k, so a
     field holds at most m + 2 of them.  And _sum_counts, where the sums of
@@ -225,6 +226,15 @@ class Field:
         reps = reps.astype(np.int64)
         reps.flags.writeable = sizes.flags.writeable = False
         return reps, sizes
+
+    @cached_property
+    def _short_orbits(self) -> np.ndarray:
+        """The indices into `orbits` of the cosets of fewer than m members, the
+        ones its divisor loop marks (381 of 699,251 at m = 24): `expsums`
+        weights a 0/1 vector by the coset sizes through them."""
+        short = np.flatnonzero(self.orbits[1] < self.m)
+        short.flags.writeable = False
+        return short
 
     def orbit_traces(self, e: int) -> np.ndarray:
         """Tr(alpha^(e r)) over the least members r of `orbits`, as uint8, for

@@ -340,15 +340,22 @@ def pow_table(field: Field, e: int) -> np.ndarray:
     return out
 
 
-def stacked_walsh_spectrum(field: Field, e: int) -> np.ndarray:
-    """W(b) = sum over y of (-1)^(Tr(y^e) + b.y), e modulo 2^m - 1 and 0^e = 0,
-    by m butterfly passes that each stack a new int64 array."""
-    e = e % field.order + field.order  # positive, so that pow_table gives 0^e = 0
-    w = 1 - 2 * field.trace_table[pow_table(field, e)].astype(np.int64)
-    for i in range(field.m):
+def butterfly_transform(v) -> np.ndarray:
+    """W(b) = sum over y of (-1)^popcount(b & y) v(y) for any integer vector v of
+    length 2^m, by m butterfly passes that each stack a new int64 array."""
+    w = np.asarray(v, dtype=np.int64)
+    for i in range(len(w).bit_length() - 1):
         w = w.reshape(-1, 2, 1 << i)
         w = np.stack((w[:, 0] + w[:, 1], w[:, 0] - w[:, 1]), axis=1)
     return w.reshape(-1)
+
+
+def stacked_walsh_spectrum(field: Field, e: int) -> np.ndarray:
+    """W(b) = sum over y of (-1)^(Tr(y^e) + b.y), e modulo 2^m - 1 and 0^e = 0,
+    as the butterfly transform of (-1)^Tr(y^e) read off the element-indexed
+    trace table."""
+    e = e % field.order + field.order  # positive, so that pow_table gives 0^e = 0
+    return butterfly_transform(1 - 2 * field.trace_table[pow_table(field, e)].astype(np.int64))
 
 
 def sorted_pair_collision_a1(m: int, k: int) -> int:

@@ -12,6 +12,7 @@ from char2kit.gf2m import LOG_BLOCK, MAX_M, FieldError, decimation_exponent, get
 
 from oracles import (
     NaiveField,
+    butterfly_transform,
     cross_correlation,
     differential,
     naive_a1,
@@ -107,6 +108,34 @@ def test_walsh_spectrum_in_small_input_blocks_matches_stacked_route(monkeypatch,
         assert np.array_equal(cc.walsh_spectrum(field, e), stacked_walsh_spectrum(field, e))
 
 
+@st.composite
+def transform_inputs(draw):
+    """An integer vector of length 2^m, m <= 12: +-1 entries, or small ints
+    whose partial sums stay within 2^24 (|v| <= 2^(24-m))."""
+    m = draw(st.integers(0, 12))
+    bound = 1 if draw(st.booleans()) else 1 << (24 - m)
+    values = st.sampled_from((-1, 1)) if bound == 1 else st.integers(-bound, bound)
+    return draw(st.lists(values, min_size=1 << m, max_size=1 << m))
+
+
+@differential
+@given(v=transform_inputs(), block=st.sampled_from((1, 5, 64, LOG_BLOCK)))
+@example(v=[1], block=LOG_BLOCK).via("m = 0: the transform of one entry is that entry")
+@example(v=[2**12] * 4096, block=5).via("the largest partial sum, 2^24, at m = 12 in chunks of 4")
+@example(v=[-1] * 2048 + [1] * 2048, block=64).via("a sign change at the top index bit")
+def test_walsh_transform_matches_butterfly_oracle(v, block):
+    # Chunks of 2^floor(log2 block) entries: 1, 4 and 64 cover the low bits
+    # with 0, 2 and 6 index bits and leave the rest to the in-place stages
+    # across chunks, which LOG_BLOCK leaves to m > 14.
+    w = np.array(v, dtype=np.float32)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cc, "LOG_BLOCK", block)
+        W = cc.walsh_transform(w)
+    assert W.dtype == np.int32
+    assert np.shares_memory(W, w)  # the transform's output is its input's memory
+    assert np.array_equal(W, butterfly_transform(v))
+
+
 FLOAT32_EXACT = np.finfo(np.float32).nmant + 1  # float32 holds every integer up to 2^24
 
 
@@ -129,13 +158,17 @@ def test_walsh_spectrum_of_the_trace_at_m_20():
 
 
 @differential
-@given(st.lists(st.one_of(st.integers(-3, 3), st.integers(-2**31, 2**31 - 1)), min_size=1))
-@example([-7] * 5).via("a single repeated negative value")
-@example([2**31 - 1, -2**31, 0]).via("both int32 extremes")
-def test_runs_match_np_unique(values):
+@given(st.lists(st.one_of(st.integers(-3, 3), st.integers(-2**31, 2**31 - 1)), min_size=1),
+       st.sampled_from((1, 2, 3, LOG_BLOCK)))
+@example([-7] * 5, LOG_BLOCK).via("a single repeated negative value")
+@example([2**31 - 1, -2**31, 0], LOG_BLOCK).via("both int32 extremes")
+@example([1, 1, 2, 2, 2, 3], 2).via("run edges at both ends of a two-pair window")
+def test_runs_match_np_unique(values, block):
     a = np.array(values, dtype=np.int32)
     expected_values, expected_counts = np.unique(a, return_counts=True)
-    run_values, run_counts = cc._runs(a)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cc, "LOG_BLOCK", block)  # run edges found `block` neighbour pairs at a time
+        run_values, run_counts = cc._runs(a)
     assert run_values.dtype == np.int32
     assert np.array_equal(run_values, expected_values)
     assert np.array_equal(run_counts, expected_counts)
@@ -150,22 +183,23 @@ def _traced_peak(call):
         tracemalloc.stop()
 
 
-def test_spectrum_route_temporaries_stay_within_the_two_transform_buffers(monkeypatch):
-    # With the field built, the Walsh route holds its two 2^m-entry float32
-    # buffers; the exponent index comes in LOG_BLOCK blocks and each tally
+def test_spectrum_route_temporaries_stay_within_one_transform_buffer(monkeypatch):
+    # With the field built, the Walsh route holds one 2^m-entry float32
+    # buffer, transformed in place; the exponent index comes in LOG_BLOCK
+    # blocks, the transform's spare buffer holds LOG_BLOCK entries, and each tally
     # sorts the spectrum in place, so nothing else comes near 2^m entries.
     m, k = 18, 2
     field = get_field(m)
     d = decimation_exponent(m, k)
     calls = (lambda: cc.correlation_distribution(m, d), lambda: cc.weight_distribution(m, k))
     for call in calls:
-        assert _traced_peak(call) < 8 * field.size + 2 * 8 * LOG_BLOCK
-    # The tally alone, on spectra built before tracing starts: its one
-    # 2^m-entry temporary is the bool mask of run edges, 2^m bytes.
+        assert _traced_peak(call) < 4 * field.size + 2 * 8 * LOG_BLOCK
+    # The tally alone, on spectra built before tracing starts: its run edges
+    # are found LOG_BLOCK neighbour pairs at a time, a LOG_BLOCK-byte mask.
     prebuilt = [cc.walsh_spectrum(field, d) for _ in calls]
     monkeypatch.setattr(cc, "walsh_spectrum", lambda field, e: prebuilt.pop())
     for call in calls:
-        assert _traced_peak(call) < 2 * field.size
+        assert _traced_peak(call) < 2 * LOG_BLOCK
 
 
 @pytest.mark.parametrize("m,k", [(5, 1), (7, 1), (7, 3)])

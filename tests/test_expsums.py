@@ -191,3 +191,26 @@ def test_k_prime_holds_two_int64_vectors():
     finally:
         tracemalloc.stop()
     assert peak < 18 * n + 8 * np.getbufsize(), peak
+
+
+@pytest.mark.parametrize("m", [6, 12, 18, 20])
+def test_orbit_total_equals_the_size_dot_without_an_int64_copy(m):
+    # The size-weighted count of a 0/1 vector over the cosets is m times its
+    # count less (m - size) times it over the short cosets; sizes @ t, the
+    # route it replaces, casts t to an int64 vector of len(reps).
+    field = get_field(m)
+    reps, sizes = field.orbits
+    short = field._short_orbits
+    rng = np.random.default_rng(m)
+    vectors = [field.orbit_traces(a) ^ field.orbit_traces(b) for a, b in ((1, -1), (3, 1), (9, -1))]
+    vectors += [rng.integers(0, 2, len(reps), dtype=np.uint8), np.ones(len(reps), dtype=np.uint8)]
+    for t in vectors:
+        tracemalloc.start()
+        try:
+            total = es._orbit_total(field, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert type(total) is int and total == int(sizes @ t)
+        assert peak < 4096 + 16 * len(short), peak
+    assert es._orbit_total(field, vectors[-1]) == field.order  # every coset, so every exponent

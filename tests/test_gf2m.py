@@ -486,8 +486,13 @@ def test_pow_log_matches_scatter_oracle(m):
         idx = f.pow_log(e)
         assert idx.dtype == np.int64
         assert np.array_equal(f.exp_table[idx], pow_table(f, e % f.order)[1:]), e
-        blocks = [f.pow_log(e, lo, lo + 7) for lo in range(1, f.size, 7)]  # the last one short
-        assert np.array_equal(np.concatenate(blocks), idx), e
+        # Uneven block walks: 7 divides 2^m - 1 when 3 | m, and 8 never does,
+        # so at every m one of them ends in a short block.  Past m = 12 both
+        # lengths double with m, so each walk takes about 2^12 / 7 calls.
+        for step in (7, 8):
+            step <<= max(0, m - 12)
+            blocks = [f.pow_log(e, lo, lo + step) for lo in range(1, f.size, step)]
+            assert np.array_equal(np.concatenate(blocks), idx), (e, step)
 
 
 @pytest.mark.parametrize("m", range(21, MAX_M + 1))
