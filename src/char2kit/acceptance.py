@@ -8,10 +8,10 @@ paper's claims for k = 3; C6-C12 the weights, point counts and
 zeta-function identities.
 
 Every row that a subcommand shares with a criterion is built here, once:
-c_row (C3, expsum --sum C), a1_rows (C4, a1), spectrum_rows (C5, corrdist,
-a1 above A1_BRUTE_CAP, the b = 1 rows of weights), count_rows (C7,
-curvecount) and dm_rows (C9, dm-check).  theorem1_applies is the one
-statement of where theorem 1 gives the multiplicities.
+c_row (C3, expsum --sum C), a1_row (C4, a1), spectrum_rows (C5, corrdist,
+the b = 1 rows of weights), count_rows (C7, curvecount) and dm_rows (C9,
+dm-check).  theorem1_applies is the one statement of where theorem 1 gives
+the multiplicities.
 """
 
 from __future__ import annotations
@@ -63,23 +63,14 @@ def c_row(m, k):
 
 
 def c4(max_m, max_s):
-    """A_1 pair-collision count = formula"""
-    for m, k in ((5, 1), (5, 2), (5, 3), (7, 1), (7, 2), (7, 3), (9, 2), (11, 1)):
-        if m <= max_m:
-            yield from a1_rows(m, k)
+    """A_1 derivative count = formula at every odd m, k <= 3 with gcd(k, m) = 1"""
+    yield from (a1_row(m, k) for m in range(1, max_m + 1, 2) for k in (1, 2, 3) if math.gcd(k, m) == 1)
 
 
-def a1_rows(m, k):
-    """The A_1 formula against the pair-collision count up to A1_BRUTE_CAP;
-    above it, the spectrum rows at d = decimation_exponent(m, k), whose
-    theorem-1 rows read the formula's A_1 through all five multiplicities."""
-    if m <= crosscorr.A1_BRUTE_CAP:
-        rep = crosscorr.a1_formula(m, k, brute=True)
-        yield f"A1 brute = formula (m={m},k={k})", rep.brute_count, rep.formula_value
-    else:
-        crosscorr.a1_formula(m, k)  # refuses even m and gcd(k, m) > 1 before the spectrum
-        dist = crosscorr.correlation_distribution(m, gf2m.decimation_exponent(m, k))
-        yield from spectrum_rows(f"m={m} k={k} ", dist, k)
+def a1_row(m, k):
+    """The A_1 formula against the derivative count, at odd m and gcd(k, m) = 1."""
+    rep = crosscorr.a1_formula(m, k, brute=True)
+    return f"A1 count = formula (m={m},k={k})", rep.brute_count, rep.formula_value
 
 
 def theorem1_applies(m, k):
@@ -90,14 +81,19 @@ def theorem1_applies(m, k):
 
 def spectrum_rows(prefix, dist, k=None):
     """The shift count and the first two moments of dist, which hold at every
-    d; where theorem 1 applies to (dist.m, k), the observed five-value
-    multiplicities against it, one row each, and N0 - 6*N2.  A value outside
-    the five adds one failed row; W -> -W fails the first moment."""
+    d.  Where theorem 1 applies to (dist.m, k), the observed five-value
+    multiplicities against it, one row each, and N0 - 6*N2: a value outside
+    the five adds one failed row.  Elsewhere, as those rows imply them, the
+    third and fourth moments of W = C + 1 against 2^(2m) times
+    crosscorr.derivative_counts(m, dist.d).  W -> -W fails the first moment."""
     m, entries = dist.m, dist.entries
     yield f"{prefix}sum of multiplicities", sum(entries.values()), (1 << m) - 1
     yield f"{prefix}first moment", sum(v * n for v, n in entries.items()), 1
     yield f"{prefix}second moment", sum(v * v * n for v, n in entries.items()), (1 << (2 * m)) - (1 << m) - 1
     if not theorem1_applies(m, k):
+        for p, name, count in zip((3, 4), ("third", "fourth"), crosscorr.derivative_counts(m, dist.d)):
+            observed = sum((v + 1) ** p * n for v, n in entries.items())
+            yield f"{prefix}{name} moment of C + 1", observed, count << (2 * m)
         return
     expect = crosscorr.theorem1_multiplicities(m, crosscorr.a1_formula(m, k).formula_value)
     observed = crosscorr.match_multiplicities(dist)

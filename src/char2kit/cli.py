@@ -185,7 +185,7 @@ def cmd_corrdist(args, timings) -> list[Row]:
 
 
 def cmd_a1(args, timings) -> list[Row]:
-    return [checked(*row) for row in acceptance.a1_rows(args.m, args.k)]
+    return [checked(*acceptance.a1_row(args.m, args.k))]
 
 
 def cmd_weights(args, timings) -> list[Row]:
@@ -307,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     kd.add_argument("--k", type=k_type)
     kd.add_argument("--d", type=int)
 
-    sp = command("a1", cmd_a1, "A_1 formula vs pair-collision count (spectrum rows above the cap)")
+    sp = command("a1", cmd_a1, "A_1 formula vs derivative count (odd m, gcd(k, m) = 1)")
     sp.add_argument("--m", type=m_type, required=True)
     sp.add_argument("--k", type=k_type, required=True)
 

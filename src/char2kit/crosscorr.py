@@ -8,10 +8,11 @@ d = (2^(2k)+1)/(2^k+1) modulo 2^m - 1.
 Both the correlation spectrum and the code weights come from one Walsh
 spectrum, computed by a fast Walsh-Hadamard transform.
 
-Also here: the pair-collision count of ordered quadruples (x, y, z, u)
-with x+y+z+u = 1 and vanishing (2^k+1)- and (2^(2k)+1)-power sums, its
-exponential-sum formula, the five-value multiplicity formulas, and the
-weight distribution of the two-nonzero cyclic codes.
+Also here: the count A_1 of ordered quadruples (x, y, z, u) with
+x+y+z+u = 1 and vanishing (2^k+1)- and (2^(2k)+1)-power sums, by the
+derivative count of y^d, and its exponential-sum formula; the five-value
+multiplicity formulas; and the weight distribution of the two-nonzero
+cyclic codes.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import expsums
-from .gf2m import LOG_BLOCK, Field, FieldError, get_field, group_order
+from .gf2m import LOG_BLOCK, Field, FieldError, decimation_exponent, get_field, group_order
 
 __all__ = [
     "A1Report",
@@ -33,6 +34,7 @@ __all__ = [
     "a1_bruteforce",
     "a1_formula",
     "correlation_distribution",
+    "derivative_counts",
     "match_multiplicities",
     "one_sixth_slack",
     "theorem1_multiplicities",
@@ -41,7 +43,6 @@ __all__ = [
     "weight_distribution",
 ]
 
-A1_BRUTE_CAP = 11      # 2 R 2^m pair codes, R ~ 2^m/m orbits: 770k uint32 codes (31 bits) at m = 11
 DIRECT_WEIGHT_CAP = 8  # 2^(2m) codewords scanned individually
 
 
@@ -178,61 +179,63 @@ def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values[starts], np.diff(starts, append=len(values))
 
 
-def a1_bruteforce(m: int, k: int) -> int:
-    """Count ordered quadruples (x, y, z, u) in GF(2^m)^4 with
+def derivative_counts(m: int, d: int) -> tuple[int, int]:
+    """(delta(1), sum over t of delta(t)^2), delta(t) = #{y : y^d + (y+1)^d = t}
+    in GF(2^m), d a unit modulo 2^m - 1.  W = walsh_spectrum(field, d) has
+    sum W^3 = 2^(2m) delta(1) and sum W^4 = 2^(2m) sum delta^2 (Chabaud-Vaudenay).
 
-        x + y + z + u = 1,
-        x^(2^k+1) + y^(2^k+1) + z^(2^k+1) + u^(2^k+1) = 0,
-        x^(2^2k+1) + y^(2^2k+1) + z^(2^2k+1) + u^(2^2k+1) = 0
-
-    by pair collisions, one Frobenius orbit of s = x + y at a time.  T(s), the
-    number of solutions with x + y = s and so z + u = s + 1, has
-    T(s^2) = T(s): squaring every coordinate maps the solutions at s onto those
-    at s^2.  So A_1 = sum of |orbit| T(s) over s = 0 (an orbit of one) and
-    s = alpha^i for the least members i of the cyclotomic cosets, R values in all.
-    With Q(v) = v^(2^2k+1) v^(2^k+1) packed into 2m bits, the pair (x, x + s)
-    has the key Q(x) xor Q(x + s); T(s) = sum over keys of n0 n1, n0 counting
-    the 2^m pairs (x, x + s) and n1 the 2^m pairs (z, z + s + 1) with that key.
-    Each pair is one code: the representative's row above the key, the side
-    (0 or 1) below it.  One sort of the 2 R 2^m codes puts side 0 of a
-    (row, key) just before its side 1, read off the runs.  No symmetry
-    quotient: the count is of ordered quadruples.
+    y and y xor 1 give the same t, so delta(t) is twice the count of t among
+    the 2^(m-1) differences y^d xor (y+1)^d at even y, built LOG_BLOCK
+    elements at a time into one uint32 array and sorted in place.  Its squared
+    run lengths are summed LOG_BLOCK neighbour pairs at a time, as _runs finds
+    its edges, so no other temporary exceeds LOG_BLOCK entries.
     """
-    if m > A1_BRUTE_CAP:
-        raise FieldError(f"m={m} exceeds brute cap {A1_BRUTE_CAP}: the collision count "
-                         f"sorts 2 R 2^{m} pair codes, R ~ 2^{m}/{m} orbits of x + y")
+    order = group_order(m)
+    if math.gcd(d, order) != 1:
+        raise FieldError(f"gcd(d={d}, 2^{m}-1) = {math.gcd(d, order)} != 1")
     field = get_field(m)
-    reps, sizes = field.orbits
-    s = np.concatenate(([0], field.exp_table[reps]))  # one s per Frobenius orbit
-    weight = np.concatenate(([1], sizes))
-    shift = 2 * m + 1  # key and side bit below the row
-    # uint32: row, key and side take 2m + 1 + bit_length(R) <= 31 bits for m <= A1_BRUTE_CAP
-    Q = np.zeros(field.size, np.uint32)  # Q(v) over v in element order; 0^e = 0
-    for e in ((1 << (2 * k)) + 1, (1 << k) + 1):
-        Q <<= m
-        Q[1:] |= field.exp_table[field.pow_log(e)].astype(np.uint32)
-    sums = s[:, None, None] ^ np.array([[0], [1]])  # [row, side]: s, then s + 1
-    codes = Q[np.arange(field.size) ^ sums]  # [row, side, x]: Q(x + s + side)
-    codes ^= Q
-    codes <<= 1
-    codes[:, 1] |= 1
-    codes |= (np.arange(len(s), dtype=np.uint32) << shift)[:, None, None]
-    run_codes, counts = _runs(codes.ravel())
-    pair = (run_codes[1:] == run_codes[:-1] + 1) & (run_codes[:-1] % 2 == 0)
-    rows = (run_codes[:-1][pair] >> shift).astype(np.intp)
-    return int((weight[rows] * counts[:-1][pair]) @ counts[1:][pair])
+    D = np.empty(field.size // 2, dtype=np.uint32)
+    D[0] = 1  # y = 0, 1: 0^d + 1^d = 1
+    for lo in range(0, field.size, LOG_BLOCK):
+        P = field.exp_table[field.pow_log(d, max(lo, 2), lo + LOG_BLOCK)]
+        np.bitwise_xor(P[0::2], P[1::2], out=D[max(lo, 2) // 2:(lo + LOG_BLOCK) // 2], casting="unsafe")
+    D.sort()
+    squares, start = 0, 0  # start: where the run that is still open began
+    for lo in range(0, len(D) - 1, LOG_BLOCK):
+        window = D[lo:lo + LOG_BLOCK + 1]
+        edges = np.flatnonzero(window[1:] != window[:-1])
+        if len(edges):
+            edges += lo + 1
+            runs = np.diff(edges)
+            squares += (int(edges[0]) - start) ** 2 + int(runs @ runs)
+            start = int(edges[-1])
+    squares += (len(D) - start) ** 2
+    return 2 * int(np.searchsorted(D, np.uint32(2)) - np.searchsorted(D, np.uint32(1))), 4 * squares
+
+
+def a1_bruteforce(m: int, k: int) -> int:
+    """A_1, the number of ordered quadruples (x, y, z, u) in GF(2^m)^4 with
+    x + y + z + u = 1 and zero sums of their (2^k+1)-th and (2^(2k)+1)-th
+    powers.  For odd m and gcd(k, m) = 1, where x^(2^k+1) is an APN
+    permutation (Nyberg), A_1 = sum of delta(t)^2 - 2^(m+1), delta from
+    derivative_counts at d = decimation_exponent(m, k).  Other (m, k) are
+    refused before the field is built.
+    """
+    _require_odd_coprime(m, k)
+    return derivative_counts(m, decimation_exponent(m, k))[1] - (1 << (m + 1))
+
+
+def _require_odd_coprime(m: int, k: int) -> None:
+    if m % 2 == 0 or math.gcd(k, m) != 1:
+        raise FieldError(f"A_1 requires odd m and gcd(k, m) = 1, not m={m}, k={k}")
 
 
 def a1_formula(m: int, k: int, brute: bool = False) -> A1Report:
     """A_1 = 2^m + 1 + 3 G_m^(k) - 2 K'_m - 2 C_m (for k = 1, K'_m is K_m).
 
-    brute=True also fills the collision count of a1_bruteforce, which
-    refuses m above A1_BRUTE_CAP.
+    brute=True also fills the derivative count of a1_bruteforce.
     """
-    if m % 2 == 0:
-        raise FieldError("the A_1 formula requires odd m")
-    if math.gcd(k, m) != 1:
-        raise FieldError("the A_1 formula requires gcd(k, m) = 1")
+    _require_odd_coprime(m, k)
     g = expsums.g_sum(m, k).value
     kp = expsums.kloosterman(m).value if k == 1 else expsums.k_prime(m, k).value
     c = expsums.c_sum(m, k).value

@@ -11,7 +11,7 @@ import math
 from collections import Counter
 
 from char2kit import crosscorr
-from char2kit.acceptance import CRITERIA
+from char2kit.acceptance import CRITERIA, spectrum_rows
 from char2kit.gf2m import decimation_exponent
 
 
@@ -100,3 +100,19 @@ def test_c5_compares_each_spectrum_with_k1_at_every_odd_m():
             if name.endswith("equals k=1")]
     assert rows == [(f"distribution m={m} k={k} equals k=1", True)
                     for m in range(5, 18, 2) for k in (2, 3) if math.gcd(k, m) == 1]
+
+
+def test_moment_rows_fail_a_spectrum_that_keeps_the_lower_moments():
+    # Counts moved along the integer kernel of the Vandermonde matrix of values
+    # 64 apart: binomial weights (1, -4, 6, -4, 1) on five values keep the
+    # count and the first three moments, (1, -3, 3, -1) on four the first two.
+    dist = crosscorr.correlation_distribution(16, 7)
+    assert len(dist.entries) == 30
+    for weights, failed in (((), []),
+                            ((1, -4, 6, -4, 1), ["fourth moment of C + 1"]),
+                            ((1, -3, 3, -1), ["third moment of C + 1", "fourth moment of C + 1"])):
+        entries = Counter(dist.entries)
+        entries.update({-129 + 64 * i: w for i, w in enumerate(weights)})
+        mutant = crosscorr.CorrelationDistribution(16, 7, dict(entries))
+        rows = list(spectrum_rows("", mutant))
+        assert [name for name, observed, expected in rows if observed != expected] == failed, weights

@@ -216,34 +216,23 @@ def test_corrdist_requires_exactly_one_of_k_d(capsys):
 
 
 def test_a1_subcommand(capsys):
-    # up to the cap (m = 11) the pair-collision count checks the formula, with no moment rows
-    for m, k, a1 in ((7, 3, 0), (11, 1, 2112)):
+    # one row at every odd m with gcd(k, m) = 1: the derivative count against the formula
+    for m, k, a1 in ((7, 3, 0), (11, 1, 2112), (13, 1, 8736)):
         code, payload = run_json(capsys, "a1", "--m", str(m), "--k", str(k))
         assert code == 0
         assert [(r["name"], r["observed"], r["expected"], r["verdict"]) for r in payload["results"]] == [
-            (f"A1 brute = formula (m={m},k={k})", a1, a1, "pass")]
-    # above the cap the formula's A_1 = 8736 checks the spectrum through theorem 1:
-    # N0 = 2^12 - 1 + 8736/16, after the spectrum's moment rows
-    code, payload = run_json(capsys, "a1", "--m", "13", "--k", "1")
-    assert code == 0
-    rows = results_by_name(payload)
-    assert list(rows) == [f"m=13 k=1 {name}" for name in (
-        "sum of multiplicities", "first moment", "second moment", "multiplicity N0", "multiplicity N1",
-        "multiplicity N-1", "multiplicity N2", "multiplicity N-2", "N0 - 6*N2")]
-    assert rows["m=13 k=1 multiplicity N0"]["observed"] == rows["m=13 k=1 multiplicity N0"]["expected"] == (
-        2**12 - 1 + 8736 // 16)
-    assert crosscorr.a1_formula(13, 1).formula_value == 8736
-    assert all(r["verdict"] == "pass" for r in rows.values())
+            (f"A1 count = formula (m={m},k={k})", a1, a1, "pass")]
 
 
 @pytest.mark.parametrize("m,k", [(14, 1), (15, 3)])
-def test_a1_refuses_above_the_cap_before_the_spectrum(capsys, monkeypatch, m, k):
+def test_a1_refuses_before_building_a_field(capsys, monkeypatch, m, k):
     # even m, and gcd(k, m) > 1 where the decimation itself exists (m = 15, k = 3)
-    monkeypatch.setattr(crosscorr, "correlation_distribution",
-                        lambda m, d: pytest.fail(f"built the spectrum at m={m}"))
+    gf2m.get_field.cache_clear()  # a cached field would hide a refusal that comes after get_field
+    builds = []
+    monkeypatch.setattr(gf2m.Field, "_exp_by_frobenius", lambda field: builds.append(field.m))
     code, out, err = run(capsys, "a1", "--m", str(m), "--k", str(k))
-    assert (code, out) == (2, "")
-    assert "error:" in err
+    assert (code, out, builds) == (2, "", [])
+    assert f"error: A_1 requires odd m and gcd(k, m) = 1, not m={m}, k={k}" in err
 
 
 def test_weights_known_distribution(capsys):
@@ -557,16 +546,16 @@ def test_negated_spectrum_fails_the_moment_rows(capsys, monkeypatch):
 
 
 def test_negated_spectrum_fails_the_a1_moment_rows(capsys, monkeypatch):
-    # W -> -W leaves N0 and, at 3 not | m, N2 = N-2; it swaps N1 and N-1 and
-    # fails the first moment.
+    # The rows off the derivative count, whose sum of delta^2 is A_1 + 2^(m+1):
+    # W -> -W negates the third moment of W = C + 1 and keeps the fourth.
     walsh = crosscorr.walsh_spectrum
     monkeypatch.setattr(crosscorr, "walsh_spectrum", lambda field, e: -walsh(field, e))
-    code, payload = run_json(capsys, "a1", "--m", "13", "--k", "1")
+    code, payload = run_json(capsys, "corrdist", "--m", "13", "--d", str(gf2m.decimation_exponent(13, 1)))
     assert code == 1
     rows = results_by_name(payload)
-    assert rows["m=13 k=1 first moment"]["verdict"] == "fail"
+    assert rows["third moment of C + 1"]["observed"] == -rows["third moment of C + 1"]["expected"]
     assert [name for name, r in rows.items() if r["verdict"] == "fail"] == [
-        f"m=13 k=1 {name}" for name in ("first moment", "second moment", "multiplicity N1", "multiplicity N-1")]
+        "first moment", "second moment", "third moment of C + 1"]
 
 
 def test_negated_spectrum_at_m17_fails_c5(monkeypatch):

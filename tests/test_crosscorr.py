@@ -243,16 +243,29 @@ def test_a1_bruteforce_matches_naive(m, k):
 
 @differential
 @given(m=st.integers(1, 5), k=st.integers(1, 6))
-def test_a1_bruteforce_matches_naive_any_k(m, k):
-    # The count needs neither odd m nor gcd(k, m) = 1 (e.g. A_1 = 48 at (4, 1)).
-    assert cc.a1_bruteforce(m, k) == naive_a1(naive(m), k)
+def test_sorted_pair_collision_a1_matches_naive_any_k(m, k):
+    # The oracle needs neither odd m nor gcd(k, m) = 1 (e.g. A_1 = 48 at (4, 1)).
+    assert sorted_pair_collision_a1(m, k) == naive_a1(naive(m), k)
 
 
 @pytest.mark.parametrize("m", range(1, 10))
 def test_a1_orbit_count_matches_sorted_pair_collisions(m):
-    # One Frobenius orbit of x + y per sorted run against all 4^m pair keys.
+    # The derivative count against all 4^m pair keys at odd m and gcd(k, m) = 1;
+    # every other (m, k) is refused.
     for k in range(1, 6):
-        assert cc.a1_bruteforce(m, k) == sorted_pair_collision_a1(m, k), k
+        if m % 2 and math.gcd(k, m) == 1:
+            assert cc.a1_bruteforce(m, k) == sorted_pair_collision_a1(m, k), k
+        else:
+            with pytest.raises(FieldError):
+                cc.a1_bruteforce(m, k)
+
+
+@differential
+@given(m=st.sampled_from(range(1, 10, 2)), k=st.integers(1, 8))
+def test_a1_derivative_count_matches_sorted_pair_collisions(m, k):
+    if math.gcd(k, m) != 1:
+        reject()
+    assert cc.a1_bruteforce(m, k) == sorted_pair_collision_a1(m, k)
 
 
 def test_a1_bruteforce_at_cap():
@@ -260,12 +273,30 @@ def test_a1_bruteforce_at_cap():
     assert cc.a1_formula(11, 1, brute=False).formula_value == 2112
 
 
-def test_a1_codes_fit_in_32_bits_up_to_the_cap():
-    # a1_bruteforce packs each pair code into uint32: key and side take
-    # 2m + 1 bits below the row index of 1 + |reps| rows.  m = 12 needs 34.
-    for m in range(1, cc.A1_BRUTE_CAP + 1):
-        assert 2 * m + 1 + len(get_field(m).orbits[0]).bit_length() <= 32, m
-    assert 2 * 12 + 1 + len(get_field(12).orbits[0]).bit_length() > 32
+def _moment(dist, p):
+    """The p-th moment of W = C + 1 over the shifts, in Python ints."""
+    return sum((v + 1) ** p * n for v, n in dist.entries.items())
+
+
+@differential
+@given(m=st.integers(1, 12), d=st.integers(-4096, 4096))
+def test_derivative_counts_give_the_third_and_fourth_moments(m, d):
+    # Chabaud-Vaudenay for y^d, even m included: sum W^3 = 2^(2m) delta(1)
+    # and sum W^4 = 2^(2m) sum delta^2.
+    if math.gcd(d, 2**m - 1) != 1:
+        reject()
+    dist = cc.correlation_distribution(m, d)
+    delta1, squares = cc.derivative_counts(m, d)
+    assert (_moment(dist, 3), _moment(dist, 4)) == (delta1 << 2 * m, squares << 2 * m)
+
+
+def test_derivative_count_holds_one_half_word_per_element():
+    # With the field built, the count holds 2^(m-1) uint32 differences, sorted
+    # in place; the exponents come LOG_BLOCK at a time and the run edges are
+    # found LOG_BLOCK neighbour pairs at a time.
+    m = 18
+    field = get_field(m)
+    assert _traced_peak(lambda: cc.derivative_counts(m, 5)) < 2 * field.size + 24 * LOG_BLOCK
 
 
 def test_a1_examples():
@@ -296,8 +327,10 @@ def test_a1_argument_checks():
         cc.a1_formula(8, 1)  # even m
     with pytest.raises(FieldError):
         cc.a1_formula(9, 3)  # gcd(3, 9) != 1
-    with pytest.raises(FieldError):
-        cc.a1_bruteforce(13, 1)  # over the brute cap
+    for m, k in ((8, 1), (9, 3)):
+        with pytest.raises(FieldError):
+            cc.a1_bruteforce(m, k)
+    assert cc.a1_bruteforce(13, 1) == 8736
 
 
 # -- five-value multiplicities ------------------------------------------------

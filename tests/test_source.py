@@ -260,3 +260,13 @@ def test_cli_restates_no_theorem_check():
                                              if isinstance(a, ast.alias)}
     assert names & {"theorem1_multiplicities", "match_multiplicities", "one_sixth_slack",
                     "theorem1_applies", "a1_formula", "corrected_prediction"} == set()
+
+
+def test_readme_names_exactly_the_caps_in_src():
+    # A cap the README names and the library no longer has, or the reverse,
+    # is a stale document.
+    readme = (Path(char2kit.__file__).parents[2] / "README.md").read_text()
+    defined = {target.id for path in SOURCES for node in ast.parse(path.read_text()).body
+               if isinstance(node, ast.Assign) for target in node.targets
+               if isinstance(target, ast.Name) and target.id.endswith("_CAP")}
+    assert defined and set(re.findall(r"\b[A-Z][A-Z0-9_]*_CAP\b", readme)) == defined
