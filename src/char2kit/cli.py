@@ -190,9 +190,7 @@ def cmd_a1(args, timings) -> list[Row]:
 
 def cmd_weights(args, timings) -> list[Row]:
     m, k, order = args.m, args.k, (1 << args.m) - 1
-    # b -> 1 needs 2^k + 1 prime to 2^m - 1 (then so is 2^(2k) + 1, see decimation_exponent)
-    classes = math.gcd((1 << k) + 1, order) == 1
-    dist = crosscorr.weight_distribution(m, k, mode="via_correlation" if classes else "direct")
+    dist = crosscorr.weight_distribution(m, k)
     expected = KNOWN_WEIGHTS.get(m)
     rows = [recorded(f"A_{w}", n) if expected is None else checked(f"A_{w}", n, expected.get(w))
             for w, n in dist.entries.items()]
@@ -200,7 +198,11 @@ def cmd_weights(args, timings) -> list[Row]:
         rows.append(checked("weight set", sorted(dist.entries), sorted(expected)))
     rows.append(checked("total words", sum(dist.entries.values()), 1 << (2 * m)))
     rows.append(checked("zero words", dist.entries.get(0, 0), 1))
-    if classes:
+    if math.gcd((1 << k) + 1, order) > 1:  # no b = 1 rows: Pless's moments (distinct nonzero positions)
+        rows += [checked("sum of w A_w", sum(w * n for w, n in dist.entries.items()), order << (2 * m - 1)),
+                 checked("sum of w^2 A_w", sum(w * w * n for w, n in dist.entries.items()),
+                         (order * (order + 1)) << (2 * m - 2))]
+    else:
         # b = 0 gives the zero word and 2^m - 1 m-sequences of weight 2^(m-1);
         # x -> cx maps the b = 1 rows onto each of the 2^m - 1 classes b != 0.
         rest = {w: n - (w == 0) - order * (w == 1 << (m - 1)) for w, n in dist.entries.items()}

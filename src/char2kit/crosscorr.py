@@ -5,8 +5,8 @@ d-decimation at shift tau is C_d(tau) = sum over x != 0 of
 (-1)^Tr(alpha^tau x + x^d).  The decimations of interest are
 d = (2^(2k)+1)/(2^k+1) modulo 2^m - 1.
 
-Both the correlation spectrum and the code weights come from one Walsh
-spectrum, computed by a fast Walsh-Hadamard transform.
+The correlation spectrum and the code weights (one per class of b) are Walsh
+spectra of fibre sums, computed by a fast Walsh-Hadamard transform.
 
 Also here: the count A_1 of ordered quadruples (x, y, z, u) with
 x+y+z+u = 1 and vanishing (2^k+1)- and (2^(2k)+1)-power sums, by the
@@ -43,9 +43,6 @@ __all__ = [
     "weight_distribution",
 ]
 
-DIRECT_WEIGHT_CAP = 8  # 2^(2m) codewords scanned individually
-
-
 @dataclass(frozen=True)
 class CorrelationDistribution:
     m: int
@@ -68,23 +65,45 @@ class A1Report:
     brute_count: int | None = None
 
 
-def walsh_spectrum(field: Field, e: int) -> np.ndarray:
-    """W(b) = sum over y in GF(2^m) of (-1)^(Tr(y^e) + b.y), b.y the parity of b & y.
+def walsh_spectrum(field: Field, e1: int, e2: int = 1, c: int | None = 0) -> np.ndarray:
+    """W(a) = sum over z of F(z) (-1)^(a.z), a.z the parity of a & z, of the fibre sums
+    F(z) = sum over x^e2 = z of (-1)^Tr(b x^e1), b = alpha^c (b = 0 if c is None), 0^e = 0:
+    as a -> (z -> a.z) runs over all linear forms, {W(a)} = {sum of (-1)^Tr(a x^e2 + b x^e1)}.
 
-    e acts modulo 2^m - 1 and 0^e = 0.  b -> (y -> b.y) and a -> (y -> Tr(a y))
-    both run over all linear forms and send 0 to 0, so the multiset
-    {W(b) : b != 0} equals {sum over y of (-1)^Tr(a y + y^e) : a != 0}.
-
-    (-1)^Tr(y^e) is gathered into one 2^m-entry float32 buffer, LOG_BLOCK
-    values of y at a time, and walsh_transform turns that buffer into the
-    spectrum in place, so no other temporary exceeds LOG_BLOCK entries.
+    Let h = gcd(e2, 2^m - 1), n = (2^m - 1)/h and e = e1 e', e' (e2/h) = 1 mod n.  At h = 1
+    and b = 1, F is one gather a block of z off pow_log(e).  Otherwise e1 must be prime to h,
+    as 2^k + 1 is to 2^(2k) + 1: the fibre of alpha^(h s) is alpha^(s e' + t n), t < h, so F
+    there is h less twice the sum of column (c + s e) mod n of the m-sequence as an (h, n)
+    array.  One float32 buffer takes (h - F)/2, the fibre members with Tr(b x^e1) = 1,
+    LOG_BLOCK entries at a time; it becomes F in place, and walsh_transform turns that into
+    W in place, exactly: every partial sum is within sum |F| = 2^m.
     """
-    w = np.empty(field.size, dtype=np.float32)
-    w[0] = 0  # Tr(0^e) = Tr(0)
-    for lo in range(1, field.size, LOG_BLOCK):  # Tr(y^e) = Tr(alpha^(e log y))
-        w[lo:lo + LOG_BLOCK] = field.trace_seq[field.pow_log(e, lo, lo + LOG_BLOCK)]
+    order = field.order
+    h = math.gcd(e2, order)
+    n = order // h
+    e = e1 * pow(e2 // h, -1, n) % order
+    if math.gcd(e1, h) > 1:
+        raise FieldError(f"e1={e1} is not prime to gcd(e2={e2}, 2^{field.m}-1) = {h}")
+    w = np.empty(field.size, dtype=np.float32)  # (h - F)/2
+    w[0] = (h - 1) / 2  # F(0) = (-1)^Tr(0)
+    if h == 1 and c == 0:
+        for lo in range(1, field.size, LOG_BLOCK):
+            w[lo:lo + LOG_BLOCK] = field.trace_seq[field.pow_log(e, lo, lo + LOG_BLOCK)]
+    else:
+        w[1:] = h / 2  # F = 0 off the h-th powers
+        for lo in range(0, n, LOG_BLOCK):
+            x = np.arange(lo, min(lo + LOG_BLOCK, n), dtype=np.int64)
+            odd = np.zeros(len(x), dtype=np.min_scalar_type(h))
+            x *= e
+            x += c or 0
+            x %= n  # the column whose h entries are the fibre's traces
+            for row in ([] if c is None else field.trace_seq.reshape(h, n)):
+                odd += row[x]
+            x[:] = field.exp_table[h * lo:h * (lo + LOG_BLOCK):h]  # z = alpha^(h s), as an index
+            w[x] = odd
+            del x, odd  # before the next block's
     w *= -2
-    w += 1
+    w += h
     return walsh_transform(w)
 
 
@@ -303,16 +322,15 @@ def match_multiplicities(dist: CorrelationDistribution) -> dict[str, int]:
 
 
 def weight_distribution(m: int, k: int, mode: str = "via_correlation") -> WeightDistribution:
-    """Weight distribution of the 2^(2m) words c_{a,b}(t) = Tr(a g2^t + b g1^t)
-    with g1 = alpha^(2^k+1), g2 = alpha^(2^(2k)+1), t over one period.
+    """Weight distribution of the 2^(2m) words c_{a,b}(t) = Tr(a g2^t + b g1^t), t over
+    one period, g1 = alpha^e1, g2 = alpha^e2, e1 = 2^k+1 and e2 = 2^(2k)+1.
 
-    direct mode scans every (a, b) pair (m <= 8); via_correlation reduces
-    each b != 0 to b = 1 by substituting x -> cx with c^(2^k+1) = b^(-1)
-    (a permutation of positions, so weights are preserved) and multiplies
-    the b = 1 row counts by 2^m - 1.  Substituting y = x^(2^(2k)+1) turns
-    the b = 1 row of a into y -> Tr(a y + y^e), e = (2^k+1) / (2^(2k)+1)
-    mod 2^m - 1, of weight (2^m - W) / 2 for the matching W of
-    walsh_spectrum(field, e); a = 0 has W = 0 and weight 2^(m-1).
+    With g = gcd(e1, 2^m - 1), each b != 0 is alpha^c u^e1 for one c < g, and x -> x/u
+    permutes the positions and sends the word (a, b) to (a u^(-e2), alpha^c): class c
+    has (2^m - 1)/g members, of weights (2^m - W(a))/2, W = walsh_spectrum(field, e1,
+    e2, c), and b = 0 the weights of c = None: where e2 is a unit (as g = 1 forces),
+    the zero word and 2^m - 1 words of weight 2^(m-1).  Both modes run this one route;
+    mode stays for the benchmark (ROADMAP item 11).
     """
     if k < 1:
         raise FieldError("k must be >= 1")
@@ -321,13 +339,6 @@ def weight_distribution(m: int, k: int, mode: str = "via_correlation") -> Weight
     order = group_order(m)  # each refusal below reads m, k and order, before the field is built
     e1 = ((1 << k) + 1) % order
     e2 = ((1 << (2 * k)) + 1) % order
-    if mode == "direct" and m > DIRECT_WEIGHT_CAP:
-        why = "" if math.gcd(e1, order) == 1 else f"gcd(2^{k}+1, 2^{m}-1) != 1 leaves no class reduction, and "
-        raise FieldError(f"{why}m={m} is above DIRECT_WEIGHT_CAP = {DIRECT_WEIGHT_CAP}, "
-                         f"the largest m whose 4^m words the direct route weighs")
-    # 2^k+1 prime to 2^m-1 makes 2^(2k)+1 prime to it too (see decimation_exponent).
-    if mode == "via_correlation" and math.gcd(e1, order) != 1:
-        raise FieldError(f"gcd(2^k+1, 2^{m}-1) != 1; class reduction unavailable")
     # The code has dimension |C(e1) u C(e2)|, C(e) = {e 2^j mod 2^m - 1}: the
     # 2^(2m) words are distinct only if the cosets differ and both have m members.
     cosets = {e * (1 << j) % order for e in (e1, e2) for j in range(m)}
@@ -335,28 +346,15 @@ def weight_distribution(m: int, k: int, mode: str = "via_correlation") -> Weight
         raise FieldError(f"degenerate code: the cyclotomic cosets of 2^{k}+1 and 2^{2 * k}+1 "
                          f"modulo 2^{m}-1 hold {len(cosets)} < 2m = {2 * m} exponents, "
                          f"so the 2^{2 * m} words are not distinct")
-    field = get_field(m)
-    entries: Counter = Counter()
-    if mode == "direct":
-        # Row 1 + i of a bit matrix is a = alpha^i, read off the m-sequence
-        # s_j = Tr(alpha^j) as Tr(alpha^i g^t) = s[(i + e t) mod 2^m - 1];
-        # row 0 is a = 0.  Rows are packed 8 positions a byte (zero padding),
-        # and the word (a, b) weighs popcount(pack_a xor pack_b).
-        s = field.trace_seq
-        i = np.arange(order, dtype=np.int64)
-        zero = np.zeros((1, order), dtype=np.uint8)
-        pack_a, pack_b = (np.packbits(np.vstack((zero, s[np.add.outer(i, e * i) % order])), axis=1)
-                          for e in (e2, e1))
-        bits = pack_a[:, None] ^ pack_b
-        weights, counts = _runs(np.bitwise_count(bits, out=bits).sum(axis=-1, dtype=np.uint16).ravel())
-        entries.update(dict(zip(weights.tolist(), counts.tolist())))
+    field, g = get_field(m), math.gcd(e1, order)
+    classes = [(c, order // g) for c in range(g)]  # (c, members of the class)
+    entries = Counter()
+    if math.gcd(e2, order) == 1:  # b = 0: the zero word and 2^m - 1 words of weight 2^(m-1)
+        entries.update({0: 1, 1 << (m - 1): order})
     else:
-        W = walsh_spectrum(field, e1 * pow(e2, -1, order))
-        np.subtract(field.size, W, out=W)
-        W //= 2  # the weight (2^m - W) / 2, written into W
-        weights, counts = _runs(W)
-        for w, n in zip(weights.tolist(), counts.tolist()):
-            entries[w] += n * order  # each b != 0 class has 2^m - 1 members
-        entries[(order + 1) // 2] += order  # b = 0, a != 0: m-sequence rows
-        entries[0] += 1  # zero word
+        classes.append((None, 1))
+    for c, members in classes:
+        values, counts = _runs(walsh_spectrum(field, e1, e2, c))
+        for v, n in zip(values.tolist(), counts.tolist()):
+            entries[(field.size - v) // 2] += n * members
     return WeightDistribution(m, k, dict(sorted(entries.items())))

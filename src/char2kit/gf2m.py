@@ -288,10 +288,18 @@ class Field:
         """e log v mod 2^m - 1 over v = start..stop - 1 in element order
         (1 <= start; stop defaults to 2^m), for any int e, as int64 (the
         product reaches 2^48): exp_table of it is v^e.  A caller that needs
-        no 2^m-entry index asks for LOG_BLOCK elements at a time."""
-        idx = self.log_table[start:stop].astype(np.int64)
-        idx *= e % self.order
-        idx %= self.order
+        no 2^m-entry index asks for LOG_BLOCK elements at a time.
+
+        With no int64 %: 2^m hi + lo is y = hi + lo <= 2 (2^m - 1), and then
+        min(y, y - (2^m - 1)) as unsigned ints, half the index at a time."""
+        idx = self.log_table[start:stop] * np.int64(e % self.order)
+        for half in (idx[:len(idx) // 2].view(np.uint64), idx[len(idx) // 2:].view(np.uint64)):
+            hi = half >> self.m
+            half &= self.order
+            half += hi
+            np.subtract(half, self.order, out=hi)
+            np.minimum(half, hi, out=half)
+            del hi  # before the next half's
         return idx
 
     def __repr__(self) -> str:

@@ -36,7 +36,7 @@ def test_criterion_03_c_sum_closed_form():
     run_criterion("C3")
 
 
-def test_criterion_04_a1_brute_equals_formula():
+def test_criterion_04_a1_derivative_count_equals_formula():
     run_criterion("C4")
 
 

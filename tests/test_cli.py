@@ -6,10 +6,11 @@ import re
 import pytest
 
 from char2kit import acceptance, crosscorr, curves, expsums, gf2m, zeta
+from char2kit.acceptance import KNOWN_WEIGHTS
 from char2kit.cli import build_parser, main
 from char2kit.curves import catalog_curve
 from char2kit.zeta import catalog_lpoly
-from oracles import NaiveField, naive_projective_count, naive_weight_distribution
+from oracles import NaiveField, naive_projective_count
 
 # y^3 + x^3 + xyz + z^3: cubic in y, so only the generic counter counts it.
 Y_CUBIC = ((0, 3, 0), (3, 0, 0), (1, 1, 1), (0, 0, 3))
@@ -257,23 +258,47 @@ def test_weights_unknown_m_recorded(capsys):
             f"b = 1 multiplicity {n}" for n in ("N0", "N1", "N-1", "N2", "N-2")] + [
             "b = 1 N0 - 6*N2"]
     assert rows["b = 1 multiplicity N0"]["observed"] == 2**8 - 1 + 480 // 16
-    # even m: no theorem-1 rows, and no class rows where 2^k + 1 shares a factor with 2^m - 1
-    code, payload = run_json(capsys, "weights", "--m", "6", "--k", "1")
+    # even m: no theorem-1 rows, and where 2^k + 1 shares a factor with 2^m - 1
+    # no class rows either: the two power moments check the words instead
+    code, payload = run_json(capsys, "weights", "--m", "10", "--k", "1")
     assert code == 0
     assert [r["name"] for r in payload["results"] if r["verdict"] != "recorded"] == [
-        "total words", "zero words"]
+        "total words", "zero words", "sum of w A_w", "sum of w^2 A_w"]
 
 
 @pytest.mark.parametrize("m,k", [(6, 1), (8, 1), (8, 3)])
 def test_weights_without_the_class_reduction_weigh_every_word(capsys, m, k):
-    # gcd(2^k + 1, 2^m - 1) = 3 here, so no b != 0 reduces to b = 1: the
-    # direct route weighs all 4^m words, with no option to ask for it.
+    # gcd(2^k + 1, 2^m - 1) = 3 here, so no b != 0 reduces to b = 1: each of
+    # the three classes of b has its own transform, with no option to ask for
+    # it.  KNOWN_WEIGHTS holds the naive oracle's distributions (see
+    # test_crosscorr::test_known_weights_match_the_naive_oracle).
     assert math.gcd((1 << k) + 1, (1 << m) - 1) > 1
     code, payload = run_json(capsys, "weights", "--m", str(m), "--k", str(k))
     assert code == 0
     observed = {int(r["name"][2:]): r["observed"] for r in payload["results"] if r["name"].startswith("A_")}
-    assert observed == naive_weight_distribution(NaiveField(m, gf2m.get_field(m).reduction), k)
+    assert observed == KNOWN_WEIGHTS[m]
+    rows = results_by_name(payload)
+    assert rows["sum of w A_w"]["verdict"] == rows["sum of w^2 A_w"]["verdict"] == "pass"
     assert payload["params"] == {"m": m, "k": k}
+
+
+@pytest.mark.parametrize("m", [8, 10])
+def test_a_sign_flipped_class_fails_a_weights_row(capsys, monkeypatch, m):
+    # F -> -F at b = alpha (class c = 1 of 3) sends each weight w of that class
+    # to 2^m - w.  The first power moment fails; at m = 8 so do the pinned
+    # weights, and at m = 10 none is pinned.
+    walsh = crosscorr.walsh_spectrum
+
+    def flipped(field, e1, e2=1, c=0):
+        W = walsh(field, e1, e2, c)
+        return -W if c == 1 else W
+
+    monkeypatch.setattr(crosscorr, "walsh_spectrum", flipped)
+    code, payload = run_json(capsys, "weights", "--m", str(m), "--k", "1")
+    assert code == 1
+    failed = [r["name"] for r in payload["results"] if r["verdict"] == "fail"]
+    assert "sum of w A_w" in failed
+    assert any(name.startswith("A_") for name in failed) == (m == 8)
 
 
 def test_weights_theorem1_rows_fail_on_wrong_a1(capsys, monkeypatch):
@@ -621,11 +646,11 @@ def test_error_exit_code(tmp_path, capsys):
     code, out, err = run(capsys, "a1", "--m", "8", "--k", "1")
     assert code == 2
     assert "error:" in err
-    # 3 divides 2^10 - 1, so every word is weighed, and m = 10 is over that route's cap
+    # 3 divides 2^1 + 1 and 2^10 - 1: no b != 0 reduces to b = 1, and still
+    # every word is weighed, with no cap on m
     code, out, err = run(capsys, "weights", "--m", "10", "--k", "1")
-    assert code == 2
-    assert "error: gcd(2^1+1, 2^10-1) != 1 leaves no class reduction" in err
-    assert "m=10 is above DIRECT_WEIGHT_CAP = 8" in err
+    assert (code, err) == (0, "")
+    assert "0 failed" in out
     for argv in (
         ("curvecount", "--curve", "kloosterman", "--s", "25"),
         ("curvecount", "--curve", y_cubic_file(tmp_path), "--s", "13"),

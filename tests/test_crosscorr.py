@@ -8,6 +8,7 @@ from hypothesis import example, given, reject
 from hypothesis import strategies as st
 
 from char2kit import crosscorr as cc
+from char2kit.acceptance import KNOWN_WEIGHTS
 from char2kit.gf2m import LOG_BLOCK, MAX_M, FieldError, decimation_exponent, get_field
 
 from oracles import (
@@ -108,6 +109,31 @@ def test_walsh_spectrum_in_small_input_blocks_matches_stacked_route(monkeypatch,
         assert np.array_equal(cc.walsh_spectrum(field, e), stacked_walsh_spectrum(field, e))
 
 
+@differential
+@given(m=st.integers(1, 8), e1=st.integers(0, 600), e2=st.integers(1, 600),
+       c=st.one_of(st.none(), st.integers(0, 40)), block=st.sampled_from((5, LOG_BLOCK)))
+@example(m=8, e1=3, e2=5, c=1, block=LOG_BLOCK).via("h = 5 and b = alpha, a class of weights --m 8 --k 1")
+@example(m=6, e1=5, e2=21, c=None, block=5).via("b = 0 at h = 21, in 5-entry blocks")
+@example(m=4, e1=3, e2=15, c=2, block=LOG_BLOCK).via("e2 = 2^m - 1: every unit in the fibre of 1")
+def test_walsh_spectrum_of_fibre_sums_matches_definition(m, e1, e2, c, block):
+    # F(z) = sum over x with x^e2 = z of (-1)^Tr(b x^e1), b = alpha^c or 0, and
+    # W(a) = sum over z of F(z) (-1)^popcount(a & z), all in NaiveField arithmetic.
+    nf = naive(m)
+    if math.gcd(e1, e2, nf.order) > 1:  # e1 not prime to gcd(e2, 2^m - 1)
+        with pytest.raises(FieldError, match="is not prime to"):
+            cc.walsh_spectrum(get_field(m), e1, e2, c)
+        return
+    b = 0 if c is None else nf.pow(0b10, c)
+    F = [0] * nf.size
+    for x in range(nf.size):
+        z, y = (0, 0) if x == 0 else (nf.pow(x, e2 % nf.order), nf.mul(b, nf.pow(x, e1 % nf.order)))
+        F[z] += (-1) ** nf.trace(y)
+    expected = [sum(F[z] * (-1) ** (a & z).bit_count() for z in range(nf.size)) for a in range(nf.size)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cc, "LOG_BLOCK", block)  # both input loops in blocks that split n unevenly
+        assert cc.walsh_spectrum(get_field(m), e1, e2, c).tolist() == expected
+
+
 @st.composite
 def transform_inputs(draw):
     """An integer vector of length 2^m, m <= 12: +-1 entries, or small ints
@@ -197,7 +223,7 @@ def test_spectrum_route_temporaries_stay_within_one_transform_buffer(monkeypatch
     # The tally alone, on spectra built before tracing starts: its run edges
     # are found LOG_BLOCK neighbour pairs at a time, a LOG_BLOCK-byte mask.
     prebuilt = [cc.walsh_spectrum(field, d) for _ in calls]
-    monkeypatch.setattr(cc, "walsh_spectrum", lambda field, e: prebuilt.pop())
+    monkeypatch.setattr(cc, "walsh_spectrum", lambda field, *exponents: prebuilt.pop())
     for call in calls:
         assert _traced_peak(call) < 2 * LOG_BLOCK
 
@@ -249,7 +275,7 @@ def test_sorted_pair_collision_a1_matches_naive_any_k(m, k):
 
 
 @pytest.mark.parametrize("m", range(1, 10))
-def test_a1_orbit_count_matches_sorted_pair_collisions(m):
+def test_a1_derivative_count_matches_sorted_pair_collisions_or_refuses(m):
     # The derivative count against all 4^m pair keys at odd m and gcd(k, m) = 1;
     # every other (m, k) is refused.
     for k in range(1, 6):
@@ -268,7 +294,7 @@ def test_a1_derivative_count_matches_sorted_pair_collisions(m, k):
     assert cc.a1_bruteforce(m, k) == sorted_pair_collision_a1(m, k)
 
 
-def test_a1_bruteforce_at_cap():
+def test_a1_derivative_count_at_m_11():
     assert cc.a1_bruteforce(11, 1) == sorted_pair_collision_a1(11, 1) == 2112
     assert cc.a1_formula(11, 1, brute=False).formula_value == 2112
 
@@ -315,7 +341,7 @@ def test_a1_formula_equals_brute(m, k):
 
 
 @pytest.mark.parametrize("m, k", [(3, 1), (5, 1), (5, 2), (7, 3), (9, 2), (11, 1)])
-def test_a1_from_spectrum_equals_collision_count(m, k):
+def test_a1_from_spectrum_equals_derivative_count(m, k):
     # two computed routes to A_1, neither of them the exponential-sum formula:
     # the spectrum's five multiplicities are theorem 1's at the counted A_1
     dist = cc.correlation_distribution(m, decimation_exponent(m, k))
@@ -385,32 +411,43 @@ def test_match_multiplicities_bucketing():
 
 
 def test_class_reduction_needs_only_the_gcd_of_2k_plus_1():
-    # weight_distribution tests gcd(2^k + 1, 2^m - 1) alone: wherever
-    # 2^(2k) + 1 shares a factor with 2^m - 1, so does 2^k + 1.
+    # `weights` picks its rows by gcd(2^k + 1, 2^m - 1) alone: wherever
+    # 2^(2k) + 1 shares a factor with 2^m - 1, so does 2^k + 1, so one
+    # class of b != 0 means no b = 0 transform either.
     pairs = [(m, k) for m in range(1, 25) for k in range(1, 60)
              if math.gcd((1 << (2 * k)) + 1, (1 << m) - 1) > 1]
     assert pairs  # e.g. (4, 1): gcd(5, 15) = 5
     assert all(math.gcd((1 << k) + 1, (1 << m) - 1) > 1 for m, k in pairs)
 
 
-@pytest.mark.parametrize("m,k", [(5, 1), (5, 2), (5, 3), (7, 3)])
+@pytest.mark.parametrize("m,k", [(5, 1), (5, 2), (5, 3), (7, 3), (6, 5)])
 def test_weights_direct_matches_naive(m, k):
-    got = cc.weight_distribution(m, k, mode="direct").entries
+    # At (6, 5), gcd(2^k + 1, 2^m - 1) = 3: three classes of b != 0, and
+    # 2^(2k) + 1 prime to 2^m - 1.  (6, 1), (8, 1) and (8, 3) are pinned in
+    # KNOWN_WEIGHTS from the same oracle.
+    got = cc.weight_distribution(m, k).entries
     assert got == naive_weight_distribution(naive(m), k)
+
+
+def test_known_weights_match_the_naive_oracle():
+    # The pinned distributions at m = 6 and 8, where 3 divides 2^k + 1 and
+    # 2^m - 1; at (8, 1) and (8, 3) also 5 divides 2^(2k) + 1 and 2^m - 1.
+    assert KNOWN_WEIGHTS[6] == naive_weight_distribution(naive(6), 1)
+    assert KNOWN_WEIGHTS[8] == naive_weight_distribution(naive(8), 1) == naive_weight_distribution(naive(8), 3)
 
 
 @pytest.mark.parametrize("m", range(1, 9))
 def test_packed_direct_weights_match_row_loop(m):
-    # Every nondegenerate (m, k), k <= 6: the cosets of 2^k+1 and 2^(2k)+1
+    # Every nondegenerate (m, k), k <= 2m: the cosets of 2^k+1 and 2^(2k)+1
     # modulo 2^m - 1 differ and have m members each; the rest are refused.
     cosets = naive_cyclotomic_cosets(m)
-    for k in range(1, 7):
+    for k in range(1, 2 * m + 1):
         c1, c2 = (next(c for c in cosets if e % (2**m - 1) in c) for e in (2**k + 1, 2 ** (2 * k) + 1))
         if c1 == c2 or len(c1) < m or len(c2) < m:
             with pytest.raises(FieldError, match="degenerate code"):
-                cc.weight_distribution(m, k, mode="direct")
+                cc.weight_distribution(m, k)
         else:
-            assert cc.weight_distribution(m, k, mode="direct").entries == row_loop_direct_weights(m, k), k
+            assert cc.weight_distribution(m, k).entries == row_loop_direct_weights(m, k), k
 
 
 def test_degenerate_decimation_pair_is_rejected():
@@ -425,19 +462,22 @@ def test_degenerate_decimation_pair_is_rejected():
 
 @pytest.mark.parametrize("m,k", [(5, 1), (5, 2), (5, 3), (7, 1), (7, 2), (7, 3)])
 def test_weights_via_correlation_matches_direct(m, k):
-    a = cc.weight_distribution(m, k, mode="direct").entries
-    b = cc.weight_distribution(m, k, mode="via_correlation").entries
-    assert a == b
+    # Both accepted mode values run the one route, against the row-loop oracle.
+    expected = row_loop_direct_weights(m, k)
+    for mode in ("direct", "via_correlation"):
+        assert cc.weight_distribution(m, k, mode=mode).entries == expected, mode
 
 
 @differential
-@given(m=st.integers(1, 7), k=st.integers(1, 6))
+@given(m=st.integers(1, 8), k=st.integers(1, 16))
+@example(m=6, k=1).via("gcd(2^k + 1, 2^m - 1) = 3, 2^(2k) + 1 prime to 2^m - 1")
+@example(m=8, k=3).via("gcd 3 with 2^k + 1 and gcd 5 with 2^(2k) + 1")
 def test_weights_via_correlation_matches_direct_any_k(m, k):
     try:
-        via = cc.weight_distribution(m, k, mode="via_correlation").entries
+        got = cc.weight_distribution(m, k).entries
     except FieldError:
         reject()
-    assert cc.weight_distribution(m, k, mode="direct").entries == via
+    assert got == row_loop_direct_weights(m, k)
 
 
 def test_weights_m7_values():
@@ -452,29 +492,33 @@ def test_weights_m11_values():
 
 
 def test_weight_caps_and_modes():
-    with pytest.raises(FieldError):
-        cc.weight_distribution(9, 1, mode="direct")
-    with pytest.raises(FieldError):
-        cc.weight_distribution(18, 1)
+    # No cap below MAX_M and no gcd refusal: 3 divides 2^k + 1 and 2^m - 1 at
+    # (10, 1) and (24, 1), and both modes run the one route at m = 9.
+    assert cc.weight_distribution(9, 1, mode="direct") == cc.weight_distribution(9, 1)
+    for m in (10, 24):
+        entries = cc.weight_distribution(m, 1).entries
+        n = 2**m - 1
+        assert sum(entries.values()) == 4**m and entries[0] == 1
+        assert sum(w * a for w, a in entries.items()) == n << (2 * m - 1)
+        assert sum(w * w * a for w, a in entries.items()) == (n * (n + 1)) << (2 * m - 2)
     with pytest.raises(FieldError):
         cc.weight_distribution(25, 1)  # over MAX_M
     with pytest.raises(ValueError):
         cc.weight_distribution(5, 1, mode="nope")
     with pytest.raises(FieldError):
         cc.weight_distribution(5, 0)
-    with pytest.raises(FieldError):
-        cc.weight_distribution(4, 1)  # gcd(2^k+1, 2^m-1) = 3, no class reduction
+    with pytest.raises(FieldError, match="degenerate code"):
+        cc.weight_distribution(4, 1)  # the coset of 5 modulo 15 has 2 members
 
 
 def test_refused_arguments_build_no_field(monkeypatch):
     # A refused d or (m, k) is read off m, k and 2^m - 1 alone: at m = 24 the
     # field build it skips takes about half a second and 190 MB.
     monkeypatch.setattr(cc, "get_field", lambda m: pytest.fail(f"built the field at m={m}"))
+    # weight_distribution refuses only a degenerate code, such as (24, 12):
+    # (24, 1), once refused for its gcd, is answered in test_weight_caps_and_modes.
     for call, match in ((lambda: cc.correlation_distribution(24, 3), "gcd"),
-                        (lambda: cc.weight_distribution(24, 2), "gcd"),
-                        (lambda: cc.weight_distribution(24, 1, mode="direct"),
-                         r"no class reduction, and m=24 is above DIRECT_WEIGHT_CAP = 8"),
-                        (lambda: cc.weight_distribution(9, 1, mode="direct"), r"^m=9 is above DIRECT_WEIGHT_CAP"),
+                        (lambda: cc.weight_distribution(24, 12), "degenerate code"),
                         (lambda: cc.weight_distribution(6, 2), "degenerate code")):
         with pytest.raises(FieldError, match=match):
             call()

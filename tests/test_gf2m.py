@@ -507,3 +507,20 @@ def test_pow_log_past_int32_matches_scalar_pow(m):
     logs = [f.order - 1, f.order - 2, *random.Random(m).sample(range(f.order), 500)]
     for v in f.exp_table[logs].tolist():
         assert f.exp_table[idx[v - 1]] == power(f, v, e)
+
+
+@pytest.mark.parametrize("m", range(1, MAX_M + 1))
+def test_pow_log_fold_matches_the_remainder(m):
+    # pow_log reduces e log v by its 2^m-bit halves and an unsigned minimum,
+    # not by an int64 %: the index must equal the remainder bit for bit.
+    # Ranges straddle LOG_BLOCK and its multiples and end at the largest
+    # logs; each has odd length, so its two halves differ in length.
+    f, block = get_field(m), gf2m.LOG_BLOCK
+    bounds = {(1, f.size)} if m <= 16 else set()
+    for lo in (1, block - 3, 2 * block - 1, f.size - block - 2):
+        if 1 <= lo < f.size:
+            bounds.add((lo, min(lo + block + 7, f.size)))
+    for e in (1, 3, f.order - 1, f.order - 2, 2**m + 5, 2**40 + 3, -(2**33) - 7):
+        for lo, hi in sorted(bounds):
+            remainder = f.log_table[lo:hi].astype(np.int64) * (e % f.order) % f.order
+            assert np.array_equal(f.pow_log(e, lo, hi), remainder), (e, lo, hi)

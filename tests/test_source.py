@@ -270,3 +270,28 @@ def test_readme_names_exactly_the_caps_in_src():
                if isinstance(node, ast.Assign) for target in node.targets
                if isinstance(target, ast.Name) and target.id.endswith("_CAP")}
     assert defined and set(re.findall(r"\b[A-Z][A-Z0-9_]*_CAP\b", readme)) == defined
+
+
+def _mode_passing_calls(path):
+    """Every call of weight_distribution in path that passes mode, by keyword or position."""
+    return [f"{path.name}:{node.lineno}"
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Call)
+            and (node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None))
+            == "weight_distribution"
+            and (len(node.args) > 2 or any(kw.arg in ("mode", None) for kw in node.keywords))]
+
+
+def test_no_library_call_passes_a_weight_mode():
+    # Both modes of weight_distribution run one route; mode= stays only for
+    # the benchmark's callers, so the library never chooses one.
+    assert [hit for path in SOURCES for hit in _mode_passing_calls(path)] == []
+
+
+def test_mode_rule_sees_keyword_positional_and_unpacked_modes(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        'def f(cc, kw):\n'
+        '    cc.weight_distribution(7, 1, mode="direct"), weight_distribution(7, 1, "direct")\n'
+        '    cc.weight_distribution(7, 1, **kw), cc.weight_distribution(7, 1), x.take(1, mode="wrap")\n')
+    assert _mode_passing_calls(path) == ["mod.py:2", "mod.py:2", "mod.py:3"]
