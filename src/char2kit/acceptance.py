@@ -10,8 +10,8 @@ zeta-function identities.
 Every row that a subcommand shares with a criterion is built here, once:
 c_row (C3, expsum --sum C), a1_row (C4, a1), spectrum_rows (C5, corrdist,
 the b = 1 rows of weights), count_rows (C7, curvecount) and dm_rows (C9,
-dm-check).  theorem1_applies is the one statement of where theorem 1 gives
-the multiplicities.
+dm-check).  crosscorr.theorem1_applies is the one test of the paper's
+hypothesis, odd m and gcd(k, m) = 1.
 """
 
 from __future__ import annotations
@@ -40,12 +40,19 @@ def c1(max_m, max_s):
 
 
 def c2(max_m, max_s):
-    """G^(k) = G^(gcd(k, m)), which at k = 3 and 3 not | m is G^(3) = G; at k = 4, 5 with
-    gcd(k, m) < k a row checks the open conjecture 1 as an observed fact up to max_m"""
+    """G^(k) against the sum at another exponent residue mod 2^m - 1: G^(gcd(k, m)) where
+    gcd(k, m) < k (at k = 3, 3 not | m, G^(3) = G; at k = 4, 5 the open conjecture 1,
+    checked as an observed fact up to max_m), else G^(m - k), as x -> x^(2^(m-k)) sends
+    one to the other, which at k = m is K_m, as Tr(x^2) = Tr(x); each pair of residues once"""
     for m in range(1, max_m + 1):
+        order, seen = (1 << m) - 1, set()
         for k in range(1, 6):
-            v = expsums.conjecture1_check(m, k)
-            yield f"G_{m}^({k}) = G_{m}^(gcd)", v.lhs, v.rhs
+            j = math.gcd(k, m) if math.gcd(k, m) < k else m - k  # the partner G^(j), or K_m at j = 0
+            residues = frozenset((((1 << k) + 1) % order, ((1 << j) + 1 if j else 1) % order))
+            if len(residues) == 2 and residues not in seen:
+                seen.add(residues)
+                partner = expsums.g_sum(m, j) if j else expsums.kloosterman(m)
+                yield f"G_{m}^({k}) = {f'G_{m}^({j})' if j else f'K_{m}'}", expsums.g_sum(m, k).value, partner.value
 
 
 def c3(max_m, max_s):
@@ -66,19 +73,14 @@ def c_row(m, k):
 
 def c4(max_m, max_s):
     """A_1 derivative count = formula at every odd m, k <= 3 with gcd(k, m) = 1"""
-    yield from (a1_row(m, k) for m in range(1, max_m + 1, 2) for k in (1, 2, 3) if math.gcd(k, m) == 1)
+    yield from (a1_row(m, k) for m in range(1, max_m + 1) for k in (1, 2, 3)
+                if crosscorr.theorem1_applies(m, k))
 
 
 def a1_row(m, k):
     """The A_1 formula against the derivative count, at odd m and gcd(k, m) = 1."""
     rep = crosscorr.a1_formula(m, k, brute=True)
     return f"A1 count = formula (m={m},k={k})", rep.brute_count, rep.formula_value
-
-
-def theorem1_applies(m, k):
-    """Theorem 1 gives the five multiplicities of the spectrum at
-    d = decimation_exponent(m, k) for odd m and gcd(k, m) = 1."""
-    return k is not None and m % 2 == 1 and math.gcd(k, m) == 1
 
 
 def spectrum_rows(prefix, dist, k=None):
@@ -92,7 +94,7 @@ def spectrum_rows(prefix, dist, k=None):
     yield f"{prefix}sum of multiplicities", sum(entries.values()), (1 << m) - 1
     yield f"{prefix}first moment", sum(v * n for v, n in entries.items()), 1
     yield f"{prefix}second moment", sum(v * v * n for v, n in entries.items()), (1 << (2 * m)) - (1 << m) - 1
-    if not theorem1_applies(m, k):
+    if not crosscorr.theorem1_applies(m, k):
         for p, name, count in zip((3, 4), ("third", "fourth"), crosscorr.derivative_counts(m, dist.d)):
             observed = sum((v + 1) ** p * n for v, n in entries.items())
             yield f"{prefix}{name} moment of C + 1", observed, count << (2 * m)
@@ -109,7 +111,7 @@ def c5(max_m, max_s):
     for m in range(5, max_m + 1, 2):
         base = None
         for k in (1, 2, 3):
-            if not theorem1_applies(m, k):
+            if not crosscorr.theorem1_applies(m, k):
                 continue
             dist = crosscorr.correlation_distribution(m, gf2m.decimation_exponent(m, k))
             yield from spectrum_rows(f"m={m} k={k} ", dist, k)

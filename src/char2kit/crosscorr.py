@@ -37,6 +37,7 @@ __all__ = [
     "derivative_counts",
     "match_multiplicities",
     "one_sixth_slack",
+    "theorem1_applies",
     "theorem1_multiplicities",
     "walsh_spectrum",
     "walsh_transform",
@@ -176,26 +177,31 @@ def correlation_distribution(m: int, d: int) -> CorrelationDistribution:
     order = group_order(m)
     if math.gcd(d, order) != 1:
         raise FieldError(f"gcd(d={d}, 2^{m}-1) = {math.gcd(d, order)} != 1")
-    W = walsh_spectrum(get_field(m), d)[1:]
-    W -= 1
-    values, counts = _runs(W)
-    return CorrelationDistribution(m, d, dict(zip(values.tolist(), counts.tolist())))
+    runs = _runs(walsh_spectrum(get_field(m), d)[1:])
+    return CorrelationDistribution(m, d, {v - 1: n for values, lengths in runs
+                                          for v, n in zip(values.tolist(), lengths.tolist())})
 
 
-def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values of a nonempty 1-d array, ascending, and how often each
-    occurs: np.unique(values, return_counts=True), which copies its input
-    twice.  Here the array is the caller's and is sorted in place, the counts
-    are the lengths of its runs, and the run edges are found LOG_BLOCK
-    neighbour pairs at a time, so no mask as long as the array is made.
+def _runs(values: np.ndarray):
+    """Sort a nonempty 1-d array in place and yield its runs, ascending, as
+    (values, lengths), one window of LOG_BLOCK neighbour pairs at a time: the
+    pieces of np.unique(values, return_counts=True), which copies its input
+    twice.  A run is yielded in the window where it ends, and the lengths are
+    written over that window's edge index, so nothing as long as the array is made.
     """
     values.sort()
-    starts = [np.zeros(1, dtype=np.intp)]
-    for lo in range(0, len(values) - 1, LOG_BLOCK):
+    start = 0  # where the run that is still open began
+    for lo in range(0, len(values), LOG_BLOCK):
         window = values[lo:lo + LOG_BLOCK + 1]
-        starts.append(np.flatnonzero(window[1:] != window[:-1]) + (lo + 1))
-    starts = np.concatenate(starts)
-    return values[starts], np.diff(starts, append=len(values))
+        # True at 0, where a run begins, and, in the last window, past the end
+        edges = np.ones(len(window) + (len(window) <= LOG_BLOCK), dtype=bool)
+        np.not_equal(window[1:], window[:-1], out=edges[1:len(window)])
+        edges = np.flatnonzero(edges)
+        run_values = window[edges[:-1]]
+        edges[0] = start - lo
+        start = lo + int(edges[-1])
+        np.subtract(edges[1:], edges[:-1], out=edges[:-1])  # reads ahead of its output: no copy
+        yield run_values, edges[:-1]
 
 
 def derivative_counts(m: int, d: int) -> tuple[int, int]:
@@ -205,9 +211,8 @@ def derivative_counts(m: int, d: int) -> tuple[int, int]:
 
     y and y xor 1 give the same t, so delta(t) is twice the count of t among
     the 2^(m-1) differences y^d xor (y+1)^d at even y, built LOG_BLOCK
-    elements at a time into one uint32 array and sorted in place.  Its squared
-    run lengths are summed LOG_BLOCK neighbour pairs at a time, as _runs finds
-    its edges, so no other temporary exceeds LOG_BLOCK entries.
+    elements at a time into one uint32 array, whose squared run lengths _runs
+    gives, so no other temporary exceeds LOG_BLOCK entries.
     """
     order = group_order(m)
     if math.gcd(d, order) != 1:
@@ -218,17 +223,7 @@ def derivative_counts(m: int, d: int) -> tuple[int, int]:
     for lo in range(0, field.size, LOG_BLOCK):
         P = field.exp_table[field.pow_log(d, max(lo, 2), lo + LOG_BLOCK)]
         np.bitwise_xor(P[0::2], P[1::2], out=D[max(lo, 2) // 2:(lo + LOG_BLOCK) // 2], casting="unsafe")
-    D.sort()
-    squares, start = 0, 0  # start: where the run that is still open began
-    for lo in range(0, len(D) - 1, LOG_BLOCK):
-        window = D[lo:lo + LOG_BLOCK + 1]
-        edges = np.flatnonzero(window[1:] != window[:-1])
-        if len(edges):
-            edges += lo + 1
-            runs = np.diff(edges)
-            squares += (int(edges[0]) - start) ** 2 + int(runs @ runs)
-            start = int(edges[-1])
-    squares += (len(D) - start) ** 2
+    squares = sum(int(lengths @ lengths) for _, lengths in _runs(D))  # sorts D
     return 2 * int(np.searchsorted(D, np.uint32(2)) - np.searchsorted(D, np.uint32(1))), 4 * squares
 
 
@@ -240,13 +235,9 @@ def a1_bruteforce(m: int, k: int) -> int:
     derivative_counts at d = decimation_exponent(m, k).  Other (m, k) are
     refused before the field is built.
     """
-    _require_odd_coprime(m, k)
-    return derivative_counts(m, decimation_exponent(m, k))[1] - (1 << (m + 1))
-
-
-def _require_odd_coprime(m: int, k: int) -> None:
-    if m % 2 == 0 or math.gcd(k, m) != 1:
+    if not theorem1_applies(m, k):
         raise FieldError(f"A_1 requires odd m and gcd(k, m) = 1, not m={m}, k={k}")
+    return derivative_counts(m, decimation_exponent(m, k))[1] - (1 << (m + 1))
 
 
 def a1_formula(m: int, k: int, brute: bool = False) -> A1Report:
@@ -254,12 +245,20 @@ def a1_formula(m: int, k: int, brute: bool = False) -> A1Report:
 
     brute=True also fills the derivative count of a1_bruteforce.
     """
-    _require_odd_coprime(m, k)
+    if not theorem1_applies(m, k):
+        raise FieldError(f"A_1 requires odd m and gcd(k, m) = 1, not m={m}, k={k}")
     g = expsums.g_sum(m, k).value
     kp = expsums.kloosterman(m).value if k == 1 else expsums.k_prime(m, k).value
     c = expsums.c_sum(m, k).value
     value = (1 << m) + 1 + 3 * g - 2 * kp - 2 * c
     return A1Report(m, k, value, a1_bruteforce(m, k) if brute else None)
+
+
+def theorem1_applies(m: int, k: int | None) -> bool:
+    """The paper's hypothesis, odd m and gcd(k, m) = 1: where theorem 1 gives the
+    five multiplicities of the spectrum at d = decimation_exponent(m, k), and
+    where A_1 is counted and has its formula."""
+    return k is not None and m % 2 == 1 and math.gcd(k, m) == 1
 
 
 def theorem1_multiplicities(m: int, A1: int) -> dict[str, int | Fraction]:
@@ -354,7 +353,7 @@ def weight_distribution(m: int, k: int, mode: str = "via_correlation") -> Weight
     else:
         classes.append((None, 1))
     for c, members in classes:
-        values, counts = _runs(walsh_spectrum(field, e1, e2, c))
-        for v, n in zip(values.tolist(), counts.tolist()):
-            entries[(field.size - v) // 2] += n * members
+        for values, lengths in _runs(walsh_spectrum(field, e1, e2, c)):
+            for v, n in zip(values.tolist(), lengths.tolist()):
+                entries[(field.size - v) // 2] += n * members
     return WeightDistribution(m, k, dict(sorted(entries.items())))

@@ -106,8 +106,6 @@ def reconstruct_from_counts(counts: list[int], q: int, g: int) -> LPolynomial:
     """
     if g < 1 or len(counts) < g:
         raise ZetaError(f"need point counts N_1..N_{g}")
-    if g > 8:
-        raise ZetaError("reconstruction supported for genus <= 8")
     P = [q**s + 1 - counts[s - 1] for s in range(1, g + 1)]
     sigma: list[Fraction] = [Fraction(1)]
     for j in range(1, g + 1):

@@ -7,10 +7,11 @@ tests/test_acceptance.py` to see the per-criterion pass/FAIL lines; every
 comparison is exact equality.
 """
 
+import dataclasses
 import math
 from collections import Counter
 
-from char2kit import crosscorr
+from char2kit import crosscorr, expsums
 from char2kit.acceptance import CRITERIA, spectrum_rows
 from char2kit.gf2m import decimation_exponent
 
@@ -116,3 +117,47 @@ def test_moment_rows_fail_a_spectrum_that_keeps_the_lower_moments():
         mutant = crosscorr.CorrelationDistribution(16, 7, dict(entries))
         rows = list(spectrum_rows("", mutant))
         assert [name for name, observed, expected in rows if observed != expected] == failed, weights
+
+
+def _rows_reading_one_residue(criterion, max_m, monkeypatch):
+    """The rows of criterion(max_m, 10) that still pass when every trace-zero
+    count is offset by a number of its own per field and exponent-residue key,
+    as _trace_zero_count and k_prime key their memos: such a row reads one
+    residue on both sides, so no change to that residue's sum can fail it."""
+    offsets = {}
+    real_count, real_k_prime = expsums._trace_zero_count, expsums.k_prime
+
+    def offset(key):
+        return offsets.setdefault(key, len(offsets) + 1)
+
+    def count(field, a, b):
+        return real_count(field, a, b) + offset((field.m, "pair", *sorted((a % field.order, b % field.order))))
+
+    def k_prime(m, k):  # counts inline, not through _trace_zero_count
+        report = real_k_prime(m, k)
+        n = report.trace_zero_count + offset((m, "Kp", (1 << k) % report.domain_size))
+        return dataclasses.replace(report, value=2 * n - report.domain_size, trace_zero_count=n)
+
+    monkeypatch.setattr(expsums, "_trace_zero_count", count)
+    monkeypatch.setattr(expsums, "k_prime", k_prime)
+    return [name for name, observed, expected in criterion(max_m, 10) if observed == expected]
+
+
+def test_no_sum_row_reads_one_residue_on_both_sides(monkeypatch):
+    # Each side of a C1, C2 or C8 row is a sum at its own exponent residues,
+    # or the zeta side, so with every residue's count offset every row fails.
+    for key in ("C1", "C2", "C8"):
+        assert _rows_reading_one_residue(CRITERIA[key], 12, monkeypatch) == [], key
+
+
+def test_one_residue_rule_reports_rows_that_read_one_residue_twice(monkeypatch):
+    # G^(k + m) and K'^(k + m) read the residues of G^(k) and K'^(k), as
+    # 2^(k + m) = 2^k mod 2^m - 1; G^(4) at m = 5 reads another one.
+    def criterion(max_m, max_s):
+        for m in range(2, max_m + 1):
+            yield f"G^(1) = G^(m+1) m={m}", expsums.g_sum(m, 1).value, expsums.g_sum(m, m + 1).value
+            yield f"K'^(3) = K'^(m+3) m={m}", expsums.k_prime(m, 3).value, expsums.k_prime(m, m + 3).value
+        yield "G_5^(1) = G_5^(4)", expsums.g_sum(5, 1).value, expsums.g_sum(5, 4).value
+
+    assert _rows_reading_one_residue(criterion, 6, monkeypatch) == [
+        name for m in range(2, 7) for name in (f"G^(1) = G^(m+1) m={m}", f"K'^(3) = K'^(m+3) m={m}")]

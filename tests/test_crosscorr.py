@@ -194,10 +194,13 @@ def test_runs_match_np_unique(values, block):
     expected_values, expected_counts = np.unique(a, return_counts=True)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cc, "LOG_BLOCK", block)  # run edges found `block` neighbour pairs at a time
-        run_values, run_counts = cc._runs(a)
+        windows = list(cc._runs(a))
+    assert len(windows) == -(-len(values) // block)
+    run_values, run_counts = (np.concatenate(pieces) for pieces in zip(*windows))
     assert run_values.dtype == np.int32
     assert np.array_equal(run_values, expected_values)
     assert np.array_equal(run_counts, expected_counts)
+    assert np.array_equal(a, np.sort(values))  # sorted in place, as derivative_counts reads it
 
 
 def _traced_peak(call):
@@ -421,7 +424,7 @@ def test_class_reduction_needs_only_the_gcd_of_2k_plus_1():
 
 
 @pytest.mark.parametrize("m,k", [(5, 1), (5, 2), (5, 3), (7, 3), (6, 5)])
-def test_weights_direct_matches_naive(m, k):
+def test_weights_match_the_naive_oracle(m, k):
     # At (6, 5), gcd(2^k + 1, 2^m - 1) = 3: three classes of b != 0, and
     # 2^(2k) + 1 prime to 2^m - 1.  (6, 1), (8, 1) and (8, 3) are pinned in
     # KNOWN_WEIGHTS from the same oracle.
@@ -437,7 +440,7 @@ def test_known_weights_match_the_naive_oracle():
 
 
 @pytest.mark.parametrize("m", range(1, 9))
-def test_packed_direct_weights_match_row_loop(m):
+def test_weights_match_row_loop_or_refuse_a_degenerate_code(m):
     # Every nondegenerate (m, k), k <= 2m: the cosets of 2^k+1 and 2^(2k)+1
     # modulo 2^m - 1 differ and have m members each; the rest are refused.
     cosets = naive_cyclotomic_cosets(m)
@@ -461,7 +464,7 @@ def test_degenerate_decimation_pair_is_rejected():
 
 
 @pytest.mark.parametrize("m,k", [(5, 1), (5, 2), (5, 3), (7, 1), (7, 2), (7, 3)])
-def test_weights_via_correlation_matches_direct(m, k):
+def test_both_weight_modes_match_row_loop(m, k):
     # Both accepted mode values run the one route, against the row-loop oracle.
     expected = row_loop_direct_weights(m, k)
     for mode in ("direct", "via_correlation"):
@@ -472,7 +475,7 @@ def test_weights_via_correlation_matches_direct(m, k):
 @given(m=st.integers(1, 8), k=st.integers(1, 16))
 @example(m=6, k=1).via("gcd(2^k + 1, 2^m - 1) = 3, 2^(2k) + 1 prime to 2^m - 1")
 @example(m=8, k=3).via("gcd 3 with 2^k + 1 and gcd 5 with 2^(2k) + 1")
-def test_weights_via_correlation_matches_direct_any_k(m, k):
+def test_weights_match_row_loop_any_k(m, k):
     try:
         got = cc.weight_distribution(m, k).entries
     except FieldError:

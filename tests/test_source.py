@@ -295,3 +295,59 @@ def test_mode_rule_sees_keyword_positional_and_unpacked_modes(tmp_path):
         '    cc.weight_distribution(7, 1, mode="direct"), weight_distribution(7, 1, "direct")\n'
         '    cc.weight_distribution(7, 1, **kw), cc.weight_distribution(7, 1), x.take(1, mode="wrap")\n')
     assert _mode_passing_calls(path) == ["mod.py:2", "mod.py:2", "mod.py:3"]
+
+
+def _called(node):
+    return isinstance(node, ast.Call) and (node.func.id if isinstance(node.func, ast.Name)
+                                           else getattr(node.func, "attr", None))
+
+
+def _restating_functions(path):
+    """The functions in path that restate a rule stated once in crosscorr:
+    ("hypothesis", f) where f tests parity (% 2 or a range of step 2) and
+    calls gcd, and ("runs", f) where f sets an array's x[1:] against its x[:-1]."""
+    def sliced(operands, bounds):
+        return {a.value.id for a in operands if isinstance(a, ast.Subscript) and isinstance(a.value, ast.Name)
+                and isinstance(a.slice, ast.Slice) and ast.unparse(a.slice) == bounds}
+
+    out = []
+    for fn in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        nodes = list(ast.walk(fn))
+        parity = any(isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mod) and ast.unparse(n.right) == "2"
+                     or _called(n) == "range" and len(n.args) == 3 and ast.unparse(n.args[2]) == "2"
+                     for n in nodes)
+        if parity and any(_called(n) == "gcd" for n in nodes):
+            out.append(("hypothesis", fn.name))
+        pairs = [n.args if isinstance(n, ast.Call) else [n.left, *n.comparators]
+                 for n in nodes if isinstance(n, (ast.Call, ast.Compare))]
+        if any(sliced(operands, "1:") & sliced(operands, ":-1") for operands in pairs):
+            out.append(("runs", fn.name))
+    return out
+
+
+def test_each_crosscorr_rule_is_stated_once():
+    # theorem1_applies is the one test of the paper's hypothesis (odd m,
+    # gcd(k, m) = 1) for crosscorr and acceptance, and _runs the one walk over
+    # the run edges of a sorted array in the library.
+    hits = [(path.stem, *hit) for path in SOURCES for hit in _restating_functions(path)]
+    assert [hit for hit in hits if hit[0] in ("crosscorr", "acceptance") or hit[1] == "runs"] == [
+        ("crosscorr", "runs", "_runs"), ("crosscorr", "hypothesis", "theorem1_applies")]
+
+
+def test_restating_rule_sees_parity_with_gcd_and_neighbour_pairs(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        'def a(m, k):\n'
+        '    return m % 2 == 0 or math.gcd(k, m) != 1\n'
+        'def b(n):\n'
+        '    return [m for m in range(1, n, 2) if gcd(3, m) == 1]\n'
+        'def c(m, k):\n'
+        '    return m % 2, range(m), math.gcd(k, m), x[1:] != y[:-1], z[1:] + z[:-1]\n'
+        'def d(w):\n'
+        '    return np.flatnonzero(w[1:] != w[:-1])\n'
+        'def e(w):\n'
+        '    np.not_equal(w[1:], w[:-1], out=w[:-1])\n')
+    assert _restating_functions(path) == [("hypothesis", "a"), ("hypothesis", "b"), ("hypothesis", "c"),
+                                          ("runs", "d"), ("runs", "e")]
