@@ -7,16 +7,17 @@ expected exactly, and verify-all names it "<key> <name>".  C1-C5 check the
 paper's claims for k = 3; C6-C12 the weights, point counts and
 zeta-function identities.
 
-Every row that a subcommand shares with a criterion is built here, once:
-c_row (C3, expsum --sum C), a1_row (C4, a1), spectrum_rows (C5, corrdist,
-the b = 1 rows of weights), count_rows (C7, curvecount) and dm_rows (C9,
-dm-check).  crosscorr.theorem1_applies is the one test of the paper's
-hypothesis, odd m and gcd(k, m) = 1.
+Every row a subcommand checks is built here, once, and a criterion keeps
+only its sweep: kp_row (C1), g_row (C2), c_row (C3) and zeta_row (C8),
+which sum_rows gathers for expsum and conjectures; a1_row (C4),
+spectrum_rows (C5, corrdist), weight_rows (C6), count_rows (C7) and dm_rows
+(C9); and the zeta rows that no criterion states.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 from . import crosscorr, curves, expsums, gf2m, zeta
 
@@ -30,29 +31,48 @@ KNOWN_WEIGHTS = {
 
 PINNED_M11 = {"N0": 1155, "N1": 440, "N-1": 408, "N2": 22, "N-2": 22}
 
+C2_K = range(1, 6)  # the k at which C2 checks G^(k), and sum_rows checks g_row
+
 
 def c1(max_m, max_s):
     """K'_m = K_m at k=3 where 3 does not divide m"""
-    for m in range(1, max_m + 1):
-        if expsums.conjecture2_proved(m, 3):
-            v = expsums.conjecture2_check(m, 3)
-            yield f"K'_{m} = K_{m} (k=3)", v.lhs, v.rhs
+    yield from (kp_row(m, 3) for m in range(1, max_m + 1) if expsums.conjecture2_proved(m, 3))
+
+
+def kp_row(m, k):
+    """K'_m against K_m at parameter k."""
+    v = expsums.conjecture2_check(m, k)
+    return f"K'_{m} = K_{m} (k={k})", v.lhs, v.rhs
 
 
 def c2(max_m, max_s):
-    """G^(k) against the sum at another exponent residue mod 2^m - 1: G^(gcd(k, m)) where
-    gcd(k, m) < k (at k = 3, 3 not | m, G^(3) = G; at k = 4, 5 the open conjecture 1,
-    checked as an observed fact up to max_m), else G^(m - k), as x -> x^(2^(m-k)) sends
-    one to the other, which at k = m is K_m, as Tr(x^2) = Tr(x); each pair of residues once"""
+    """G^(k) against the sum at another exponent residue mod 2^m - 1 (g_row), each pair of residues once"""
     for m in range(1, max_m + 1):
-        order, seen = (1 << m) - 1, set()
-        for k in range(1, 6):
-            j = math.gcd(k, m) if math.gcd(k, m) < k else m - k  # the partner G^(j), or K_m at j = 0
-            residues = frozenset((((1 << k) + 1) % order, ((1 << j) + 1 if j else 1) % order))
-            if len(residues) == 2 and residues not in seen:
-                seen.add(residues)
-                partner = expsums.g_sum(m, j) if j else expsums.kloosterman(m)
-                yield f"G_{m}^({k}) = {f'G_{m}^({j})' if j else f'K_{m}'}", expsums.g_sum(m, k).value, partner.value
+        first = {}  # each pair of residues at its least k
+        for k in C2_K:
+            first.setdefault(_partner(m, k)[1], k)
+        yield from (g_row(m, k) for residues, k in first.items() if len(residues) == 2)
+
+
+def _partner(m, k):
+    """j, where g_row compares G_m^(k) with G_m^(j) (K_m at j = 0), and the two exponent residues."""
+    j = math.gcd(k, m) if math.gcd(k, m) < k else m - k
+    order = (1 << m) - 1
+    return j, frozenset((((1 << k) + 1) % order, ((1 << j) + 1 if j else 1) % order))
+
+
+def g_row(m, k):
+    """G_m^(k) against G_m^(gcd(k, m)) where gcd(k, m) < k (conjecture 1: proved at k = 2, 3,
+    open at k = 4, 5, where C2 checks it as an observed fact), else against G_m^(m - k), as x -> x^(2^(m-k))
+    sends one to the other (K_m at k = m, as Tr(x^2) = Tr(x)); None at one exponent residue."""
+    j, residues = _partner(m, k)
+    if len(residues) < 2:
+        return None
+    if math.gcd(k, m) < k:
+        v = expsums.conjecture1_check(m, k)
+        return f"G_{m}^({k}) = G_{m}^({j})", v.lhs, v.rhs
+    partner = expsums.g_sum(m, j) if j else expsums.kloosterman(m)
+    return f"G_{m}^({k}) = {f'G_{m}^({j})' if j else f'K_{m}'}", expsums.g_sum(m, k).value, partner.value
 
 
 def c3(max_m, max_s):
@@ -71,10 +91,20 @@ def c_row(m, k):
     return f"C_{m}(k={k})^2 in {{0, 2^{m + math.gcd(2 * k, m)}}}", v.lhs, v.rhs
 
 
+def sum_rows(name, m, k):
+    """The rows the criteria check for the sum that `expsum --sum name` evaluates at (m, k): its
+    IDENTITY_ROWS row where a criterion checks that rule (C3 at every (m, k), C2 at k in C2_K, C1
+    where expsums.conjecture2_proved), then the zeta_row of each route with that sum and k."""
+    checked = name == "C" or (name == "G" and k in C2_K) or (name == "Kp" and expsums.conjecture2_proved(m, k))
+    if checked and (row := IDENTITY_ROWS[name](m, k)) is not None:
+        yield row
+    yield from (zeta_row(route, m) for route in expsums.ZETA_ROUTES if route[0] == name and route[1] in (None, k))
+
+
 def c4(max_m, max_s):
     """A_1 derivative count = formula at every odd m, k <= 3 with gcd(k, m) = 1"""
     yield from (a1_row(m, k) for m in range(1, max_m + 1) for k in (1, 2, 3)
-                if crosscorr.theorem1_applies(m, k))
+                if expsums.theorem1_applies(m, k))
 
 
 def a1_row(m, k):
@@ -94,7 +124,7 @@ def spectrum_rows(prefix, dist, k=None):
     yield f"{prefix}sum of multiplicities", sum(entries.values()), (1 << m) - 1
     yield f"{prefix}first moment", sum(v * n for v, n in entries.items()), 1
     yield f"{prefix}second moment", sum(v * v * n for v, n in entries.items()), (1 << (2 * m)) - (1 << m) - 1
-    if not crosscorr.theorem1_applies(m, k):
+    if not expsums.theorem1_applies(m, k):
         for p, name, count in zip((3, 4), ("third", "fourth"), crosscorr.derivative_counts(m, dist.d)):
             observed = sum((v + 1) ** p * n for v, n in entries.items())
             yield f"{prefix}{name} moment of C + 1", observed, count << (2 * m)
@@ -111,7 +141,7 @@ def c5(max_m, max_s):
     for m in range(5, max_m + 1, 2):
         base = None
         for k in (1, 2, 3):
-            if not crosscorr.theorem1_applies(m, k):
+            if not expsums.theorem1_applies(m, k):
                 continue
             dist = crosscorr.correlation_distribution(m, gf2m.decimation_exponent(m, k))
             yield from spectrum_rows(f"m={m} k={k} ", dist, k)
@@ -125,11 +155,38 @@ def c5(max_m, max_s):
 
 
 def c6(max_m, max_s):
-    """weight distributions m=7, 8, 11; at m = 8 no b != 0 reduces to b = 1"""
+    """weight distributions m=7, 8, 11 and their structure; at m = 8 no b != 0 reduces to b = 1"""
     for m in [m for m in (7, 8, 11) if m <= max_m]:
         w1 = crosscorr.weight_distribution(m, 1)
-        yield f"weights m={m} k=1", w1.entries, KNOWN_WEIGHTS[m]
+        yield from weight_rows(f"weights m={m} k=1 ", w1)
         yield f"weights m={m} k=3 = k=1", crosscorr.weight_distribution(m, 3).entries, w1.entries
+
+
+def weight_rows(prefix, dist):
+    """The weights of dist against KNOWN_WEIGHTS where it has dist.m, the word total and the
+    zero word; then where gcd(2^k + 1, 2^m - 1) = 1 the b != 0 classes and the spectrum_rows
+    of the b = 1 words, elsewhere Pless's two power moments (the positions are distinct)."""
+    m, k, entries, order = dist.m, dist.k, dist.entries, (1 << dist.m) - 1
+    expected = KNOWN_WEIGHTS.get(m)
+    if expected is not None:
+        yield from ((f"{prefix}A_{w}", n, expected.get(w)) for w, n in entries.items())
+        yield f"{prefix}weight set", sorted(entries), sorted(expected)
+    yield f"{prefix}total words", sum(entries.values()), 1 << (2 * m)
+    yield f"{prefix}zero words", entries.get(0, 0), 1
+    if math.gcd((1 << k) + 1, order) > 1:
+        yield f"{prefix}sum of w A_w", sum(w * n for w, n in entries.items()), order << (2 * m - 1)
+        yield (f"{prefix}sum of w^2 A_w", sum(w * w * n for w, n in entries.items()),
+               (order * (order + 1)) << (2 * m - 2))
+        return
+    # b = 0 gives the zero word and 2^m - 1 m-sequences of weight 2^(m-1);
+    # x -> cx maps the b = 1 rows onto each of the 2^m - 1 classes b != 0.
+    rest = {w: n - (w == 0) - order * (w == 1 << (m - 1)) for w, n in entries.items()}
+    yield f"{prefix}b != 0 classes of 2^m - 1 words", [w for w, n in rest.items() if n % order], []
+    # A b = 1 row of weight w has C_d value 2^m - 1 - 2w; its a = 0 row has -1.
+    values = Counter({order - 2 * w: n // order for w, n in rest.items()})
+    values[-1] -= 1
+    spectrum = crosscorr.CorrelationDistribution(m, gf2m.decimation_exponent(m, k), +values)
+    yield from spectrum_rows(f"{prefix}b = 1 ", spectrum, k)
 
 
 def c7(max_m, max_s):
@@ -152,9 +209,13 @@ def count_rows(prefix, entry, s_max):
 
 def c8(max_m, max_s):
     """exponential sums = zeta power sums"""
-    for m in range(1, max_m + 1):
-        for name, k, lpoly, label in expsums.ZETA_ROUTES:
-            yield label.format(m=m), expsums.sum_report(name, m, k).value, expsums.zeta_side(name, lpoly, m)
+    yield from (zeta_row(route, m) for m in range(1, max_m + 1) for route in expsums.ZETA_ROUTES)
+
+
+def zeta_row(route, m):
+    """The sum that a route of expsums.ZETA_ROUTES names, at m, against its zeta power sum."""
+    name, k, lpoly, label = route
+    return label.format(m=m), expsums.sum_report(name, m, k).value, expsums.zeta_side(name, lpoly, m)
 
 
 def c9(max_m, max_s):
@@ -173,6 +234,19 @@ def dm_rows(bound):
     yield f"P_m(l1prime) = 0 for 3 coprime m <= {bound}", v.lhs, v.rhs
     v = zeta.l1prime_expansion_check()
     yield "expansion matches published coefficients", v.lhs, v.rhs
+
+
+def functional_equation_rows(L):
+    """L's functional equation at genus degree / 2, where the degree is even and positive."""
+    if L.degree % 2 == 0 and L.degree > 0:
+        v = zeta.functional_equation_check(L, L.degree // 2)
+        yield "functional equation", v.lhs, v.rhs
+
+
+def prediction_rows(counts, g):
+    """Each count N_s past genus g against the prediction of the L-polynomial that N_1..N_g give."""
+    L = zeta.reconstruct_from_counts(counts, 2, g)
+    yield from ((f"N_{s}", n, zeta.predicted_count(L, s)) for s, n in enumerate(counts, 1) if s > g)
 
 
 def c10(max_m, max_s):
@@ -203,6 +277,8 @@ def c12(max_m, max_s):
     yield "(x+z)^e * p1tilde = fbar3 for e", [e for e in range(1, 9) if (xz**e) * p1 == fb3], [8]
     yield "homogenize(f_3, 66) = fbar3", curves.homogenize(curves.f_k_affine(3), 66), fb3
 
+
+IDENTITY_ROWS = {"C": c_row, "G": g_row, "Kp": kp_row}  # the identity of each sum but K
 
 CRITERIA = {"C1": c1, "C2": c2, "C3": c3, "C4": c4, "C5": c5, "C6": c6,
             "C7": c7, "C8": c8, "C9": c9, "C10": c10, "C11": c11, "C12": c12}

@@ -8,8 +8,9 @@ fails, 2 when the arguments are refused: by the parser, which states each
 option's domain, by a subcommand, which checks only the rules that relate
 two options, or by the library (a ValueError or OSError).  Any other raise
 is one failed row named after the subcommand (after the criterion, in
-verify-all), with the traceback on stderr.  A row that a subcommand shares
-with a criterion is built once, in acceptance.
+verify-all), with the traceback on stderr.  Every checked row is built in
+acceptance; a subcommand computes its input, records what no rule checks and
+formats.
 """
 
 from __future__ import annotations
@@ -22,11 +23,9 @@ import math
 import sys
 import time
 import traceback
-from collections import Counter
 from dataclasses import dataclass, field
 
 from . import __version__, acceptance, crosscorr, curves, expsums, gf2m, zeta
-from .acceptance import KNOWN_WEIGHTS
 
 
 @dataclass
@@ -141,39 +140,26 @@ def _span_in(lo: int, hi: float = math.inf):
 # -- subcommands -------------------------------------------------------------
 
 
-def cmd_expsum(args, timings) -> list[Row]:
-    m, k, g = args.m, args.k, math.gcd(args.k, args.m)
-    rep = expsums.sum_report(args.sum, m, k)
-    if args.sum == "K":
-        rows = [recorded(f"K_{m}", rep.value)]
-    elif args.sum == "C":
-        rows = [checked(*acceptance.c_row(m, k))]
-        if expsums.c_sum_closed_form(m, k) is None:  # the row checks C_m^2: record C_m, whose sign it drops
-            rows.insert(0, recorded(f"C_{m}(k={k})", rep.value))
-    elif args.sum == "G":
-        rows = [recorded(f"G_{m}^({k})", rep.value)]
-        if g < k and expsums.conjecture1_proved(m, k):
-            rows.append(checked(f"G_{m}^({k}) = G_{m}^({g})", rep.value, expsums.g_sum(m, g).value))
-    else:  # Kp
-        K = expsums.kloosterman(m).value
-        rows = ([checked(f"K'_{m}(k={k})", rep.value, K)] if expsums.conjecture2_proved(m, k)
-                else [recorded(f"K'_{m}(k={k})", rep.value), recorded(f"K_{m}", K)])
-    rows += [checked(label.format(m=m), rep.value, expsums.zeta_side(name, lpoly, m))
-             for name, route_k, lpoly, label in expsums.ZETA_ROUTES if name == args.sum and route_k in (None, k)]
-    rows.append(recorded("trace_zero_count", rep.trace_zero_count))
+def _sum_rows(name, m, k) -> list[Row]:
+    """acceptance.sum_rows, after the sum's identity row, recorded, where no criterion checks it."""
+    rows = [checked(*row) for row in acceptance.sum_rows(name, m, k)]
+    identity = acceptance.IDENTITY_ROWS[name](m, k) if name in acceptance.IDENTITY_ROWS else None
+    if identity is not None and identity[0] not in [r.name for r in rows]:
+        rows.insert(0, recorded(identity[0], f"{identity[1]} vs {identity[2]}"))
     return rows
+
+
+def cmd_expsum(args, timings) -> list[Row]:
+    m, k = args.m, args.k
+    rep = expsums.sum_report(args.sum, m, k)
+    label = {"K": f"K_{m}", "C": f"C_{m}(k={k})", "G": f"G_{m}^({k})", "Kp": f"K'_{m}(k={k})"}[args.sum]
+    return [recorded(label, rep.value), *_sum_rows(args.sum, m, k),
+            recorded("trace_zero_count", rep.trace_zero_count)]
 
 
 def cmd_conjectures(args, timings) -> list[Row]:
-    rows = []
-    for m in args.m_range.values:
-        for k in args.k_range.values:  # an unproved identity is recorded, not checked
-            for label, check, proved in (("conj1 G=G(gcd)", expsums.conjecture1_check, expsums.conjecture1_proved),
-                                         ("conj2 K'=K", expsums.conjecture2_check, expsums.conjecture2_proved)):
-                v, name = check(m, k), f"{label} (m={m},k={k})"
-                rows.append(checked(name, v.lhs, v.rhs) if proved(m, k) else
-                            recorded(name, f"{v.lhs} vs {v.rhs} ({'=' if v.holds else 'diff'})"))
-    return rows
+    return [row for m in args.m_range.values for k in args.k_range.values for name in ("G", "Kp")
+            for row in _sum_rows(name, m, k)]
 
 
 def cmd_corrdist(args, timings) -> list[Row]:
@@ -189,30 +175,9 @@ def cmd_a1(args, timings) -> list[Row]:
 
 
 def cmd_weights(args, timings) -> list[Row]:
-    m, k, order = args.m, args.k, (1 << args.m) - 1
-    dist = crosscorr.weight_distribution(m, k)
-    expected = KNOWN_WEIGHTS.get(m)
-    rows = [recorded(f"A_{w}", n) if expected is None else checked(f"A_{w}", n, expected.get(w))
-            for w, n in dist.entries.items()]
-    if expected is not None:
-        rows.append(checked("weight set", sorted(dist.entries), sorted(expected)))
-    rows.append(checked("total words", sum(dist.entries.values()), 1 << (2 * m)))
-    rows.append(checked("zero words", dist.entries.get(0, 0), 1))
-    if math.gcd((1 << k) + 1, order) > 1:  # no b = 1 rows: Pless's moments (distinct nonzero positions)
-        rows += [checked("sum of w A_w", sum(w * n for w, n in dist.entries.items()), order << (2 * m - 1)),
-                 checked("sum of w^2 A_w", sum(w * w * n for w, n in dist.entries.items()),
-                         (order * (order + 1)) << (2 * m - 2))]
-    else:
-        # b = 0 gives the zero word and 2^m - 1 m-sequences of weight 2^(m-1);
-        # x -> cx maps the b = 1 rows onto each of the 2^m - 1 classes b != 0.
-        rest = {w: n - (w == 0) - order * (w == 1 << (m - 1)) for w, n in dist.entries.items()}
-        rows.append(checked("b != 0 classes of 2^m - 1 words", [w for w, n in rest.items() if n % order], []))
-        # A b = 1 row of weight w has C_d value 2^m - 1 - 2w; its a = 0 row has -1.
-        values = Counter({order - 2 * w: n // order for w, n in rest.items()})
-        values[-1] -= 1
-        spectrum = crosscorr.CorrelationDistribution(m, gf2m.decimation_exponent(m, k), +values)
-        rows += [checked(*row) for row in acceptance.spectrum_rows("b = 1 ", spectrum, k)]
-    return rows
+    dist = crosscorr.weight_distribution(args.m, args.k)
+    rows = [] if args.m in acceptance.KNOWN_WEIGHTS else [recorded(f"A_{w}", n) for w, n in dist.entries.items()]
+    return rows + [checked(*row) for row in acceptance.weight_rows("", dist)]
 
 
 def cmd_curvecount(args, timings) -> list[Row]:
@@ -233,21 +198,19 @@ def cmd_zeta(args, timings) -> list[Row]:
     if args.reconstruct:
         L = zeta.reconstruct_from_counts(args.reconstruct, q=2, g=args.genus)
         return [recorded("reconstructed coefficients", list(L.coefficients))] + [
-            checked(f"N_{s}", n, zeta.predicted_count(L, s))
-            for s, n in enumerate(args.reconstruct, 1) if s > args.genus]
+            checked(*row) for row in acceptance.prediction_rows(args.reconstruct, args.genus)]
     s_max = 10 if args.s_max is None else args.s_max
     name = args.l_poly
-    L = zeta.catalog_lpoly(name) if name in zeta.catalog_lpoly_names() else zeta.load_lpoly(name)
+    catalog = name in zeta.catalog_lpoly_names()
+    L = zeta.catalog_lpoly(name) if catalog else zeta.load_lpoly(name)
     P = zeta.power_sums(L, s_max)
     rows = [recorded(f"P_{s}", P[s - 1]) for s in range(1, s_max + 1)]
     if name in zeta.CORRECTION_FACTORS:  # no curve's numerator: no count, no functional equation
         return rows
     rows += [recorded(f"N_{s} predicted", 2**s + 1 - P[s - 1]) for s in range(1, s_max + 1)]
-    g2 = L.degree
-    if g2 % 2 == 0 and g2 > 0:
-        fe = zeta.functional_equation_check(L, g2 // 2)
-        rows.append(checked("functional equation", fe.lhs, fe.rhs))
-    return rows
+    if catalog:  # catalog_lpoly has checked its functional equation
+        return rows
+    return rows + [checked(*row) for row in acceptance.functional_equation_rows(L)]
 
 
 def cmd_dm_check(args, timings) -> list[Row]:

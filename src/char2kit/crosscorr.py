@@ -25,6 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import expsums
+from .expsums import theorem1_applies
 from .gf2m import LOG_BLOCK, Field, FieldError, decimation_exponent, get_field, group_order
 
 __all__ = [
@@ -252,13 +253,6 @@ def a1_formula(m: int, k: int, brute: bool = False) -> A1Report:
     c = expsums.c_sum(m, k).value
     value = (1 << m) + 1 + 3 * g - 2 * kp - 2 * c
     return A1Report(m, k, value, a1_bruteforce(m, k) if brute else None)
-
-
-def theorem1_applies(m: int, k: int | None) -> bool:
-    """The paper's hypothesis, odd m and gcd(k, m) = 1: where theorem 1 gives the
-    five multiplicities of the spectrum at d = decimation_exponent(m, k), and
-    where A_1 is counted and has its formula."""
-    return k is not None and m % 2 == 1 and math.gcd(k, m) == 1
 
 
 def theorem1_multiplicities(m: int, A1: int) -> dict[str, int | Fraction]:

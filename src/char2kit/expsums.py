@@ -14,7 +14,8 @@ by its exponent residues, so a sum asked for again at the same residues is
 a dict lookup.  This module is the oracle the curve/zeta identities are
 checked against.  Each report carries the trace-zero count n, so
 value = 2n - domain_size.  ZETA_ROUTES is the one table of the sums' zeta
-identities, and conjecture1_proved / conjecture2_proved state where each conjecture is proved.
+identities, conjecture2_proved states where conjecture 2 is proved, and
+theorem1_applies is the one test of the paper's hypothesis.
 
 Sums:
     kloosterman : sum over x != 0 of (-1)^Tr(x + x^-1)
@@ -45,8 +46,8 @@ __all__ = [
     "k_prime",
     "conjecture1_check",
     "conjecture2_check",
-    "conjecture1_proved",
     "conjecture2_proved",
+    "theorem1_applies",
     "sum_report",
     "zeta_side",
 ]
@@ -103,8 +104,8 @@ def c_sum(m: int, k: int) -> ExpSumReport:
 
 
 def c_sum_closed_form(m: int, k: int) -> int | None:
-    """The known value +-2^((m+1)/2) by m mod 8, when m is odd, gcd(k,m)=1."""
-    if m % 2 == 0 or math.gcd(k, m) != 1:
+    """The known value +-2^((m+1)/2) by m mod 8, where theorem1_applies."""
+    if not theorem1_applies(m, k):
         return None
     mag = 1 << ((m + 1) // 2)
     return mag if m % 8 in (1, 7) else -mag
@@ -182,14 +183,16 @@ def conjecture1_check(m: int, k: int) -> Verdict:
     return Verdict(lhs, rhs)
 
 
-def conjecture1_proved(m: int, k: int) -> bool:
-    """Where conjecture1_check is proved: k = gcd(k, m) (the two sums are one) or k = 2, 3."""
-    return k == math.gcd(k, m) or k in (2, 3)
-
-
 def conjecture2_proved(m: int, k: int) -> bool:
     """Where conjecture2_check is proved: gcd(k, m) = 1 and k <= 3 (K' is another sum if gcd > 1)."""
     return math.gcd(k, m) == 1 and k <= 3
+
+
+def theorem1_applies(m: int, k: int | None) -> bool:
+    """The paper's hypothesis, odd m and gcd(k, m) = 1: where C_m has its closed form,
+    where theorem 1 gives the five multiplicities of the spectrum at
+    d = decimation_exponent(m, k), and where A_1 is counted and has its formula."""
+    return k is not None and m % 2 == 1 and math.gcd(k, m) == 1
 
 
 def sum_report(name: str, m: int, k: int | None) -> ExpSumReport:

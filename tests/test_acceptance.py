@@ -12,7 +12,7 @@ import math
 from collections import Counter
 
 from char2kit import crosscorr, expsums
-from char2kit.acceptance import CRITERIA, spectrum_rows
+from char2kit.acceptance import CRITERIA, spectrum_rows, sum_rows
 from char2kit.gf2m import decimation_exponent
 
 
@@ -144,10 +144,17 @@ def _rows_reading_one_residue(criterion, max_m, monkeypatch):
 
 
 def test_no_sum_row_reads_one_residue_on_both_sides(monkeypatch):
-    # Each side of a C1, C2 or C8 row is a sum at its own exponent residues,
-    # or the zeta side, so with every residue's count offset every row fails.
-    for key in ("C1", "C2", "C8"):
-        assert _rows_reading_one_residue(CRITERIA[key], 12, monkeypatch) == [], key
+    # Each side of a C1, C2 or C8 row, and of each row that `expsum` and
+    # `conjectures` check (sum_rows at k <= 6), is a sum at its own exponent
+    # residues, or the zeta side or a closed form, so with every residue's
+    # count offset every row fails.
+    def subcommand_rows(max_m, max_s):
+        for name in ("K", "C", "G", "Kp"):
+            yield from (row for m in range(1, max_m + 1) for k in range(1, 7) for row in sum_rows(name, m, k))
+
+    for key, criterion in [(key, CRITERIA[key]) for key in ("C1", "C2", "C8")] + [("sum_rows", subcommand_rows)]:
+        with monkeypatch.context() as patch:
+            assert _rows_reading_one_residue(criterion, 12, patch) == [], key
 
 
 def test_one_residue_rule_reports_rows_that_read_one_residue_twice(monkeypatch):

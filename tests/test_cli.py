@@ -6,7 +6,7 @@ import re
 import pytest
 
 from char2kit import acceptance, crosscorr, curves, expsums, gf2m, zeta
-from char2kit.acceptance import KNOWN_WEIGHTS
+from char2kit.acceptance import KNOWN_WEIGHTS, sum_rows
 from char2kit.cli import build_parser, main
 from char2kit.curves import catalog_curve
 from char2kit.zeta import catalog_lpoly
@@ -42,7 +42,7 @@ def test_expsum_kloosterman(capsys):
 def test_expsum_kp_checked_against_k(capsys):
     code, payload = run_json(capsys, "expsum", "--m", "7", "--k", "3", "--sum", "Kp")
     assert code == 0
-    row = results_by_name(payload)["K'_7(k=3)"]
+    row = results_by_name(payload)["K'_7 = K_7 (k=3)"]
     assert row["observed"] == row["expected"] == -13
     assert row["verdict"] == "pass"
 
@@ -52,8 +52,9 @@ def test_expsum_kp_open_at_k4_recorded(capsys):
     code, payload = run_json(capsys, "expsum", "--m", "7", "--k", "4", "--sum", "Kp")
     assert code == 0
     rows = results_by_name(payload)
-    assert rows["K'_7(k=4)"]["verdict"] == rows["K_7"]["verdict"] == "recorded"
-    assert rows["K'_7(k=4)"]["observed"] == rows["K_7"]["observed"] == -13
+    assert rows["K'_7(k=4)"]["verdict"] == rows["K'_7 = K_7 (k=4)"]["verdict"] == "recorded"
+    assert rows["K'_7(k=4)"]["observed"] == -13
+    assert rows["K'_7 = K_7 (k=4)"]["observed"] == "-13 vs -13"
 
 
 def test_expsum_kp_gcd_above_one_recorded(capsys):
@@ -61,9 +62,9 @@ def test_expsum_kp_gcd_above_one_recorded(capsys):
     code, payload = run_json(capsys, "expsum", "--m", "6", "--k", "3", "--sum", "Kp")
     assert code == 0
     rows = results_by_name(payload)
-    assert rows["K'_6(k=3)"]["verdict"] == "recorded"
+    assert rows["K'_6(k=3)"]["verdict"] == rows["K'_6 = K_6 (k=3)"]["verdict"] == "recorded"
     assert rows["K'_6(k=3)"]["observed"] == 3
-    assert rows["K_6"]["observed"] == -9
+    assert rows["K'_6 = K_6 (k=3)"]["observed"] == "3 vs -9"
     row = rows["K'_6(k=3) = 2 - S_m - P_m(z1)"]
     assert row["observed"] == row["expected"] == 3
     assert row["verdict"] == "pass"
@@ -107,7 +108,8 @@ def test_swapping_z3_and_z4_in_the_table_fails_c8_and_expsum(capsys, monkeypatch
 
 def test_expsum_g_checked_against_gcd_where_proved(capsys):
     # k = 2 is proved for every m: G_7^(2) = G_7^(1).  At m = 8, gcd(2, 8) = 2
-    # = k, so there is nothing to reduce.
+    # = k, so G_8^(2) is checked against G_8^(6), as C2 checks it; past k = 5,
+    # where C2 checks nothing, the identity is recorded.
     code, payload = run_json(capsys, "expsum", "--m", "7", "--k", "2", "--sum", "G")
     assert code == 0
     row = results_by_name(payload)["G_7^(2) = G_7^(1)"]
@@ -115,7 +117,13 @@ def test_expsum_g_checked_against_gcd_where_proved(capsys):
     assert row["verdict"] == "pass"
     code, payload = run_json(capsys, "expsum", "--m", "8", "--k", "2", "--sum", "G")
     assert code == 0
-    assert [r["name"] for r in payload["results"]] == ["G_8^(2)", "trace_zero_count"]
+    assert [(r["name"], r["verdict"]) for r in payload["results"]] == [
+        ("G_8^(2)", "recorded"), ("G_8^(2) = G_8^(6)", "pass"), ("trace_zero_count", "recorded")]
+    assert payload["results"][1]["observed"] == payload["results"][1]["expected"] == -1
+    code, payload = run_json(capsys, "expsum", "--m", "7", "--k", "6", "--sum", "G")
+    assert code == 0
+    row = results_by_name(payload)["G_7^(6) = G_7^(1)"]
+    assert (row["observed"], row["verdict"]) == ("-41 vs -41", "recorded")
 
 
 def test_expsum_c_closed_form(capsys):
@@ -123,8 +131,9 @@ def test_expsum_c_closed_form(capsys):
     assert code == 0
     rows = results_by_name(payload)
     assert rows["C_7(k=3) closed form"]["expected"] == 16
-    # the closed form implies C_7^2 = 2^8, so no square row and no recorded C_7
-    assert list(rows) == ["C_7(k=3) closed form", "trace_zero_count"]
+    assert rows["C_7(k=3)"]["observed"] == 16
+    # the closed form implies C_7^2 = 2^8, so no square row
+    assert list(rows) == ["C_7(k=3)", "C_7(k=3) closed form", "trace_zero_count"]
 
 
 def test_expsum_c_square_checked_off_the_closed_form(capsys):
@@ -145,32 +154,36 @@ def test_conjectures_sweep(capsys):
     assert "fail" not in verdicts
     # unproved combinations are recorded, not asserted
     rows = results_by_name(payload)
-    assert rows["conj2 K'=K (m=9,k=4)"]["verdict"] == "recorded"
-    assert rows["conj2 K'=K (m=7,k=3)"]["verdict"] == "pass"
-    # conjecture 1 is proved for k = gcd(k, m) and for k = 2, 3 at every m
-    assert rows["conj1 G=G(gcd) (m=7,k=3)"]["verdict"] == "pass"
-    assert rows["conj1 G=G(gcd) (m=7,k=2)"]["verdict"] == "pass"
-    assert rows["conj1 G=G(gcd) (m=7,k=4)"]["verdict"] == "recorded"
+    assert rows["K'_9 = K_9 (k=4)"]["verdict"] == "recorded"
+    assert rows["K'_7 = K_7 (k=3)"]["verdict"] == "pass"
+    # G^(k) is checked where C2 checks it: against G^(gcd(k, m)), proved at
+    # k = 2, 3 and an observed fact at k = 4, 5, and against G^(m - k) at k | m
+    assert rows["G_7^(3) = G_7^(1)"]["verdict"] == "pass"
+    assert rows["G_7^(2) = G_7^(1)"]["verdict"] == "pass"
+    assert rows["G_7^(4) = G_7^(1)"]["verdict"] == "pass"
+    assert rows["G_9^(3) = G_9^(6)"]["verdict"] == "pass"
+    # a pair at one exponent residue has no row: G_8^(4) would read G_8^(4)
+    assert not any(name.startswith("G_8^(4) ") for name in rows)
+
+
+def checked_triples(payload):
+    return [(r["name"], r["observed"], r["expected"]) for r in payload["results"] if r["verdict"] != "recorded"]
 
 
 def test_conjectures_and_expsum_check_the_same_domains(capsys):
-    # `conjectures` checks conjecture 1 (2) at (m, k) exactly where `expsum
-    # --sum G` checks G^(k) = G^(g), g = gcd(k, m) < k (`--sum Kp` checks K' = K).
-    _, payload = run_json(capsys, "conjectures", "--m-range", "1:12", "--k-range", "1:6")
-    conj = {r["name"]: r["verdict"] != "recorded" for r in payload["results"]}
-    seen = set()
+    # `expsum` and `conjectures` check at (m, k) exactly the rows that
+    # acceptance.sum_rows builds there, which C1, C2, C3 and C8 also yield;
+    # the G and K' identities that no criterion checks there are recorded.
+    kinds = set()
     for m in range(1, 13):
         for k in range(1, 7):
-            g = math.gcd(k, m)
-            _, payload = run_json(capsys, "expsum", "--m", str(m), "--k", str(k), "--sum", "G")
-            checks_gcd = f"G_{m}^({k}) = G_{m}^({g})" in results_by_name(payload)
-            assert checks_gcd == (g < k and conj[f"conj1 G=G(gcd) (m={m},k={k})"]), (m, k)
-            _, payload = run_json(capsys, "expsum", "--m", str(m), "--k", str(k), "--sum", "Kp")
-            checks_k = results_by_name(payload)[f"K'_{m}(k={k})"]["verdict"] != "recorded"
-            assert checks_k == conj[f"conj2 K'=K (m={m},k={k})"], (m, k)
-            seen |= {("conj1", g < k, checks_gcd), ("conj2", checks_k)}
-    assert seen == {("conj1", False, False), ("conj1", True, True), ("conj1", True, False),
-                    ("conj2", True), ("conj2", False)}
+            _, payload = run_json(capsys, "conjectures", "--m-range", str(m), "--k-range", str(k))
+            assert checked_triples(payload) == [row for name in ("G", "Kp") for row in sum_rows(name, m, k)], (m, k)
+            kinds |= {(r["name"][0], r["verdict"]) for r in payload["results"]}
+            for name in ("K", "C", "G", "Kp"):
+                _, payload = run_json(capsys, "expsum", "--m", str(m), "--k", str(k), "--sum", name)
+                assert checked_triples(payload) == list(sum_rows(name, m, k)), (m, k, name)
+    assert kinds == {("G", "pass"), ("G", "recorded"), ("K", "pass"), ("K", "recorded")}
 
 
 def test_corrdist_with_k(capsys):
@@ -387,7 +400,7 @@ def test_zeta_power_sums(capsys):
     rows = results_by_name(payload)
     assert [rows[f"P_{s}"]["observed"] for s in (1, 2, 3)] == [-1, -3, 5]
     assert rows["N_1 predicted"]["observed"] == 4
-    assert rows["functional equation"]["verdict"] == "pass"
+    assert "functional equation" not in rows  # catalog_lpoly checks it at load
     code, payload = run_json(capsys, "zeta", "--l-poly", "z2")  # --s-max defaults to 10
     assert code == 0
     assert [r["name"] for r in payload["results"] if r["name"].startswith("P_")] == [
@@ -411,7 +424,13 @@ def test_zeta_from_file(tmp_path, capsys):
     path.write_text("1 1 2\n")
     code, payload = run_json(capsys, "zeta", "--l-poly", str(path), "--s-max", "2")
     assert code == 0
-    assert results_by_name(payload)["P_1"]["observed"] == -1
+    rows = results_by_name(payload)
+    assert rows["P_1"]["observed"] == -1
+    assert rows["functional equation"]["verdict"] == "pass"
+    path.write_text("1 1 3\n")  # 3 t^2 is not 2 t^2: the file's functional equation fails as a row
+    code, payload = run_json(capsys, "zeta", "--l-poly", str(path), "--s-max", "2")
+    assert code == 1
+    assert [r["name"] for r in payload["results"] if r["verdict"] == "fail"] == ["functional equation"]
 
 
 def test_zeta_reconstruct(capsys):
@@ -492,9 +511,7 @@ def test_table_output(capsys):
 
 def test_failure_exit_code(capsys, monkeypatch):
     # force a fail verdict by breaking an expectation
-    from char2kit import cli
-
-    monkeypatch.setitem(cli.KNOWN_WEIGHTS[7], 64, 1)
+    monkeypatch.setitem(KNOWN_WEIGHTS[7], 64, 1)
     code, out, _ = run(capsys, "weights", "--m", "7", "--k", "1")
     assert code == 1
     assert "fail" in out

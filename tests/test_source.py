@@ -262,6 +262,73 @@ def test_cli_restates_no_theorem_check():
                     "theorem1_applies", "a1_formula", "corrected_prediction"} == set()
 
 
+def _unsourced_checks(path):
+    """The top-level functions in path with a checked(...) whose expected side is not read
+    off a row that an acceptance call yields, or is fed by an expsums, crosscorr or zeta
+    call: the row is *X or X is its third argument, and X, or each binding of the name X
+    (an assignment, a loop or a comprehension), calls into acceptance and no library module."""
+    found = []
+    for fn in ast.parse(path.read_text(), filename=str(path)).body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        bindings = {}
+        for node in ast.walk(fn):
+            pairs = ([(t, node.value) for t in node.targets] if isinstance(node, ast.Assign) else
+                     [(node.target, node.iter)] if isinstance(node, (ast.For, ast.comprehension)) else [])
+            for target, value in pairs:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        bindings.setdefault(name.id, []).append(value)
+
+        def sourced(node, seen=frozenset()):
+            if any(isinstance(n, ast.Call) and _root(n.func) in {"expsums", "crosscorr", "zeta"}
+                   for n in ast.walk(node)):
+                return False
+            if isinstance(node, ast.Call):
+                return _root(node.func) == "acceptance" or sourced(node.func, seen)
+            return (isinstance(node, ast.Name) and node.id not in seen and bool(bindings.get(node.id))
+                    and all(sourced(value, seen | {node.id}) for value in bindings[node.id]))
+
+        for node in ast.walk(fn):
+            if _called(node) == "checked":
+                row = (node.args[0].value if len(node.args) == 1 and isinstance(node.args[0], ast.Starred)
+                       else node.args[2] if len(node.args) == 3 else None)
+                if row is None or not sourced(row):
+                    found.append(fn.name)
+    return found
+
+
+def test_cli_builds_no_check_of_its_own():
+    # Every checked row of a subcommand is a row that an acceptance builder
+    # yields, and no library call in cli.py feeds its expected side.  The one
+    # row the CLI states itself is a raise, expected "no exception".
+    assert _unsourced_checks(Path(char2kit.__file__).parent / "cli.py") == ["_raised"]
+
+
+def test_unsourced_check_rule_sees_rows_built_outside_acceptance(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        'def ok(args, L, dist):\n'
+        '    rows = [checked(*row) for row in acceptance.weight_rows("", dist)]\n'
+        '    for key, criterion in acceptance.CRITERIA.items():\n'
+        '        rows += [checked(f"{key} {n}", o, e) for n, o, e in criterion(3, 2)]\n'
+        '    return rows + [checked(*acceptance.a1_row(7, 3))]\n'
+        'def pinned(n):\n'
+        '    return checked("A_64", n, KNOWN_WEIGHTS[7][64])\n'
+        'def library(L, s, n):\n'
+        '    return checked(f"N_{s}", n, zeta.predicted_count(L, s))\n'
+        'def fed(L):\n'
+        '    return [checked(*row) for row in acceptance.count_rows("", zeta.catalog_lpoly("z2"), 3)]\n'
+        'def verdict(L):\n'
+        '    v = zeta.functional_equation_check(L, 2)\n'
+        '    return checked(*v)\n'
+        'def rebound(m):\n'
+        '    row = acceptance.a1_row(m, 1)\n'
+        '    row = ("x", 1, expsums.kloosterman(m).value)\n'
+        '    return checked(*row)\n')
+    assert _unsourced_checks(path) == ["pinned", "library", "fed", "verdict", "rebound"]
+
+
 def test_readme_names_exactly_the_caps_in_src():
     # A cap the README names and the library no longer has, or the reverse,
     # is a stale document.
@@ -328,12 +395,12 @@ def _restating_functions(path):
 
 
 def test_each_crosscorr_rule_is_stated_once():
-    # theorem1_applies is the one test of the paper's hypothesis (odd m,
-    # gcd(k, m) = 1) for crosscorr and acceptance, and _runs the one walk over
-    # the run edges of a sorted array in the library.
+    # expsums.theorem1_applies is the one test of the paper's hypothesis (odd
+    # m, gcd(k, m) = 1) for expsums, crosscorr and acceptance, and _runs the
+    # one walk over the run edges of a sorted array in the library.
     hits = [(path.stem, *hit) for path in SOURCES for hit in _restating_functions(path)]
-    assert [hit for hit in hits if hit[0] in ("crosscorr", "acceptance") or hit[1] == "runs"] == [
-        ("crosscorr", "runs", "_runs"), ("crosscorr", "hypothesis", "theorem1_applies")]
+    assert [hit for hit in hits if hit[0] in ("expsums", "crosscorr", "acceptance") or hit[1] == "runs"] == [
+        ("crosscorr", "runs", "_runs"), ("expsums", "hypothesis", "theorem1_applies")]
 
 
 def test_restating_rule_sees_parity_with_gcd_and_neighbour_pairs(tmp_path):
