@@ -38,7 +38,6 @@ __all__ = [
     "derivative_counts",
     "match_multiplicities",
     "one_sixth_slack",
-    "theorem1_applies",
     "theorem1_multiplicities",
     "walsh_spectrum",
     "walsh_transform",

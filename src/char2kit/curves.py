@@ -162,14 +162,12 @@ def _values(field: Field, polys: list[dict[int, int]], logs: np.ndarray) -> np.n
     polynomial is one XOR-reduce over its rows.  At v = 0 only the terms with
     e = 0 remain: e = 2^s - 1 gives 1 at every v != 0 but 0 there.
     """
-    order = field.order
     terms: dict[tuple[int, int], int] = {}
-    rows = [[terms.setdefault((e % order, k), len(terms)) for e, k in p.items() if k] for p in polys]
+    rows = [[terms.setdefault((e % field.order, k), len(terms)) for e, k in p.items() if k] for p in polys]
     e, k = np.array(list(terms), dtype=np.int64).reshape(-1, 2).T
     idx = np.multiply.outer(e, logs)
     idx += field.log_table[k][:, None]
-    idx %= order
-    vals = field.exp_table[idx]
+    vals = field.exp_table[field.fold(idx)]
     out = np.empty((len(polys), 1 + len(logs)), dtype=np.int32)
     out[:, 0] = [p.get(0, 0) for p in polys]
     for i, r in enumerate(rows):
@@ -210,11 +208,10 @@ def count_projective_points(P: TrivariatePoly, s: int) -> int:
     """Projective zeros of a homogeneous P over F_{2^s}: every y of the z = 1
     row at x = 0 and at one x per Frobenius orbit, weighted by its size."""
     field = _field_for(P, s, COUNT_CAP)
-    reps, sizes = field.orbits
-    weights = np.concatenate(([1], sizes))  # x = 0, then each orbit
-    chart = _chart(field, P, reps, P.y_degree())
+    chart = _chart(field, P, field.orbits[0], P.y_degree())
     zeros = np.array([np.count_nonzero(row == 0) for (row,) in _rows(field, [chart])])
-    return int(weights @ zeros + weights @ (chart[-1] == 0) + (_point(P) == 0))
+    zeros += chart[-1] == 0  # and (x, 1, 0)
+    return int(zeros[0] + field.orbit_total(zeros[1:]) + (_point(P) == 0))
 
 
 def count_projective_points_fast(P: TrivariatePoly, s: int) -> int:
@@ -230,17 +227,16 @@ def count_projective_points_fast(P: TrivariatePoly, s: int) -> int:
     field = _field_for(P, s, FAST_COUNT_CAP)
     if P.y_degree() > 2:
         raise ValueError("fast counter requires a polynomial quadratic in y")
-    reps, sizes = field.orbits
-    weights = np.concatenate(([1], sizes))  # x = 0, then each orbit
-    chart = _chart(field, P, reps, 2)
+    chart = _chart(field, P, field.orbits[0], 2)
     c, b, a, line = chart
     log_c, log_b, log_a = field.log_table[chart[:3]]
     # Tr(beta), beta = c a / b^2, read off the m-sequence at log beta; it is
     # read only where a, b != 0, and c = 0 gives beta = 0, of trace 0.
-    tr = field.trace_seq[(log_c + log_a - 2 * log_b) % field.order]
+    tr = field.trace_seq[field.fold(log_c + log_a - 2 * log_b)]
     roots = np.where((a != 0) & (b != 0), 2 * ((c == 0) | (tr == 0)),
                      np.where((a | b) != 0, 1, field.size * (c == 0)))
-    return int(weights @ (roots + (line == 0)) + (_point(P) == 0))
+    roots += line == 0
+    return int(roots[0] + field.orbit_total(roots[1:]) + (_point(P) == 0))
 
 
 def singular_points(P: TrivariatePoly, s: int) -> list[tuple[int, int, int]]:

@@ -76,17 +76,9 @@ def _trace_zero_count(field: Field, a: int, b: int) -> int:
     key = ("pair", *sorted((a % field.order, b % field.order)))
     n = field._sum_counts.get(key)
     if n is None:
-        t = field.orbit_traces(a) ^ field.orbit_traces(b)
-        n = field._sum_counts[key] = field.order - _orbit_total(field, t)
+        t = field.orbit_traces(a) != field.orbit_traces(b)
+        n = field._sum_counts[key] = field.order - field.orbit_total(t)
     return n
-
-
-def _orbit_total(field: Field, t: np.ndarray) -> int:
-    """The sum of size * t over the cosets, for a 0/1 uint8 t over the least
-    members of Field.orbits: m count_nonzero(t) less (m - size) t over the
-    short cosets, which are few, so no int64 vector as long as t is made."""
-    short = field._short_orbits
-    return field.m * int(np.count_nonzero(t)) - int((field.m - field.orbits[1][short]) @ t[short])
 
 
 def kloosterman(m: int) -> ExpSumReport:
@@ -112,16 +104,14 @@ def c_sum_closed_form(m: int, k: int) -> int | None:
 
 
 def c_sum_square_check(m: int, k: int) -> Verdict:
-    """Is C_m^2 in {0, 2^(m+w)}, w = gcd(2k, m)?  rhs is 0 when C_m = 0.
+    """Is C_m^2 (C_m^2 - 2^(m+w)) = 0, w = gcd(2k, m), i.e. C_m^2 in {0, 2^(m+w)}?
 
     x -> Tr(x^(2^k+1)) is a quadratic form on GF(2^m) whose radical is
     {x : x^(2^(2k)) = x} = GF(2^w), so C_m is 0 or +-2^((m+w)/2) at every
     (m, k); the closed form above is the case w = 1.
     """
-    c = c_sum(m, k).value
-    lhs = c * c
-    rhs = 0 if c == 0 else 1 << (m + math.gcd(2 * k, m))
-    return Verdict(lhs, rhs)
+    c2 = c_sum(m, k).value ** 2
+    return Verdict(c2 * (c2 - (1 << (m + math.gcd(2 * k, m)))), 0)
 
 
 def g_sum(m: int, k: int) -> ExpSumReport:
@@ -148,24 +138,24 @@ def k_prime(m: int, k: int) -> ExpSumReport:
     n = field._sum_counts.get(key)
     if n is None:
         reps = field.orbits[0]
-        # In this order, and in place, so that at most two int64 vectors of
-        # len(reps) are held at a time; the int32 ones are table reads.
-        q = exp[reps * e % order]
+        # In this order, and in place, so that one int64 vector of len(reps)
+        # is held at a time; the int32 ones are table reads.  log 0 = -1 is
+        # read only at a pole, whose trace t |= pole overrides.
+        q = exp[field.fold(reps * e)]
         den = exp[reps]
         den ^= q  # q + v
         pole = den == 0  # a pole counts as trace one
         den = log[den]
         log_f = np.multiply(den, -((e + 1) % order), dtype=np.int64)
         del den
+        log_f += log[q]
         q ^= 1
         log_f += log[q]
         del q
-        log_f += reps * e  # log q, unreduced
-        log_f %= order
-        t = field.trace_seq[log_f]
+        t = field.trace_seq.view(bool)[field.fold(log_f)]
         del log_f
         t |= pole
-        n = field._sum_counts[key] = order + 1 - _orbit_total(field, t)
+        n = field._sum_counts[key] = order + 1 - field.orbit_total(t)
     return ExpSumReport(m, k, 2 * n - order, n, order)
 
 

@@ -86,9 +86,12 @@ class Field:
             module reads it; the test oracles and traced benchmark runs do
         orbits = (reps, sizes), built on first use: the least member and the
             size of each cyclotomic coset of exponents (int64); _short_orbits
-            indexes the cosets of fewer than m members
+            indexes the cosets of fewer than m members, with m - size
         orbit_traces(e) = Tr(alpha^(e r)) over the reps r (uint8), built on
             first use for each residue e mod 2^m - 1
+
+    fold(x) and orbit_total(v) are the library's one reduction of exponent
+    arrays mod 2^m - 1 and its one weighting by coset size.
 
     log is scattered (through an intp index) and trace_seq counted in blocks
     of LOG_BLOCK entries, and trace_table is an outer XOR of two half-width
@@ -228,32 +231,46 @@ class Field:
         return reps, sizes
 
     @cached_property
-    def _short_orbits(self) -> np.ndarray:
-        """The indices into `orbits` of the cosets of fewer than m members, the
-        ones its divisor loop marks (381 of 699,251 at m = 24): `expsums`
-        weights a 0/1 vector by the coset sizes through them."""
+    def _short_orbits(self) -> tuple[np.ndarray, np.ndarray]:
+        """(indices into `orbits`, m - size) of the cosets of fewer than m
+        members, the ones its divisor loop marks (381 of 699,251 at m = 24)."""
         short = np.flatnonzero(self.orbits[1] < self.m)
-        short.flags.writeable = False
-        return short
+        deficit = self.m - self.orbits[1][short]
+        short.flags.writeable = deficit.flags.writeable = False
+        return short, deficit
+
+    def orbit_total(self, v: np.ndarray) -> int:
+        """The sum of size * v over the cosets, for a vector v of small ints
+        over the least members of `orbits`: m sum(v) less (m - size) v over
+        the short cosets, which are few, so no int64 vector as long as v is
+        made.  A bool v is counted by count_nonzero, with no cast buffer."""
+        short, deficit = self._short_orbits
+        total = np.count_nonzero(v) if v.dtype == bool else v.sum()
+        return self.m * int(total) - int(deficit @ v[short])
+
+    def fold(self, x: np.ndarray) -> np.ndarray:
+        """x mod 2^m - 1 in place, returned, for an int array x of any sign, as
+        x less (2^m - 1) floor(x / (2^m - 1)): numpy's floor division by one
+        scalar takes about half the time of its %, and three steps where
+        folding the 2^m-bit halves of x and making the result exact takes five.
+        LOG_BLOCK / 2 entries (or rows) at a time, the one temporary's length."""
+        for lo in range(0, len(x), LOG_BLOCK // 2):
+            block = x[lo:lo + LOG_BLOCK // 2]
+            q = block // self.order
+            q *= self.order
+            block -= q
+            del q  # before the next block's
+        return x
 
     def orbit_traces(self, e: int) -> np.ndarray:
         """Tr(alpha^(e r)) over the least members r of `orbits`, as uint8, for
         any int e.  Built on first use for each residue e mod 2^m - 1 and kept,
         read-only, so each later call with that residue is a dict lookup.
-
-        x = r (e mod 2^m - 1) < 2^(2m-1) since r < 2^(m-1), and x = 2^m hi + lo
-        is hi + lo < 2 (2^m - 1) modulo 2^m - 1, which the wrapping gather
-        reduces.  x is reduced in place: two int64 vectors of len(reps) at a time.
-        """
+        r (e mod 2^m - 1) < 2^(2m-1) since r < 2^(m-1), so it folds."""
         e %= self.order
         t = self._orbit_traces.get(e)
         if t is None:
-            x = self.orbits[0] * e
-            hi = x >> self.m
-            x &= self.order
-            x += hi
-            del hi
-            t = self.trace_seq.take(x, mode="wrap")
+            t = self.trace_seq[self.fold(self.orbits[0] * e)]
             t.flags.writeable = False
             self._orbit_traces[e] = t
         return t
@@ -287,20 +304,9 @@ class Field:
     def pow_log(self, e: int, start: int = 1, stop: int | None = None) -> np.ndarray:
         """e log v mod 2^m - 1 over v = start..stop - 1 in element order
         (1 <= start; stop defaults to 2^m), for any int e, as int64 (the
-        product reaches 2^48): exp_table of it is v^e.  A caller that needs
-        no 2^m-entry index asks for LOG_BLOCK elements at a time.
-
-        With no int64 %: 2^m hi + lo is y = hi + lo <= 2 (2^m - 1), and then
-        min(y, y - (2^m - 1)) as unsigned ints, half the index at a time."""
-        idx = self.log_table[start:stop] * np.int64(e % self.order)
-        for half in (idx[:len(idx) // 2].view(np.uint64), idx[len(idx) // 2:].view(np.uint64)):
-            hi = half >> self.m
-            half &= self.order
-            half += hi
-            np.subtract(half, self.order, out=hi)
-            np.minimum(half, hi, out=half)
-            del hi  # before the next half's
-        return idx
+        product reaches 2^48), by fold: exp_table of it is v^e.  A caller that
+        needs no 2^m-entry index asks for LOG_BLOCK elements at a time."""
+        return self.fold(self.log_table[start:stop] * np.int64(e % self.order))
 
     def __repr__(self) -> str:
         return f"Field(m={self.m}, reduction=0x{self.reduction:x})"

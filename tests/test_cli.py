@@ -141,9 +141,9 @@ def test_expsum_c_square_checked_off_the_closed_form(capsys):
     code, payload = run_json(capsys, "expsum", "--m", "8", "--k", "1", "--sum", "C")
     assert code == 0
     rows = results_by_name(payload)
-    assert rows["C_8(k=1)"]["verdict"] == "recorded"
+    assert (rows["C_8(k=1)"]["observed"], rows["C_8(k=1)"]["verdict"]) == (-32, "recorded")
     row = rows["C_8(k=1)^2 in {0, 2^10}"]
-    assert row["observed"] == row["expected"] == 1024
+    assert row["observed"] == row["expected"] == 0  # C_8^2 (C_8^2 - 2^10)
     assert row["verdict"] == "pass"
 
 

@@ -140,12 +140,15 @@ def test_c_sum_closed_form_all_odd_m():
 
 
 def test_c_sum_square_at_every_k():
-    # Tr(x^(2^k+1)) is a quadratic form with radical GF(2^gcd(2k, m)); both
-    # the zero and the nonzero value of C_m^2 occur in the sweep
-    verdicts = [es.c_sum_square_check(m, k) for m in range(1, 21) for k in range(1, 2 * m + 1)]
+    # Tr(x^(2^k+1)) is a quadratic form with radical GF(2^gcd(2k, m)), so
+    # C_m^2 (C_m^2 - 2^(m+w)) = 0: the expected side is the constant 0, and
+    # both C_m = 0 and C_m != 0 occur in the sweep
+    pairs = [(m, k) for m in range(1, 21) for k in range(1, 2 * m + 1)]
+    verdicts = [es.c_sum_square_check(m, k) for m, k in pairs]
     assert [v for v in verdicts if not v.holds] == []
-    assert {v.rhs == 0 for v in verdicts} == {True, False}
-    assert es.c_sum_square_check(8, 1).rhs == 2**10  # w = gcd(2, 8) = 2: C_8 = -32
+    assert {v.rhs for v in verdicts} == {0}
+    assert {es.c_sum(m, k).value == 0 for m, k in pairs} == {True, False}
+    assert es.c_sum(8, 1).value == -32  # w = gcd(2, 8) = 2: C_8^2 = 2^10
 
 
 # -- conjecture checks ----------------------------------------------------------
@@ -191,26 +194,3 @@ def test_k_prime_holds_two_int64_vectors():
     finally:
         tracemalloc.stop()
     assert peak < 18 * n + 8 * np.getbufsize(), peak
-
-
-@pytest.mark.parametrize("m", [6, 12, 18, 20])
-def test_orbit_total_equals_the_size_dot_without_an_int64_copy(m):
-    # The size-weighted count of a 0/1 vector over the cosets is m times its
-    # count less (m - size) times it over the short cosets; sizes @ t, the
-    # route it replaces, casts t to an int64 vector of len(reps).
-    field = get_field(m)
-    reps, sizes = field.orbits
-    short = field._short_orbits
-    rng = np.random.default_rng(m)
-    vectors = [field.orbit_traces(a) ^ field.orbit_traces(b) for a, b in ((1, -1), (3, 1), (9, -1))]
-    vectors += [rng.integers(0, 2, len(reps), dtype=np.uint8), np.ones(len(reps), dtype=np.uint8)]
-    for t in vectors:
-        tracemalloc.start()
-        try:
-            total = es._orbit_total(field, t)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert type(total) is int and total == int(sizes @ t)
-        assert peak < 4096 + 16 * len(short), peak
-    assert es._orbit_total(field, vectors[-1]) == field.order  # every coset, so every exponent

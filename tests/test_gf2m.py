@@ -330,6 +330,48 @@ def test_orbit_traces_hold_two_int64_vectors():
     assert peak - t.nbytes <= 16 * n + 4096, peak
 
 
+@pytest.mark.parametrize("m", [6, 12, 18, 20])
+def test_orbit_total_equals_the_size_dot_without_an_int64_copy(m):
+    # The size-weighted total of a vector over the cosets is m times its sum
+    # less (m - size) times it over the short cosets; sizes @ v, the route it
+    # replaces, casts v to an int64 vector of len(reps).  A bool v is counted
+    # with no cast buffer, and an int64 v needs none.
+    field = get_field(m)
+    reps, sizes = field.orbits
+    short = field._short_orbits[0]
+    rng = np.random.default_rng(m)
+    vectors = [field.orbit_traces(a) != field.orbit_traces(b) for a, b in ((1, -1), (3, 1), (9, -1))]
+    vectors += [rng.integers(0, 2, len(reps)).astype(bool), np.ones(len(reps), dtype=bool),
+                rng.integers(0, 5, len(reps)), np.full(len(reps), 2**m)]  # small ints, as int64
+    for v in vectors:
+        total, peak = _traced_peak(lambda: field.orbit_total(v))
+        assert type(total) is int and total == int(sizes @ v)
+        assert peak < 4096 + 16 * len(short), peak
+    assert field.orbit_total(vectors[4]) == field.order  # every coset, so every exponent
+    # A uint8 vector is summed through numpy's cast buffer, a fixed size, not a copy.
+    v = rng.integers(0, 4, len(reps), dtype=np.uint8)
+    total, peak = _traced_peak(lambda: field.orbit_total(v))
+    assert total == int(sizes @ v) and peak < 4096 + 16 * len(short) + 8 * np.getbufsize(), peak
+
+
+@pytest.mark.parametrize("m", range(1, MAX_M + 1))
+def test_fold_is_the_remainder_in_place(m):
+    # fold(x) is x mod 2^m - 1, in place, for ints of any sign and width, so
+    # a table of 2^m - 1 entries reads it as it is.
+    f = get_field(m)
+    top = 1 << (2 * m)
+    edges = [0, f.order - 1, f.order, 2 * f.order, top - 1, -1, -f.order - 1, -top]
+    x = np.concatenate((edges, np.random.default_rng(m).integers(-top, top, 500)))
+    y = x.copy()
+    assert f.fold(y) is y
+    assert np.array_equal(y, x % f.order)
+    # LOG_BLOCK / 2 entries at a time, or rows of a 2-d x: uneven last blocks.
+    rng = np.random.default_rng(m + 1)
+    for z in (rng.integers(0, top, gf2m.LOG_BLOCK + 3), rng.integers(0, top, (gf2m.LOG_BLOCK // 2 + 1, 3)),
+              rng.integers(-2 * f.order, 2 * f.order, 100, dtype=np.int32)):
+        assert np.array_equal(f.fold(z.copy()), z % f.order)
+
+
 @pytest.mark.parametrize("m,k,expected", [(5, 1, 12), (7, 1, 44), (7, 3, 106)])
 def test_decimation_exponent_examples(m, k, expected):
     # oracle: extended Euclid via the builtin modular inverse

@@ -65,8 +65,8 @@ def test_field_public_surface_is_pinned():
     # traced benchmark runs read them.  trace_table is a cached_property, so
     # dir() lists it before its first read builds it.
     found = {name for name in dir(gf2m.Field(3)) if not name.startswith("_")}
-    assert found == {"exp_table", "has_tables", "log_table", "m", "orbit_traces", "orbits", "order",
-                     "pow_log", "reduction", "size", "trace_seq", "trace_table"}
+    assert found == {"exp_table", "fold", "has_tables", "log_table", "m", "orbit_total", "orbit_traces",
+                     "orbits", "order", "pow_log", "reduction", "size", "trace_seq", "trace_table"}
 
 
 MUTATORS = {"add", "append", "cache_clear", "clear", "discard", "extend", "insert", "pop",
@@ -206,6 +206,47 @@ def test_trace_table_is_read_only_in_gf2m():
              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
              if isinstance(node, ast.Attribute) and node.attr == "trace_table"]
     assert found == []
+
+
+def _exponent_rule_breaks(path):
+    """Where path reads the coset sizes (a `.orbits` other than `.orbits[0]`, or
+    `_short_orbits`), reduces by `order` with %=, or reads a table at a % by it
+    (a subscript or a take argument)."""
+    def by_order(node):
+        return isinstance(node, (ast.Name, ast.Attribute)) and ast.unparse(node).split(".")[-1] == "order"
+
+    tree = ast.parse(path.read_text(), filename=str(path))
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    reads = [n.slice for n in ast.walk(tree) if isinstance(n, ast.Subscript)]
+    reads += [a for n in ast.walk(tree) if _called(n) == "take" for a in n.args]
+    found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and (
+        node.attr == "_short_orbits" or node.attr == "orbits" and not (
+            isinstance(parents[node], ast.Subscript) and ast.unparse(parents[node].slice) == "0"))]
+    found += [node.lineno for node in ast.walk(tree)
+              if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Mod) and by_order(node.value)]
+    found += [node.lineno for read in reads for node in ast.walk(read)
+              if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod) and by_order(node.right)]
+    return [f"{path.name}:{line}" for line in sorted(set(found))]
+
+
+def test_gf2m_owns_exponent_arithmetic():
+    # Field.fold is the one reduction of an exponent array mod 2^m - 1, and
+    # Field.orbit_total the one weighting by coset size: outside gf2m no
+    # module reads the sizes or reduces by order.
+    assert [hit for path in SOURCES if path.name != "gf2m.py" for hit in _exponent_rule_breaks(path)] == []
+
+
+def test_exponent_rule_sees_sizes_and_reductions(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        'def f(field, reps, x, e, order):\n'
+        '    reps, sizes = field.orbits\n'
+        '    n = field.orbits[1] @ x + field._short_orbits.size + len(field.orbits[0])\n'
+        '    x %= order\n'
+        '    x %= field.order\n'
+        '    t = field.trace_seq[(reps * e) % field.order] + field.exp_table.take(x % order)\n'
+        '    return x % order, (e % order, 1), field.exp_table[field.fold(x)]\n')
+    assert _exponent_rule_breaks(path) == ["mod.py:2", "mod.py:3", "mod.py:4", "mod.py:5", "mod.py:6"]
 
 
 def _zeta_literals(path):
