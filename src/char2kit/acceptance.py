@@ -9,9 +9,10 @@ zeta-function identities.
 
 Every row a subcommand checks is built here, once, and a criterion keeps
 only its sweep: kp_row (C1), g_row (C2), c_row (C3) and zeta_row (C8),
-which sum_rows gathers for expsum and conjectures; a1_row (C4),
-spectrum_rows (C5, corrdist), weight_rows (C6), count_rows (C7) and dm_rows
-(C9); and the zeta rows that no criterion states.
+which sum_rows gathers for expsum and conjectures through the tables
+IDENTITY_ROWS and ZETA_ROUTES; a1_row (C4), spectrum_rows (C5, corrdist),
+weight_rows (C6), count_rows (C7) and dm_rows (C9); and the zeta rows that
+no criterion states.
 """
 
 from __future__ import annotations
@@ -98,7 +99,7 @@ def sum_rows(name, m, k):
     checked = name == "C" or (name == "G" and k in C2_K) or (name == "Kp" and expsums.conjecture2_proved(m, k))
     if checked and (row := IDENTITY_ROWS[name](m, k)) is not None:
         yield row
-    yield from (zeta_row(route, m) for route in expsums.ZETA_ROUTES if route[0] == name and route[1] in (None, k))
+    yield from (zeta_row(route, m) for route in ZETA_ROUTES if route[0] == name and route[1] in (None, k))
 
 
 def c4(max_m, max_s):
@@ -209,13 +210,16 @@ def count_rows(prefix, entry, s_max):
 
 def c8(max_m, max_s):
     """exponential sums = zeta power sums"""
-    yield from (zeta_row(route, m) for m in range(1, max_m + 1) for route in expsums.ZETA_ROUTES)
+    yield from (zeta_row(route, m) for m in range(1, max_m + 1) for route in ZETA_ROUTES)
 
 
 def zeta_row(route, m):
-    """The sum that a route of expsums.ZETA_ROUTES names, at m, against its zeta power sum."""
+    """The sum that a route of ZETA_ROUTES names, at m, against -P_m(L) of its catalog L-polynomial,
+    or 2 - S_m - P_m(L) for K' (S_m the singular correction of its genus-31 curve)."""
     name, k, lpoly, label = route
-    return label.format(m=m), expsums.sum_report(name, m, k).value, expsums.zeta_side(name, lpoly, m)
+    p = zeta.power_sums(zeta.catalog_lpoly(lpoly), m)[-1]
+    expected = 2 - zeta.singular_correction(m) - p if name == "Kp" else -p
+    return label.format(m=m), expsums.sum_report(name, m, k).value, expected
 
 
 def c9(max_m, max_s):
@@ -239,7 +243,7 @@ def dm_rows(bound):
 def functional_equation_rows(L):
     """L's functional equation at genus degree / 2, where the degree is even and positive."""
     if L.degree % 2 == 0 and L.degree > 0:
-        v = zeta.functional_equation_check(L, L.degree // 2)
+        v = zeta.functional_equation_check(L)
         yield "functional equation", v.lhs, v.rhs
 
 
@@ -251,15 +255,14 @@ def prediction_rows(counts, g):
 
 def c10(max_m, max_s):
     """L-polynomials recovered from point counts"""
-    for name in ("z2", "z4", "z3"):
-        entry = next(e for e in map(curves.catalog_curve, curves.catalog_curve_names())
-                     if e.l_polynomial_name == name)
-        g = zeta.catalog_lpoly(name).degree // 2  # the functional equation at g is checked at load
+    for entry in map(curves.catalog_curve, ("kloosterman", "p4", "p3")):
+        expected = zeta.catalog_lpoly(entry.l_polynomial_name)
+        g = expected.degree // 2  # the functional equation at g is checked at load
         # The nonsingular model's count: corrected_prediction(n, s) is n less the correction.
         counts = [curves.count_projective_points_fast(entry.polynomial, s)
                   - entry.corrected_prediction(0, s) for s in range(1, g + 1)]
         L = zeta.reconstruct_from_counts(counts, 2, g)
-        yield f"reconstruct {name} (g={g})", list(L.coefficients), list(zeta.catalog_lpoly(name).coefficients)
+        yield f"reconstruct {entry.l_polynomial_name} (g={g})", list(L.coefficients), list(expected.coefficients)
 
 
 def c11(max_m, max_s):
@@ -279,6 +282,11 @@ def c12(max_m, max_s):
 
 
 IDENTITY_ROWS = {"C": c_row, "G": g_row, "Kp": kp_row}  # the identity of each sum but K
+
+# The paper's identities of a sum with a zeta power sum, in the order C8 checks them:
+# (sum as sum_report names it, its k or None for every k, catalog L-polynomial, row label).
+ZETA_ROUTES = (("K", None, "z2", "K_{m} = -P_m(z2)"), ("G", 1, "z4", "G_{m} = -P_m(z4)"),
+               ("G", 3, "z3", "G_{m}^(3) = -P_m(z3)"), ("Kp", 3, "z1", "K'_{m}(k=3) = 2 - S_m - P_m(z1)"))
 
 CRITERIA = {"C1": c1, "C2": c2, "C3": c3, "C4": c4, "C5": c5, "C6": c6,
             "C7": c7, "C8": c8, "C9": c9, "C10": c10, "C11": c11, "C12": c12}

@@ -13,9 +13,8 @@ representatives.  Each trace-zero count is kept in the field's _sum_counts,
 by its exponent residues, so a sum asked for again at the same residues is
 a dict lookup.  This module is the oracle the curve/zeta identities are
 checked against.  Each report carries the trace-zero count n, so
-value = 2n - domain_size.  ZETA_ROUTES is the one table of the sums' zeta
-identities, conjecture2_proved states where conjecture 2 is proved, and
-theorem1_applies is the one test of the paper's hypothesis.
+value = 2n - domain_size.  conjecture2_proved states where conjecture 2 is
+proved, and theorem1_applies is the one test of the paper's hypothesis.
 
 Sums:
     kloosterman : sum over x != 0 of (-1)^Tr(x + x^-1)
@@ -32,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import zeta
 from .gf2m import Field, FieldError, get_field
 from .verdict import Verdict
 
@@ -49,7 +47,6 @@ __all__ = [
     "conjecture2_proved",
     "theorem1_applies",
     "sum_report",
-    "zeta_side",
 ]
 
 
@@ -189,15 +186,3 @@ def sum_report(name: str, m: int, k: int | None) -> ExpSumReport:
     """The sum that `expsum --sum` names K, C, G or Kp; K takes no k."""
     return kloosterman(m) if name == "K" else {"C": c_sum, "G": g_sum, "Kp": k_prime}[name](m, k)
 
-
-# The paper's identities of a sum with a zeta power sum, in the order C8 checks them:
-# (sum as sum_report names it, its k or None for every k, catalog L-polynomial, row label).
-ZETA_ROUTES = (("K", None, "z2", "K_{m} = -P_m(z2)"), ("G", 1, "z4", "G_{m} = -P_m(z4)"),
-               ("G", 3, "z3", "G_{m}^(3) = -P_m(z3)"), ("Kp", 3, "z1", "K'_{m}(k=3) = 2 - S_m - P_m(z1)"))
-
-
-def zeta_side(name: str, lpoly: str, m: int) -> int:
-    """-P_m(L) of the catalog L-polynomial lpoly, or 2 - S_m - P_m(L) for K' (S_m the
-    singular correction of its genus-31 curve)."""
-    p = zeta.power_sums(zeta.catalog_lpoly(lpoly), m)[-1]
-    return 2 - zeta.singular_correction(m) - p if name == "Kp" else -p

@@ -12,8 +12,8 @@ coefficients space-separated from sigma_0 upward).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from importlib import resources
 from operator import mul
@@ -59,9 +59,6 @@ class LPolynomial:
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
-    def __getitem__(self, j: int) -> int:
-        return self.coefficients[j] if 0 <= j <= self.degree else 0
-
     def __mul__(self, other: "LPolynomial") -> "LPolynomial":
         a, b = self.coefficients, other.coefficients
         out = [0] * (len(a) + len(b) - 1)
@@ -99,37 +96,36 @@ def predicted_count(L: LPolynomial, s: int) -> int:
 def reconstruct_from_counts(counts: list[int], q: int, g: int) -> LPolynomial:
     """Recover the genus-g L-polynomial from point counts N_1..N_g.
 
-    Newton's identities give sigma_1..sigma_g from P_s = q^s + 1 - N_s; the
-    functional equation (_mirror) supplies the top half.
-    Raises if any sigma comes out non-integral (the counts are inconsistent
-    with a genus-g curve over F_q).
+    Newton's identities, in the convolution form of power_sums, give
+    j sigma_j = -(P_j + sigma_1 P_(j-1) + ... + sigma_(j-1) P_1) from
+    P_s = q^s + 1 - N_s; the functional equation (_mirror) supplies the top
+    half.  Raises where j does not divide the right side (the counts are
+    inconsistent with a genus-g curve over F_q).
     """
     if g < 1 or len(counts) < g:
         raise ZetaError(f"need point counts N_1..N_{g}")
     P = [q**s + 1 - counts[s - 1] for s in range(1, g + 1)]
-    sigma: list[Fraction] = [Fraction(1)]
+    sigma = [1]
     for j in range(1, g + 1):
-        acc = Fraction(P[j - 1])
-        for i in range(1, j):
-            acc += sigma[i] * P[j - i - 1]
-        sj = -acc / j
-        if sj.denominator != 1:
-            raise ZetaError(f"non-integral sigma_{j} = {sj}; counts are not from a genus-{g} curve")
+        rhs = -(P[j - 1] + sum(map(mul, sigma[1:j], reversed(P[:j - 1]))))
+        sj, r = divmod(rhs, j)
+        if r:
+            raise ZetaError(f"non-integral sigma_{j} = {rhs}/{j}; counts are not from a genus-{g} curve")
         sigma.append(sj)
-    return LPolynomial(_mirror([int(s) for s in sigma], q), q)
+    return LPolynomial(_mirror(sigma, q), q)
 
 
-def _mirror(low: list[int], q: int) -> tuple[int, ...]:
+def _mirror(low: Sequence[int], q: int) -> tuple[int, ...]:
     """sigma_0..sigma_2g from sigma_0..sigma_g by the Weil functional equation
     sigma_(2g-j) = q^(g-j) sigma_j."""
     g = len(low) - 1
     return tuple(low) + tuple(q ** (g - j) * low[j] for j in range(g - 1, -1, -1))
 
 
-def functional_equation_check(L: LPolynomial, g: int) -> Verdict:
+def functional_equation_check(L: LPolynomial) -> Verdict:
     """The coefficients of L against sigma_0..sigma_g mirrored to degree 2g
-    over F_q, q = L.q; a degree other than 2g fails by length."""
-    return Verdict(L.coefficients, _mirror([L[j] for j in range(g + 1)], L.q))
+    over F_q, g = degree // 2 and q = L.q; an odd degree fails by length."""
+    return Verdict(L.coefficients, _mirror(L.coefficients[:L.degree // 2 + 1], L.q))
 
 
 def vanishing_residue_check(L: LPolynomial, modulus: int, bound: int) -> Verdict:
@@ -215,7 +211,7 @@ def catalog_lpoly(name: str) -> LPolynomial:
     if name not in _CATALOG_NAMES:
         raise ZetaError(f"unknown catalog L-polynomial {name!r} (have {_CATALOG_NAMES})")
     L = parse_lpoly(CATALOG.joinpath(f"{name}.lpoly").read_text())
-    if name not in CORRECTION_FACTORS and not functional_equation_check(L, L.degree // 2).holds:
+    if name not in CORRECTION_FACTORS and not functional_equation_check(L).holds:
         raise ZetaError(f"catalog L-polynomial {name!r} fails the functional equation at genus {L.degree // 2}")
     return L
 

@@ -90,15 +90,15 @@ def test_expsum_k_and_g_checked_against_zeta_above_c8(capsys, argv, name):
 
 
 def test_the_zeta_routes_are_the_four_identities():
-    assert [label.format(m=24) for *_, label in expsums.ZETA_ROUTES] == [name for _, name in ZETA_ROWS_AT_24]
+    assert [label.format(m=24) for *_, label in acceptance.ZETA_ROUTES] == [name for _, name in ZETA_ROWS_AT_24]
 
 
 def test_swapping_z3_and_z4_in_the_table_fails_c8_and_expsum(capsys, monkeypatch):
     # C8 and `expsum` read the one table.  z3 = z4 * l3prime, so the swap
     # shows where P_m(l3prime) is not 0: at m = 3 (12) and 9 (-96), not at 6.
     swap = {"z3": "z4", "z4": "z3"}
-    monkeypatch.setattr(expsums, "ZETA_ROUTES", tuple((name, k, swap.get(lpoly, lpoly), label)
-                                                      for name, k, lpoly, label in expsums.ZETA_ROUTES))
+    monkeypatch.setattr(acceptance, "ZETA_ROUTES", tuple((name, k, swap.get(lpoly, lpoly), label)
+                                                         for name, k, lpoly, label in acceptance.ZETA_ROUTES))
     failed = [name for name, observed, expected in acceptance.CRITERIA["C8"](9, 1) if observed != expected]
     assert failed == [row for m in (3, 9) for row in (f"G_{m} = -P_m(z4)", f"G_{m}^(3) = -P_m(z3)")]
     code, payload = run_json(capsys, "expsum", "--m", "9", "--sum", "G", "--k", "1")

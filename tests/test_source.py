@@ -249,6 +249,45 @@ def test_exponent_rule_sees_sizes_and_reductions(tmp_path):
     assert _exponent_rule_breaks(path) == ["mod.py:2", "mod.py:3", "mod.py:4", "mod.py:5", "mod.py:6"]
 
 
+def _upper_imports(path):
+    """Every import in path, relative or absolute, of char2kit's zeta, curves, acceptance or cli."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom):
+            module = "char2kit" + (f".{node.module}" if node.module else "") if node.level else node.module
+            names = [module, *(f"{module}.{alias.name}" for alias in node.names)]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        if any(name.startswith("char2kit.") and name.split(".")[1] in {"zeta", "curves", "acceptance", "cli"}
+               for name in names):
+            found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_sum_modules_import_nothing_above_them():
+    # gf2m, expsums and crosscorr compute the field, the sums and the spectra.
+    # The zeta side, the curves and the rows that compare them with the sums
+    # read these modules, never the reverse.
+    lower = ("gf2m.py", "expsums.py", "crosscorr.py")
+    assert [hit for path in SOURCES if path.name in lower for hit in _upper_imports(path)] == []
+
+
+def test_layering_rule_sees_relative_and_absolute_imports(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        'from . import gf2m, zeta\n'
+        'from .curves import TrivariatePoly\n'
+        'import char2kit.acceptance as acc\n'
+        'def f():\n'
+        '    from char2kit.cli import main\n'
+        'from char2kit import expsums, verdict\n'
+        'from .verdict import Verdict\n'
+        'import zeta, char2kitx.cli\n')
+    assert _upper_imports(path) == ["mod.py:1", "mod.py:2", "mod.py:3", "mod.py:5"]
+
+
 def _zeta_literals(path):
     """Every string literal in path that names z1..z4 or holds a P_m( label."""
     return [f"{path.name}:{node.lineno}"
@@ -258,7 +297,7 @@ def _zeta_literals(path):
 
 
 def test_cli_states_no_zeta_identity():
-    # Each identity's route and label live in expsums.ZETA_ROUTES, and the
+    # Each identity's route and label live in acceptance.ZETA_ROUTES, and the
     # l1prime rows in acceptance: the CLI loops over them and names none.
     assert _zeta_literals(Path(char2kit.__file__).parent / "cli.py") == []
 
@@ -361,7 +400,7 @@ def test_unsourced_check_rule_sees_rows_built_outside_acceptance(tmp_path):
         'def fed(L):\n'
         '    return [checked(*row) for row in acceptance.count_rows("", zeta.catalog_lpoly("z2"), 3)]\n'
         'def verdict(L):\n'
-        '    v = zeta.functional_equation_check(L, 2)\n'
+        '    v = zeta.functional_equation_check(L)\n'
         '    return checked(*v)\n'
         'def rebound(m):\n'
         '    row = acceptance.a1_row(m, 1)\n'

@@ -1,12 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from char2kit import zeta as z
 from char2kit.verdict import Verdict
 from char2kit.zeta import LPolynomial, ZetaError
 
-from oracles import catalog_lpoly_factors, naive_power_sums, root_modulus_check
+from oracles import catalog_lpoly_factors, differential, naive_power_sums, root_modulus_check
 
 
 L2 = z.catalog_lpoly("z2")
@@ -69,20 +71,23 @@ def test_series_identity_random_polynomials():
         L = LPolynomial(coeffs)
         s_max = 14
         P = z.power_sums(L, s_max)
+        sigma = coeffs + (0,) * s_max  # sigma_j = 0 past the degree
         for j in range(1, s_max + 1):
-            conv = P[j - 1] + sum(L[i] * P[j - i - 1] for i in range(1, min(j, L.degree) + 1) if i < j)
-            assert conv == -j * L[j]
+            conv = P[j - 1] + sum(sigma[i] * P[j - i - 1] for i in range(1, j))
+            assert conv == -j * sigma[j]
 
 
 def test_functional_equation():
-    assert z.functional_equation_check(L2, 1).holds  # sigma_2 = 2 sigma_0
-    assert z.functional_equation_check(L4, 2).holds  # sigma_4 = 4, sigma_3 = 2 sigma_1
-    assert z.functional_equation_check(L1, 31).holds
-    assert z.functional_equation_check(LPolynomial((1, 1, 3), q=3), 1).holds  # q is L's: sigma_2 = 3 sigma_0
-    # A wrong sigma fails on its coefficient; a wrong degree fails by length.
-    assert z.functional_equation_check(LPolynomial((1, 1, 3)), 1) == Verdict((1, 1, 3), (1, 1, 2))
-    assert z.functional_equation_check(L2, 2) == Verdict((1, 1, 2), (1, 1, 2, 2, 4))
-    assert z.functional_equation_check(L4, 1) == Verdict((1, 1, 0, 2, 4), (1, 1, 2))
+    # The genus is degree // 2: 1 for z2, 2 for z4, 31 for z1.
+    assert z.functional_equation_check(L2).holds  # sigma_2 = 2 sigma_0
+    assert z.functional_equation_check(L4).holds  # sigma_4 = 4, sigma_3 = 2 sigma_1
+    assert z.functional_equation_check(L1).holds
+    assert z.functional_equation_check(LPolynomial((1, 1, 3), q=3)).holds  # q is L's: sigma_2 = 3 sigma_0
+    # A wrong sigma fails on its coefficient; an odd degree fails by length.
+    assert z.functional_equation_check(LPolynomial((1, 1, 3))) == Verdict((1, 1, 3), (1, 1, 2))
+    assert z.functional_equation_check(LPolynomial((1, 1, 2, 2))) == Verdict((1, 1, 2, 2), (1, 1, 2))
+    assert z.functional_equation_check(LPolynomial((1, 1, 0, 2, 4, 8))) == Verdict((1, 1, 0, 2, 4, 8),
+                                                                                   (1, 1, 0, 2, 4))
 
 
 def test_reconstruct_examples():
@@ -107,8 +112,27 @@ def test_reconstruct_rejects_bad_counts():
         z.reconstruct_from_counts([4], 2, 9)
 
 
+@differential
+@given(low=st.lists(st.integers(-20, 20), min_size=1, max_size=5), data=st.data())
+def test_reconstruct_inverts_predicted_counts_in_integers(low, data):
+    # Counts predicted from any sigma_1..sigma_g, mirrored by the functional
+    # equation, give that polynomial back in ints.  A count N_j moved by delta,
+    # j >= 2 and j not dividing delta, leaves j sigma_j off a multiple of j.
+    g = len(low)
+    sigma = (1, *low)
+    L = LPolynomial(sigma + tuple(2 ** (g - j) * sigma[j] for j in range(g - 1, -1, -1)))
+    counts = [z.predicted_count(L, s) for s in range(1, g + 1)]
+    back = z.reconstruct_from_counts(counts, 2, g)
+    assert back == L and {type(c) for c in back.coefficients} == {int}
+    if g >= 2:
+        j = data.draw(st.integers(2, g))
+        counts[j - 1] += data.draw(st.integers(-50, 50).filter(lambda delta: delta % j))
+        with pytest.raises(ZetaError, match=f"sigma_{j} = "):
+            z.reconstruct_from_counts(counts, 2, g)
+
+
 def test_reconstruct_any_genus():
-    # Exact Fraction arithmetic needs no genus bound: z1 (g = 31) and the
+    # Exact integer arithmetic needs no genus bound: z1 (g = 31) and the
     # other catalog numerators come back from their predicted counts.
     for L in (L1, L2, L3, L4):
         g = L.degree // 2
@@ -129,8 +153,8 @@ def test_vanishing_residue_check():
 
 def test_l1prime_expansion_against_published():
     assert z.l1prime_expansion_check() == Verdict(z.L1PRIME_EXPANSION, z.L1PRIME_EXPANSION)
-    L1p = z.catalog_lpoly("l1prime")
-    assert L1p[60] == 1073741824 and L1p[57] == 268435456 and L1p[42] == 4784128
+    sigma = z.catalog_lpoly("l1prime").coefficients
+    assert sigma[60] == 1073741824 and sigma[57] == 268435456 and sigma[42] == 4784128
 
 
 def test_singular_correction_sums():
@@ -193,7 +217,7 @@ def test_catalog_load_checks_the_functional_equation(tmp_path, monkeypatch):
     # and the load raises on one that does not.
     for name in z.catalog_lpoly_names():
         L = z.catalog_lpoly(name)
-        assert z.functional_equation_check(L, L.degree // 2).holds == (name not in z.CORRECTION_FACTORS), name
+        assert z.functional_equation_check(L).holds == (name not in z.CORRECTION_FACTORS), name
     monkeypatch.setattr(z, "CATALOG", tmp_path)
     for text in ("1 1 3\n", "1 1 2 2\n"):  # sigma_2 off its mirror 2 sigma_0; an odd degree
         (tmp_path / "z2.lpoly").write_text(text)
