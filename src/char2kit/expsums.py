@@ -136,9 +136,9 @@ def k_prime(m: int, k: int) -> ExpSumReport:
     if n is None:
         reps = field.orbits[0]
         # In this order, and in place, so that one int64 vector of len(reps)
-        # is held at a time; the int32 ones are table reads.  log 0 = -1 is
+        # is held at a time; the others are table reads.  log 0 = -1 is
         # read only at a pole, whose trace t |= pole overrides.
-        q = exp[field.fold(reps * e)]
+        q = exp[field.fold(np.multiply(reps, e, dtype=np.int64))]
         den = exp[reps]
         den ^= q  # q + v
         pole = den == 0  # a pole counts as trace one

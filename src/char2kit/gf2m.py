@@ -38,7 +38,7 @@ __all__ = [
 
 MAX_M = 24  # the int32 exp and log tables take 128 MB at m = 24
 LOG_BLOCK = 1 << 14  # exp entries per log-table scatter and trace_seq popcount pass
-ORBIT_BLOCK = 1 << 20  # odd candidates per `orbits` block, before the zero-run test; m <= 22 takes one
+ORBIT_BLOCK = 1 << 18  # odd candidates per `orbits` block, before the zero-run test; m <= 20 takes one
 
 # One trinomial or pentanomial per degree.  The lower its second term, the
 # more entries one block of `_exp_by_frobenius` writes.  The constructor's
@@ -79,14 +79,15 @@ class Field:
     """GF(2^m) in polynomial basis with a primitive class of x as generator.
 
     Tables (numpy arrays, all read-only: a write raises ValueError):
-        exp_table[i] = alpha^i for 0 <= i < 2^m - 1 (int32)
+        exp_table[i] = alpha^i for 0 <= i < 2^m - 1 (uint16 for m <= 16, int32 above)
         log_table[v] = i with alpha^i = v for v != 0, and -1 at v = 0 (int32)
         trace_seq[i] = Tr(alpha^i) for 0 <= i < 2^m - 1, the m-sequence (uint8)
         trace_table[v] = Tr(v) (uint8), built on first read: no library
             module reads it; the test oracles and traced benchmark runs do
-        orbits = (reps, sizes), built on first use: the least member and the
-            size of each cyclotomic coset of exponents (int64); _short_orbits
-            indexes the cosets of fewer than m members, with m - size
+        orbits = (reps, sizes), built on first use: the least member (uint32)
+            and the size (uint8) of each cyclotomic coset of exponents, so a
+            caller multiplies a rep in int64; _short_orbits indexes the cosets
+            of fewer than m members, with m - size (int64)
         orbit_traces(e) = Tr(alpha^(e r)) over the reps r (uint8), built on
             first use for each residue e mod 2^m - 1
 
@@ -96,8 +97,8 @@ class Field:
     log is scattered (through an intp index) and trace_seq counted in blocks
     of LOG_BLOCK entries, and trace_table is an outer XOR of two half-width
     parity tables, so no build step makes an int temporary of more than
-    LOG_BLOCK entries.  Construction holds 9 bytes an element: exp, log and
-    trace_seq.
+    LOG_BLOCK entries.  Construction holds 7 bytes an element through m = 16
+    and 9 above: exp, log and trace_seq.
 
     Past the tables built on first read (orbits, _short_orbits and
     trace_table, each a function of m and the reduction), the only state
@@ -190,8 +191,9 @@ class Field:
         block concatenates the survivors of its groups and runs the rotation
         filter once on them, j = m-2 down to 3, each j on the survivors of
         the previous one.  The size is the least divisor d of m with
-        rot_d(i) = i.  Built on first use, as int64 so that exponent products
-        such as (2^k + 1) i stay exact.
+        rot_d(i) = i.  Built on first use, as uint32 reps and uint8 sizes, 5
+        bytes a coset: a caller takes a product of a rep, such as (2^k + 1) i,
+        in int64 (np.multiply(reps, e, dtype=np.int64)) so that it stays exact.
         """
         m, mask, half = self.m, self.order, 1 << (self.m - 1)
 
@@ -222,11 +224,10 @@ class Field:
             blocks.append(reps)
         reps = np.concatenate(blocks)
         del blocks
-        sizes = np.full(len(reps), m, dtype=np.int64)
+        sizes = np.full(len(reps), m, dtype=np.uint8)
         for d in range(m - 1, 0, -1):  # descending, so the least period is written last
             if m % d == 0:
                 sizes[rot(reps, d) == reps] = d
-        reps = reps.astype(np.int64)
         reps.flags.writeable = sizes.flags.writeable = False
         return reps, sizes
 
@@ -235,7 +236,7 @@ class Field:
         """(indices into `orbits`, m - size) of the cosets of fewer than m
         members, the ones its divisor loop marks (381 of 699,251 at m = 24)."""
         short = np.flatnonzero(self.orbits[1] < self.m)
-        deficit = self.m - self.orbits[1][short]
+        deficit = self.m - self.orbits[1][short].astype(np.int64)
         short.flags.writeable = deficit.flags.writeable = False
         return short, deficit
 
@@ -270,7 +271,7 @@ class Field:
         e %= self.order
         t = self._orbit_traces.get(e)
         if t is None:
-            t = self.trace_seq[self.fold(self.orbits[0] * e)]
+            t = self.trace_seq[self.fold(np.multiply(self.orbits[0], e, dtype=np.int64))]
             t.flags.writeable = False
             self._orbit_traces[e] = t
         return t
@@ -288,7 +289,7 @@ class Field:
         x^m the table stays zero past x^(m-1), and the log closure rejects f.
         """
         m, order, f = self.m, self.order, self.reduction
-        exp = np.zeros(order, dtype=np.int32)
+        exp = np.zeros(order, dtype=np.uint16 if m <= 16 else np.int32)
         exp[:m] = 1 << np.arange(m)
         terms = [a for a in range(m) if f >> a & 1]
         n = m

@@ -433,6 +433,19 @@ def test_zeta_from_file(tmp_path, capsys):
     assert [r["name"] for r in payload["results"] if r["verdict"] == "fail"] == ["functional equation"]
 
 
+def test_zeta_from_file_of_odd_degree_fails(tmp_path, capsys):
+    # The catalog load refuses an odd-degree L; a file of one fails its
+    # functional equation by length, as a row, with its counts still recorded.
+    path = tmp_path / "odd.lpoly"
+    path.write_text("1 1 2 2\n")
+    code, payload = run_json(capsys, "zeta", "--l-poly", str(path), "--s-max", "2")
+    assert code == 1
+    rows = results_by_name(payload)
+    assert [r["name"] for r in payload["results"] if r["verdict"] == "fail"] == ["functional equation"]
+    assert rows["functional equation"]["observed"] == [1, 1, 2, 2]
+    assert "N_2 predicted" in rows
+
+
 def test_zeta_reconstruct(capsys):
     code, payload = run_json(capsys, "zeta", "--reconstruct", "4", "4", "--genus", "2")
     assert code == 0

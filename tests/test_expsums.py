@@ -112,6 +112,15 @@ def test_orbit_route_matches_enumeration_at_pinned_points(m, k):
     assert_orbit_route_matches_enumeration(m, k)
 
 
+@pytest.mark.parametrize("k", [17, 19])
+def test_k_prime_takes_rep_products_in_int64(k):
+    # At m = 20 a rep reaches 2^19 and 2^k mod 2^20 - 1 is 2^k, so their
+    # product reaches 2^38: taken in the reps' uint32 it would wrap.  Against
+    # every one of the 2^20 elements, read off the element trace table.
+    r = es.k_prime(20, k)
+    assert (r.value, r.trace_zero_count, r.domain_size) == enumerated_sums(20, k)["Kp"]
+
+
 # -- invariants ---------------------------------------------------------------
 
 

@@ -100,7 +100,8 @@ def test_trace_examples(m):
 def test_tables_match_naive_loop(m):
     f = get_field(m)
     exp, log = naive_exp_table(m, f.reduction)
-    assert f.exp_table.dtype == f.log_table.dtype == np.int32
+    assert f.exp_table.dtype == (np.uint16 if m <= 16 else np.int32)
+    assert f.log_table.dtype == np.int32
     assert f.exp_table.tolist() == exp
     assert f.log_table.tolist() == log
 
@@ -148,17 +149,19 @@ def _naive_trace_by_linearity(field):
     return trace
 
 
-@pytest.mark.parametrize("m", [10, 18, 20])
+@pytest.mark.parametrize("m", [10, 16, 18, 20])
 def test_construction_holds_no_element_table(m):
-    # Construction holds exp and log (4 bytes an element each) and trace_seq
-    # (1 byte), plus build temporaries of at most LOG_BLOCK entries.
+    # Construction holds exp (2 bytes an element through m = 16, 4 above),
+    # log (4 bytes) and trace_seq (1 byte), plus build temporaries of at most
+    # LOG_BLOCK entries.
     tracemalloc.start()
     try:
         f = Field(m)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 9 * f.size + 16 * gf2m.LOG_BLOCK, peak
+    assert f.exp_table.itemsize == (2 if m <= 16 else 4)
+    assert peak < (5 + f.exp_table.itemsize) * f.size + 16 * gf2m.LOG_BLOCK, peak
     assert "trace_table" not in vars(f)
     table = f.trace_table
     assert f.trace_table is table  # built once, on the first read
@@ -194,7 +197,7 @@ def _element_route_traces(field, e):
     """Tr(alpha^(e r)) over the orbit representatives r, read off the
     element-indexed trace table."""
     reps = field.orbits[0]
-    return field.trace_table[field.exp_table[reps * e % field.order]]
+    return field.trace_table[field.exp_table[reps.astype(np.int64) * e % field.order]]
 
 
 @pytest.mark.parametrize("m", range(1, 9))
@@ -288,17 +291,27 @@ def test_orbits_in_small_blocks_match_naive_cosets(m, monkeypatch):
     assert np.all(np.diff(reps) > 0)
 
 
-# Block 16 makes many blocks, each inside one zero-run group; blocks of 5
-# odd i (10 integers) straddle the group bounds 2^(m-3) and 2^(m-2).
-@pytest.mark.parametrize("m,block", [(m, b) for b in (gf2m.ORBIT_BLOCK, 16) for m in range(1, 21)]
+# The default block, one block through m = 20, and 2^20, one block through
+# m = 22; block 16 makes many blocks, each inside one zero-run group; blocks
+# of 5 odd i (10 integers) straddle the group bounds 2^(m-3) and 2^(m-2).
+@pytest.mark.parametrize("m,block", [(m, b) for b in (gf2m.ORBIT_BLOCK, 1 << 20, 16) for m in range(1, 21)]
                          + [(m, 5) for m in range(1, 15)])
 def test_orbits_match_rotation_filter(m, block, monkeypatch):
     monkeypatch.setattr(gf2m, "ORBIT_BLOCK", block)
     reps, sizes = Field(m).orbits
     old_reps, old_sizes = rotation_filter_orbits(m)
-    assert reps.dtype == sizes.dtype == np.int64
+    assert reps.dtype == np.uint32 and sizes.dtype == np.uint8
     assert np.array_equal(reps, old_reps)
     assert np.array_equal(sizes, old_sizes)
+
+
+@pytest.mark.parametrize("m", [1, 6, 13, 20])
+def test_orbits_hold_five_bytes_a_rep(m):
+    # A rep is below 2^(m-1) and a size at most m: uint32 and uint8, where
+    # two int64 vectors took 16 bytes a rep.
+    reps, sizes = Field(m).orbits
+    assert (reps.dtype, sizes.dtype) == (np.uint32, np.uint8)
+    assert reps.nbytes + sizes.nbytes == 5 * len(reps)
 
 
 def _traced_peak(build):
@@ -313,7 +326,7 @@ def _traced_peak(build):
 
 @pytest.mark.parametrize("m", [18, 22])
 def test_orbits_transient_is_a_few_bytes_a_rep(m):
-    # Past its two int64 outputs, the zero-run test and the in-place
+    # Past its uint32 and uint8 outputs, the zero-run test and the in-place
     # rotations hold under 24 bytes a rep; the rotation filter alone held
     # 44 at m = 18 and 50 at m = 22.
     field = Field(m)
@@ -338,6 +351,7 @@ def test_orbit_total_equals_the_size_dot_without_an_int64_copy(m):
     # with no cast buffer, and an int64 v needs none.
     field = get_field(m)
     reps, sizes = field.orbits
+    sizes = sizes.astype(np.int64)  # the expected totals, exact: uint8 sizes @ v would wrap
     short = field._short_orbits[0]
     rng = np.random.default_rng(m)
     vectors = [field.orbit_traces(a) != field.orbit_traces(b) for a, b in ((1, -1), (3, 1), (9, -1))]
