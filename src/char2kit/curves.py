@@ -230,9 +230,9 @@ def count_projective_points_fast(P: TrivariatePoly, s: int) -> int:
     chart = _chart(field, P, field.orbits[0], 2)
     c, b, a, line = chart
     log_c, log_b, log_a = field.log_table[chart[:3]]
-    # Tr(beta), beta = c a / b^2, read off the m-sequence at log beta; it is
+    # Tr(beta), beta = c a / b^2, read by Field.trace at log beta; it is
     # read only where a, b != 0, and c = 0 gives beta = 0, of trace 0.
-    tr = field.trace_seq[field.fold(log_c + log_a - 2 * log_b)]
+    tr = field.trace(field.fold(log_c + log_a - 2 * log_b))
     roots = np.where((a != 0) & (b != 0), 2 * ((c == 0) | (tr == 0)),
                      np.where((a | b) != 0, 1, field.size * (c == 0)))
     roots += line == 0

@@ -4,7 +4,7 @@ Each sum is Sum (-1)^Tr(f(x)) with f over GF(2), so Tr(f(x^2)) = Tr(f(x)^2)
 = Tr(f(x)) and every summand is constant on the Frobenius orbit of x.  With
 x = alpha^i that orbit is the cyclotomic coset {i 2^j mod 2^m - 1}, so the
 sums are evaluated once per coset, on the least members of Field.orbits,
-as arithmetic on exponents whose traces are read off the m-sequence, and
+as arithmetic on exponents whose traces are read by Field.trace, and
 each term is weighted by its coset's size.  K, C and G^(k) are Tr(x^a) +
 Tr(x^b) for fixed exponents a, b in {1, -1, 2^k + 1}: each is the XOR of two
 memoized Field.orbit_traces vectors and one size-weighted count, so the
@@ -149,7 +149,7 @@ def k_prime(m: int, k: int) -> ExpSumReport:
         q ^= 1
         log_f += log[q]
         del q
-        t = field.trace_seq.view(bool)[field.fold(log_f)]
+        t = field.trace(field.fold(log_f)).view(bool)
         del log_f
         t |= pole
         n = field._sum_counts[key] = order + 1 - field.orbit_total(t)

@@ -7,10 +7,11 @@ tables (numpy arrays) for every m.  There is no scalar arithmetic: the
 higher modules multiply and raise to powers by gathers from these tables
 over whole vectors of elements or exponents.  The antilog table is built
 from the Frobenius powers of the reduction polynomial.  The library
-reads every trace of a power alpha^i off the m-sequence Tr(alpha^i), by
-exponent.  The element-indexed trace table is the independent route: no
-library module reads it, so it is built on first read, from the trace
-mask alone.
+reads every trace of a power alpha^i by its exponent i, as the parity of
+alpha^i & mask: at the orbit leaders through Field.trace, and over the
+whole period off the m-sequence Field.trace_seq, built on its first read.
+The element-indexed trace table is the independent route: no library
+module reads it, so it is built on first read, from the trace mask alone.
 
 The shipped reduction polynomials are primitive, i.e. the class of x is a
 generator of the multiplicative group.  Construction does not trust the
@@ -37,7 +38,7 @@ __all__ = [
 ]
 
 MAX_M = 24  # the int32 exp and log tables take 128 MB at m = 24
-LOG_BLOCK = 1 << 14  # exp entries per log-table scatter and trace_seq popcount pass
+LOG_BLOCK = 1 << 14  # exp entries per log-table scatter and per trace_seq popcount pass, on its first read
 ORBIT_BLOCK = 1 << 18  # odd candidates per `orbits` block, before the zero-run test; m <= 20 takes one
 
 # One trinomial or pentanomial per degree.  The lower its second term, the
@@ -81,7 +82,9 @@ class Field:
     Tables (numpy arrays, all read-only: a write raises ValueError):
         exp_table[i] = alpha^i for 0 <= i < 2^m - 1 (uint16 for m <= 16, int32 above)
         log_table[v] = i with alpha^i = v for v != 0, and -1 at v = 0 (int32)
-        trace_seq[i] = Tr(alpha^i) for 0 <= i < 2^m - 1, the m-sequence (uint8)
+        trace_seq[i] = Tr(alpha^i) for 0 <= i < 2^m - 1, the m-sequence (uint8),
+            built on its first read: the whole-period readers (the Walsh
+            route's gathers) read it, the orbit route reads trace(i)
         trace_table[v] = Tr(v) (uint8), built on first read: no library
             module reads it; the test oracles and traced benchmark runs do
         orbits = (reps, sizes), built on first use: the least member (uint32)
@@ -91,17 +94,20 @@ class Field:
         orbit_traces(e) = Tr(alpha^(e r)) over the reps r (uint8), built on
             first use for each residue e mod 2^m - 1
 
-    fold(x) and orbit_total(v) are the library's one reduction of exponent
-    arrays mod 2^m - 1 and its one weighting by coset size.
+    trace(i) = Tr(alpha^i) (uint8) for an array i of reduced exponents, the
+    parity of exp[i] & mask: how the orbit route reads a trace, with no
+    2^m-entry table.  fold(x) and orbit_total(v) are the library's one
+    reduction of exponent arrays mod 2^m - 1 and its one weighting by coset
+    size.
 
     log is scattered (through an intp index) and trace_seq counted in blocks
     of LOG_BLOCK entries, and trace_table is an outer XOR of two half-width
     parity tables, so no build step makes an int temporary of more than
-    LOG_BLOCK entries.  Construction holds 7 bytes an element through m = 16
-    and 9 above: exp, log and trace_seq.
+    LOG_BLOCK entries.  Construction holds 6 bytes an element through m = 16
+    and 8 above: exp and log.
 
-    Past the tables built on first read (orbits, _short_orbits and
-    trace_table, each a function of m and the reduction), the only state
+    Past the tables built on first read (trace_seq, orbits, _short_orbits
+    and trace_table, each a function of m and the reduction), the only state
     that changes after construction is two memos.  Behind
     orbit_traces: one vector of len(reps) ~ 2^m/m bytes per residue asked
     for.  The sums ask for 1, -1 and 2^k + 1, which has period m in k, so a
@@ -134,7 +140,8 @@ class Field:
         for i in range(0, self.order, LOG_BLOCK):
             block = self.exp_table[i:i + LOG_BLOCK].astype(np.intp)  # an int32 index scatters slower
             self.log_table[block] = np.arange(i, i + len(block), dtype=np.int32)
-        if np.any(self.log_table[1:] < 0):
+            del block  # before the next block's
+        if self.log_table[1:].min() < 0:  # a reduction: no 2^m-byte mask
             raise FieldError(f"0x{reduction:x} is not primitive: the powers of x "
                              "miss a nonzero residue")
 
@@ -143,13 +150,8 @@ class Field:
         # conjugates x^(i 2^j), j < m, read off the exp table.
         conj = np.outer(np.arange(m), 1 << np.arange(m, dtype=np.int64)) % self.order
         tr_basis = np.bitwise_xor.reduce(self.exp_table[conj], axis=1)
-        self._trace_mask = mask = sum(int(t) << i for i, t in enumerate(tr_basis))
-        # Tr(alpha^i) = parity(popcount(exp[i] & mask)), popcounts written as uint8.
-        self.trace_seq = np.empty(self.order, dtype=np.uint8)
-        for i in range(0, self.order, LOG_BLOCK):
-            np.bitwise_count(self.exp_table[i:i + LOG_BLOCK] & mask, out=self.trace_seq[i:i + LOG_BLOCK])
-        self.trace_seq &= 1
-        for table in (self.exp_table, self.log_table, self.trace_seq):
+        self._trace_mask = sum(int(t) << i for i, t in enumerate(tr_basis))
+        for table in (self.exp_table, self.log_table):
             table.flags.writeable = False
         self._orbit_traces: dict[int, np.ndarray] = {}
         self._sum_counts: dict[tuple, int] = {}
@@ -167,6 +169,28 @@ class Field:
         return table
 
     trace_table = cached_property(_trace_by_parity)
+
+    def trace(self, i: np.ndarray) -> np.ndarray:
+        """Tr(alpha^i) as uint8 for an int array i of exponents in [0, 2^m - 1),
+        the parity of popcount(exp[i] & mask): one gather of exp and no
+        2^m-entry table, for readers that visit the orbit leaders."""
+        v = self.exp_table[i]
+        v &= self._trace_mask
+        t = np.bitwise_count(v)
+        t &= 1
+        return t
+
+    @cached_property
+    def trace_seq(self) -> np.ndarray:
+        """Tr(alpha^i) for 0 <= i < 2^m - 1 (uint8, read-only), the m-sequence:
+        trace(i) over the whole period, for the readers that sweep it.  Built
+        on first read, popcounts written as uint8 LOG_BLOCK entries at a time."""
+        seq = np.empty(self.order, dtype=np.uint8)
+        for i in range(0, self.order, LOG_BLOCK):
+            np.bitwise_count(self.exp_table[i:i + LOG_BLOCK] & self._trace_mask, out=seq[i:i + LOG_BLOCK])
+        seq &= 1
+        seq.flags.writeable = False
+        return seq
 
     @cached_property
     def orbits(self) -> tuple[np.ndarray, np.ndarray]:
@@ -271,7 +295,7 @@ class Field:
         e %= self.order
         t = self._orbit_traces.get(e)
         if t is None:
-            t = self.trace_seq[self.fold(np.multiply(self.orbits[0], e, dtype=np.int64))]
+            t = self.trace(self.fold(np.multiply(self.orbits[0], e, dtype=np.int64)))
             t.flags.writeable = False
             self._orbit_traces[e] = t
         return t
@@ -285,19 +309,24 @@ class Field:
         2^j the largest power of two at most n / m, a block of
         (m - a_max) 2^j entries past the first n reads only built entries, so
         it is the XOR of one contiguous slice per term, written in place: two
-        slices for a trinomial, four for a pentanomial.  With no term below
-        x^m the table stays zero past x^(m-1), and the log closure rejects f.
+        slices for a trinomial, four for a pentanomial: the first copied in,
+        so each page of the table is written once, and the others XORed in.
+        With no term below x^m the table is zero past x^(m-1), and the log
+        closure rejects f.
         """
         m, order, f = self.m, self.order, self.reduction
-        exp = np.zeros(order, dtype=np.uint16 if m <= 16 else np.int32)
+        exp = np.empty(order, dtype=np.uint16 if m <= 16 else np.int32)
         exp[:m] = 1 << np.arange(m)
         terms = [a for a in range(m) if f >> a & 1]
+        if not terms:
+            exp[m:] = 0
         n = m
         while terms and n < order:
             p = 1 << ((n // m).bit_length() - 1)
             block = exp[n:n + min((m - terms[-1]) * p, order - n)]
-            for a in terms:
-                lo = n - (m - a) * p
+            lows = [n - (m - a) * p for a in terms]
+            block[:] = exp[lows[0]:lows[0] + len(block)]
+            for lo in lows[1:]:
                 block ^= exp[lo:lo + len(block)]
             n += len(block)
         return exp

@@ -16,7 +16,8 @@ from char2kit.gf2m import (
     decimation_exponent,
     get_field,
 )
-from char2kit.crosscorr import walsh_spectrum
+from char2kit import curves
+from char2kit.crosscorr import correlation_distribution, walsh_spectrum, weight_distribution
 from char2kit.expsums import c_sum, g_sum, k_prime, kloosterman
 
 from oracles import (
@@ -137,6 +138,17 @@ def test_trace_seq_is_the_m_sequence(m):
     assert np.array_equal(f.trace_seq, f.trace_table[f.exp_table])
 
 
+@pytest.mark.parametrize("m", range(1, MAX_M + 1))
+def test_trace_is_the_element_trace_at_each_exponent(m):
+    # the orbit route's parity read against the element-indexed table
+    f = get_field(m)
+    rng = np.random.default_rng(4800 + m)
+    i = np.concatenate([[0, f.order - 1], rng.integers(0, f.order, 1000)])
+    t = f.trace(i)
+    assert t.dtype == np.uint8
+    assert np.array_equal(t, f.trace_table[f.exp_table[i]])
+
+
 def _naive_trace_by_linearity(field):
     """Tr(v) over every v, the XOR of the naive basis traces Tr(x^i) over the
     set bits i of v."""
@@ -151,9 +163,9 @@ def _naive_trace_by_linearity(field):
 
 @pytest.mark.parametrize("m", [10, 16, 18, 20])
 def test_construction_holds_no_element_table(m):
-    # Construction holds exp (2 bytes an element through m = 16, 4 above),
-    # log (4 bytes) and trace_seq (1 byte), plus build temporaries of at most
-    # LOG_BLOCK entries.
+    # Construction holds exp (2 bytes an element through m = 16, 4 above) and
+    # log (4 bytes), plus build temporaries of at most LOG_BLOCK entries; the
+    # m-sequence waits for its first read.
     tracemalloc.start()
     try:
         f = Field(m)
@@ -161,7 +173,8 @@ def test_construction_holds_no_element_table(m):
     finally:
         tracemalloc.stop()
     assert f.exp_table.itemsize == (2 if m <= 16 else 4)
-    assert peak < (5 + f.exp_table.itemsize) * f.size + 16 * gf2m.LOG_BLOCK, peak
+    assert peak < (4 + f.exp_table.itemsize) * f.size + 16 * gf2m.LOG_BLOCK, peak
+    assert "trace_seq" not in vars(f)
     assert "trace_table" not in vars(f)
     table = f.trace_table
     assert f.trace_table is table  # built once, on the first read
@@ -171,12 +184,14 @@ def test_construction_holds_no_element_table(m):
     assert np.array_equal(table, _naive_trace_by_linearity(f))
 
 
-def test_trace_table_is_built_without_trace_seq():
-    # An element table scattered from trace_seq would inherit a wrong
-    # m-sequence; then test_trace_seq_is_the_m_sequence would compare the
-    # sequence with itself.
+def test_trace_table_is_built_without_trace_seq(monkeypatch):
+    # An element table scattered from trace_seq or read through trace would
+    # inherit a wrong m-sequence; then test_trace_seq_is_the_m_sequence and
+    # test_trace_is_the_element_trace_at_each_exponent would compare a route
+    # with itself.
     f = Field(10)
     f.trace_seq = f.trace_seq ^ 1
+    monkeypatch.setattr(Field, "trace", lambda self, i: 1 - self.trace_table[self.exp_table[i]])
     nf = NaiveField(10, f.reduction)
     assert f.trace_table.tolist() == [nf.trace(a) for a in range(f.size)]
 
@@ -226,6 +241,28 @@ def test_orbit_traces_memo_keeps_one_vector_per_residue():
     assert field.orbit_traces(5 + field.order) is t
     assert field.orbit_traces(5 - field.order) is t
     assert list(field._orbit_traces) == [5]
+
+
+@pytest.mark.parametrize("m", [7, 13])
+def test_only_the_whole_period_readers_build_trace_seq(m):
+    # The sums and the point counter visit orbit leaders and read Field.trace;
+    # the spectrum and weight routes sweep the whole period off the memo.
+    get_field.cache_clear()
+    kloosterman(m)
+    g_sum(m, 1)
+    c_sum(m, 2)
+    k_prime(m, 3)
+    curves.count_projective_points_fast(curves.catalog_curve("p1tilde").polynomial, m)
+    field = get_field(m)
+    assert "trace_seq" not in vars(field)
+    correlation_distribution(m, decimation_exponent(m, 1))
+    seq = vars(field)["trace_seq"]
+    assert field.trace_seq is seq
+    with pytest.raises(ValueError):
+        seq[0] = seq[0]
+    get_field.cache_clear()
+    weight_distribution(m, 1)
+    assert "trace_seq" in vars(get_field(m))
 
 
 def test_cache_clear_drops_the_memo_with_the_field():
@@ -294,8 +331,14 @@ def test_orbits_in_small_blocks_match_naive_cosets(m, monkeypatch):
 # The default block, one block through m = 20, and 2^20, one block through
 # m = 22; block 16 makes many blocks, each inside one zero-run group; blocks
 # of 5 odd i (10 integers) straddle the group bounds 2^(m-3) and 2^(m-2).
-@pytest.mark.parametrize("m,block", [(m, b) for b in (gf2m.ORBIT_BLOCK, 1 << 20, 16) for m in range(1, 21)]
-                         + [(m, 5) for m in range(1, 15)])
+# The default block's id names its role, not its value, so a new default
+# renames no test; the fixed blocks keep their values as ids.
+ORBIT_BLOCKS = {"default": gf2m.ORBIT_BLOCK, "1048576": 1 << 20, "16": 16, "5": 5}
+
+
+@pytest.mark.parametrize("m,block", [pytest.param(m, ORBIT_BLOCKS[b], id=f"{m}-{b}")
+                                     for b in ("default", "1048576", "16") for m in range(1, 21)]
+                         + [pytest.param(m, ORBIT_BLOCKS["5"], id=f"{m}-5") for m in range(1, 15)])
 def test_orbits_match_rotation_filter(m, block, monkeypatch):
     monkeypatch.setattr(gf2m, "ORBIT_BLOCK", block)
     reps, sizes = Field(m).orbits
@@ -469,8 +512,11 @@ def test_validation_rejects_bad_polynomials():
         Field(4, 0b10101)  # (x^2+x+1)^2 is reducible
     with pytest.raises(FieldError):
         Field(4, 0b1011)  # wrong degree
-    with pytest.raises(FieldError):
-        Field(5, 0b100000)  # x^5: no term below x^m, so x^5 = 0
+    for m in (5, 11, 16, 17, 20):
+        # x^m: no term below x^m, so x^m = 0, and the exp table past x^(m-1)
+        # is written as zeros, not left as whatever its allocation held
+        with pytest.raises(FieldError, match="not primitive"):
+            Field(m, 1 << m)
     with pytest.raises(FieldError):
         Field(0)
     with pytest.raises(FieldError):

@@ -62,11 +62,11 @@ def test_field_public_surface_is_pinned():
     # A Field is its tables and the vector maps read off them; the library
     # has no scalar field arithmetic.  A new public method or attribute needs
     # a deliberate edit of this set.  has_tables and trace_table stay public:
-    # traced benchmark runs read them.  trace_table is a cached_property, so
-    # dir() lists it before its first read builds it.
+    # traced benchmark runs read them.  trace_seq and trace_table are
+    # cached_properties, so dir() lists them before their first read builds them.
     found = {name for name in dir(gf2m.Field(3)) if not name.startswith("_")}
     assert found == {"exp_table", "fold", "has_tables", "log_table", "m", "orbit_total", "orbit_traces",
-                     "orbits", "order", "pow_log", "reduction", "size", "trace_seq", "trace_table"}
+                     "orbits", "order", "pow_log", "reduction", "size", "trace", "trace_seq", "trace_table"}
 
 
 MUTATORS = {"add", "append", "cache_clear", "clear", "discard", "extend", "insert", "pop",
@@ -198,8 +198,9 @@ def test_every_check_returns_a_verdict():
 
 
 def test_trace_table_is_read_only_in_gf2m():
-    # The library reads each trace off the m-sequence Field.trace_seq, by
-    # exponent; the element-indexed trace_table is the oracles' independent
+    # The library reads each trace by exponent, through Field.trace at the
+    # orbit leaders or off the m-sequence Field.trace_seq over the whole
+    # period; the element-indexed trace_table is the oracles' independent
     # route, so outside gf2m no library module reads it.
     found = [f"{path.name}:{node.lineno}"
              for path in SOURCES if path.name != "gf2m.py"
@@ -211,14 +212,14 @@ def test_trace_table_is_read_only_in_gf2m():
 def _exponent_rule_breaks(path):
     """Where path reads the coset sizes (a `.orbits` other than `.orbits[0]`, or
     `_short_orbits`), reduces by `order` with %=, or reads a table at a % by it
-    (a subscript or a take argument)."""
+    (a subscript, or a take or trace argument)."""
     def by_order(node):
         return isinstance(node, (ast.Name, ast.Attribute)) and ast.unparse(node).split(".")[-1] == "order"
 
     tree = ast.parse(path.read_text(), filename=str(path))
     parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
     reads = [n.slice for n in ast.walk(tree) if isinstance(n, ast.Subscript)]
-    reads += [a for n in ast.walk(tree) if _called(n) == "take" for a in n.args]
+    reads += [a for n in ast.walk(tree) if _called(n) in ("take", "trace") for a in n.args]
     found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and (
         node.attr == "_short_orbits" or node.attr == "orbits" and not (
             isinstance(parents[node], ast.Subscript) and ast.unparse(parents[node].slice) == "0"))]
@@ -245,8 +246,9 @@ def test_exponent_rule_sees_sizes_and_reductions(tmp_path):
         '    x %= order\n'
         '    x %= field.order\n'
         '    t = field.trace_seq[(reps * e) % field.order] + field.exp_table.take(x % order)\n'
-        '    return x % order, (e % order, 1), field.exp_table[field.fold(x)]\n')
-    assert _exponent_rule_breaks(path) == ["mod.py:2", "mod.py:3", "mod.py:4", "mod.py:5", "mod.py:6"]
+        '    u = field.trace(x % field.order)\n'
+        '    return x % order, (e % order, 1), field.exp_table[field.fold(x)], field.trace(field.fold(x))\n')
+    assert _exponent_rule_breaks(path) == ["mod.py:2", "mod.py:3", "mod.py:4", "mod.py:5", "mod.py:6", "mod.py:7"]
 
 
 def _upper_imports(path):
