@@ -136,8 +136,8 @@ def k_prime(m: int, k: int) -> ExpSumReport:
     if n is None:
         reps = field.orbits[0]
         # In this order, and in place, so that one int64 vector of len(reps)
-        # is held at a time; the others are table reads.  log 0 = -1 is
-        # read only at a pole, whose trace t |= pole overrides.
+        # is held at a time; the others are table reads, widened as they are
+        # added.  log 0, no exponent, is read only at a pole: t |= pole.
         q = exp[field.fold(np.multiply(reps, e, dtype=np.int64))]
         den = exp[reps]
         den ^= q  # q + v

@@ -37,7 +37,7 @@ __all__ = [
     "group_order",
 ]
 
-MAX_M = 24  # the int32 exp and log tables take 128 MB at m = 24
+MAX_M = 24  # the int32 exp and uint32 log tables take 128 MB at m = 24
 LOG_BLOCK = 1 << 14  # exp entries per log-table scatter and per trace_seq popcount pass, on its first read
 ORBIT_BLOCK = 1 << 18  # odd candidates per `orbits` block, before the zero-run test; m <= 20 takes one
 
@@ -81,7 +81,8 @@ class Field:
 
     Tables (numpy arrays, all read-only: a write raises ValueError):
         exp_table[i] = alpha^i for 0 <= i < 2^m - 1 (uint16 for m <= 16, int32 above)
-        log_table[v] = i with alpha^i = v for v != 0, and -1 at v = 0 (int32)
+        log_table[v] = i with alpha^i = v for v != 0, and at v = 0 the dtype's
+            maximum, no exponent (uint16 for m <= 16, uint32 above)
         trace_seq[i] = Tr(alpha^i) for 0 <= i < 2^m - 1, the m-sequence (uint8),
             built on its first read: the whole-period readers (the Walsh
             route's gathers) read it, the orbit route reads trace(i)
@@ -103,7 +104,7 @@ class Field:
     log is scattered (through an intp index) and trace_seq counted in blocks
     of LOG_BLOCK entries, and trace_table is an outer XOR of two half-width
     parity tables, so no build step makes an int temporary of more than
-    LOG_BLOCK entries.  Construction holds 6 bytes an element through m = 16
+    LOG_BLOCK entries.  Construction holds 4 bytes an element through m = 16
     and 8 above: exp and log.
 
     Past the tables built on first read (trace_seq, orbits, _short_orbits
@@ -114,8 +115,9 @@ class Field:
     field holds at most m + 2 of them.  And _sum_counts, where the sums of
     `expsums` keep each trace-zero count they compute: one int per exponent
     pair, at most 2m + 1 (K's, and C's and G's at each 2^k + 1), and one per
-    K' residue 2^k mod 2^m - 1, at most m.  The memos live and die with the
-    field, so get_field.cache_clear() drops them too.  Every operation is pure.
+    K' residue 2^k mod 2^m - 1, at most m; and the fast point counter's, one
+    int per polynomial.  The memos live and die with the field, so
+    get_field.cache_clear() drops them too.  Every operation is pure.
     """
 
     has_tables = True  # every field has its tables; kept for callers that ask
@@ -134,14 +136,16 @@ class Field:
 
         # The primitivity check: if x^0, ..., x^(2^m - 2) cover every nonzero
         # residue, each of them is a unit, so GF(2)[x]/(f) is a field and x
-        # generates its multiplicative group.
+        # generates its multiplicative group.  A residue they miss keeps log's
+        # fill, the dtype's maximum, which is at least 2^m - 1: no exponent.
         self.exp_table = self._exp_by_frobenius()
-        self.log_table = np.full(self.size, -1, dtype=np.int32)
+        dtype = np.uint16 if m <= 16 else np.uint32
+        self.log_table = np.full(self.size, np.iinfo(dtype).max, dtype=dtype)
         for i in range(0, self.order, LOG_BLOCK):
             block = self.exp_table[i:i + LOG_BLOCK].astype(np.intp)  # an int32 index scatters slower
-            self.log_table[block] = np.arange(i, i + len(block), dtype=np.int32)
+            self.log_table[block] = np.arange(i, i + len(block), dtype=dtype)
             del block  # before the next block's
-        if self.log_table[1:].min() < 0:  # a reduction: no 2^m-byte mask
+        if self.log_table[1:].max() >= self.order:  # a reduction: no 2^m-byte mask
             raise FieldError(f"0x{reduction:x} is not primitive: the powers of x "
                              "miss a nonzero residue")
 

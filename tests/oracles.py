@@ -286,12 +286,13 @@ def _enumerated_trace_zero_count(field: Field, a: int, b: int) -> int:
 
 def _enumerated_k_prime_count(field: Field, k: int) -> int:
     """The trace-zero count of K'_m over every v = alpha^i, poles as trace one."""
-    exp, log, order = field.exp_table, field.log_table, field.order
+    exp, order = field.exp_table, field.order
+    log = field.log_table.astype(np.int64)  # uint16 sums wrap; log[0] is read only at a pole
     log_f = _exponents(1 << k, order)  # log q
     q = exp[log_f]
     den = q ^ exp
     log_f += log[q ^ 1]
-    log_f -= ((1 << k) + 1) % order * log[den].astype(np.int64)
+    log_f -= ((1 << k) + 1) % order * log[den]
     log_f %= order
     return int(np.count_nonzero((field.trace_table[exp[log_f]] == 0) & (den != 0))) + 1
 
@@ -403,7 +404,7 @@ def full_x_fast_count(P, s: int) -> int:
     line is one `pow_log` pass per monomial, and x = 0 takes the parity of
     the monomials with a = 0."""
     field = get_field(s)
-    log, order = field.log_table, field.order
+    log, order = field.log_table.astype(np.int64), field.order  # log[c] + log_a - 2 log_b wraps in uint16
 
     def values(exponents):  # the sum of x^a over every x, in element order
         out = np.zeros(field.size, dtype=np.int32)

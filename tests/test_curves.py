@@ -181,6 +181,16 @@ def test_generic_counter_matches_naive_count_at_any_y_degree(poly, s):
     assert cv.count_projective_points(poly, s) == naive
 
 
+def test_fast_count_is_kept_in_the_field(monkeypatch):
+    # C10 recounts curves that C7 has just counted: the field keeps each
+    # count by the polynomial's monomials, so a recount evaluates no chart.
+    get_field.cache_clear()
+    counts = [cv.count_projective_points_fast(poly, 5) for poly in (P3, P4)]
+    monkeypatch.setattr(cv, "_chart", lambda *args: pytest.fail("a recount evaluated a chart"))
+    assert [cv.count_projective_points_fast(poly, 5) for poly in (P3, P4)] == counts
+    assert counts == [full_x_fast_count(P3, 5), full_x_fast_count(P4, 5)]
+
+
 @pytest.mark.parametrize("poly", [GBAR, P1T], ids=["kloosterman", "p1tilde"])
 def test_generic_counter_evaluates_one_row_per_orbit(poly, monkeypatch):
     s, rows, evaluate = 6, [], cv._rows

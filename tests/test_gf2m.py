@@ -15,8 +15,9 @@ from char2kit.gf2m import (
     PRIMITIVE_POLY,
     decimation_exponent,
     get_field,
+    group_order,
 )
-from char2kit import curves
+from char2kit import crosscorr, curves, expsums
 from char2kit.crosscorr import correlation_distribution, walsh_spectrum, weight_distribution
 from char2kit.expsums import c_sum, g_sum, k_prime, kloosterman
 
@@ -102,9 +103,41 @@ def test_tables_match_naive_loop(m):
     f = get_field(m)
     exp, log = naive_exp_table(m, f.reduction)
     assert f.exp_table.dtype == (np.uint16 if m <= 16 else np.int32)
-    assert f.log_table.dtype == np.int32
+    assert f.log_table.dtype == (np.uint16 if m <= 16 else np.uint32)
     assert f.exp_table.tolist() == exp
-    assert f.log_table.tolist() == log
+    assert f.log_table[0] == np.iinfo(f.log_table.dtype).max >= f.order  # no exponent
+    assert f.log_table[1:].tolist() == log[1:]
+
+
+def _log_zero_readers(m):
+    """What each reader of log_table returns at m: the sums and counters read
+    log 0 only where they mask it, the spectrum and derivative gathers never."""
+    P = [curves.catalog_curve(name).polynomial for name in ("kloosterman", "p3", "p4", "p1tilde")]
+    out = [[k_prime(m, k) for k in (1, 2, 3)], [curves.count_projective_points_fast(p, m) for p in P],
+           correlation_distribution(m, 7), crosscorr.derivative_counts(m, 7)]
+    if m <= curves.COUNT_CAP:
+        out += [[curves.count_projective_points(p, m) for p in P], [curves.singular_points(p, m) for p in P]]
+    return out
+
+
+@pytest.mark.parametrize("m", [5, 13, 16, 17])
+def test_log_zero_is_read_only_where_masked(m, monkeypatch):
+    # log_table[0] holds the dtype's maximum, no exponent.  With 0, 1 or
+    # 2^m - 2 in its place, a fresh field gives every reader the same result.
+    def swapped(v):
+        f = Field(m)
+        if v is not None:
+            log = f.log_table.copy()
+            log[0] = v
+            log.flags.writeable = False
+            f.log_table = log
+        for module in (expsums, curves, crosscorr):
+            monkeypatch.setattr(module, "get_field", lambda _: f)
+        return _log_zero_readers(m)
+
+    expected = swapped(None)
+    for v in (0, 1, group_order(m) - 1):
+        assert swapped(v) == expected, v
 
 
 @pytest.mark.parametrize("m", range(21, MAX_M + 1))
@@ -163,8 +196,8 @@ def _naive_trace_by_linearity(field):
 
 @pytest.mark.parametrize("m", [10, 16, 18, 20])
 def test_construction_holds_no_element_table(m):
-    # Construction holds exp (2 bytes an element through m = 16, 4 above) and
-    # log (4 bytes), plus build temporaries of at most LOG_BLOCK entries; the
+    # Construction holds exp and log (2 bytes an element each through m = 16,
+    # 4 above), plus build temporaries of at most LOG_BLOCK entries; the
     # m-sequence waits for its first read.
     tracemalloc.start()
     try:
@@ -172,8 +205,8 @@ def test_construction_holds_no_element_table(m):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert f.exp_table.itemsize == (2 if m <= 16 else 4)
-    assert peak < (4 + f.exp_table.itemsize) * f.size + 16 * gf2m.LOG_BLOCK, peak
+    assert f.exp_table.itemsize == f.log_table.itemsize == (2 if m <= 16 else 4)
+    assert peak < 2 * f.exp_table.itemsize * f.size + 16 * gf2m.LOG_BLOCK, peak
     assert "trace_seq" not in vars(f)
     assert "trace_table" not in vars(f)
     table = f.trace_table
@@ -568,7 +601,7 @@ def test_random_polynomials_match_naive_powers(m, low):
     field = Field(m, f)
     exp, log = naive_exp_table(m, f)
     assert field.exp_table.tolist() == exp
-    assert field.log_table.tolist() == log
+    assert field.log_table[1:].tolist() == log[1:]
 
 
 def test_pow_log_matches_scalar():
