@@ -168,6 +168,7 @@ def _values(field: Field, polys: list[dict[int, int]], logs: np.ndarray) -> np.n
     idx = np.multiply.outer(e, logs)
     idx += field.log_table[k][:, None]
     vals = field.exp_table[field.fold(idx)]
+    del idx  # before the XOR-reduces' copies
     out = np.empty((len(polys), 1 + len(logs)), dtype=np.int32)
     out[:, 0] = [p.get(0, 0) for p in polys]
     for i, r in enumerate(rows):
@@ -230,16 +231,19 @@ def count_projective_points_fast(P: TrivariatePoly, s: int) -> int:
     key = ("count", P.monomials)  # kept in the field, so a recount is a lookup
     if key in field._sum_counts:
         return field._sum_counts[key]
-    chart = _chart(field, P, field.orbits[0], 2)
-    c, b, a, line = chart
-    log_c, log_b, log_a = field.log_table[chart[:3]].astype(np.int64)
-    # Tr(beta), beta = c a / b^2, read by Field.trace at log beta; read only
-    # where a, b != 0, as log 0 is no exponent; c = 0 gives beta 0, trace 0.
-    tr = field.trace(field.fold(log_c + log_a - 2 * log_b))
-    roots = np.where((a != 0) & (b != 0), 2 * ((c == 0) | (tr == 0)),
-                     np.where((a | b) != 0, 1, field.size * (c == 0)))
-    roots += line == 0
-    n = field._sum_counts[key] = int(roots[0] + field.orbit_total(roots[1:]) + (_point(P) == 0))
+    n = int(_point(P) == 0)
+    for lo, reps in field.orbit_blocks:  # each block's column 0 is x = 0
+        chart = _chart(field, P, reps, 2)
+        c, b, a, line = chart
+        log_c, log_b, log_a = field.log_table[chart[:3]].astype(np.int64)
+        # Tr(beta), beta = c a / b^2, read by Field.trace at log beta; read only
+        # where a, b != 0, as log 0 is no exponent; c = 0 gives beta 0, trace 0.
+        tr = field.trace(field.fold(log_c + log_a - 2 * log_b))
+        roots = np.where((a != 0) & (b != 0), 2 * ((c == 0) | (tr == 0)),
+                         np.where((a | b) != 0, 1, field.size * (c == 0)))
+        roots += line == 0
+        n += field.orbit_total(roots[1:], lo)
+    n = field._sum_counts[key] = n + int(roots[0])
     return n
 
 

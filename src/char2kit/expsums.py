@@ -9,7 +9,7 @@ each term is weighted by its coset's size.  K, C and G^(k) are Tr(x^a) +
 Tr(x^b) for fixed exponents a, b in {1, -1, 2^k + 1}: each is the XOR of two
 memoized Field.orbit_traces vectors and one size-weighted count, so the
 sums at one m share their trace vectors.  K' is one pass over the coset
-representatives.  Each trace-zero count is kept in the field's _sum_counts,
+leaders, by block.  Each trace-zero count is kept in the field's _sum_counts,
 by its exponent residues, so a sum asked for again at the same residues is
 a dict lookup.  This module is the oracle the curve/zeta identities are
 checked against.  Each report carries the trace-zero count n, so
@@ -134,25 +134,27 @@ def k_prime(m: int, k: int) -> ExpSumReport:
     key = ("Kp", e)
     n = field._sum_counts.get(key)
     if n is None:
-        reps = field.orbits[0]
-        # In this order, and in place, so that one int64 vector of len(reps)
-        # is held at a time; the others are table reads, widened as they are
-        # added.  log 0, no exponent, is read only at a pole: t |= pole.
-        q = exp[field.fold(np.multiply(reps, e, dtype=np.int64))]
-        den = exp[reps]
-        den ^= q  # q + v
-        pole = den == 0  # a pole counts as trace one
-        den = log[den]
-        log_f = np.multiply(den, -((e + 1) % order), dtype=np.int64)
-        del den
-        log_f += log[q]
-        q ^= 1
-        log_f += log[q]
-        del q
-        t = field.trace(field.fold(log_f)).view(bool)
-        del log_f
-        t |= pole
-        n = field._sum_counts[key] = order + 1 - field.orbit_total(t)
+        n = order + 1
+        # A block of leaders at a time, in this order and in place, so that one
+        # int64 vector of the block is held at a time; the others are table
+        # reads, widened as they are added.  log 0 is read only at a pole.
+        for lo, reps in field.orbit_blocks:
+            q = exp[field.fold(np.multiply(reps, e, dtype=np.int64))]
+            den = exp[reps]
+            den ^= q  # q + v
+            pole = den == 0  # a pole counts as trace one
+            den = log[den]
+            log_f = np.multiply(den, -((e + 1) % order), dtype=np.int64)
+            del den
+            log_f += log[q]
+            q ^= 1
+            log_f += log[q]
+            del q
+            t = field.trace(field.fold(log_f)).view(bool)
+            del log_f
+            t |= pole
+            n -= field.orbit_total(t, lo)
+        field._sum_counts[key] = n
     return ExpSumReport(m, k, 2 * n - order, n, order)
 
 

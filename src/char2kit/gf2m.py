@@ -38,8 +38,8 @@ __all__ = [
 ]
 
 MAX_M = 24  # the int32 exp and uint32 log tables take 128 MB at m = 24
-LOG_BLOCK = 1 << 14  # exp entries per log-table scatter and per trace_seq popcount pass, on its first read
-ORBIT_BLOCK = 1 << 18  # odd candidates per `orbits` block, before the zero-run test; m <= 20 takes one
+LOG_BLOCK = 1 << 14  # exp entries per log-table scatter and trace_seq popcount pass; half for fold and orbit_blocks
+ORBIT_BLOCK = 1 << 14  # odd candidates per `orbits` block, before the zero-run test; m <= 16 takes one
 
 # One trinomial or pentanomial per degree.  The lower its second term, the
 # more entries one block of `_exp_by_frobenius` writes.  The constructor's
@@ -107,9 +107,9 @@ class Field:
     LOG_BLOCK entries.  Construction holds 4 bytes an element through m = 16
     and 8 above: exp and log.
 
-    Past the tables built on first read (trace_seq, orbits, _short_orbits
-    and trace_table, each a function of m and the reduction), the only state
-    that changes after construction is two memos.  Behind
+    Past the tables built on first read (trace_seq, orbits, _short_orbits,
+    orbit_blocks and trace_table, each a function of m and the reduction),
+    the only state that changes after construction is two memos.  Behind
     orbit_traces: one vector of len(reps) ~ 2^m/m bytes per residue asked
     for.  The sums ask for 1, -1 and 2^k + 1, which has period m in k, so a
     field holds at most m + 2 of them.  And _sum_counts, where the sums of
@@ -215,13 +215,16 @@ class Field:
         [2^(m-3), 2^(m-2)) (z = 2), three quarters of them, pass this test
         first.  It also implies i <= rot_2(i): for z >= 2 rot_2(i) = 4i, and
         an i with z = 1 and no two adjacent zeros is at least 0101...01 in
-        binary, so 3i >= 2^m - 1 and rot_2(i) = 4i - 2^m + 1 >= i.  So each
-        block concatenates the survivors of its groups and runs the rotation
-        filter once on them, j = m-2 down to 3, each j on the survivors of
-        the previous one.  The size is the least divisor d of m with
-        rot_d(i) = i.  Built on first use, as uint32 reps and uint8 sizes, 5
-        bytes a coset: a caller takes a product of a rep, such as (2^k + 1) i,
-        in int64 (np.multiply(reps, e, dtype=np.int64)) so that it stays exact.
+        binary, so 3i >= 2^m - 1 and rot_2(i) = 4i - 2^m + 1 >= i.  So the
+        rotation filter runs, j = m-2 down to 3, each j on the survivors of the
+        previous one, on the survivors of the groups of a block, or of several
+        blocks until ORBIT_BLOCK of them have gathered, and writes into reps,
+        allocated at the number of cosets.  The size is the least divisor d of
+        m with rot_d(i) = i, i.e. with (2^m - 1) / (2^d - 1) dividing i: those
+        2^d - 1 multiples are looked up in reps.  Built on first use, as uint32
+        reps and uint8 sizes, 5 bytes a coset: a caller takes a product of a
+        rep, such as (2^k + 1) i, in int64 (np.multiply(reps, e, dtype=np.int64))
+        so that it stays exact.
         """
         m, mask, half = self.m, self.order, 1 << (self.m - 1)
 
@@ -242,20 +245,26 @@ class Field:
                 run |= run >> 1
             return i[run == (1 << (m - z)) - 1]
 
-        blocks = [np.zeros(1, dtype=np.uint32)]
+        # m-bit necklaces (Burnside) less the all-ones word, 2^m - 1 = 0.
+        reps = np.zeros(sum(1 << math.gcd(j, m) for j in range(m)) // m - 1, dtype=np.uint32)
+        n, pending = 1, []  # reps[0] = 0; the zero-run survivors not yet filtered
         for lo in range(0, half, 2 * ORBIT_BLOCK):
             hi = min(lo + 2 * ORBIT_BLOCK, half)
             cuts = [lo, *(c for c in (half >> 2, half >> 1) if lo < c < hi), hi]
-            reps = np.concatenate([candidates(a, b) for a, b in zip(cuts, cuts[1:])])
+            pending += [candidates(a, b) for a, b in zip(cuts, cuts[1:])]
+            if sum(map(len, pending)) < ORBIT_BLOCK and hi < half:
+                continue
+            block, pending = np.concatenate(pending), []
             for j in range(m - 2, 2, -1):
-                reps = reps[reps <= rot(reps, j)]
-            blocks.append(reps)
-        reps = np.concatenate(blocks)
-        del blocks
+                block = block[block <= rot(block, j)]
+            reps[n:n + len(block)] = block
+            n += len(block)
         sizes = np.full(len(reps), m, dtype=np.uint8)
         for d in range(m - 1, 0, -1):  # descending, so the least period is written last
             if m % d == 0:
-                sizes[rot(reps, d) == reps] = d
+                fixed = np.arange(0, mask, mask // ((1 << d) - 1), dtype=np.uint32)
+                at = np.searchsorted(reps, fixed, side="right") - 1
+                sizes[at[reps[at] == fixed]] = d
         reps.flags.writeable = sizes.flags.writeable = False
         return reps, sizes
 
@@ -268,23 +277,34 @@ class Field:
         short.flags.writeable = deficit.flags.writeable = False
         return short, deficit
 
-    def orbit_total(self, v: np.ndarray) -> int:
-        """The sum of size * v over the cosets, for a vector v of small ints
-        over the least members of `orbits`: m sum(v) less (m - size) v over
-        the short cosets, which are few, so no int64 vector as long as v is
+    @cached_property
+    def orbit_blocks(self) -> tuple[tuple[int, np.ndarray], ...]:
+        """(lo, reps[lo:lo + LOG_BLOCK // 2]) cutting the least members of `orbits`
+        into views, fold's block, for the passes over them; m <= 17 takes one."""
+        reps, step = self.orbits[0], LOG_BLOCK // 2
+        return tuple((lo, reps[lo:lo + step]) for lo in range(0, len(reps), step))
+
+    def orbit_total(self, v: np.ndarray, lo: int = 0) -> int:
+        """The sum of size * v over the cosets, for a vector v of small ints over
+        the least members orbits[0][lo:lo + len(v)]: m sum(v) less (m - size) v
+        over the short cosets, which are few, so no int64 vector as long as v is
         made.  A bool v is counted by count_nonzero, with no cast buffer."""
         short, deficit = self._short_orbits
+        if len(v) < len(self.orbits[0]):  # a block of them: its short cosets
+            a, b = np.searchsorted(short, (lo, lo + len(v)))
+            short, deficit = short[a:b] - lo, deficit[a:b]
         total = np.count_nonzero(v) if v.dtype == bool else v.sum()
         return self.m * int(total) - int(deficit @ v[short])
 
     def fold(self, x: np.ndarray) -> np.ndarray:
-        """x mod 2^m - 1 in place, returned, for an int array x of any sign, as
-        x less (2^m - 1) floor(x / (2^m - 1)): numpy's floor division by one
-        scalar takes about half the time of its %, and three steps where
-        folding the 2^m-bit halves of x and making the result exact takes five.
-        LOG_BLOCK / 2 entries (or rows) at a time, the one temporary's length."""
-        for lo in range(0, len(x), LOG_BLOCK // 2):
-            block = x[lo:lo + LOG_BLOCK // 2]
+        """x mod 2^m - 1 in place, returned, for a contiguous int array x of any
+        sign and shape, as x less (2^m - 1) floor(x / (2^m - 1)): numpy's floor
+        division by one scalar takes about half the time of its %, and three
+        steps where folding the 2^m-bit halves of x and making the result exact
+        takes five.  LOG_BLOCK / 2 entries at a time, the one temporary's length."""
+        flat = x if x.ndim == 1 else x.reshape(-1, copy=False)  # a view, or it raises
+        for lo in range(0, len(flat), LOG_BLOCK // 2):
+            block = flat[lo:lo + LOG_BLOCK // 2]
             q = block // self.order
             q *= self.order
             block -= q
@@ -295,11 +315,13 @@ class Field:
         """Tr(alpha^(e r)) over the least members r of `orbits`, as uint8, for
         any int e.  Built on first use for each residue e mod 2^m - 1 and kept,
         read-only, so each later call with that residue is a dict lookup.
-        r (e mod 2^m - 1) < 2^(2m-1) since r < 2^(m-1), so it folds."""
+        r (e mod 2^m - 1) < 2^(2m-1) since r < 2^(m-1), so it folds, a block at a time."""
         e %= self.order
         t = self._orbit_traces.get(e)
         if t is None:
-            t = self.trace(self.fold(np.multiply(self.orbits[0], e, dtype=np.int64)))
+            t = np.empty(len(self.orbits[0]), dtype=np.uint8)
+            for lo, reps in self.orbit_blocks:
+                t[lo:lo + len(reps)] = self.trace(self.fold(np.multiply(reps, e, dtype=np.int64)))
             t.flags.writeable = False
             self._orbit_traces[e] = t
         return t

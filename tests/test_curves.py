@@ -1,12 +1,15 @@
 import copy
 import itertools
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from char2kit import curves as cv
+from char2kit import gf2m
 from char2kit import zeta as z
 from char2kit.curves import TrivariatePoly
 from char2kit.gf2m import FieldError, get_field
@@ -179,6 +182,45 @@ def test_orbit_fast_counter_matches_full_x_oracle(poly, s):
 def test_generic_counter_matches_naive_count_at_any_y_degree(poly, s):
     naive = naive_projective_count(poly.monomials, NaiveField(s, get_field(s).reduction))
     assert cv.count_projective_points(poly, s) == naive
+
+
+@pytest.mark.parametrize("s,block", [(8, 1), (13, 5), (18, 1000)])
+def test_fast_count_at_any_leader_block_matches_full_x_oracle(s, block, monkeypatch):
+    # The fast counter evaluates its chart one block of LOG_BLOCK / 2 leaders
+    # at a time, with x = 0 in column 0 of each; blocks of 1, 5 and 1000
+    # leaders give the counts of the default block and of every x.
+    polys = (GBAR, P1T, FB3)
+    get_field.cache_clear()
+    expected = [cv.count_projective_points_fast(poly, s) for poly in polys]
+    assert expected == [full_x_fast_count(poly, s) for poly in polys]
+    get_field.cache_clear()
+    get_field(s).orbits  # built at the default LOG_BLOCK, which construction reads too
+    monkeypatch.setattr(gf2m, "LOG_BLOCK", 2 * block)
+    try:
+        assert [cv.count_projective_points_fast(poly, s) for poly in polys] == expected
+    finally:
+        get_field.cache_clear()  # no field cut at the patched block outlives the test
+
+
+def test_fast_counter_holds_one_block_of_chart_entries():
+    # At s = 20, 7 blocks of LOG_BLOCK / 2 leaders, p1tilde's chart is an
+    # int64 index and a 4-byte gather for each of its distinct exponents and
+    # each leader of one block, next to the previous block's rows: at most
+    # 16 bytes an (exponent, leader) pair of a block, which does not grow
+    # with s.  Over all leaders at once, the index folded in one piece, the
+    # count held 13.2 MB.
+    get_field.cache_clear()
+    cv.count_projective_points_fast(GBAR, 20)  # builds the orbits and their blocks
+    exponents = len({a for a, _, _ in P1T.monomials})
+    tracemalloc.start()
+    try:
+        n = cv.count_projective_points_fast(P1T, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * exponents * (gf2m.LOG_BLOCK // 2) + 8 * np.getbufsize(), peak
+    assert exponents == 15 and len(get_field(20).orbit_blocks) == 7
+    assert n == cv.catalog_curve("p1tilde").corrected_prediction(z.predicted_count(z.catalog_lpoly("z1"), 20), 20)
 
 
 def test_fast_count_is_kept_in_the_field(monkeypatch):

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from char2kit import expsums as es
+from char2kit import gf2m
 from char2kit.gf2m import FieldError, get_field
 
 from oracles import (
@@ -112,6 +113,31 @@ def test_orbit_route_matches_enumeration_at_pinned_points(m, k):
     assert_orbit_route_matches_enumeration(m, k)
 
 
+@pytest.mark.parametrize("m,k,block", [(7, 3, 1), (12, 2, 1), (12, 2, 5), (13, 5, 5), (18, 3, 5),
+                                       (13, 2, 1000), (18, 3, 1000)])
+def test_sums_at_any_leader_block_match_enumeration(m, k, block, monkeypatch):
+    # Each pass over the orbit leaders takes LOG_BLOCK / 2 of them at a time,
+    # so every m <= 17 takes one block.  Blocks of 1, 5 and 1000 leaders cut
+    # orbit_traces, K' (with poles where gcd(k, m) > 1, at (12, 2) and
+    # (18, 3)), fold and the short cosets that orbit_total weighs in at other
+    # places: each sum equals its value at the default block and by enumeration.
+    def sums():
+        return {name: (r.value, r.trace_zero_count, r.domain_size)
+                for name in ("K", "C", "G", "Kp") for r in [es.sum_report(name, m, k)]}
+
+    get_field.cache_clear()
+    expected = sums()
+    assert expected == enumerated_sums(m, k)
+    get_field.cache_clear()
+    leaders = len(get_field(m).orbits[0])  # built at the default LOG_BLOCK, which construction reads too
+    monkeypatch.setattr(gf2m, "LOG_BLOCK", 2 * block)
+    try:
+        assert sums() == expected
+        assert len(get_field(m).orbit_blocks) == -(-leaders // block)
+    finally:
+        get_field.cache_clear()  # no field cut at the patched block outlives the test
+
+
 @pytest.mark.parametrize("k", [17, 19])
 def test_k_prime_takes_rep_products_in_int64(k):
     # At m = 20 a rep reaches 2^19 and 2^k mod 2^20 - 1 is 2^k, so their
@@ -191,15 +217,20 @@ def test_m_out_of_range():
 
 
 def test_k_prime_holds_two_int64_vectors():
-    # With the field and its orbits built, K' holds at most two int64
-    # vectors of len(reps) at a time, next to int32 table reads, a pole mask
-    # and numpy's casting buffer; five int64 vectors at once took 40 bytes a rep.
+    # With the field, its orbits and K's memos built, K' takes one block of
+    # LOG_BLOCK / 2 leaders at a time, and holds at most two int64 vectors of
+    # the block, next to three 4-byte table reads, a pole mask and numpy's
+    # casting buffer: a bound that does not grow with m, here 7 blocks.  Over
+    # all leaders at once it held 18 bytes a rep (961 KB); five int64
+    # vectors at once took 40.
     get_field.cache_clear()
-    n = len(get_field(18).orbits[0])
+    es.kloosterman(20)
+    block = gf2m.LOG_BLOCK // 2
     tracemalloc.start()
     try:
-        es.k_prime(18, 3)
+        es.k_prime(20, 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 18 * n + 8 * np.getbufsize(), peak
+    assert peak < (2 * 8 + 3 * 4 + 1) * block + 8 * np.getbufsize(), peak
+    assert len(get_field(20).orbit_blocks) == 7

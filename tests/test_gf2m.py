@@ -361,9 +361,11 @@ def test_orbits_in_small_blocks_match_naive_cosets(m, monkeypatch):
     assert np.all(np.diff(reps) > 0)
 
 
-# The default block, one block through m = 20, and 2^20, one block through
+# The default block, one block through m = 16, and 2^20, one block through
 # m = 22; block 16 makes many blocks, each inside one zero-run group; blocks
 # of 5 odd i (10 integers) straddle the group bounds 2^(m-3) and 2^(m-2).
+# Blocks with fewer zero-run survivors than the block wait for the next
+# block's, so the rotation filter runs on survivors of several blocks.
 # The default block's id names its role, not its value, so a new default
 # renames no test; the fixed blocks keep their values as ids.
 ORBIT_BLOCKS = {"default": gf2m.ORBIT_BLOCK, "1048576": 1 << 20, "16": 16, "5": 5}
@@ -402,21 +404,25 @@ def _traced_peak(build):
 
 @pytest.mark.parametrize("m", [18, 22])
 def test_orbits_transient_is_a_few_bytes_a_rep(m):
-    # Past its uint32 and uint8 outputs, the zero-run test and the in-place
-    # rotations hold under 24 bytes a rep; the rotation filter alone held
-    # 44 at m = 18 and 50 at m = 22.
+    # Past its uint32 and uint8 outputs, allocated at the count of cosets,
+    # the zero-run test and the rotations hold at most 16 bytes an odd
+    # candidate of one block of 2^14: a bound that does not grow with m.  Whole
+    # candidate ranges and a joined list of blocks held 22 bytes a rep at
+    # m = 18 and 15 at m = 22 (2.8 MB); the rotation filter alone, 44 and 50.
     field = Field(m)
     (reps, sizes), peak = _traced_peak(lambda: field.orbits)
-    assert peak - reps.nbytes - sizes.nbytes < 24 * len(reps), peak
+    assert peak - reps.nbytes - sizes.nbytes < 16 << 14, peak
 
 
 def test_orbit_traces_hold_two_int64_vectors():
-    # x = r e and its high half, reduced in place: 16 bytes a rep past the
-    # uint8 result, where (x & order) + (x >> m) held 31.
-    field = Field(18)
-    n = len(field.orbits[0])
+    # x = r e and its quotient, for one block of LOG_BLOCK / 2 leaders at a
+    # time: two int64 vectors of the block past the uint8 result, at an m of
+    # 7 blocks; over all leaders at once they held 12 bytes a rep (630 KB).
+    field = Field(20)
+    field.orbits
     t, peak = _traced_peak(lambda: field.orbit_traces(12345))
-    assert peak - t.nbytes <= 16 * n + 4096, peak
+    assert peak - t.nbytes <= 2 * 8 * (gf2m.LOG_BLOCK // 2) + 8192, peak
+    assert len(field.orbit_blocks) == 7
 
 
 @pytest.mark.parametrize("m", [6, 12, 18, 20])
@@ -438,6 +444,12 @@ def test_orbit_total_equals_the_size_dot_without_an_int64_copy(m):
         assert type(total) is int and total == int(sizes @ v)
         assert peak < 4096 + 16 * len(short), peak
     assert field.orbit_total(vectors[4]) == field.order  # every coset, so every exponent
+    # A block of the vector starting at leader lo weighs in the short cosets
+    # it holds, so the blocks' totals add up to the whole one's.
+    for v in vectors:
+        for step in (1, 5, 1000) if m <= 12 else (1000,):
+            assert sum(field.orbit_total(v[lo:lo + step], lo) for lo in range(0, len(v), step)) \
+                == field.orbit_total(v)
     # A uint8 vector is summed through numpy's cast buffer, a fixed size, not a copy.
     v = rng.integers(0, 4, len(reps), dtype=np.uint8)
     total, peak = _traced_peak(lambda: field.orbit_total(v))
@@ -455,11 +467,31 @@ def test_fold_is_the_remainder_in_place(m):
     y = x.copy()
     assert f.fold(y) is y
     assert np.array_equal(y, x % f.order)
-    # LOG_BLOCK / 2 entries at a time, or rows of a 2-d x: uneven last blocks.
+    # LOG_BLOCK / 2 entries of x at a time, whatever its shape: uneven last
+    # blocks, and blocks that cut the rows of a 2-d x.
     rng = np.random.default_rng(m + 1)
     for z in (rng.integers(0, top, gf2m.LOG_BLOCK + 3), rng.integers(0, top, (gf2m.LOG_BLOCK // 2 + 1, 3)),
+              rng.integers(0, top, (3, gf2m.LOG_BLOCK // 3 + 1)),
               rng.integers(-2 * f.order, 2 * f.order, 100, dtype=np.int32)):
-        assert np.array_equal(f.fold(z.copy()), z % f.order)
+        y = z.copy()
+        assert f.fold(y) is y and np.array_equal(y, z % f.order)
+
+
+@pytest.mark.parametrize("shape", [(15, 8193), (2, 3, 40000), (1 << 17,)], ids=["15x8193", "2x3x40000", "131072"])
+def test_fold_holds_half_a_log_block_of_any_shape(shape):
+    # The one temporary is the quotient of LOG_BLOCK / 2 entries, for any
+    # shape of x: the fast counter's (terms x leaders) index is folded with
+    # no quotient as large as itself, as blocking by rows gave it.  A
+    # non-contiguous x of more than one axis is refused, not folded in a copy.
+    f = get_field(20)
+    x = np.random.default_rng(len(shape)).integers(0, 1 << 40, shape)
+    expected = x % f.order
+    y, peak = _traced_peak(lambda: f.fold(x))
+    assert y is x and np.array_equal(x, expected)
+    assert peak <= 8 * (gf2m.LOG_BLOCK // 2) + 1024, peak
+    if len(shape) > 1:
+        with pytest.raises(ValueError):
+            f.fold(x.T)
 
 
 @pytest.mark.parametrize("m,k,expected", [(5, 1, 12), (7, 1, 44), (7, 3, 106)])
