@@ -77,19 +77,13 @@ def g_row(m, k):
 
 
 def c3(max_m, max_s):
-    """C_m closed form by m mod 8 where it applies; C_m^2 in {0, 2^(m+gcd(2k,m))} at every other (m, k)"""
+    """C_m against its closed form at every (m, k), by d = gcd(k, m) and q = m/d"""
     yield from (c_row(m, k) for m in range(1, max_m + 1) for k in range(1, 6))
 
 
 def c_row(m, k):
-    """C_m against its closed form where c_sum_closed_form has one (odd m,
-    gcd(k, m) = 1), which implies the square row; elsewhere C_m^2 against
-    {0, 2^(m+w)}, w = gcd(2k, m)."""
-    closed = expsums.c_sum_closed_form(m, k)
-    if closed is not None:
-        return f"C_{m}(k={k}) closed form", expsums.c_sum(m, k).value, closed
-    v = expsums.c_sum_square_check(m, k)
-    return f"C_{m}(k={k})^2 in {{0, 2^{m + math.gcd(2 * k, m)}}}", v.lhs, v.rhs
+    """C_m against c_sum_closed_form."""
+    return f"C_{m}(k={k}) closed form", expsums.c_sum(m, k).value, expsums.c_sum_closed_form(m, k)
 
 
 def sum_rows(name, m, k):

@@ -72,12 +72,16 @@ def walsh_spectrum(field: Field, e1: int, e2: int = 1, c: int | None = 0) -> np.
     as a -> (z -> a.z) runs over all linear forms, {W(a)} = {sum of (-1)^Tr(a x^e2 + b x^e1)}.
 
     Let h = gcd(e2, 2^m - 1), n = (2^m - 1)/h and e = e1 e', e' (e2/h) = 1 mod n.  At h = 1
-    and b = 1, F is one gather a block of z off pow_log(e).  Otherwise e1 must be prime to h,
-    as 2^k + 1 is to 2^(2k) + 1: the fibre of alpha^(h s) is alpha^(s e' + t n), t < h, so F
-    there is h less twice the sum of column (c + s e) mod n of the m-sequence as an (h, n)
-    array.  One float32 buffer takes (h - F)/2, the fibre members with Tr(b x^e1) = 1,
-    LOG_BLOCK entries at a time; it becomes F in place, and walsh_transform turns that into
-    W in place, exactly: every partial sum is within sum |F| = 2^m.
+    and b != 0, F(z) = (-1)^Tr(alpha^(c + e log z)): one Field.trace gather a block of z in
+    element order.  Otherwise e1 must be prime to h, as 2^k + 1 is to 2^(2k) + 1: the fibre
+    of alpha^(h s) is alpha^(s e' + t n), t < h, so F there is h less twice the sum of column
+    (c + s e) mod n of the m-sequence as an (h, n) array.  The h rows are read once, each
+    contiguously through Field.trace, and summed into one column vector (all 0 at b = 0),
+    which each block of s reads at one gather.  One float32 buffer takes (h - F)/2, the
+    fibre members with Tr(b x^e1) = 1, LOG_BLOCK entries at a time (half that at h = 1, as
+    fold adds a quotient to the int64 exponents); it becomes F in place, and
+    walsh_transform turns that into W in place, exactly: every partial sum is within
+    sum |F| = 2^m.
     """
     order = field.order
     h = math.gcd(e2, order)
@@ -87,19 +91,25 @@ def walsh_spectrum(field: Field, e1: int, e2: int = 1, c: int | None = 0) -> np.
         raise FieldError(f"e1={e1} is not prime to gcd(e2={e2}, 2^{field.m}-1) = {h}")
     w = np.empty(field.size, dtype=np.float32)  # (h - F)/2
     w[0] = (h - 1) / 2  # F(0) = (-1)^Tr(0)
-    if h == 1 and c == 0:
-        for lo in range(1, field.size, LOG_BLOCK):
-            w[lo:lo + LOG_BLOCK] = field.trace_seq[field.pow_log(e, lo, lo + LOG_BLOCK)]
+    if h == 1 and c is not None:
+        step = max(LOG_BLOCK // 2, 1)
+        for lo in range(1, field.size, step):
+            x = field.log_table[lo:lo + step] * np.int64(e)
+            x += c
+            w[lo:lo + step] = field.trace(field.fold(x))
+            del x  # before the next block's
     else:
         w[1:] = h / 2  # F = 0 off the h-th powers
+        col = np.zeros(n, dtype=np.min_scalar_type(h))
+        for row in ([] if c is None else range(0, order, n)):
+            for lo in range(0, n, LOG_BLOCK):
+                col[lo:lo + LOG_BLOCK] += field.trace(np.arange(row + lo, row + min(lo + LOG_BLOCK, n)))
         for lo in range(0, n, LOG_BLOCK):
             x = np.arange(lo, min(lo + LOG_BLOCK, n), dtype=np.int64)
-            odd = np.zeros(len(x), dtype=np.min_scalar_type(h))
             x *= e
             x += c or 0
             x %= n  # the column whose h entries are the fibre's traces
-            for row in ([] if c is None else field.trace_seq.reshape(h, n)):
-                odd += row[x]
+            odd = col[x]
             x[:] = field.exp_table[h * lo:h * (lo + LOG_BLOCK):h]  # z = alpha^(h s), as an index
             w[x] = odd
             del x, odd  # before the next block's

@@ -39,7 +39,6 @@ __all__ = [
     "kloosterman",
     "c_sum",
     "c_sum_closed_form",
-    "c_sum_square_check",
     "g_sum",
     "k_prime",
     "conjecture1_check",
@@ -92,23 +91,19 @@ def c_sum(m: int, k: int) -> ExpSumReport:
     return ExpSumReport(m, k, 2 * n - field.size, n, field.size)
 
 
-def c_sum_closed_form(m: int, k: int) -> int | None:
-    """The known value +-2^((m+1)/2) by m mod 8, where theorem1_applies."""
-    if not theorem1_applies(m, k):
-        return None
-    mag = 1 << ((m + 1) // 2)
-    return mag if m % 8 in (1, 7) else -mag
-
-
-def c_sum_square_check(m: int, k: int) -> Verdict:
-    """Is C_m^2 (C_m^2 - 2^(m+w)) = 0, w = gcd(2k, m), i.e. C_m^2 in {0, 2^(m+w)}?
-
-    x -> Tr(x^(2^k+1)) is a quadratic form on GF(2^m) whose radical is
-    {x : x^(2^(2k)) = x} = GF(2^w), so C_m is 0 or +-2^((m+w)/2) at every
-    (m, k); the closed form above is the case w = 1.
-    """
-    c2 = c_sum(m, k).value ** 2
-    return Verdict(c2 * (c2 - (1 << (m + math.gcd(2 * k, m)))), 0)
+def c_sum_closed_form(m: int, k: int) -> int:
+    """C_m at any (m, k), from the quadratic form x -> Tr(x^(2^k+1)) (Coulter,
+    New Zealand J. Math., 1999).  With d = gcd(k, m) and q = m/d: at q = 2
+    mod 4, 0; at q = 0 mod 4, -(-1)^(d q/4) 2^(m/2+d); at odd q,
+    (2/q)^d 2^((m+d)/2), where (2/q) = +1 iff q = +-1 mod 8.  Where
+    theorem1_applies (d = 1, q = m odd) it is +-2^((m+1)/2) by m mod 8."""
+    d = math.gcd(k, m)
+    q = m // d
+    if q % 4 == 2:
+        return 0
+    if q % 4 == 0:
+        return -((-1) ** (d * q // 4)) << (m // 2 + d)
+    return (1 if q % 8 in (1, 7) else (-1) ** d) << (m + d) // 2
 
 
 def g_sum(m: int, k: int) -> ExpSumReport:
@@ -178,9 +173,9 @@ def conjecture2_proved(m: int, k: int) -> bool:
 
 
 def theorem1_applies(m: int, k: int | None) -> bool:
-    """The paper's hypothesis, odd m and gcd(k, m) = 1: where C_m has its closed form,
-    where theorem 1 gives the five multiplicities of the spectrum at
-    d = decimation_exponent(m, k), and where A_1 is counted and has its formula."""
+    """The paper's hypothesis, odd m and gcd(k, m) = 1: where theorem 1 gives the five
+    multiplicities of the spectrum at d = decimation_exponent(m, k), and where A_1 is
+    counted and has its formula."""
     return k is not None and m % 2 == 1 and math.gcd(k, m) == 1
 
 

@@ -7,11 +7,11 @@ tables (numpy arrays) for every m.  There is no scalar arithmetic: the
 higher modules multiply and raise to powers by gathers from these tables
 over whole vectors of elements or exponents.  The antilog table is built
 from the Frobenius powers of the reduction polynomial.  The library
-reads every trace of a power alpha^i by its exponent i, as the parity of
-alpha^i & mask: at the orbit leaders through Field.trace, and over the
-whole period off the m-sequence Field.trace_seq, built on its first read.
-The element-indexed trace table is the independent route: no library
-module reads it, so it is built on first read, from the trace mask alone.
+reads every trace of a power alpha^i by its exponent i, through
+Field.trace, the parity of alpha^i & mask: at the orbit leaders and over
+the whole period alike, so no m-sequence is kept.  The element-indexed
+trace table is the independent route: no library module reads it, so it
+is built on first read, from the trace mask alone.
 
 The shipped reduction polynomials are primitive, i.e. the class of x is a
 generator of the multiplicative group.  Construction does not trust the
@@ -38,7 +38,7 @@ __all__ = [
 ]
 
 MAX_M = 24  # the int32 exp and uint32 log tables take 128 MB at m = 24
-LOG_BLOCK = 1 << 14  # exp entries per log-table scatter and trace_seq popcount pass; half for fold and orbit_blocks
+LOG_BLOCK = 1 << 14  # exp entries per log-table scatter; half for fold and orbit_blocks
 ORBIT_BLOCK = 1 << 14  # odd candidates per `orbits` block, before the zero-run test; m <= 16 takes one
 
 # One trinomial or pentanomial per degree.  The lower its second term, the
@@ -83,9 +83,6 @@ class Field:
         exp_table[i] = alpha^i for 0 <= i < 2^m - 1 (uint16 for m <= 16, int32 above)
         log_table[v] = i with alpha^i = v for v != 0, and at v = 0 the dtype's
             maximum, no exponent (uint16 for m <= 16, uint32 above)
-        trace_seq[i] = Tr(alpha^i) for 0 <= i < 2^m - 1, the m-sequence (uint8),
-            built on its first read: the whole-period readers (the Walsh
-            route's gathers) read it, the orbit route reads trace(i)
         trace_table[v] = Tr(v) (uint8), built on first read: no library
             module reads it; the test oracles and traced benchmark runs do
         orbits = (reps, sizes), built on first use: the least member (uint32)
@@ -96,20 +93,21 @@ class Field:
             first use for each residue e mod 2^m - 1
 
     trace(i) = Tr(alpha^i) (uint8) for an array i of reduced exponents, the
-    parity of exp[i] & mask: how the orbit route reads a trace, with no
-    2^m-entry table.  fold(x) and orbit_total(v) are the library's one
+    parity of exp[i] & mask: how every library module reads a trace, with
+    no 2^m-entry table.  fold(x) and orbit_total(v) are the library's one
     reduction of exponent arrays mod 2^m - 1 and its one weighting by coset
     size.
 
-    log is scattered (through an intp index) and trace_seq counted in blocks
-    of LOG_BLOCK entries, and trace_table is an outer XOR of two half-width
-    parity tables, so no build step makes an int temporary of more than
-    LOG_BLOCK entries.  Construction holds 4 bytes an element through m = 16
-    and 8 above: exp and log.
+    log is scattered (through an intp index) in blocks of LOG_BLOCK entries,
+    and trace_table is an outer XOR of two half-width parity tables, so no
+    build step makes an int temporary of more than LOG_BLOCK entries.
+    Construction holds 4 bytes an element through m = 16 and 8 above: exp
+    and log, the only arrays of 2^m - 1 or more entries that a sum, count,
+    spectrum or weight call leaves on the field.
 
-    Past the tables built on first read (trace_seq, orbits, _short_orbits,
-    orbit_blocks and trace_table, each a function of m and the reduction),
-    the only state that changes after construction is two memos.  Behind
+    Past the tables built on first read (orbits, _short_orbits, orbit_blocks
+    and trace_table, each a function of m and the reduction), the only
+    state that changes after construction is two memos.  Behind
     orbit_traces: one vector of len(reps) ~ 2^m/m bytes per residue asked
     for.  The sums ask for 1, -1 and 2^k + 1, which has period m in k, so a
     field holds at most m + 2 of them.  And _sum_counts, where the sums of
@@ -163,8 +161,8 @@ class Field:
     def _trace_by_parity(self) -> np.ndarray:
         """Tr(v) for 0 <= v < 2^m as uint8, from the trace mask alone: by
         linearity Tr(hi 2^h + lo) = Tr(hi 2^h) + Tr(lo), one XOR of two
-        half-width parity tables.  It never reads trace_seq or exp_table, so
-        it stays an independent route to the trace."""
+        half-width parity tables.  It never reads trace or exp_table, so it
+        stays an independent route to the trace."""
         m, mask, h = self.m, self._trace_mask, self.m // 2
         hi = np.bitwise_count(np.arange(1 << (m - h)) & (mask >> h)) & 1
         lo = np.bitwise_count(np.arange(1 << h) & mask) & 1
@@ -177,24 +175,12 @@ class Field:
     def trace(self, i: np.ndarray) -> np.ndarray:
         """Tr(alpha^i) as uint8 for an int array i of exponents in [0, 2^m - 1),
         the parity of popcount(exp[i] & mask): one gather of exp and no
-        2^m-entry table, for readers that visit the orbit leaders."""
+        2^m-entry table."""
         v = self.exp_table[i]
         v &= self._trace_mask
         t = np.bitwise_count(v)
         t &= 1
         return t
-
-    @cached_property
-    def trace_seq(self) -> np.ndarray:
-        """Tr(alpha^i) for 0 <= i < 2^m - 1 (uint8, read-only), the m-sequence:
-        trace(i) over the whole period, for the readers that sweep it.  Built
-        on first read, popcounts written as uint8 LOG_BLOCK entries at a time."""
-        seq = np.empty(self.order, dtype=np.uint8)
-        for i in range(0, self.order, LOG_BLOCK):
-            np.bitwise_count(self.exp_table[i:i + LOG_BLOCK] & self._trace_mask, out=seq[i:i + LOG_BLOCK])
-        seq &= 1
-        seq.flags.writeable = False
-        return seq
 
     @cached_property
     def orbits(self) -> tuple[np.ndarray, np.ndarray]:

@@ -383,10 +383,11 @@ def sorted_pair_collision_a1(m: int, k: int) -> int:
 
 def row_loop_direct_weights(m: int, k: int) -> dict[int, int]:
     """Weight distribution of the words Tr(a g2^t + b g1^t), one unpacked row of
-    a at a time against every row of b, each row read off the m-sequence."""
+    a at a time against every row of b, each row read off the m-sequence, taken as
+    the element-indexed trace table at each power of alpha."""
     field = get_field(m)
     order = field.order
-    s = field.trace_seq
+    s = field.trace_table[field.exp_table]
     i = np.arange(order, dtype=np.int64)
     zero = np.zeros((1, order), dtype=np.uint8)
     bits_a, bits_b = (np.vstack((zero, s[np.add.outer(i, e * i % order) % order]))
@@ -418,7 +419,7 @@ def full_x_fast_count(P, s: int) -> int:
     n += np.count_nonzero((a == 0) != (b == 0))
     quad = (a != 0) & (b != 0)
     log_a, log_b, c = log[a[quad]], log[b[quad]], c[quad]
-    tr_beta = field.trace_seq[(log[c] + log_a - 2 * log_b) % order]  # Tr(c a / b^2); c = 0 has trace 0
+    tr_beta = field.trace_table[field.exp_table[(log[c] + log_a - 2 * log_b) % order]]  # Tr(c a / b^2); c = 0 has trace 0
     n += 2 * np.count_nonzero((c == 0) | (tr_beta == 0))
     line = values([a for a, _, z in P.monomials if z == 0])
     point = sum(b == z == 0 for _, b, z in P.monomials) % 2

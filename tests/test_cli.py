@@ -132,19 +132,19 @@ def test_expsum_c_closed_form(capsys):
     rows = results_by_name(payload)
     assert rows["C_7(k=3) closed form"]["expected"] == 16
     assert rows["C_7(k=3)"]["observed"] == 16
-    # the closed form implies C_7^2 = 2^8, so no square row
     assert list(rows) == ["C_7(k=3)", "C_7(k=3) closed form", "trace_zero_count"]
 
 
-def test_expsum_c_square_checked_off_the_closed_form(capsys):
-    # m = 8 is even, so no closed form: C_8 = -32 and w = gcd(2, 8) = 2
+def test_expsum_c_closed_form_at_even_m(capsys):
+    # m = 8, k = 1: d = 1 and q = 8 = 0 mod 4, so C_8 = -(-1)^2 2^(4+1) = -32
     code, payload = run_json(capsys, "expsum", "--m", "8", "--k", "1", "--sum", "C")
     assert code == 0
     rows = results_by_name(payload)
     assert (rows["C_8(k=1)"]["observed"], rows["C_8(k=1)"]["verdict"]) == (-32, "recorded")
-    row = rows["C_8(k=1)^2 in {0, 2^10}"]
-    assert row["observed"] == row["expected"] == 0  # C_8^2 (C_8^2 - 2^10)
+    row = rows["C_8(k=1) closed form"]
+    assert row["observed"] == row["expected"] == -32
     assert row["verdict"] == "pass"
+    assert list(rows) == ["C_8(k=1)", "C_8(k=1) closed form", "trace_zero_count"]
 
 
 def test_conjectures_sweep(capsys):

@@ -167,23 +167,20 @@ def test_kloosterman_congruence_mod_4(m):
 def test_c_sum_closed_form_all_odd_m():
     for m in range(1, 18, 2):
         for k in range(1, 6):
-            expected = es.c_sum_closed_form(m, k)
-            if expected is None:
-                assert math.gcd(k, m) != 1
-                continue
-            assert es.c_sum(m, k).value == expected
+            assert es.c_sum(m, k).value == es.c_sum_closed_form(m, k), (m, k)
 
 
-def test_c_sum_square_at_every_k():
-    # Tr(x^(2^k+1)) is a quadratic form with radical GF(2^gcd(2k, m)), so
-    # C_m^2 (C_m^2 - 2^(m+w)) = 0: the expected side is the constant 0, and
-    # both C_m = 0 and C_m != 0 occur in the sweep
+def test_c_sum_closed_form_at_every_k():
+    # Tr(x^(2^k+1)) is a quadratic form; by d = gcd(k, m) and q = m/d, C_m is
+    # +-2^((m+d)/2) at odd q, 0 at q = 2 mod 4 and +-2^(m/2+d) at q = 0 mod 4,
+    # and the sweep meets each case with both signs
     pairs = [(m, k) for m in range(1, 21) for k in range(1, 2 * m + 1)]
-    verdicts = [es.c_sum_square_check(m, k) for m, k in pairs]
-    assert [v for v in verdicts if not v.holds] == []
-    assert {v.rhs for v in verdicts} == {0}
-    assert {es.c_sum(m, k).value == 0 for m, k in pairs} == {True, False}
-    assert es.c_sum(8, 1).value == -32  # w = gcd(2, 8) = 2: C_8^2 = 2^10
+    values = {(m, k): es.c_sum(m, k).value for m, k in pairs}
+    assert [p for p in pairs if values[p] != es.c_sum_closed_form(*p)] == []
+    cases = {(m // math.gcd(k, m) % 4, (v > 0) - (v < 0)) for (m, k), v in values.items()}
+    assert cases == {(1, 1), (1, -1), (3, 1), (3, -1), (2, 0), (0, 1), (0, -1)}
+    assert es.c_sum(8, 1).value == -32  # d = 1, q = 8: -(-1)^2 2^(4+1)
+    assert es.c_sum(18, 2).value == es.c_sum(18, 4).value == 1024  # d = 2, q = 9: (+1)^2 2^10
 
 
 # -- conjecture checks ----------------------------------------------------------

@@ -165,10 +165,18 @@ def test_trace_table_matches_naive_trace(m):
 
 @pytest.mark.parametrize("m", range(1, MAX_M + 1))
 def test_trace_seq_is_the_m_sequence(m):
-    # the library's exponent-indexed route against the element-space one
+    # The trace sequence s_t = Tr(alpha^t) over the whole period, read through
+    # Field.trace a contiguous block at a time, as the Walsh route's fibre rows
+    # read it: it equals the element route at every t, and it is the
+    # m-sequence of the reduction f = x^m + sum of x^a, s_(t+m) = sum of s_(t+a).
     f = get_field(m)
-    assert f.trace_seq.dtype == np.uint8
-    assert np.array_equal(f.trace_seq, f.trace_table[f.exp_table])
+    s = np.empty(f.order, dtype=np.uint8)
+    for lo in range(0, f.order, 1 << 20):
+        i = np.arange(lo, min(lo + (1 << 20), f.order))
+        s[lo:lo + len(i)] = f.trace(i)
+        assert np.array_equal(s[lo:lo + len(i)], f.trace_table[f.exp_table[i]]), lo
+    terms = [a for a in range(m) if f.reduction >> a & 1]
+    assert np.array_equal(s[m:], np.bitwise_xor.reduce([s[a:a + f.order - m] for a in terms]))
 
 
 @pytest.mark.parametrize("m", range(1, MAX_M + 1))
@@ -197,8 +205,7 @@ def _naive_trace_by_linearity(field):
 @pytest.mark.parametrize("m", [10, 16, 18, 20])
 def test_construction_holds_no_element_table(m):
     # Construction holds exp and log (2 bytes an element each through m = 16,
-    # 4 above), plus build temporaries of at most LOG_BLOCK entries; the
-    # m-sequence waits for its first read.
+    # 4 above), plus build temporaries of at most LOG_BLOCK entries.
     tracemalloc.start()
     try:
         f = Field(m)
@@ -207,7 +214,6 @@ def test_construction_holds_no_element_table(m):
         tracemalloc.stop()
     assert f.exp_table.itemsize == f.log_table.itemsize == (2 if m <= 16 else 4)
     assert peak < 2 * f.exp_table.itemsize * f.size + 16 * gf2m.LOG_BLOCK, peak
-    assert "trace_seq" not in vars(f)
     assert "trace_table" not in vars(f)
     table = f.trace_table
     assert f.trace_table is table  # built once, on the first read
@@ -217,13 +223,11 @@ def test_construction_holds_no_element_table(m):
     assert np.array_equal(table, _naive_trace_by_linearity(f))
 
 
-def test_trace_table_is_built_without_trace_seq(monkeypatch):
-    # An element table scattered from trace_seq or read through trace would
-    # inherit a wrong m-sequence; then test_trace_seq_is_the_m_sequence and
-    # test_trace_is_the_element_trace_at_each_exponent would compare a route
-    # with itself.
+def test_trace_table_is_built_without_trace(monkeypatch):
+    # An element table read through trace would inherit a wrong trace; then
+    # test_trace_seq_is_the_m_sequence and test_trace_is_the_element_trace_at_each_exponent
+    # would compare a route with itself.
     f = Field(10)
-    f.trace_seq = f.trace_seq ^ 1
     monkeypatch.setattr(Field, "trace", lambda self, i: 1 - self.trace_table[self.exp_table[i]])
     nf = NaiveField(10, f.reduction)
     assert f.trace_table.tolist() == [nf.trace(a) for a in range(f.size)]
@@ -276,26 +280,46 @@ def test_orbit_traces_memo_keeps_one_vector_per_residue():
     assert list(field._orbit_traces) == [5]
 
 
-@pytest.mark.parametrize("m", [7, 13])
-def test_only_the_whole_period_readers_build_trace_seq(m):
-    # The sums and the point counter visit orbit leaders and read Field.trace;
-    # the spectrum and weight routes sweep the whole period off the memo.
+def _whole_period_arrays(field):
+    """The names of the arrays of 2^m - 1 or more entries that field holds,
+    in its attributes or the tuples and dicts among them."""
+    found = set()
+
+    def visit(name, value):
+        if isinstance(value, np.ndarray) and value.size >= field.order:
+            found.add(name)
+        elif isinstance(value, tuple):
+            for item in value:
+                visit(name, item)
+        elif isinstance(value, dict):
+            for item in value.values():
+                visit(name, item)
+
+    for name, value in vars(field).items():
+        visit(name, value)
+    return found
+
+
+@pytest.mark.parametrize("m", [7, 8, 13])
+def test_no_reader_leaves_a_whole_period_array_on_the_field(m):
+    # Every library module reads a trace through Field.trace, so past exp and
+    # log no sum, count, spectrum or weight call keeps an array as long as the
+    # period on the shared field.  At m = 8 the weights take the fibre route
+    # (h = 5, three classes of b and b = 0).
     get_field.cache_clear()
+    field = get_field(m)
     kloosterman(m)
     g_sum(m, 1)
     c_sum(m, 2)
     k_prime(m, 3)
     curves.count_projective_points_fast(curves.catalog_curve("p1tilde").polynomial, m)
-    field = get_field(m)
-    assert "trace_seq" not in vars(field)
-    correlation_distribution(m, decimation_exponent(m, 1))
-    seq = vars(field)["trace_seq"]
-    assert field.trace_seq is seq
-    with pytest.raises(ValueError):
-        seq[0] = seq[0]
-    get_field.cache_clear()
+    if m % 2:
+        correlation_distribution(m, decimation_exponent(m, 1))
     weight_distribution(m, 1)
-    assert "trace_seq" in vars(get_field(m))
+    assert get_field(m) is field
+    assert _whole_period_arrays(field) == {"exp_table", "log_table"}
+    field.trace_table  # the oracles' table: the one other whole-period array
+    assert _whole_period_arrays(field) == {"exp_table", "log_table", "trace_table"}
 
 
 def test_cache_clear_drops_the_memo_with_the_field():
@@ -343,13 +367,13 @@ def test_shared_field_tables_are_read_only():
     # get_field hands one Field to every caller; a write to a table would
     # change every later result and leave the memo stale, so it raises.
     f = get_field(6)
-    arrays = [f.exp_table, f.log_table, f.trace_table, f.trace_seq, *f.orbits, f.orbit_traces(3)]
+    arrays = [f.exp_table, f.log_table, f.trace_table, *f.orbits, f.orbit_traces(3)]
     for a in arrays:
         with pytest.raises(ValueError):
             a[0] = a[0]
     with pytest.raises(ValueError):
-        f.trace_seq ^= 1
-    assert np.array_equal(f.trace_seq, f.trace_table[f.exp_table])
+        f.exp_table ^= 1
+    assert np.array_equal(f.exp_table, Field(6).exp_table)
 
 
 @pytest.mark.parametrize("m", range(1, 13))

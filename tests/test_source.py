@@ -1,6 +1,7 @@
 """Rules about the library source itself."""
 
 import ast
+import functools
 import importlib
 import re
 from collections import Counter
@@ -63,13 +64,22 @@ def test_field_public_surface_is_pinned():
     # has no scalar field arithmetic.  A new public method or attribute needs
     # a deliberate edit of this set.  has_tables and trace_table stay public:
     # traced benchmark runs read them.  orbit_blocks is the one cut of the
-    # orbit leaders into blocks, which expsums and curves iterate.  trace_seq,
+    # orbit leaders into blocks, which expsums and curves iterate.
     # trace_table and orbit_blocks are cached_properties, so dir() lists them
     # before their first read builds them.
     found = {name for name in dir(gf2m.Field(3)) if not name.startswith("_")}
     assert found == {"exp_table", "fold", "has_tables", "log_table", "m", "orbit_blocks", "orbit_total",
-                     "orbit_traces", "orbits", "order", "pow_log", "reduction", "size", "trace", "trace_seq",
+                     "orbit_traces", "orbits", "order", "pow_log", "reduction", "size", "trace",
                      "trace_table"}
+
+
+def test_field_lazy_tables_are_pinned():
+    # A table built on first read lives as long as the shared field.  Each one
+    # here is a function of m over the orbit leaders, or the oracles' element
+    # table; a new one, such as a whole-period memo, needs a deliberate edit
+    # of this set.
+    found = {name for name, attr in vars(gf2m.Field).items() if isinstance(attr, functools.cached_property)}
+    assert found == {"orbits", "_short_orbits", "orbit_blocks", "trace_table"}
 
 
 MUTATORS = {"add", "append", "cache_clear", "clear", "discard", "extend", "insert", "pop",
@@ -201,10 +211,9 @@ def test_every_check_returns_a_verdict():
 
 
 def test_trace_table_is_read_only_in_gf2m():
-    # The library reads each trace by exponent, through Field.trace at the
-    # orbit leaders or off the m-sequence Field.trace_seq over the whole
-    # period; the element-indexed trace_table is the oracles' independent
-    # route, so outside gf2m no library module reads it.
+    # The library reads each trace by exponent, through Field.trace; the
+    # element-indexed trace_table is the oracles' independent route, so
+    # outside gf2m no library module reads it.
     found = [f"{path.name}:{node.lineno}"
              for path in SOURCES if path.name != "gf2m.py"
              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
@@ -248,7 +257,7 @@ def test_exponent_rule_sees_sizes_and_reductions(tmp_path):
         '    n = field.orbits[1] @ x + field._short_orbits.size + len(field.orbits[0])\n'
         '    x %= order\n'
         '    x %= field.order\n'
-        '    t = field.trace_seq[(reps * e) % field.order] + field.exp_table.take(x % order)\n'
+        '    t = field.log_table[(reps * e) % field.order] + field.exp_table.take(x % order)\n'
         '    u = field.trace(x % field.order)\n'
         '    return x % order, (e % order, 1), field.exp_table[field.fold(x)], field.trace(field.fold(x))\n')
     assert _exponent_rule_breaks(path) == ["mod.py:2", "mod.py:3", "mod.py:4", "mod.py:5", "mod.py:6", "mod.py:7"]
