@@ -75,13 +75,13 @@ def walsh_spectrum(field: Field, e1: int, e2: int = 1, c: int | None = 0) -> np.
     and b != 0, F(z) = (-1)^Tr(alpha^(c + e log z)): one Field.trace gather a block of z in
     element order.  Otherwise e1 must be prime to h, as 2^k + 1 is to 2^(2k) + 1: the fibre
     of alpha^(h s) is alpha^(s e' + t n), t < h, so F there is h less twice the sum of column
-    (c + s e) mod n of the m-sequence as an (h, n) array.  The h rows are read once, each
-    contiguously through Field.trace, and summed into one column vector (all 0 at b = 0),
-    which each block of s reads at one gather.  One float32 buffer takes (h - F)/2, the
-    fibre members with Tr(b x^e1) = 1, LOG_BLOCK entries at a time (half that at h = 1, as
-    fold adds a quotient to the int64 exponents); it becomes F in place, and
-    walsh_transform turns that into W in place, exactly: every partial sum is within
-    sum |F| = 2^m.
+    (c + s e) mod n of the m-sequence as an (h, n) array (F = h at b = 0).  The h rows, each
+    read contiguously through Field.trace, are summed into one column vector once a field
+    (in _sum_counts by h: it does not depend on c), which a block of s reads at one gather.
+    One float32 buffer takes (h - F)/2, the fibre members with Tr(b x^e1) = 1, LOG_BLOCK
+    entries at a time (half that at h = 1, as fold adds a quotient to the int64 exponents);
+    it becomes F in place, and walsh_transform turns that into W in place, exactly: every
+    partial sum is within sum |F| = 2^m.
     """
     order = field.order
     h = math.gcd(e2, order)
@@ -100,16 +100,19 @@ def walsh_spectrum(field: Field, e1: int, e2: int = 1, c: int | None = 0) -> np.
             del x  # before the next block's
     else:
         w[1:] = h / 2  # F = 0 off the h-th powers
-        col = np.zeros(n, dtype=np.min_scalar_type(h))
-        for row in ([] if c is None else range(0, order, n)):
-            for lo in range(0, n, LOG_BLOCK):
-                col[lo:lo + LOG_BLOCK] += field.trace(np.arange(row + lo, row + min(lo + LOG_BLOCK, n)))
+        col = field._sum_counts.get(("column", h))
+        if col is None and c is not None:
+            col = field._sum_counts[("column", h)] = np.zeros(n, dtype=np.min_scalar_type(h))
+            for row in range(0, order, n):
+                for lo in range(0, n, LOG_BLOCK):
+                    col[lo:lo + LOG_BLOCK] += field.trace(np.arange(row + lo, row + min(lo + LOG_BLOCK, n)))
+            col.flags.writeable = False
         for lo in range(0, n, LOG_BLOCK):
             x = np.arange(lo, min(lo + LOG_BLOCK, n), dtype=np.int64)
             x *= e
             x += c or 0
             x %= n  # the column whose h entries are the fibre's traces
-            odd = col[x]
+            odd = 0 if c is None else col[x]
             x[:] = field.exp_table[h * lo:h * (lo + LOG_BLOCK):h]  # z = alpha^(h s), as an index
             w[x] = odd
             del x, odd  # before the next block's

@@ -209,7 +209,7 @@ def count_projective_points(P: TrivariatePoly, s: int) -> int:
     """Projective zeros of a homogeneous P over F_{2^s}: every y of the z = 1
     row at x = 0 and at one x per Frobenius orbit, weighted by its size."""
     field = _field_for(P, s, COUNT_CAP)
-    chart = _chart(field, P, field.orbits[0], P.y_degree())
+    chart = _chart(field, P, field.orbits, P.y_degree())
     zeros = np.array([np.count_nonzero(row == 0) for (row,) in _rows(field, [chart])])
     zeros += chart[-1] == 0  # and (x, 1, 0)
     return int(zeros[0] + field.orbit_total(zeros[1:]) + (_point(P) == 0))

@@ -130,21 +130,20 @@ def k_prime(m: int, k: int) -> ExpSumReport:
     n = field._sum_counts.get(key)
     if n is None:
         n = order + 1
-        # A block of leaders at a time, in this order and in place, so that one
-        # int64 vector of the block is held at a time; the others are table
-        # reads, widened as they are added.  log 0 is read only at a pole.
+        # A block of leaders at a time, in this order and in place, so that at
+        # most two int64 vectors of the block are held at once, log q = e r
+        # and a widened table read.  log 0 is read only at a pole.
         for lo, reps in field.orbit_blocks:
-            q = exp[field.fold(np.multiply(reps, e, dtype=np.int64))]
+            log_f = field.fold(np.multiply(reps, e, dtype=np.int64))  # log q
+            q = exp[log_f]
             den = exp[reps]
             den ^= q  # q + v
             pole = den == 0  # a pole counts as trace one
-            den = log[den]
-            log_f = np.multiply(den, -((e + 1) % order), dtype=np.int64)
-            del den
-            log_f += log[q]
             q ^= 1
             log_f += log[q]
             del q
+            log_f += np.multiply(log[den], -((e + 1) % order), dtype=np.int64)
+            del den
             t = field.trace(field.fold(log_f)).view(bool)
             del log_f
             t |= pole

@@ -39,7 +39,7 @@ __all__ = [
 
 MAX_M = 24  # the int32 exp and uint32 log tables take 128 MB at m = 24
 LOG_BLOCK = 1 << 14  # exp entries per log-table scatter; half for fold and orbit_blocks
-ORBIT_BLOCK = 1 << 14  # odd candidates per `orbits` block, before the zero-run test; m <= 16 takes one
+ORBIT_BLOCK = 1 << 13  # odd candidates per `orbits` block, before the zero-run test; m <= 15 takes one
 
 # One trinomial or pentanomial per degree.  The lower its second term, the
 # more entries one block of `_exp_by_frobenius` writes.  The constructor's
@@ -85,10 +85,10 @@ class Field:
             maximum, no exponent (uint16 for m <= 16, uint32 above)
         trace_table[v] = Tr(v) (uint8), built on first read: no library
             module reads it; the test oracles and traced benchmark runs do
-        orbits = (reps, sizes), built on first use: the least member (uint32)
-            and the size (uint8) of each cyclotomic coset of exponents, so a
-            caller multiplies a rep in int64; _short_orbits indexes the cosets
-            of fewer than m members, with m - size (int64)
+        orbits = reps, built on first use: the least member (uint32) of each
+            cyclotomic coset of exponents, so a caller multiplies a rep in
+            int64; _short_orbits, the one record of coset sizes, indexes the
+            cosets of fewer than m members, with m - size (int64)
         orbit_traces(e) = Tr(alpha^(e r)) over the reps r (uint8), built on
             first use for each residue e mod 2^m - 1
 
@@ -113,9 +113,9 @@ class Field:
     field holds at most m + 2 of them.  And _sum_counts, where the sums of
     `expsums` keep each trace-zero count they compute: one int per exponent
     pair, at most 2m + 1 (K's, and C's and G's at each 2^k + 1), and one per
-    K' residue 2^k mod 2^m - 1, at most m; and the fast point counter's, one
-    int per polynomial.  The memos live and die with the field, so
-    get_field.cache_clear() drops them too.  Every operation is pure.
+    K' residue 2^k mod 2^m - 1, at most m; the fast point counter's, one
+    int per polynomial; the Walsh fibre column, (2^m - 1)/h bytes an h > 1.
+    They die with the field (get_field.cache_clear()); each operation is pure.
     """
 
     has_tables = True  # every field has its tables; kept for callers that ask
@@ -156,7 +156,7 @@ class Field:
         for table in (self.exp_table, self.log_table):
             table.flags.writeable = False
         self._orbit_traces: dict[int, np.ndarray] = {}
-        self._sum_counts: dict[tuple, int] = {}
+        self._sum_counts: dict[tuple, int | np.ndarray] = {}
 
     def _trace_by_parity(self) -> np.ndarray:
         """Tr(v) for 0 <= v < 2^m as uint8, from the trace mask alone: by
@@ -183,9 +183,9 @@ class Field:
         return t
 
     @cached_property
-    def orbits(self) -> tuple[np.ndarray, np.ndarray]:
-        """(reps, sizes): the least member of each cyclotomic coset
-        {i 2^j mod 2^m - 1} of [0, 2^m - 1), ascending, and the coset's size.
+    def orbits(self) -> np.ndarray:
+        """The least member of each cyclotomic coset {i 2^j mod 2^m - 1} of
+        [0, 2^m - 1), ascending, as uint32: 4 bytes a coset.
 
         i 2^j mod 2^m - 1 is the m-bit left rotation rot_j(i), so i is a least
         member iff i <= rot_j(i) for j = 1..m-1, which forces i < 2^(m-1).
@@ -204,13 +204,8 @@ class Field:
         binary, so 3i >= 2^m - 1 and rot_2(i) = 4i - 2^m + 1 >= i.  So the
         rotation filter runs, j = m-2 down to 3, each j on the survivors of the
         previous one, on the survivors of the groups of a block, or of several
-        blocks until ORBIT_BLOCK of them have gathered, and writes into reps,
-        allocated at the number of cosets.  The size is the least divisor d of
-        m with rot_d(i) = i, i.e. with (2^m - 1) / (2^d - 1) dividing i: those
-        2^d - 1 multiples are looked up in reps.  Built on first use, as uint32
-        reps and uint8 sizes, 5 bytes a coset: a caller takes a product of a
-        rep, such as (2^k + 1) i, in int64 (np.multiply(reps, e, dtype=np.int64))
-        so that it stays exact.
+        blocks until ORBIT_BLOCK of them have gathered, and writes into the
+        result, allocated at the number of cosets.
         """
         m, mask, half = self.m, self.order, 1 << (self.m - 1)
 
@@ -245,21 +240,23 @@ class Field:
                 block = block[block <= rot(block, j)]
             reps[n:n + len(block)] = block
             n += len(block)
-        sizes = np.full(len(reps), m, dtype=np.uint8)
-        for d in range(m - 1, 0, -1):  # descending, so the least period is written last
-            if m % d == 0:
-                fixed = np.arange(0, mask, mask // ((1 << d) - 1), dtype=np.uint32)
-                at = np.searchsorted(reps, fixed, side="right") - 1
-                sizes[at[reps[at] == fixed]] = d
-        reps.flags.writeable = sizes.flags.writeable = False
-        return reps, sizes
+        reps.flags.writeable = False
+        return reps
 
     @cached_property
     def _short_orbits(self) -> tuple[np.ndarray, np.ndarray]:
         """(indices into `orbits`, m - size) of the cosets of fewer than m
-        members, the ones its divisor loop marks (381 of 699,251 at m = 24)."""
-        short = np.flatnonzero(self.orbits[1] < self.m)
-        deficit = self.m - self.orbits[1][short].astype(np.int64)
+        members (381 of 699,251 at m = 24), the one record of coset sizes.  A
+        coset's size is the least divisor d of m with rot_d(i) = i, i.e. with
+        (2^m - 1) / (2^d - 1) dividing i: for each proper divisor d those
+        2^d - 1 multiples are looked up in `orbits`, none as long as it."""
+        reps, m, size = self.orbits, self.m, {}
+        for d in (d for d in range(m - 1, 0, -1) if m % d == 0):  # the least period written last
+            fixed = np.arange(0, self.order, self.order // ((1 << d) - 1), dtype=np.uint32)
+            at = np.searchsorted(reps, fixed, side="right") - 1
+            size.update(dict.fromkeys(at[reps[at] == fixed].tolist(), d))
+        short = np.array(sorted(size), dtype=np.intp)
+        deficit = np.array([m - size[i] for i in short.tolist()], dtype=np.int64)
         short.flags.writeable = deficit.flags.writeable = False
         return short, deficit
 
@@ -267,16 +264,16 @@ class Field:
     def orbit_blocks(self) -> tuple[tuple[int, np.ndarray], ...]:
         """(lo, reps[lo:lo + LOG_BLOCK // 2]) cutting the least members of `orbits`
         into views, fold's block, for the passes over them; m <= 17 takes one."""
-        reps, step = self.orbits[0], LOG_BLOCK // 2
+        reps, step = self.orbits, LOG_BLOCK // 2
         return tuple((lo, reps[lo:lo + step]) for lo in range(0, len(reps), step))
 
     def orbit_total(self, v: np.ndarray, lo: int = 0) -> int:
         """The sum of size * v over the cosets, for a vector v of small ints over
-        the least members orbits[0][lo:lo + len(v)]: m sum(v) less (m - size) v
+        the least members orbits[lo:lo + len(v)]: m sum(v) less (m - size) v
         over the short cosets, which are few, so no int64 vector as long as v is
         made.  A bool v is counted by count_nonzero, with no cast buffer."""
         short, deficit = self._short_orbits
-        if len(v) < len(self.orbits[0]):  # a block of them: its short cosets
+        if len(v) < len(self.orbits):  # a block of them: its short cosets
             a, b = np.searchsorted(short, (lo, lo + len(v)))
             short, deficit = short[a:b] - lo, deficit[a:b]
         total = np.count_nonzero(v) if v.dtype == bool else v.sum()
@@ -305,7 +302,7 @@ class Field:
         e %= self.order
         t = self._orbit_traces.get(e)
         if t is None:
-            t = np.empty(len(self.orbits[0]), dtype=np.uint8)
+            t = np.empty(len(self.orbits), dtype=np.uint8)
             for lo, reps in self.orbit_blocks:
                 t[lo:lo + len(reps)] = self.trace(self.fold(np.multiply(reps, e, dtype=np.int64)))
             t.flags.writeable = False

@@ -130,10 +130,11 @@ def naive_cyclotomic_cosets(m: int) -> list[set[int]]:
 
 
 def rotation_filter_orbits(m: int, block: int = 1 << 20) -> tuple[np.ndarray, np.ndarray]:
-    """(reps, sizes) as Field.orbits gives them, by the rotation filter alone:
-    0 and the odd i < 2^(m-1), block at a time, each kept iff i <= rot_j(i)
-    for j = m-2 down to 2, with no zero-run test; the size is the least
-    divisor d of m with rot_d(i) = i."""
+    """(reps, sizes) by the rotation filter alone: reps as Field.orbits gives
+    them, 0 and the odd i < 2^(m-1), block at a time, each kept iff
+    i <= rot_j(i) for j = m-2 down to 2, with no zero-run test; the size of
+    each, the least divisor d of m with rot_d(i) = i, tested on every rep,
+    where Field._short_orbits lists only the sizes below m."""
     mask, half = (1 << m) - 1, 1 << (m - 1)
 
     def rot(i, j):

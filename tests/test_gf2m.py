@@ -233,22 +233,32 @@ def test_trace_table_is_built_without_trace(monkeypatch):
     assert f.trace_table.tolist() == [nf.trace(a) for a in range(f.size)]
 
 
+def _sizes(field):
+    """The size of each coset of field.orbits, m but where _short_orbits, the
+    one record of sizes, lists it with its m - size."""
+    sizes = np.full(len(field.orbits), field.m, dtype=np.int64)
+    short, deficit = field._short_orbits
+    sizes[short] -= deficit
+    return sizes
+
+
 @pytest.mark.parametrize("m", range(1, 15))
 def test_orbits_match_naive_cosets(m):
     field = Field(m)
     assert "orbits" not in vars(field)  # built on first use only
-    reps, sizes = field.orbits
+    reps, sizes = field.orbits, _sizes(field)
     assert np.all(np.diff(reps) > 0)  # ascending, so unique
     assert dict(zip(reps.tolist(), sizes.tolist())) == {
         min(c): len(c) for c in naive_cyclotomic_cosets(m)}
     assert all(m % s == 0 for s in sizes.tolist())
     assert int(sizes.sum()) == 2**m - 1
+    assert np.all(np.diff(field._short_orbits[0]) > 0) and np.all(field._short_orbits[1] > 0)
 
 
 def _element_route_traces(field, e):
     """Tr(alpha^(e r)) over the orbit representatives r, read off the
     element-indexed trace table."""
-    reps = field.orbits[0]
+    reps = field.orbits
     return field.trace_table[field.exp_table[reps.astype(np.int64) * e % field.order]]
 
 
@@ -367,7 +377,7 @@ def test_shared_field_tables_are_read_only():
     # get_field hands one Field to every caller; a write to a table would
     # change every later result and leave the memo stale, so it raises.
     f = get_field(6)
-    arrays = [f.exp_table, f.log_table, f.trace_table, *f.orbits, f.orbit_traces(3)]
+    arrays = [f.exp_table, f.log_table, f.trace_table, f.orbits, *f._short_orbits, f.orbit_traces(3)]
     for a in arrays:
         with pytest.raises(ValueError):
             a[0] = a[0]
@@ -379,7 +389,8 @@ def test_shared_field_tables_are_read_only():
 @pytest.mark.parametrize("m", range(1, 13))
 def test_orbits_in_small_blocks_match_naive_cosets(m, monkeypatch):
     monkeypatch.setattr(gf2m, "ORBIT_BLOCK", 16)  # 2^(m-2) odd candidates: many blocks at m >= 7
-    reps, sizes = Field(m).orbits
+    field = Field(m)
+    reps, sizes = field.orbits, _sizes(field)
     assert dict(zip(reps.tolist(), sizes.tolist())) == {
         min(c): len(c) for c in naive_cyclotomic_cosets(m)}
     assert np.all(np.diff(reps) > 0)
@@ -400,20 +411,22 @@ ORBIT_BLOCKS = {"default": gf2m.ORBIT_BLOCK, "1048576": 1 << 20, "16": 16, "5": 
                          + [pytest.param(m, ORBIT_BLOCKS["5"], id=f"{m}-5") for m in range(1, 15)])
 def test_orbits_match_rotation_filter(m, block, monkeypatch):
     monkeypatch.setattr(gf2m, "ORBIT_BLOCK", block)
-    reps, sizes = Field(m).orbits
+    field = Field(m)
     old_reps, old_sizes = rotation_filter_orbits(m)
-    assert reps.dtype == np.uint32 and sizes.dtype == np.uint8
-    assert np.array_equal(reps, old_reps)
-    assert np.array_equal(sizes, old_sizes)
+    assert field.orbits.dtype == np.uint32
+    assert np.array_equal(field.orbits, old_reps)
+    short, deficit = field._short_orbits
+    assert np.array_equal(short, np.flatnonzero(old_sizes < m))
+    assert np.array_equal(deficit, m - old_sizes[short])
 
 
 @pytest.mark.parametrize("m", [1, 6, 13, 20])
-def test_orbits_hold_five_bytes_a_rep(m):
-    # A rep is below 2^(m-1) and a size at most m: uint32 and uint8, where
-    # two int64 vectors took 16 bytes a rep.
-    reps, sizes = Field(m).orbits
-    assert (reps.dtype, sizes.dtype) == (np.uint32, np.uint8)
-    assert reps.nbytes + sizes.nbytes == 5 * len(reps)
+def test_orbits_hold_four_bytes_a_rep(m):
+    # A rep is below 2^(m-1): uint32, where two int64 vectors of reps and
+    # sizes took 16 bytes a rep and uint32 reps and uint8 sizes 5.
+    reps = Field(m).orbits
+    assert isinstance(reps, np.ndarray) and reps.dtype == np.uint32
+    assert reps.nbytes == 4 * len(reps)
 
 
 def _traced_peak(build):
@@ -428,14 +441,28 @@ def _traced_peak(build):
 
 @pytest.mark.parametrize("m", [18, 22])
 def test_orbits_transient_is_a_few_bytes_a_rep(m):
-    # Past its uint32 and uint8 outputs, allocated at the count of cosets,
-    # the zero-run test and the rotations hold at most 16 bytes an odd
-    # candidate of one block of 2^14: a bound that does not grow with m.  Whole
-    # candidate ranges and a joined list of blocks held 22 bytes a rep at
-    # m = 18 and 15 at m = 22 (2.8 MB); the rotation filter alone, 44 and 50.
+    # Past its uint32 output, allocated at the count of cosets, the zero-run
+    # test and the rotations hold about 12 bytes an entry of the fewer than
+    # 2^14 survivors that the rotation filter runs on at once (2 ORBIT_BLOCK):
+    # a bound that does not grow with m.  Whole candidate ranges and a joined
+    # list of blocks held 22 bytes a rep at m = 18 and 15 at m = 22 (2.8 MB);
+    # the rotation filter alone, 44 and 50; blocks of 2^14 odd candidates,
+    # 320 KB at m = 22.
     field = Field(m)
-    (reps, sizes), peak = _traced_peak(lambda: field.orbits)
-    assert peak - reps.nbytes - sizes.nbytes < 16 << 14, peak
+    reps, peak = _traced_peak(lambda: field.orbits)
+    assert peak - reps.nbytes < 12 << 14, peak
+
+
+def test_short_orbits_build_is_small_at_m_24():
+    # The sizes are found from the 2^d - 1 multiples of (2^m - 1)/(2^d - 1)
+    # for each proper divisor d of m, at most 4095 at m = 24, looked up in
+    # the leaders: no array as long as the 699,251 leaders is made.  A bool
+    # mask of the short cosets over all leaders peaked at 686 KB here.
+    field = Field(24)
+    field.orbits
+    (short, deficit), peak = _traced_peak(lambda: field._short_orbits)
+    assert len(short) == 381
+    assert peak - short.nbytes - deficit.nbytes < 128 << 10, peak
 
 
 def test_orbit_traces_hold_two_int64_vectors():
@@ -456,8 +483,7 @@ def test_orbit_total_equals_the_size_dot_without_an_int64_copy(m):
     # replaces, casts v to an int64 vector of len(reps).  A bool v is counted
     # with no cast buffer, and an int64 v needs none.
     field = get_field(m)
-    reps, sizes = field.orbits
-    sizes = sizes.astype(np.int64)  # the expected totals, exact: uint8 sizes @ v would wrap
+    reps, sizes = field.orbits, _sizes(field)  # int64 sizes: the expected totals, exact
     short = field._short_orbits[0]
     rng = np.random.default_rng(m)
     vectors = [field.orbit_traces(a) != field.orbit_traces(b) for a, b in ((1, -1), (3, 1), (9, -1))]

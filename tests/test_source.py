@@ -222,19 +222,17 @@ def test_trace_table_is_read_only_in_gf2m():
 
 
 def _exponent_rule_breaks(path):
-    """Where path reads the coset sizes (a `.orbits` other than `.orbits[0]`, or
-    `_short_orbits`), reduces by `order` with %=, or reads a table at a % by it
-    (a subscript, or a take or trace argument)."""
+    """Where path reads the coset sizes (`_short_orbits`, their one record),
+    reduces by `order` with %=, or reads a table at a % by it (a subscript,
+    or a take or trace argument)."""
     def by_order(node):
         return isinstance(node, (ast.Name, ast.Attribute)) and ast.unparse(node).split(".")[-1] == "order"
 
     tree = ast.parse(path.read_text(), filename=str(path))
-    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
     reads = [n.slice for n in ast.walk(tree) if isinstance(n, ast.Subscript)]
     reads += [a for n in ast.walk(tree) if _called(n) in ("take", "trace") for a in n.args]
-    found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and (
-        node.attr == "_short_orbits" or node.attr == "orbits" and not (
-            isinstance(parents[node], ast.Subscript) and ast.unparse(parents[node].slice) == "0"))]
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "_short_orbits"]
     found += [node.lineno for node in ast.walk(tree)
               if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Mod) and by_order(node.value)]
     found += [node.lineno for read in reads for node in ast.walk(read)
@@ -253,14 +251,40 @@ def test_exponent_rule_sees_sizes_and_reductions(tmp_path):
     path = tmp_path / "mod.py"
     path.write_text(
         'def f(field, reps, x, e, order):\n'
-        '    reps, sizes = field.orbits\n'
-        '    n = field.orbits[1] @ x + field._short_orbits.size + len(field.orbits[0])\n'
+        '    short, deficit = field._short_orbits\n'
+        '    n = field.orbit_total(x) + field._short_orbits[0].size + len(field.orbits)\n'
         '    x %= order\n'
         '    x %= field.order\n'
         '    t = field.log_table[(reps * e) % field.order] + field.exp_table.take(x % order)\n'
         '    u = field.trace(x % field.order)\n'
-        '    return x % order, (e % order, 1), field.exp_table[field.fold(x)], field.trace(field.fold(x))\n')
+        '    return x % order, (e % order, 1), field.exp_table[field.fold(x)], field.trace(field.fold(x))\n'
+        '    return field.orbits, field.orbit_blocks, field.orbits @ x\n')
     assert _exponent_rule_breaks(path) == ["mod.py:2", "mod.py:3", "mod.py:4", "mod.py:5", "mod.py:6", "mod.py:7"]
+
+
+def _orbits_subscripts(path):
+    """Every subscript of a `.orbits` in path."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Subscript)
+            and isinstance(node.value, ast.Attribute) and node.value.attr == "orbits"]
+
+
+def test_no_module_subscripts_orbits():
+    # Field.orbits is the array of coset leaders alone, so an orbits[0] left
+    # from when it was (reps, sizes) would read the first leader, the number
+    # 0, and not fail.  A pass over the leaders reads orbits or orbit_blocks.
+    assert [hit for path in SOURCES for hit in _orbits_subscripts(path)] == []
+
+
+def test_orbits_subscript_rule_sees_indices_and_slices(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        'def f(field, lo):\n'
+        '    reps = field.orbits[0]\n'
+        '    n = len(field.orbits) + len(get_field(3).orbits[lo:lo + 2])\n'
+        '    reps = field.orbits\n'
+        '    return reps[lo], field.orbit_blocks[0], field.orbit_traces(3)[lo]\n')
+    assert _orbits_subscripts(path) == ["mod.py:2", "mod.py:3"]
 
 
 def _upper_imports(path):
