@@ -457,7 +457,7 @@ def test_short_orbits_build_is_small_at_m_24():
     # The sizes are found from the 2^d - 1 multiples of (2^m - 1)/(2^d - 1)
     # for each proper divisor d of m, at most 4095 at m = 24, looked up in
     # the leaders: no array as long as the 699,251 leaders is made.  A bool
-    # mask of the short cosets over all leaders peaked at 686 KB here.
+    # mask of the short cosets over all leaders peaked at 697 KB here.
     field = Field(24)
     field.orbits
     (short, deficit), peak = _traced_peak(lambda: field._short_orbits)
