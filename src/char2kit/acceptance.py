@@ -87,13 +87,13 @@ def c_row(m, k):
 
 
 def sum_rows(name, m, k):
-    """The rows the criteria check for the sum that `expsum --sum name` evaluates at (m, k): its
-    IDENTITY_ROWS row where a criterion checks that rule (C3 at every (m, k), C2 at k in C2_K, C1
-    where expsums.conjecture2_proved), then the zeta_row of each route with that sum and k."""
-    checked = name == "C" or (name == "G" and k in C2_K) or (name == "Kp" and expsums.conjecture2_proved(m, k))
-    if checked and (row := IDENTITY_ROWS[name](m, k)) is not None:
-        yield row
-    yield from (zeta_row(route, m) for route in ZETA_ROUTES if route[0] == name and route[1] in (None, k))
+    """(checks, row) for the sum that `expsum --sum name` evaluates at (m, k): its IDENTITY_ROWS row,
+    which a criterion checks (C3 at every (m, k), C2 at k in C2_K, C1 where expsums.conjecture2_proved)
+    and elsewhere only records, then the zeta_row of each route with that sum and k, checked."""
+    checks = name == "C" or (name == "G" and k in C2_K) or (name == "Kp" and expsums.conjecture2_proved(m, k))
+    if name in IDENTITY_ROWS and (row := IDENTITY_ROWS[name](m, k)) is not None:
+        yield checks, row
+    yield from ((True, zeta_row(route, m)) for route in ZETA_ROUTES if route[0] == name and route[1] in (None, k))
 
 
 def c4(max_m, max_s):

@@ -141,12 +141,9 @@ def _span_in(lo: int, hi: float = math.inf):
 
 
 def _sum_rows(name, m, k) -> list[Row]:
-    """acceptance.sum_rows, after the sum's identity row, recorded, where no criterion checks it."""
-    rows = [checked(*row) for row in acceptance.sum_rows(name, m, k)]
-    identity = acceptance.IDENTITY_ROWS[name](m, k) if name in acceptance.IDENTITY_ROWS else None
-    if identity is not None and identity[0] not in [r.name for r in rows]:
-        rows.insert(0, recorded(identity[0], f"{identity[1]} vs {identity[2]}"))
-    return rows
+    """acceptance.sum_rows: checked where a criterion checks the row, else recorded."""
+    return [checked(*row) if checks else recorded(row[0], f"{row[1]} vs {row[2]}")
+            for checks, row in acceptance.sum_rows(name, m, k)]
 
 
 def cmd_expsum(args, timings) -> list[Row]:

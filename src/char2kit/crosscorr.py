@@ -77,7 +77,7 @@ def walsh_spectrum(field: Field, e1: int, e2: int = 1, c: int | None = 0) -> np.
     of alpha^(h s) is alpha^(s e' + t n), t < h, so F there is h less twice the sum of column
     (c + s e) mod n of the m-sequence as an (h, n) array (F = h at b = 0).  The h rows, each
     read contiguously through Field.trace, are summed into one column vector once a field
-    (in _sum_counts by h: it does not depend on c), which a block of s reads at one gather.
+    (Field.kept, under h, as it does not depend on c), which a block of s reads at one gather.
     One float32 buffer takes (h - F)/2, the fibre members with Tr(b x^e1) = 1, LOG_BLOCK
     entries at a time (half that at h = 1, as fold adds a quotient to the int64 exponents);
     it becomes F in place, and walsh_transform turns that into W in place, exactly: every
@@ -100,13 +100,15 @@ def walsh_spectrum(field: Field, e1: int, e2: int = 1, c: int | None = 0) -> np.
             del x  # before the next block's
     else:
         w[1:] = h / 2  # F = 0 off the h-th powers
-        col = field._sum_counts.get(("column", h))
-        if col is None and c is not None:
-            col = field._sum_counts[("column", h)] = np.zeros(n, dtype=np.min_scalar_type(h))
+
+        def column():
+            col = np.zeros(n, dtype=np.min_scalar_type(h))
             for row in range(0, order, n):
                 for lo in range(0, n, LOG_BLOCK):
                     col[lo:lo + LOG_BLOCK] += field.trace(np.arange(row + lo, row + min(lo + LOG_BLOCK, n)))
-            col.flags.writeable = False
+            return col
+
+        col = None if c is None else field.kept(("column", h), column)
         for lo in range(0, n, LOG_BLOCK):
             x = np.arange(lo, min(lo + LOG_BLOCK, n), dtype=np.int64)
             x *= e
@@ -230,11 +232,11 @@ def derivative_counts(m: int, d: int) -> tuple[int, int]:
     order = group_order(m)
     if math.gcd(d, order) != 1:
         raise FieldError(f"gcd(d={d}, 2^{m}-1) = {math.gcd(d, order)} != 1")
-    field = get_field(m)
+    field, e = get_field(m), np.int64(d % order)  # e log v reaches 2^48
     D = np.empty(field.size // 2, dtype=np.uint32)
     D[0] = 1  # y = 0, 1: 0^d + 1^d = 1
     for lo in range(0, field.size, LOG_BLOCK):
-        P = field.exp_table[field.pow_log(d, max(lo, 2), lo + LOG_BLOCK)]
+        P = field.exp_table[field.fold(field.log_table[max(lo, 2):lo + LOG_BLOCK] * e)]  # v^d
         np.bitwise_xor(P[0::2], P[1::2], out=D[max(lo, 2) // 2:(lo + LOG_BLOCK) // 2], casting="unsafe")
     squares = sum(int(lengths @ lengths) for _, lengths in _runs(D))  # sorts D
     return 2 * int(np.searchsorted(D, np.uint32(2)) - np.searchsorted(D, np.uint32(1))), 4 * squares

@@ -228,23 +228,23 @@ def count_projective_points_fast(P: TrivariatePoly, s: int) -> int:
     field = _field_for(P, s, FAST_COUNT_CAP)
     if P.y_degree() > 2:
         raise ValueError("fast counter requires a polynomial quadratic in y")
-    key = ("count", P.monomials)  # kept in the field, so a recount is a lookup
-    if key in field._sum_counts:
-        return field._sum_counts[key]
-    n = int(_point(P) == 0)
-    for lo, reps in field.orbit_blocks:  # each block's column 0 is x = 0
-        chart = _chart(field, P, reps, 2)
-        c, b, a, line = chart
-        log_c, log_b, log_a = field.log_table[chart[:3]].astype(np.int64)
-        # Tr(beta), beta = c a / b^2, read by Field.trace at log beta; read only
-        # where a, b != 0, as log 0 is no exponent; c = 0 gives beta 0, trace 0.
-        tr = field.trace(field.fold(log_c + log_a - 2 * log_b))
-        roots = np.where((a != 0) & (b != 0), 2 * ((c == 0) | (tr == 0)),
-                         np.where((a | b) != 0, 1, field.size * (c == 0)))
-        roots += line == 0
-        n += field.orbit_total(roots[1:], lo)
-    n = field._sum_counts[key] = n + int(roots[0])
-    return n
+
+    def count():
+        n = int(_point(P) == 0)
+        for lo, reps in field.orbit_blocks:  # each block's column 0 is x = 0
+            chart = _chart(field, P, reps, 2)
+            c, b, a, line = chart
+            log_c, log_b, log_a = field.log_table[chart[:3]].astype(np.int64)
+            # Tr(beta), beta = c a / b^2, read by Field.trace at log beta; read only
+            # where a, b != 0, as log 0 is no exponent; c = 0 gives beta 0, trace 0.
+            tr = field.trace(field.fold(log_c + log_a - 2 * log_b))
+            roots = np.where((a != 0) & (b != 0), 2 * ((c == 0) | (tr == 0)),
+                             np.where((a | b) != 0, 1, field.size * (c == 0)))
+            roots += line == 0
+            n += field.orbit_total(roots[1:], lo)
+        return n + int(roots[0])
+
+    return field.kept(("count", P.monomials), count)  # by Field.kept, a recount is a lookup
 
 
 def singular_points(P: TrivariatePoly, s: int) -> list[tuple[int, int, int]]:

@@ -9,9 +9,9 @@ each term is weighted by its coset's size.  K, C and G^(k) are Tr(x^a) +
 Tr(x^b) for fixed exponents a, b in {1, -1, 2^k + 1}: each is the XOR of two
 memoized Field.orbit_traces vectors and one size-weighted count, so the
 sums at one m share their trace vectors.  K' is one pass over the coset
-leaders, by block.  Each trace-zero count is kept in the field's _sum_counts,
-by its exponent residues, so a sum asked for again at the same residues is
-a dict lookup.  This module is the oracle the curve/zeta identities are
+leaders, by block.  Each trace-zero count is kept by Field.kept, keyed by
+its exponent residues, so a sum asked for again at the same residues is a
+dict lookup.  This module is the oracle the curve/zeta identities are
 checked against.  Each report carries the trace-zero count n, so
 value = 2n - domain_size.  conjecture2_proved states where conjecture 2 is
 proved, and theorem1_applies is the one test of the paper's hypothesis.
@@ -70,11 +70,7 @@ def _trace_zero_count(field: Field, a: int, b: int) -> int:
     as the total size of the cosets whose least member i has it; computed
     once per field and unordered pair of residues a, b mod 2^m - 1."""
     key = ("pair", *sorted((a % field.order, b % field.order)))
-    n = field._sum_counts.get(key)
-    if n is None:
-        t = field.orbit_traces(a) != field.orbit_traces(b)
-        n = field._sum_counts[key] = field.order - field.orbit_total(t)
-    return n
+    return field.kept(key, lambda: field.order - field.orbit_total(field.orbit_traces(a) != field.orbit_traces(b)))
 
 
 def kloosterman(m: int) -> ExpSumReport:
@@ -126,9 +122,8 @@ def k_prime(m: int, k: int) -> ExpSumReport:
     field = _field(m, k)
     exp, log, order = field.exp_table, field.log_table, field.order
     e = (1 << k) % order  # f depends on k only through 2^k mod 2^m - 1
-    key = ("Kp", e)
-    n = field._sum_counts.get(key)
-    if n is None:
+
+    def build():
         n = order + 1
         # A block of leaders at a time, in this order and in place, so that at
         # most two int64 vectors of the block are held at once, log q = e r
@@ -148,7 +143,9 @@ def k_prime(m: int, k: int) -> ExpSumReport:
             del log_f
             t |= pole
             n -= field.orbit_total(t, lo)
-        field._sum_counts[key] = n
+        return n
+
+    n = field.kept(("Kp", e), build)
     return ExpSumReport(m, k, 2 * n - order, n, order)
 
 

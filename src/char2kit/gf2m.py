@@ -24,6 +24,7 @@ the same for any primitive reduction, so there is one field per m.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -89,8 +90,8 @@ class Field:
             cyclotomic coset of exponents, so a caller multiplies a rep in
             int64; _short_orbits, the one record of coset sizes, indexes the
             cosets of fewer than m members, with m - size (int64)
-        orbit_traces(e) = Tr(alpha^(e r)) over the reps r (uint8), built on
-            first use for each residue e mod 2^m - 1
+        orbit_traces(e) = Tr(alpha^(e r)) over the reps r (uint8), kept for
+            each residue e mod 2^m - 1
 
     trace(i) = Tr(alpha^i) (uint8) for an array i of reduced exponents, the
     parity of exp[i] & mask: how every library module reads a trace, with
@@ -106,16 +107,18 @@ class Field:
     spectrum or weight call leaves on the field.
 
     Past the tables built on first read (orbits, _short_orbits, orbit_blocks
-    and trace_table, each a function of m and the reduction), the only
-    state that changes after construction is two memos.  Behind
-    orbit_traces: one vector of len(reps) ~ 2^m/m bytes per residue asked
-    for.  The sums ask for 1, -1 and 2^k + 1, which has period m in k, so a
-    field holds at most m + 2 of them.  And _sum_counts, where the sums of
-    `expsums` keep each trace-zero count they compute: one int per exponent
-    pair, at most 2m + 1 (K's, and C's and G's at each 2^k + 1), and one per
-    K' residue 2^k mod 2^m - 1, at most m; the fast point counter's, one
-    int per polynomial; the Walsh fibre column, (2^m - 1)/h bytes an h > 1.
-    They die with the field (get_field.cache_clear()); each operation is pure.
+    and trace_table, each a function of m and the reduction), the only state
+    that changes after construction is the one memo, kept(key, build): it
+    runs build() once per key and keeps the value for the field's life, an
+    array read-only, so each later call is a dict lookup.  Every value a
+    module keeps on a field goes through it, by kind: ("traces", e), the
+    orbit_traces vector of each residue e, len(reps) ~ 2^m/m bytes, at most
+    m + 2 (1, -1 and 2^k + 1, of period m in k); ("pair", a, b), a
+    trace-zero count of `expsums` per unordered pair of residues, at most
+    2m + 1; ("Kp", e), a K' count per residue 2^k, at most m; ("count",
+    monomials), a fast point count; ("column", h), the Walsh fibre column,
+    (2^m - 1)/h bytes.  They die with the field (get_field.cache_clear());
+    each operation is pure.
     """
 
     has_tables = True  # every field has its tables; kept for callers that ask
@@ -155,8 +158,7 @@ class Field:
         self._trace_mask = sum(int(t) << i for i, t in enumerate(tr_basis))
         for table in (self.exp_table, self.log_table):
             table.flags.writeable = False
-        self._orbit_traces: dict[int, np.ndarray] = {}
-        self._sum_counts: dict[tuple, int | np.ndarray] = {}
+        self._kept: dict[tuple, int | np.ndarray] = {}
 
     def _trace_by_parity(self) -> np.ndarray:
         """Tr(v) for 0 <= v < 2^m as uint8, from the trace mask alone: by
@@ -294,20 +296,28 @@ class Field:
             del q  # before the next block's
         return x
 
+    def kept(self, key: tuple, build: Callable[[], int | np.ndarray]) -> int | np.ndarray:
+        """build(), once per key, kept for the field's life: the one memo (see the class docstring)."""
+        value = self._kept.get(key)  # no value kept is None
+        if value is None:
+            value = self._kept[key] = build()
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+        return value
+
     def orbit_traces(self, e: int) -> np.ndarray:
         """Tr(alpha^(e r)) over the least members r of `orbits`, as uint8, for
-        any int e.  Built on first use for each residue e mod 2^m - 1 and kept,
-        read-only, so each later call with that residue is a dict lookup.
-        r (e mod 2^m - 1) < 2^(2m-1) since r < 2^(m-1), so it folds, a block at a time."""
+        any int e, kept by its residue e mod 2^m - 1.  r (e mod 2^m - 1) <
+        2^(2m-1) since r < 2^(m-1), so it folds, a block at a time."""
         e %= self.order
-        t = self._orbit_traces.get(e)
-        if t is None:
+
+        def build():
             t = np.empty(len(self.orbits), dtype=np.uint8)
             for lo, reps in self.orbit_blocks:
                 t[lo:lo + len(reps)] = self.trace(self.fold(np.multiply(reps, e, dtype=np.int64)))
-            t.flags.writeable = False
-            self._orbit_traces[e] = t
-        return t
+            return t
+
+        return self.kept(("traces", e), build)
 
     def _exp_by_frobenius(self) -> np.ndarray:
         """alpha^i for 0 <= i < 2^m - 1, from the Frobenius powers of f.
@@ -339,13 +349,6 @@ class Field:
                 block ^= exp[lo:lo + len(block)]
             n += len(block)
         return exp
-
-    def pow_log(self, e: int, start: int = 1, stop: int | None = None) -> np.ndarray:
-        """e log v mod 2^m - 1 over v = start..stop - 1 in element order
-        (1 <= start; stop defaults to 2^m), for any int e, as int64 (the
-        product reaches 2^48), by fold: exp_table of it is v^e.  A caller that
-        needs no 2^m-entry index asks for LOG_BLOCK elements at a time."""
-        return self.fold(self.log_table[start:stop] * np.int64(e % self.order))
 
     def __repr__(self) -> str:
         return f"Field(m={self.m}, reduction=0x{self.reduction:x})"

@@ -370,7 +370,7 @@ def sorted_pair_collision_a1(m: int, k: int) -> int:
     keys = np.zeros((field.size, field.size), dtype)
     P = np.zeros(field.size, dtype)  # v^e over v in element order; 0^e = 0
     for e in ((1 << (2 * k)) + 1, (1 << k) + 1, 1):
-        P[1:] = field.exp_table[field.pow_log(e)]
+        P[1:] = pow_table(field, e)[1:]
         keys <<= m
         keys |= np.bitwise_xor.outer(P, P)
     keys = keys.ravel()
@@ -403,7 +403,7 @@ def row_loop_direct_weights(m: int, k: int) -> dict[int, int]:
 def full_x_fast_count(P, s: int) -> int:
     """Projective zeros over F_{2^s} of a homogeneous P quadratic in y, by the
     trace criterion at every x of F_{2^s} in element order: each C_b and the
-    line is one `pow_log` pass per monomial, and x = 0 takes the parity of
+    line is one `pow_table` pass per monomial, and x = 0 takes the parity of
     the monomials with a = 0."""
     field = get_field(s)
     log, order = field.log_table.astype(np.int64), field.order  # log[c] + log_a - 2 log_b wraps in uint16
@@ -412,7 +412,7 @@ def full_x_fast_count(P, s: int) -> int:
         out = np.zeros(field.size, dtype=np.int32)
         for a in exponents:
             out[0] ^= a == 0
-            out[1:] ^= field.exp_table[field.pow_log(a)]
+            out[1:] ^= pow_table(field, a)[1:]
         return out
 
     a, b, c = (values([a for a, j, _ in P.monomials if j == y]) for y in (2, 1, 0))

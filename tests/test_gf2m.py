@@ -280,14 +280,54 @@ def test_orbit_traces_match_element_route_sampled(m):
         assert np.array_equal(field.orbit_traces(e), _element_route_traces(field, e)), e
 
 
+def _kept_keys(field, kind):
+    """The keys of one kind in the field's one memo, Field.kept."""
+    return [key for key in field._kept if key[0] == kind]
+
+
 def test_orbit_traces_memo_keeps_one_vector_per_residue():
     field = Field(9)
-    assert field._orbit_traces == {}  # a new field starts with an empty memo
+    assert field._kept == {}  # a new field starts with an empty memo
     t = field.orbit_traces(5)
     assert field.orbit_traces(5) is t
     assert field.orbit_traces(5 + field.order) is t
     assert field.orbit_traces(5 - field.order) is t
-    assert list(field._orbit_traces) == [5]
+    assert list(field._kept) == [("traces", 5)]
+
+
+def test_kept_builds_once_per_key_and_freezes_arrays():
+    field = Field(3)
+    calls = []
+
+    def build():
+        calls.append(1)
+        return np.arange(3)
+
+    a = field.kept(("x",), build)
+    assert field.kept(("x",), build) is a and calls == [1]
+    assert not a.flags.writeable
+    assert field.kept(("n",), lambda: 0) == 0  # a falsy value is kept too
+    assert field.kept(("n",), lambda: 1) == 0
+
+
+def test_every_reader_keeps_its_values_under_its_own_kind():
+    # Field.kept is the one memo of the library: the sums, the point counter
+    # and the Walsh fibre column each keep under a key kind of their own, and
+    # a second call of each reader adds no key.  A new memo kind needs a
+    # deliberate edit of this set.  At m = 8 the weights take the fibre route.
+    get_field.cache_clear()
+    field = get_field(8)
+
+    def readers():
+        return (kloosterman(8), c_sum(8, 1), g_sum(8, 1), k_prime(8, 1), weight_distribution(8, 1),
+                curves.count_projective_points_fast(curves.catalog_curve("p1tilde").polynomial, 8))
+
+    first = readers()
+    kept = dict(field._kept)
+    assert {key[0] for key in kept} == {"traces", "pair", "Kp", "count", "column"}
+    assert readers() == first
+    assert field._kept.keys() == kept.keys() and all(field._kept[key] is value for key, value in kept.items())
+    assert all(not value.flags.writeable for value in kept.values() if isinstance(value, np.ndarray))
 
 
 def _whole_period_arrays(field):
@@ -338,8 +378,7 @@ def test_cache_clear_drops_the_memo_with_the_field():
     get_field.cache_clear()
     after = get_field(7)
     assert after is not before
-    assert after._orbit_traces == {}
-    assert after._sum_counts == {}
+    assert after._kept == {}
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 6, 9, 12])
@@ -351,7 +390,7 @@ def test_sum_sweep_memo_is_bounded(m):
         kloosterman(m)
         g_sum(m, k)
         c_sum(m, k)
-    assert 1 <= len(get_field(m)._orbit_traces) <= m + 2
+    assert 1 <= len(_kept_keys(get_field(m), "traces")) <= m + 2
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 6, 9, 12])
@@ -365,19 +404,23 @@ def test_sum_count_memo_is_bounded(m):
         return [(kloosterman(m), g_sum(m, k), c_sum(m, k), k_prime(m, k)) for k in range(1, 3 * m + 1)]
 
     first = sweep()
-    counts = dict(get_field(m)._sum_counts)
-    pairs = [key for key in counts if key[0] == "pair"]
-    assert 1 <= len(pairs) <= 2 * m + 1
-    assert 1 <= len(counts) - len(pairs) <= m
+    field = get_field(m)
+    counts = {key: n for key, n in field._kept.items() if key[0] != "traces"}
+    assert 1 <= len(_kept_keys(field, "pair")) <= 2 * m + 1
+    assert 1 <= len(_kept_keys(field, "Kp")) <= m
+    assert len(counts) == len(_kept_keys(field, "pair")) + len(_kept_keys(field, "Kp"))
     assert sweep() == first
-    assert get_field(m)._sum_counts == counts
+    assert {key: n for key, n in field._kept.items() if key[0] != "traces"} == counts
 
 
 def test_shared_field_tables_are_read_only():
     # get_field hands one Field to every caller; a write to a table would
     # change every later result and leave the memo stale, so it raises.
     f = get_field(6)
+    walsh_spectrum(f, 1, 3)  # h = gcd(3, 63) = 3: the fibre route keeps a Walsh column
     arrays = [f.exp_table, f.log_table, f.trace_table, f.orbits, *f._short_orbits, f.orbit_traces(3)]
+    arrays += [a for key, a in f._kept.items() if key[0] == "column"]
+    assert len(arrays) == 8
     for a in arrays:
         with pytest.raises(ValueError):
             a[0] = a[0]
@@ -686,10 +729,16 @@ def test_random_polynomials_match_naive_powers(m, low):
     assert field.log_table[1:].tolist() == log[1:]
 
 
+def _pow_log(f, e, lo=1, hi=None):
+    """e log v mod 2^m - 1 over v = lo..hi - 1 in element order, int64, the
+    map the library writes inline: exp_table of it is v^e."""
+    return f.fold(f.log_table[lo:hi] * np.int64(e % f.order))
+
+
 def test_pow_log_matches_scalar():
     f = get_field(9)
     for e in (0, 1, 2, 3, 5, 9, 65, f.order, f.order + 1):
-        t = f.pow_log(e)
+        t = _pow_log(f, e)
         assert t.dtype == np.int64
         for v in (1, 2, 100, f.size - 1):
             assert f.exp_table[t[v - 1]] == power(f, v, e)
@@ -700,7 +749,7 @@ def test_pow_log_matches_scatter_oracle(m):
     # v^e = v^(e mod 2^m - 1) at v != 0, so the oracle takes the residue.
     f = get_field(m)
     for e in (0, 1, -1, 3, 2**m - 1, 2**m + 5, 2**40 + 3, -(2**33) - 7):
-        idx = f.pow_log(e)
+        idx = _pow_log(f, e)
         assert idx.dtype == np.int64
         assert np.array_equal(f.exp_table[idx], pow_table(f, e % f.order)[1:]), e
         # Uneven block walks: 7 divides 2^m - 1 when 3 | m, and 8 never does,
@@ -708,7 +757,7 @@ def test_pow_log_matches_scatter_oracle(m):
         # lengths double with m, so each walk takes about 2^12 / 7 calls.
         for step in (7, 8):
             step <<= max(0, m - 12)
-            blocks = [f.pow_log(e, lo, lo + step) for lo in range(1, f.size, step)]
+            blocks = [_pow_log(f, e, lo, lo + step) for lo in range(1, f.size, step)]
             assert np.array_equal(np.concatenate(blocks), idx), (e, step)
 
 
@@ -719,7 +768,7 @@ def test_pow_log_past_int32_matches_scalar_pow(m):
     f = get_field(m)
     e = f.order - 2
     assert e * (f.order - 1) >= 2**31
-    idx = f.pow_log(e)
+    idx = _pow_log(f, e)
     assert idx.dtype == np.int64
     logs = [f.order - 1, f.order - 2, *random.Random(m).sample(range(f.order), 500)]
     for v in f.exp_table[logs].tolist():
@@ -728,8 +777,8 @@ def test_pow_log_past_int32_matches_scalar_pow(m):
 
 @pytest.mark.parametrize("m", range(1, MAX_M + 1))
 def test_pow_log_fold_matches_the_remainder(m):
-    # pow_log reduces e log v by its 2^m-bit halves and an unsigned minimum,
-    # not by an int64 %: the index must equal the remainder bit for bit.
+    # fold reduces e log v by a floor division, not by an int64 %: the index
+    # must equal the remainder bit for bit.
     # Ranges straddle LOG_BLOCK and its multiples and end at the largest
     # logs; each has odd length, so its two halves differ in length.
     f, block = get_field(m), gf2m.LOG_BLOCK
@@ -740,4 +789,4 @@ def test_pow_log_fold_matches_the_remainder(m):
     for e in (1, 3, f.order - 1, f.order - 2, 2**m + 5, 2**40 + 3, -(2**33) - 7):
         for lo, hi in sorted(bounds):
             remainder = f.log_table[lo:hi].astype(np.int64) * (e % f.order) % f.order
-            assert np.array_equal(f.pow_log(e, lo, hi), remainder), (e, lo, hi)
+            assert np.array_equal(_pow_log(f, e, lo, hi), remainder), (e, lo, hi)

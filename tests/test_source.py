@@ -64,12 +64,13 @@ def test_field_public_surface_is_pinned():
     # has no scalar field arithmetic.  A new public method or attribute needs
     # a deliberate edit of this set.  has_tables and trace_table stay public:
     # traced benchmark runs read them.  orbit_blocks is the one cut of the
-    # orbit leaders into blocks, which expsums and curves iterate.
-    # trace_table and orbit_blocks are cached_properties, so dir() lists them
-    # before their first read builds them.
+    # orbit leaders into blocks, which expsums and curves iterate, and kept
+    # the one memo, which every module that keeps a value calls.  trace_table
+    # and orbit_blocks are cached_properties, so dir() lists them before
+    # their first read builds them.
     found = {name for name in dir(gf2m.Field(3)) if not name.startswith("_")}
-    assert found == {"exp_table", "fold", "has_tables", "log_table", "m", "orbit_blocks", "orbit_total",
-                     "orbit_traces", "orbits", "order", "pow_log", "reduction", "size", "trace",
+    assert found == {"exp_table", "fold", "has_tables", "kept", "log_table", "m", "orbit_blocks",
+                     "orbit_total", "orbit_traces", "orbits", "order", "reduction", "size", "trace",
                      "trace_table"}
 
 
@@ -219,6 +220,30 @@ def test_trace_table_is_read_only_in_gf2m():
              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
              if isinstance(node, ast.Attribute) and node.attr == "trace_table"]
     assert found == []
+
+
+def _private_reads(path):
+    """Every read or write in path of a single-underscore attribute, x._name."""
+    return [f"{path.name}:{line}"
+            for line in sorted(node.lineno for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+                               if isinstance(node, ast.Attribute) and re.match(r"_(?!_)", node.attr))]
+
+
+def test_gf2m_owns_the_field_state():
+    # A Field's memo and its coset sizes are private to gf2m: a module that
+    # keeps a value calls Field.kept, and no module reaches into another's
+    # underscored names.
+    assert [hit for path in SOURCES if path.name != "gf2m.py" for hit in _private_reads(path)] == []
+
+
+def test_private_read_rule_sees_single_underscore_attributes(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        'def f(field, key, x):\n'
+        '    n = field._kept.get(key)\n'
+        '    field._kept[key] = x._short_orbits[0]\n'
+        '    return crosscorr._runs(x), field.kept(key, list), x.__class__, _runs(x), x.__len__()\n')
+    assert _private_reads(path) == ["mod.py:2", "mod.py:3", "mod.py:3", "mod.py:4"]
 
 
 def _exponent_rule_breaks(path):
