@@ -1,13 +1,14 @@
 """Command-line harness: every verification as a subcommand.
 
 Each subcommand emits a run report: (name, expected, observed, verdict)
-rows, the per-stage timings it fills in, and wall time.  Verdicts are
-pass/fail when an expectation exists and "recorded" otherwise.  Output is a
-human table, or --json / --csv.  Exit 0 when every row passes, 1 when a row
-fails, 2 when the arguments are refused: by the parser, which states each
-option's domain, by a subcommand, which checks only the rules that relate
-two options, or by the library (a ValueError or OSError).  Any other raise
-is one failed row named after the subcommand (after the criterion, in
+rows, the per-stage timings it fills in, and wall time.  A row's verdict is
+fixed where it is made: pass/fail by exact equality when it is checked,
+"recorded" (expected None) otherwise.  A human table, --json or --csv writes
+the rows as they are.  Exit 0 when every row passes, 1 when a row fails, 2
+when the arguments are refused: by the parser, which states each option's
+domain, by a subcommand, which checks only the rules that relate two
+options, or by the library (a ValueError or OSError).  Any other raise is
+one failed row named after the subcommand (after the criterion, in
 verify-all), with the traceback on stderr.  Every checked row is built in
 acceptance; a subcommand computes its input, records what no rule checks and
 formats.
@@ -23,31 +24,22 @@ import math
 import sys
 import time
 import traceback
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 from . import __version__, acceptance, crosscorr, curves, expsums, gf2m, zeta
 
 
-@dataclass
-class Row:
-    name: str
-    observed: object
-    expected: object = None
-    has_expectation: bool = False
-
-    @property
-    def verdict(self) -> str:
-        if not self.has_expectation:
-            return "recorded"
-        return "pass" if self.observed == self.expected else "fail"
+COLUMNS = ("name", "expected", "observed", "verdict")
+Row = namedtuple("Row", COLUMNS)  # the verdict is fixed where a row is made
 
 
 def recorded(name, observed) -> Row:
-    return Row(name, observed)
+    return Row(name, None, observed, "recorded")
 
 
 def checked(name, observed, expected) -> Row:
-    return Row(name, observed, expected, True)
+    return Row(name, expected, observed, "pass" if observed == expected else "fail")
 
 
 @dataclass
@@ -67,15 +59,7 @@ class RunReport:
             {
                 "command": self.command,
                 "params": self.params,
-                "results": [
-                    {
-                        "name": r.name,
-                        "expected": r.expected if r.has_expectation else None,
-                        "observed": r.observed,
-                        "verdict": r.verdict,
-                    }
-                    for r in self.results
-                ],
+                "results": [dict(zip(COLUMNS, r)) for r in self.results],
                 "timings": self.timings,
                 "wall_time_ms": self.wall_time_ms,
             },
@@ -84,17 +68,14 @@ class RunReport:
 
     def to_csv(self) -> str:
         buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["name", "expected", "observed", "verdict"])
-        for r in self.results:
-            w.writerow([r.name, r.expected if r.has_expectation else "", r.observed, r.verdict])
+        csv.writer(buf).writerows([COLUMNS, *self.results])  # csv writes None as an empty field
         return buf.getvalue()
 
     def to_table(self) -> str:
         lines = [f"# {self.command} {self.params}"]
         width = max((len(r.name) for r in self.results), default=4)
         for r in self.results:
-            exp = f" expected={r.expected}" if r.has_expectation else ""
+            exp = f" expected={r.expected}" if r.verdict != "recorded" else ""
             lines.append(f"{r.name:<{width}}  {r.verdict:<8} observed={r.observed}{exp}")
         if self.timings:
             lines.append("# timings: " + ", ".join(f"{k} {v:.2f}s" for k, v in self.timings.items()))

@@ -256,7 +256,8 @@ def a1_bruteforce(m: int, k: int) -> int:
 
 
 def a1_formula(m: int, k: int, brute: bool = False) -> A1Report:
-    """A_1 = 2^m + 1 + 3 G_m^(k) - 2 K'_m - 2 C_m (for k = 1, K'_m is K_m).
+    """A_1 = 2^m + 1 + 3 G_m^(k) - 2 K'_m - 2 C_m (for k = 1, K'_m is K_m), C_m read
+    in closed form (C3 checks it against the orbit sum c_sum).
 
     brute=True also fills the derivative count of a1_bruteforce.
     """
@@ -264,8 +265,7 @@ def a1_formula(m: int, k: int, brute: bool = False) -> A1Report:
         raise FieldError(f"A_1 requires odd m and gcd(k, m) = 1, not m={m}, k={k}")
     g = expsums.g_sum(m, k).value
     kp = expsums.kloosterman(m).value if k == 1 else expsums.k_prime(m, k).value
-    c = expsums.c_sum(m, k).value
-    value = (1 << m) + 1 + 3 * g - 2 * kp - 2 * c
+    value = (1 << m) + 1 + 3 * g - 2 * kp - 2 * expsums.c_sum_closed_form(m, k)
     return A1Report(m, k, value, a1_bruteforce(m, k) if brute else None)
 
 
@@ -336,8 +336,11 @@ def weight_distribution(m: int, k: int, mode: str = "via_correlation") -> Weight
     permutes the positions and sends the word (a, b) to (a u^(-e2), alpha^c): class c
     has (2^m - 1)/g members, of weights (2^m - W(a))/2, W = walsh_spectrum(field, e1,
     e2, c), and b = 0 the weights of c = None: where e2 is a unit (as g = 1 forces),
-    the zero word and 2^m - 1 words of weight 2^(m-1).  Both modes run this one route;
-    mode stays for the benchmark (ROADMAP item 11).
+    the zero word and 2^m - 1 words of weight 2^(m-1).  Squaring, (a, b) -> (a^2, b^2),
+    permutes the positions and sends class c to class 2c mod g, so one spectrum serves
+    each orbit of c under doubling mod g: its least class, weighted by the orbit's size
+    times (2^m - 1)/g.  Both modes run this one route; mode stays for the benchmark
+    (ROADMAP item 1).
     """
     if k < 1:
         raise FieldError("k must be >= 1")
@@ -354,7 +357,8 @@ def weight_distribution(m: int, k: int, mode: str = "via_correlation") -> Weight
                          f"modulo 2^{m}-1 hold {len(cosets)} < 2m = {2 * m} exponents, "
                          f"so the 2^{2 * m} words are not distinct")
     field, g = get_field(m), math.gcd(e1, order)
-    classes = [(c, order // g) for c in range(g)]  # (c, members of the class)
+    orbit_sizes = Counter(min((c << j) % g for j in range(m)) for c in range(g))  # by least class
+    classes = [(c, size * order // g) for c, size in orbit_sizes.items()]  # (c, members of its orbit)
     entries = Counter()
     if math.gcd(e2, order) == 1:  # b = 0: the zero word and 2^m - 1 words of weight 2^(m-1)
         entries.update({0: 1, 1 << (m - 1): order})

@@ -427,6 +427,27 @@ def test_class_reduction_needs_only_the_gcd_of_2k_plus_1():
     assert all(math.gcd((1 << k) + 1, (1 << m) - 1) > 1 for m, k in pairs)
 
 
+def test_squaring_sends_each_weight_class_to_its_double():
+    # weight_distribution reads one class per orbit of c -> 2c mod g: squaring,
+    # (a, b) -> (a^2, b^2), permutes the positions and sends class c to class
+    # 2c mod g, so the two have one sorted spectrum.  Each of the 55 classes of
+    # a nondegenerate code with g > 1 at m <= 16, k <= 5 is checked.
+    classes = 0
+    for m in range(1, 17):
+        order = (1 << m) - 1
+        for k in range(1, 6):
+            e1, e2 = ((1 << k) + 1) % order, ((1 << (2 * k)) + 1) % order
+            g = math.gcd(e1, order)
+            if g == 1 or len({e * (1 << j) % order for e in (e1, e2) for j in range(m)}) < 2 * m:
+                continue  # one class, or a code that weight_distribution refuses
+            field = get_field(m)
+            for c in range(g):
+                assert np.array_equal(np.sort(cc.walsh_spectrum(field, e1, e2, c)),
+                                      np.sort(cc.walsh_spectrum(field, e1, e2, 2 * c % g))), (m, k, c)
+                classes += 1
+    assert classes == 55
+
+
 @pytest.mark.parametrize("m,k", [(5, 1), (5, 2), (5, 3), (7, 3), (6, 5)])
 def test_weights_match_the_naive_oracle(m, k):
     # At (6, 5), gcd(2^k + 1, 2^m - 1) = 3: three classes of b != 0, and
