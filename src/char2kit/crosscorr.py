@@ -256,15 +256,14 @@ def a1_bruteforce(m: int, k: int) -> int:
 
 
 def a1_formula(m: int, k: int, brute: bool = False) -> A1Report:
-    """A_1 = 2^m + 1 + 3 G_m^(k) - 2 K'_m - 2 C_m (for k = 1, K'_m is K_m), C_m read
-    in closed form (C3 checks it against the orbit sum c_sum).
+    """A_1 = 2^m + 1 + 3 G_m^(k) - 2 K'_m - 2 C_m, with K'_m read by k_prime at
+    every k and C_m in closed form (C3 checks it against the orbit sum c_sum).
 
     brute=True also fills the derivative count of a1_bruteforce.
     """
     if not theorem1_applies(m, k):
         raise FieldError(f"A_1 requires odd m and gcd(k, m) = 1, not m={m}, k={k}")
-    g = expsums.g_sum(m, k).value
-    kp = expsums.kloosterman(m).value if k == 1 else expsums.k_prime(m, k).value
+    g, kp = expsums.g_sum(m, k).value, expsums.k_prime(m, k).value
     value = (1 << m) + 1 + 3 * g - 2 * kp - 2 * expsums.c_sum_closed_form(m, k)
     return A1Report(m, k, value, a1_bruteforce(m, k) if brute else None)
 
