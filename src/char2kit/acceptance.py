@@ -4,8 +4,8 @@ CRITERIA maps "C1".."C12" to generators that take (max_m, max_s), the
 largest field degree and curve-count extension to enumerate, and yield
 unprefixed (name, observed, expected) rows; a row passes iff observed ==
 expected exactly, and verify-all names it "<key> <name>".  C1-C5 check the
-paper's claims for k = 3; C6-C12 the weights, point counts and
-zeta-function identities.
+paper's claims, C1 at k = 3 and C2-C5 at each k of GATE_K; C6-C12 the
+weights, point counts and zeta-function identities.
 
 Every row a subcommand checks is built here, once, and a criterion keeps
 only its sweep: kp_row (C1), g_row (C2), c_row (C3) and zeta_row (C8),
@@ -32,7 +32,7 @@ KNOWN_WEIGHTS = {
 
 PINNED_M11 = {"N0": 1155, "N1": 440, "N-1": 408, "N2": 22, "N-2": 22}
 
-C2_K = range(1, 6)  # the k at which C2 checks G^(k), and sum_rows checks g_row
+GATE_K = range(1, 6)  # the k at which C2-C5 check their sums, A_1 and spectra, and sum_rows checks g_row
 
 
 def c1(max_m, max_s):
@@ -50,7 +50,7 @@ def c2(max_m, max_s):
     """G^(k) against the sum at another exponent residue mod 2^m - 1 (g_row), each pair of residues once"""
     for m in range(1, max_m + 1):
         first = {}  # each pair of residues at its least k
-        for k in C2_K:
+        for k in GATE_K:
             first.setdefault(_partner(m, k)[1], k)
         yield from (g_row(m, k) for residues, k in first.items() if len(residues) == 2)
 
@@ -77,8 +77,8 @@ def g_row(m, k):
 
 
 def c3(max_m, max_s):
-    """C_m against its closed form at every (m, k), by d = gcd(k, m) and q = m/d"""
-    yield from (c_row(m, k) for m in range(1, max_m + 1) for k in range(1, 6))
+    """C_m against its closed form at every m and k in GATE_K, by d = gcd(k, m) and q = m/d"""
+    yield from (c_row(m, k) for m in range(1, max_m + 1) for k in GATE_K)
 
 
 def c_row(m, k):
@@ -88,18 +88,20 @@ def c_row(m, k):
 
 def sum_rows(name, m, k):
     """(checks, row) for the sum that `expsum --sum name` evaluates at (m, k): its IDENTITY_ROWS row,
-    which a criterion checks (C3 at every (m, k), C2 at k in C2_K, C1 where expsums.conjecture2_proved)
-    and elsewhere only records, then the zeta_row of each route with that sum and k, checked."""
-    checks = name == "C" or (name == "G" and k in C2_K) or (name == "Kp" and expsums.conjecture2_proved(m, k))
+    which a criterion checks (C3 at every (m, k), C2 at k in GATE_K, C1 where expsums.conjecture2_proved)
+    and elsewhere only records; for K' where that row is recorded and theorem 1 applies (k >= 4), the
+    a1_row that reads it, checked; then the zeta_row of each route with that sum and k, checked."""
+    checks = name == "C" or (name == "G" and k in GATE_K) or (name == "Kp" and expsums.conjecture2_proved(m, k))
     if name in IDENTITY_ROWS and (row := IDENTITY_ROWS[name](m, k)) is not None:
         yield checks, row
+    if name == "Kp" and not checks and expsums.theorem1_applies(m, k):
+        yield True, a1_row(m, k)
     yield from ((True, zeta_row(route, m)) for route in ZETA_ROUTES if route[0] == name and route[1] in (None, k))
 
 
 def c4(max_m, max_s):
-    """A_1 derivative count = formula at every odd m, k <= 3 with gcd(k, m) = 1"""
-    yield from (a1_row(m, k) for m in range(1, max_m + 1) for k in (1, 2, 3)
-                if expsums.theorem1_applies(m, k))
+    """A_1 derivative count = formula at every odd m, k in GATE_K with gcd(k, m) = 1"""
+    yield from (a1_row(m, k) for m in range(1, max_m + 1) for k in GATE_K if expsums.theorem1_applies(m, k))
 
 
 def a1_row(m, k):
@@ -132,10 +134,10 @@ def spectrum_rows(prefix, dist, k=None):
 
 
 def c5(max_m, max_s):
-    """spectrum moments; observed distribution = multiplicity formulas, N0 - 6*N2 exact, k = 2, 3 as k = 1"""
+    """spectrum moments; observed distribution = multiplicity formulas, N0 - 6*N2 exact, each k of GATE_K as k = 1"""
     for m in range(5, max_m + 1, 2):
         base = None
-        for k in (1, 2, 3):
+        for k in GATE_K:
             if not expsums.theorem1_applies(m, k):
                 continue
             dist = crosscorr.correlation_distribution(m, gf2m.decimation_exponent(m, k))

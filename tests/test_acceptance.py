@@ -12,7 +12,7 @@ import math
 from collections import Counter
 
 from char2kit import crosscorr, expsums
-from char2kit.acceptance import CRITERIA, spectrum_rows, sum_rows
+from char2kit.acceptance import CRITERIA, GATE_K, spectrum_rows, sum_rows
 from char2kit.gf2m import decimation_exponent
 
 
@@ -89,18 +89,18 @@ def test_each_spectrum_is_built_once_and_each_row_named_once(monkeypatch):
     monkeypatch.setattr(crosscorr, "correlation_distribution", counted)
     names = Counter(f"{key} {name}" for key, criterion in CRITERIA.items() for name, _, _ in criterion(19, 10))
     assert [name for name, n in names.items() if n > 1] == []
-    assert set(built) == {(m, decimation_exponent(m, k)) for m in range(5, 20, 2) for k in (1, 2, 3)
+    assert set(built) == {(m, decimation_exponent(m, k)) for m in range(5, 20, 2) for k in GATE_K
                           if math.gcd(k, m) == 1}
     assert set(built.values()) == {1}
 
 
 def test_c5_compares_each_spectrum_with_k1_at_every_odd_m():
     # The k-independence Johansen and Helleseth state: at each odd m the
-    # spectra for k = 2 and 3 (where gcd(k, m) = 1) equal the one for k = 1.
+    # spectra for every other k of GATE_K (where gcd(k, m) = 1) equal the one for k = 1.
     rows = [(name, observed == expected) for name, observed, expected in CRITERIA["C5"](17, 10)
             if name.endswith("equals k=1")]
     assert rows == [(f"distribution m={m} k={k} equals k=1", True)
-                    for m in range(5, 18, 2) for k in (2, 3) if math.gcd(k, m) == 1]
+                    for m in range(5, 18, 2) for k in GATE_K if k > 1 and math.gcd(k, m) == 1]
 
 
 def test_moment_rows_fail_a_spectrum_that_keeps_the_lower_moments():

@@ -184,7 +184,7 @@ def test_conjectures_and_expsum_check_the_same_domains(capsys):
             for name in ("K", "C", "G", "Kp"):
                 _, payload = run_json(capsys, "expsum", "--m", str(m), "--k", str(k), "--sum", name)
                 assert checked_triples(payload) == [row for checks, row in sum_rows(name, m, k) if checks], (m, k, name)
-    assert kinds == {("G", "pass"), ("G", "recorded"), ("K", "pass"), ("K", "recorded")}
+    assert kinds == {("A", "pass"), ("G", "pass"), ("G", "recorded"), ("K", "pass"), ("K", "recorded")}
 
 
 def test_corrdist_with_k(capsys):
@@ -572,10 +572,11 @@ def test_wrong_a1_fails_c5_by_row(capsys, monkeypatch):
     assert (code, err) == (1, "")
     rows = json.loads(out)["results"]
     # every multiplicity moves with A_1; N0 - 6*N2 is read off the observed counts
+    spectra = sum(expsums.theorem1_applies(m, k) for m in (5, 7, 9) for k in acceptance.GATE_K)
     c5 = [r for r in rows if r["name"].startswith("C5 m=") and " multiplicity " in r["name"]]
-    assert len(c5) == 8 * 5 and all(r["verdict"] == "fail" for r in c5)  # m = 5, 7, 9
+    assert len(c5) == spectra * 5 and all(r["verdict"] == "fail" for r in c5)
     slack = [r for r in rows if r["name"].startswith("C5 m=") and r["name"].endswith(" N0 - 6*N2")]
-    assert len(slack) == 8 and all(r["verdict"] == "pass" for r in slack)
+    assert len(slack) == spectra and all(r["verdict"] == "pass" for r in slack)
     assert "C5" not in [r["name"] for r in rows]
 
 
@@ -622,7 +623,7 @@ def test_negated_spectrum_at_m17_fails_c5(monkeypatch):
                         lambda field, e: -walsh(field, e) if field.m == 17 else walsh(field, e))
     assert [name for name, observed, expected in acceptance.CRITERIA["C4"](18, 10) if observed != expected] == []
     failed = [name for name, observed, expected in acceptance.CRITERIA["C5"](18, 10) if observed != expected]
-    assert failed == [f"m=17 k={k} {row}" for k in (1, 2, 3) for row in (
+    assert failed == [f"m=17 k={k} {row}" for k in acceptance.GATE_K if expsums.theorem1_applies(17, k) for row in (
         "first moment", "second moment", "multiplicity N1", "multiplicity N-1")]
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -321,6 +322,12 @@ def test_derivative_counts_give_the_third_and_fourth_moments(m, d):
     dist = cc.correlation_distribution(m, d)
     delta1, squares = cc.derivative_counts(m, d)
     assert (_moment(dist, 3), _moment(dist, 4)) == (delta1 << 2 * m, squares << 2 * m)
+
+
+def test_derivative_counts_refuse_a_non_unit():
+    # y^3 is not a permutation of GF(16): 3 divides 2^4 - 1
+    with pytest.raises(FieldError, match=re.escape("gcd(d=3, 2^4-1) = 3 != 1")):
+        cc.derivative_counts(4, 3)
 
 
 def test_derivative_count_holds_one_half_word_per_element():

@@ -1,6 +1,7 @@
 import copy
 import itertools
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -31,6 +32,11 @@ def test_monomial_set_semantics():
     # duplicates cancel in characteristic 2
     p = TrivariatePoly([(1, 0, 0), (1, 0, 0), (0, 1, 0)])
     assert p.monomials == frozenset({(0, 1, 0)})
+
+
+def test_negative_exponent_is_refused():
+    with pytest.raises(ValueError, match=re.escape("negative exponent in monomial (1, -1, 0)")):
+        TrivariatePoly([(0, 1, 0), (1, -1, 0)])
 
 
 def test_homogenize_examples():
@@ -347,6 +353,12 @@ def test_trivial_component_point_bookkeeping():
         on_line_only = sum(1 for y in range(f.size) if naive_evaluate(P1T.monomials, f, 1, y, 1) != 0)
         assert on_line_only == 2**s  # all (1:y:1) avoid the nontrivial component
         assert naive_evaluate(P1T.monomials, f, 0, 1, 0) == 0  # the shared point
+
+
+def test_fbar3_has_no_count_prediction():
+    # fbar3 carries no L-polynomial and no correction: its count is p1tilde's plus 2^s
+    with pytest.raises(ValueError, match="no count prediction for curve 'fbar3'"):
+        cv.catalog_curve("fbar3").corrected_prediction(0, 1)
 
 
 def test_curve_file_roundtrip(tmp_path):

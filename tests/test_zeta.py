@@ -23,6 +23,11 @@ def test_power_sums_examples():
     assert z.power_sums(LPolynomial((1,)), 5) == [0, 0, 0, 0, 0]
 
 
+def test_power_sums_refuse_an_empty_range():
+    with pytest.raises(ZetaError, match="s_max must be >= 1"):
+        z.power_sums(L2, 0)
+
+
 def test_power_sums_match_numeric_roots():
     for L in (L2, L3, L4, z.catalog_lpoly("l3prime")):
         exact = z.power_sums(L, 12)
