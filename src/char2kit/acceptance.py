@@ -59,7 +59,7 @@ def _partner(m, k):
     """j, where g_row compares G_m^(k) with G_m^(j) (K_m at j = 0), and the two exponent residues."""
     j = math.gcd(k, m) if math.gcd(k, m) < k else m - k
     order = (1 << m) - 1
-    return j, frozenset((((1 << k) + 1) % order, ((1 << j) + 1 if j else 1) % order))
+    return j, frozenset(((pow(2, k, order) + 1) % order, (pow(2, j, order) + 1 if j else 1) % order))
 
 
 def g_row(m, k):
@@ -88,9 +88,10 @@ def c_row(m, k):
 
 def sum_rows(name, m, k):
     """(checks, row) for the sum that `expsum --sum name` evaluates at (m, k): its IDENTITY_ROWS row,
-    which a criterion checks (C3 at every (m, k), C2 at k in GATE_K, C1 where expsums.conjecture2_proved)
-    and elsewhere only records; for K' where that row is recorded and theorem 1 applies (k >= 4), the
-    a1_row that reads it, checked; then the zeta_row of each route with that sum and k, checked."""
+    checked for C at every (m, k), G at k in GATE_K and K' = K where expsums.conjecture2_proved, else
+    recorded (the criteria sweep less: C1 K' = K at k = 3, C3 C over GATE_K); for K' where that row is
+    recorded and theorem 1 applies (k >= 4), the a1_row that reads it; then the zeta_row of each route
+    with that sum and k.  Every row but the IDENTITY_ROWS one is checked."""
     checks = name == "C" or (name == "G" and k in GATE_K) or (name == "Kp" and expsums.conjecture2_proved(m, k))
     if name in IDENTITY_ROWS and (row := IDENTITY_ROWS[name](m, k)) is not None:
         yield checks, row
@@ -170,7 +171,7 @@ def weight_rows(prefix, dist):
         yield f"{prefix}weight set", sorted(entries), sorted(expected)
     yield f"{prefix}total words", sum(entries.values()), 1 << (2 * m)
     yield f"{prefix}zero words", entries.get(0, 0), 1
-    if math.gcd((1 << k) + 1, order) > 1:
+    if math.gcd(pow(2, k, order) + 1, order) > 1:
         yield f"{prefix}sum of w A_w", sum(w * n for w, n in entries.items()), order << (2 * m - 1)
         yield (f"{prefix}sum of w^2 A_w", sum(w * w * n for w, n in entries.items()),
                (order * (order + 1)) << (2 * m - 2))

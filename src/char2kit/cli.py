@@ -26,6 +26,7 @@ import time
 import traceback
 from collections import namedtuple
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from . import __version__, acceptance, crosscorr, curves, expsums, gf2m, zeta
 
@@ -160,7 +161,7 @@ def cmd_weights(args, timings) -> list[Row]:
 
 def cmd_curvecount(args, timings) -> list[Row]:
     entry = curves.catalog_curve(args.curve) if args.curve in curves.catalog_curve_names() else None
-    poly = entry.polynomial if entry else curves.load_curve(args.curve)
+    poly = entry.polynomial if entry else curves.TrivariatePoly.parse(Path(args.curve).read_text())
     fast = poly.y_degree() <= 2  # the fast counter solves a quadratic in y; the generic one walks every y
     if not fast and args.s > curves.COUNT_CAP:
         raise ValueError(f"--s {args.s} outside 1..{curves.COUNT_CAP} for a curve of degree {poly.y_degree()} in y")
@@ -180,7 +181,7 @@ def cmd_zeta(args, timings) -> list[Row]:
     s_max = 10 if args.s_max is None else args.s_max
     name = args.l_poly
     catalog = name in zeta.catalog_lpoly_names()
-    L = zeta.catalog_lpoly(name) if catalog else zeta.load_lpoly(name)
+    L = zeta.catalog_lpoly(name) if catalog else zeta.parse_lpoly(Path(name).read_text())
     P = zeta.power_sums(L, s_max)
     rows = [recorded(f"P_{s}", P[s - 1]) for s in range(1, s_max + 1)]
     if name in zeta.CORRECTION_FACTORS:  # no curve's numerator: no count, no functional equation

@@ -346,8 +346,8 @@ def weight_distribution(m: int, k: int, mode: str = "via_correlation") -> Weight
     if mode not in ("direct", "via_correlation"):
         raise ValueError(f"unknown mode {mode!r} (use 'direct' or 'via_correlation')")
     order = group_order(m)  # each refusal below reads m, k and order, before the field is built
-    e1 = ((1 << k) + 1) % order
-    e2 = ((1 << (2 * k)) + 1) % order
+    e1 = (pow(2, k, order) + 1) % order
+    e2 = (pow(2, 2 * k, order) + 1) % order
     # The code has dimension |C(e1) u C(e2)|, C(e) = {e 2^j mod 2^m - 1}: the
     # 2^(2m) words are distinct only if the cosets differ and both have m members.
     cosets = {e * (1 << j) % order for e in (e1, e2) for j in range(m)}

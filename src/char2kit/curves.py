@@ -24,7 +24,7 @@ Two counters are provided: a generic one that walks every y of one z = 1 row
 per orbit, and a fast one for curves that are (at most) quadratic in y,
 which solves the quadratic at every orbit at once via the trace criterion
 (y^2 + y = beta is solvable iff Tr(beta) = 0, and then has exactly two
-roots).
+roots).  A curve file holds one monomial "a b c" per zeta.records record.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ __all__ = [
     "count_projective_points_fast",
     "f_k_affine",
     "homogenize",
-    "load_curve",
     "singular_points",
 ]
 
@@ -104,23 +103,10 @@ class TrivariatePoly:
             terms.append("*".join(parts) if parts else "1")
         return " + ".join(terms) if terms else "0"
 
-    # -- file format: one monomial per line, "a b c"; '#' comments ----------
-
     @classmethod
     def parse(cls, text: str) -> "TrivariatePoly":
-        mono = []
-        for line in text.splitlines():
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            a, b, c = (int(v) for v in line.split())
-            mono.append((a, b, c))
-        return cls(mono)
-
-
-def load_curve(path: str) -> TrivariatePoly:
-    with open(path) as fh:
-        return TrivariatePoly.parse(fh.read())
+        """The catalog data format (zeta.records), one monomial "a b c" per record."""
+        return cls(zeta.records(text))
 
 
 def homogenize(f: TrivariatePoly, degree: int) -> TrivariatePoly:

@@ -83,7 +83,7 @@ def kloosterman(m: int) -> ExpSumReport:
 def c_sum(m: int, k: int) -> ExpSumReport:
     """C_m = sum over the whole field of (-1)^Tr(x^(2^k+1) + x); x = 0 adds 1."""
     field = _field(m, k)
-    n = _trace_zero_count(field, (1 << k) + 1, 1) + 1
+    n = _trace_zero_count(field, pow(2, k, field.order) + 1, 1) + 1
     return ExpSumReport(m, k, 2 * n - field.size, n, field.size)
 
 
@@ -105,7 +105,7 @@ def c_sum_closed_form(m: int, k: int) -> int:
 def g_sum(m: int, k: int) -> ExpSumReport:
     """G_m^(k) = sum over x != 0 of (-1)^Tr(x^(2^k+1) + x^-1)."""
     field = _field(m, k)
-    n = _trace_zero_count(field, (1 << k) + 1, -1)
+    n = _trace_zero_count(field, pow(2, k, field.order) + 1, -1)
     return ExpSumReport(m, k, 2 * n - field.order, n, field.order)
 
 
@@ -121,7 +121,7 @@ def k_prime(m: int, k: int) -> ExpSumReport:
     """
     field = _field(m, k)
     exp, log, order = field.exp_table, field.log_table, field.order
-    e = (1 << k) % order  # f depends on k only through 2^k mod 2^m - 1
+    e = pow(2, k, order)  # f depends on k only through 2^k mod 2^m - 1
 
     def build():
         n = order + 1

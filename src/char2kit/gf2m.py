@@ -376,8 +376,8 @@ def decimation_exponent(m: int, k: int) -> int:
     that of a, and if it exceeds that of 2k it exceeds that of k.
     """
     n = (1 << m) - 1
-    den = (1 << k) + 1
+    den = pow(2, k, n) + 1
     g = math.gcd(den, n)
     if g != 1:
-        raise FieldError(f"2^{k}+1 = {den} is not invertible modulo 2^{m}-1 (gcd {g})")
-    return ((1 << (2 * k)) + 1) * pow(den, -1, n) % n
+        raise FieldError(f"2^{k}+1 is not invertible modulo 2^{m}-1 (gcd {g})")
+    return (pow(2, 2 * k, n) + 1) * pow(den, -1, n) % n

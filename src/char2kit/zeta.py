@@ -6,15 +6,15 @@ P_j = sum omega_j^j follow from the coefficients by Newton's identities
 without ever extracting roots; all arithmetic is exact (Python ints).
 
 The catalog ships the zeta numerators of the curves in the curve catalog,
-all over F_2, in factored form, as plain text files (one factor per line,
-coefficients space-separated from sigma_0 upward).
+all over F_2, in factored form: one factor per record, from sigma_0 up, of
+the data format of every catalog file, curves too, which `records` reads.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
 from importlib import resources
 from operator import mul
 
@@ -29,11 +29,11 @@ __all__ = [
     "catalog_lpoly_names",
     "functional_equation_check",
     "l1prime_expansion_check",
-    "load_lpoly",
     "parse_lpoly",
     "power_sums",
     "predicted_count",
     "reconstruct_from_counts",
+    "records",
     "singular_correction",
     "singular_correction_sums",
     "vanishing_residue_check",
@@ -172,24 +172,18 @@ def l1prime_expansion_check() -> Verdict:
 # -- catalog ---------------------------------------------------------------
 
 
+def records(text: str) -> list[tuple[int, ...]]:
+    """The catalog data format: one tuple of ints per non-blank line, the line cut at '#'."""
+    lines = (line.split("#", 1)[0].split() for line in text.splitlines())
+    return [tuple(map(int, fields)) for fields in lines if fields]
+
+
 def parse_lpoly(text: str) -> LPolynomial:
-    """Parse the file format over F_2: one factor per line, integers from sigma_0 up."""
-    L = LPolynomial((1,))
-    seen = False
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        L = L * LPolynomial(tuple(int(c) for c in line.split()))
-        seen = True
-    if not seen:
+    """The product of one factor per record over F_2, each from sigma_0 up."""
+    factors = [LPolynomial(r) for r in records(text)]
+    if not factors:
         raise ZetaError("no factors found")
-    return L
-
-
-def load_lpoly(path: str) -> LPolynomial:
-    with open(path) as fh:
-        return parse_lpoly(fh.read())
+    return reduce(mul, factors)
 
 
 CATALOG = resources.files("char2kit.catalog")  # the shipped data files; never rebound

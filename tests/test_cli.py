@@ -723,7 +723,9 @@ def test_error_exit_code(tmp_path, capsys):
     for argv, message in ((("expsum", "--m", "7", "--sum", "K", "--k", "0"), "0 below 1"),
                           (("conjectures", "--k-range", "0:3"), "range '0:3' is empty or below 1"),
                           (("dm-check", "--bound", "0"), "0 below 1"),
-                          (("verify-all", "--max-m", "25"), "25 outside 1..24")):
+                          (("verify-all", "--max-m", "25"), "25 outside 1..24"),
+                          # a refusal at any k names the gcd, not 2^k + 1
+                          (("corrdist", "--m", "2", "--k", "20001"), "2^20001+1 is not invertible modulo 2^2-1 (gcd 3)")):
         assert message in run(capsys, *argv)[2], argv
     for argv in (("weights", "--m", "6", "--k", "2"), ("weights", "--m", "3", "--k", "2")):
         code, _, err = run(capsys, *argv)

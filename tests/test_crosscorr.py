@@ -1,6 +1,5 @@
 import math
 import re
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +24,7 @@ from oracles import (
     sorted_pair_collision_a1,
     stacked_walsh_spectrum,
 )
+from tracing import traced_peak
 
 
 def naive(m):
@@ -205,15 +205,6 @@ def test_runs_match_np_unique(values, block):
     assert np.array_equal(a, np.sort(values))  # sorted in place, as derivative_counts reads it
 
 
-def _traced_peak(call):
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_spectrum_route_temporaries_stay_within_one_transform_buffer(monkeypatch):
     # With the field built, the Walsh route holds one 2^m-entry float32
     # buffer, transformed in place; the exponent index comes in blocks of
@@ -227,13 +218,13 @@ def test_spectrum_route_temporaries_stay_within_one_transform_buffer(monkeypatch
     d = decimation_exponent(m, k)
     calls = (lambda: cc.correlation_distribution(m, d), lambda: cc.weight_distribution(m, k))
     for call in calls:
-        assert _traced_peak(call) < 4 * field.size + 2 * 8 * LOG_BLOCK
+        assert traced_peak(call)[1] < 4 * field.size + 2 * 8 * LOG_BLOCK
     # The tally alone, on spectra built before tracing starts: its run edges
     # are found LOG_BLOCK neighbour pairs at a time, a LOG_BLOCK-byte mask.
     prebuilt = [cc.walsh_spectrum(field, d) for _ in calls]
     monkeypatch.setattr(cc, "walsh_spectrum", lambda field, *exponents: prebuilt.pop())
     for call in calls:
-        assert _traced_peak(call) < 2 * LOG_BLOCK
+        assert traced_peak(call)[1] < 2 * LOG_BLOCK
 
 
 @pytest.mark.parametrize("m,k", [(5, 1), (7, 1), (7, 3)])
@@ -336,7 +327,7 @@ def test_derivative_count_holds_one_half_word_per_element():
     # found LOG_BLOCK neighbour pairs at a time.
     m = 18
     field = get_field(m)
-    assert _traced_peak(lambda: cc.derivative_counts(m, 5)) < 2 * field.size + 24 * LOG_BLOCK
+    assert traced_peak(lambda: cc.derivative_counts(m, 5))[1] < 2 * field.size + 24 * LOG_BLOCK
 
 
 def test_a1_examples():

@@ -2,7 +2,6 @@ import copy
 import itertools
 import random
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +16,7 @@ from char2kit.gf2m import FieldError, get_field
 
 from oracles import (NaiveField, differential, full_x_fast_count, naive_evaluate,
                      naive_projective_count, naive_singular_points)
+from tracing import traced_peak
 
 
 GBAR = cv.catalog_curve("kloosterman").polynomial
@@ -218,12 +218,7 @@ def test_fast_counter_holds_one_block_of_chart_entries():
     get_field.cache_clear()
     cv.count_projective_points_fast(GBAR, 20)  # builds the orbits and their blocks
     exponents = len({a for a, _, _ in P1T.monomials})
-    tracemalloc.start()
-    try:
-        n = cv.count_projective_points_fast(P1T, 20)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    n, peak = traced_peak(lambda: cv.count_projective_points_fast(P1T, 20))
     assert peak < 16 * exponents * (gf2m.LOG_BLOCK // 2) + 8 * np.getbufsize(), peak
     assert exponents == 15 and len(get_field(20).orbit_blocks) == 7
     assert n == cv.catalog_curve("p1tilde").corrected_prediction(z.predicted_count(z.catalog_lpoly("z1"), 20), 20)
@@ -364,7 +359,10 @@ def test_fbar3_has_no_count_prediction():
 def test_curve_file_roundtrip(tmp_path):
     path = tmp_path / "c.curve"
     path.write_text("".join(f"{a} {b} {c}\n" for a, b, c in GBAR.monomials) + "# trailing comment\n")
-    assert cv.load_curve(str(path)) == GBAR
+    assert cv.TrivariatePoly.parse(path.read_text()) == GBAR
+    for text in ("1 2\n", "1 2 3 4\n", "1 x 3\n"):  # a record of three ints or nothing
+        with pytest.raises(ValueError):
+            cv.TrivariatePoly.parse(text)
 
 
 def test_catalog_entries_are_homogeneous():

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +18,7 @@ from oracles import (
     naive_k_prime,
     naive_kloosterman,
 )
+from tracing import traced_peak
 
 
 def naive(m):
@@ -223,11 +223,6 @@ def test_k_prime_holds_two_int64_vectors():
     get_field.cache_clear()
     es.kloosterman(20)
     block = gf2m.LOG_BLOCK // 2
-    tracemalloc.start()
-    try:
-        es.k_prime(20, 3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: es.k_prime(20, 3))
     assert peak < (2 * 8 + 3 * 4 + 1) * block + 8 * np.getbufsize(), peak
     assert len(get_field(20).orbit_blocks) == 7

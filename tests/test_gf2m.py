@@ -1,6 +1,5 @@
 import math
 import random
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +29,7 @@ from oracles import (
     pow_table,
     rotation_filter_orbits,
 )
+from tracing import traced_peak
 
 
 def mul(f, a, b):
@@ -206,12 +206,7 @@ def _naive_trace_by_linearity(field):
 def test_construction_holds_no_element_table(m):
     # Construction holds exp and log (2 bytes an element each through m = 16,
     # 4 above), plus build temporaries of at most LOG_BLOCK entries.
-    tracemalloc.start()
-    try:
-        f = Field(m)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    f, peak = traced_peak(lambda: Field(m))
     assert f.exp_table.itemsize == f.log_table.itemsize == (2 if m <= 16 else 4)
     assert peak < 2 * f.exp_table.itemsize * f.size + 16 * gf2m.LOG_BLOCK, peak
     assert "trace_table" not in vars(f)
@@ -472,16 +467,6 @@ def test_orbits_hold_four_bytes_a_rep(m):
     assert reps.nbytes == 4 * len(reps)
 
 
-def _traced_peak(build):
-    """(result, traced peak in bytes) of build()."""
-    tracemalloc.start()
-    try:
-        out = build()
-        return out, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize("m", [18, 22])
 def test_orbits_transient_is_a_few_bytes_a_rep(m):
     # Past its uint32 output, allocated at the count of cosets, the zero-run
@@ -492,7 +477,7 @@ def test_orbits_transient_is_a_few_bytes_a_rep(m):
     # the rotation filter alone, 44 and 50; blocks of 2^14 odd candidates,
     # 320 KB at m = 22.
     field = Field(m)
-    reps, peak = _traced_peak(lambda: field.orbits)
+    reps, peak = traced_peak(lambda: field.orbits)
     assert peak - reps.nbytes < 12 << 14, peak
 
 
@@ -503,7 +488,7 @@ def test_short_orbits_build_is_small_at_m_24():
     # mask of the short cosets over all leaders peaked at 697 KB here.
     field = Field(24)
     field.orbits
-    (short, deficit), peak = _traced_peak(lambda: field._short_orbits)
+    (short, deficit), peak = traced_peak(lambda: field._short_orbits)
     assert len(short) == 381
     assert peak - short.nbytes - deficit.nbytes < 128 << 10, peak
 
@@ -514,7 +499,7 @@ def test_orbit_traces_hold_two_int64_vectors():
     # 7 blocks; over all leaders at once they held 12 bytes a rep (630 KB).
     field = Field(20)
     field.orbits
-    t, peak = _traced_peak(lambda: field.orbit_traces(12345))
+    t, peak = traced_peak(lambda: field.orbit_traces(12345))
     assert peak - t.nbytes <= 2 * 8 * (gf2m.LOG_BLOCK // 2) + 8192, peak
     assert len(field.orbit_blocks) == 7
 
@@ -533,7 +518,7 @@ def test_orbit_total_equals_the_size_dot_without_an_int64_copy(m):
     vectors += [rng.integers(0, 2, len(reps)).astype(bool), np.ones(len(reps), dtype=bool),
                 rng.integers(0, 5, len(reps)), np.full(len(reps), 2**m)]  # small ints, as int64
     for v in vectors:
-        total, peak = _traced_peak(lambda: field.orbit_total(v))
+        total, peak = traced_peak(lambda: field.orbit_total(v))
         assert type(total) is int and total == int(sizes @ v)
         assert peak < 4096 + 16 * len(short), peak
     assert field.orbit_total(vectors[4]) == field.order  # every coset, so every exponent
@@ -545,7 +530,7 @@ def test_orbit_total_equals_the_size_dot_without_an_int64_copy(m):
                 == field.orbit_total(v)
     # A uint8 vector is summed through numpy's cast buffer, a fixed size, not a copy.
     v = rng.integers(0, 4, len(reps), dtype=np.uint8)
-    total, peak = _traced_peak(lambda: field.orbit_total(v))
+    total, peak = traced_peak(lambda: field.orbit_total(v))
     assert total == int(sizes @ v) and peak < 4096 + 16 * len(short) + 8 * np.getbufsize(), peak
 
 
@@ -579,7 +564,7 @@ def test_fold_holds_half_a_log_block_of_any_shape(shape):
     f = get_field(20)
     x = np.random.default_rng(len(shape)).integers(0, 1 << 40, shape)
     expected = x % f.order
-    y, peak = _traced_peak(lambda: f.fold(x))
+    y, peak = traced_peak(lambda: f.fold(x))
     assert y is x and np.array_equal(x, expected)
     assert peak <= 8 * (gf2m.LOG_BLOCK // 2) + 1024, peak
     if len(shape) > 1:
@@ -605,6 +590,21 @@ def test_decimation_exponent_congruence():
             d = decimation_exponent(m, k)
             assert d * (2**k + 1) % n == (2 ** (2 * k) + 1) % n
             assert math.gcd(d, n) == 1
+
+
+@pytest.mark.parametrize("m,k", [(5, 1), (7, 2), (9, 4)])
+def test_k_enters_only_through_2k_mod_the_group_order(m, k):
+    # 2^m = 1 mod 2^m - 1, so k and k + m 10^7 give the same exponents, and
+    # each site reduces 2^k as it builds it: no int of about m 10^7 bits is
+    # made.  Built whole, 2^k and 2^(2k) peaked at 33 to 60 MB here.
+    def reads(k):
+        return (decimation_exponent(m, k), c_sum(m, k).value, g_sum(m, k).value, k_prime(m, k).value,
+                weight_distribution(m, k).entries)
+
+    expected = reads(k)  # builds the field and its memos
+    observed, peak = traced_peak(lambda: reads(k + m * 10**7))
+    assert observed == expected
+    assert peak < 1 << 20, peak
 
 
 @pytest.mark.parametrize("m", sorted(PRIMITIVE_POLY))

@@ -561,3 +561,39 @@ def test_restating_rule_sees_parity_with_gcd_and_neighbour_pairs(tmp_path):
         '    np.not_equal(w[1:], w[:-1], out=w[:-1])\n')
     assert _restating_functions(path) == [("hypothesis", "a"), ("hypothesis", "b"), ("hypothesis", "c"),
                                           ("runs", "d"), ("runs", "e")]
+
+
+def _comment_cuts(path):
+    """Each call in path with a str argument that begins with "#", by line: the function
+    or method it is in, as module.name or module.Class.name, or module:line outside one."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    scopes = [(f"{path.stem}.{fn.name}", fn) for fn in tree.body if isinstance(fn, ast.FunctionDef)]
+    scopes += [(f"{path.stem}.{cls.name}.{fn.name}", fn) for cls in tree.body if isinstance(cls, ast.ClassDef)
+               for fn in cls.body if isinstance(fn, ast.FunctionDef)]
+    calls = sorted((node.lineno, node.col_offset) for node in ast.walk(tree) if isinstance(node, ast.Call)
+                   and any(isinstance(a, ast.Constant) and isinstance(a.value, str) and a.value.startswith("#")
+                           for a in node.args))
+    return [next((name for name, fn in scopes if fn.lineno <= line <= fn.end_lineno), f"{path.stem}:{line}")
+            for line, _ in calls]
+
+
+def test_only_records_reads_the_comment_mark():
+    # The catalog data format, one record of ints per line with '#' starting
+    # a comment, is read by zeta.records alone: the L-polynomial and curve
+    # parsers, the catalogs and the CLI's file paths all go through it.
+    assert [hit for path in SOURCES for hit in _comment_cuts(path)] == ["zeta.records"]
+
+
+def test_comment_rule_sees_functions_methods_and_module_code(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        'import re\n'
+        'def cut(line):\n'
+        '    return line.split("#", 1)[0], line.partition("#")[0]\n'
+        'class P:\n'
+        '    def parse(cls, text):\n'
+        '        return [re.sub(r"#.*", "", t) for t in text.splitlines() if not t.startswith("#")]\n'
+        'HEAD = "x # y".split("#")\n'
+        'def ok(line):\n'
+        '    return line.split(), "#", line.split(" "), print(f"#{line}")\n')
+    assert _comment_cuts(path) == ["mod.cut", "mod.cut", "mod.P.parse", "mod.P.parse", "mod:7"]

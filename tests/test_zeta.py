@@ -208,8 +208,9 @@ def test_riemann_bound_on_catalog_power_sums():
 def test_file_format_roundtrip(tmp_path):
     path = tmp_path / "test.lpoly"
     path.write_text("# comment\n1 1 2\n1 1 0 2 4\n")
-    L = z.load_lpoly(str(path))
+    L = z.parse_lpoly(path.read_text())
     assert L.coefficients == (L2 * L4).coefficients
+    assert z.records("1 1 2  # a comment after a record\n\n  \t\n1 1 0 2 4") == [(1, 1, 2), (1, 1, 0, 2, 4)]
     with pytest.raises(ZetaError):
         z.parse_lpoly("2 1")  # constant term must be 1
     with pytest.raises(ZetaError):
