@@ -6,8 +6,8 @@ P_j = sum omega_j^j follow from the coefficients by Newton's identities
 without ever extracting roots; all arithmetic is exact (Python ints).
 
 The catalog ships the zeta numerators of the curves in the curve catalog,
-all over F_2, in factored form: one factor per record, from sigma_0 up, of
-the data format of every catalog file, curves too, which `records` reads.
+all over F_2, in factored form: one factor per record, from sigma_0 up.
+`records` reads that format for every catalog file, curves too.
 """
 
 from __future__ import annotations
